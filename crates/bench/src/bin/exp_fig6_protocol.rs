@@ -140,6 +140,9 @@ fn main() {
         while !sim_report.is_quiescent()
             && sim_report.end_time() < svckit::model::Instant::from_micros(300_000_000)
         {
+            // Drop the old report first so the next slice appends to the
+            // trace in place instead of copying it.
+            drop(sim_report);
             sim_report = stack.run_to_quiescence(Duration::from_secs(60)).unwrap();
         }
         let metrics = svckit::floorctl::FloorMetrics::from_trace(sim_report.trace());

@@ -42,6 +42,9 @@ fn main() {
             if report.trace().count_of("free") as u64 >= expected {
                 break;
             }
+            // Drop the old report first so the next slice appends to the
+            // trace in place instead of copying it.
+            drop(report);
             report = stack.run_to_quiescence(Duration::from_millis(50)).unwrap();
         }
         let metrics = FloorMetrics::from_trace(report.trace());

@@ -200,6 +200,33 @@ pub fn run_middleware_deployment_with(
     run_deployment(Deployment::Middleware(system), label, params, faults)
 }
 
+/// Running totals of the trace primitives the harness watches.
+///
+/// Slices advance the simulated clock monotonically, so a slice only ever
+/// appends to the trace and earlier events never move. Tallying just the
+/// events appended since the last slice keeps the totals exact at
+/// O(new events) per slice.
+#[derive(Debug, Default)]
+struct Tally {
+    /// Length of the trace prefix already tallied.
+    seen: usize,
+    frees: u64,
+    grants: u64,
+}
+
+impl Tally {
+    fn absorb(&mut self, trace: &Trace) {
+        for event in &trace.events()[self.seen..] {
+            match event.primitive() {
+                "free" => self.frees += 1,
+                "granted" => self.grants += 1,
+                _ => {}
+            }
+        }
+        self.seen = trace.len();
+    }
+}
+
 fn run_deployment(
     mut deployment: Deployment,
     solution: Solution,
@@ -212,8 +239,11 @@ fn run_deployment(
     schedule.sort_by_key(|f| f.at); // stable: equal times keep listed order
     let mut next_fault = 0usize;
     let mut elapsed = Duration::ZERO;
-    let mut report;
-    loop {
+    let mut tally = Tally::default();
+    // Each slice's report is dropped before the next slice runs: a report
+    // still holding the simulator's copy-on-write trace would make the next
+    // append deep-copy the whole trace.
+    let report = loop {
         while next_fault < schedule.len() && schedule[next_fault].at <= elapsed {
             deployment.apply_fault(schedule[next_fault].action);
             next_fault += 1;
@@ -226,23 +256,15 @@ fn run_deployment(
             )),
             None => slice,
         };
-        report = deployment.run_slice(step);
+        let report = deployment.run_slice(step);
         elapsed += step;
-        let frees = report.trace().count_of("free") as u64;
-        if frees >= expected_frees || report.is_quiescent() || elapsed >= params.cap() {
-            break;
+        tally.absorb(report.trace());
+        if tally.frees >= expected_frees || report.is_quiescent() || elapsed >= params.cap() {
+            break report;
         }
-    }
-
-    let completed = report.trace().count_of("free") as u64 >= expected_frees;
-    let options = CheckOptions {
-        // Incomplete runs were cut off mid-flight; outstanding requests are
-        // pending, not wrong.
-        allow_pending_liveness: !completed,
-        ..CheckOptions::default()
     };
-    let service = floor_control_service();
-    let check = check_trace(&service, report.trace(), &options);
+    debug_assert_eq!(tally.frees, report.trace().count_of("free") as u64);
+    debug_assert_eq!(tally.grants, report.trace().count_of("granted") as u64);
 
     let (app_events, infra_events) = match &deployment {
         Deployment::Middleware(system) => {
@@ -251,22 +273,35 @@ fn run_deployment(
             let app = totals.dispatches + totals.replies + totals.deliveries - broker.deliveries;
             (app, broker.deliveries)
         }
-        Deployment::Protocol(stack) => {
-            let app = report.trace().count_of("granted") as u64;
-            (app, stack.total_counters().pdus_received)
-        }
+        Deployment::Protocol(stack) => (tally.grants, stack.total_counters().pdus_received),
     };
+    // The simulator shares the trace with the report; once it is gone the
+    // trace moves into the outcome without a copy.
+    drop(deployment);
+    let end_time = report.end_time();
+    let transport_messages = report.metrics().messages_sent();
+    let transport_bytes = report.metrics().bytes_sent();
+    let trace = report.into_trace();
+
+    let completed = tally.frees >= expected_frees;
+    let options = CheckOptions {
+        // Incomplete runs were cut off mid-flight; outstanding requests are
+        // pending, not wrong.
+        allow_pending_liveness: !completed,
+        ..CheckOptions::default()
+    };
+    let check = check_trace(&floor_control_service(), &trace, &options);
 
     RunOutcome {
         solution,
         completed,
         conformant: check.is_conformant(),
         violations: check.violations().len(),
-        floor: FloorMetrics::from_trace(report.trace()),
-        trace: report.trace().clone(),
-        end_time: report.end_time(),
-        transport_messages: report.metrics().messages_sent(),
-        transport_bytes: report.metrics().bytes_sent(),
+        floor: FloorMetrics::from_trace(&trace),
+        trace,
+        end_time,
+        transport_messages,
+        transport_bytes,
         app_events,
         infra_events,
     }
@@ -275,6 +310,7 @@ fn run_deployment(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use svckit_netsim::DeterministicRng;
 
     fn small() -> RunParams {
         RunParams::default().subscribers(3).resources(2).rounds(2)
@@ -387,6 +423,53 @@ mod tests {
         let b = run_solution_with(Solution::ProtoCallback, &params, &options);
         assert_eq!(a.trace, b.trace);
         assert_eq!(a.transport_messages, b.transport_messages);
+    }
+
+    #[test]
+    fn running_tallies_match_a_full_rescan_under_random_faults() {
+        // Seeded partition/heal campaigns shrink and multiply the run
+        // slices; the per-slice tallies must still agree with a rescan of
+        // the final trace.
+        for seed in 1..=6u64 {
+            let params = small().seed(seed).time_cap(Duration::from_secs(2));
+            let mut rng = DeterministicRng::new(seed);
+            let mut faults = Vec::new();
+            for _ in 0..3 {
+                let k = 1 + rng.next_below(3);
+                let a = crate::proto::subscriber_part(k);
+                let b = if rng.coin(0.5) {
+                    crate::proto::controller_part()
+                } else {
+                    crate::proto::subscriber_part(1 + k % 3)
+                };
+                let cut = rng.next_below(8_000);
+                faults.push(FaultEvent::partition(Duration::from_micros(cut), a, b));
+                if rng.coin(0.75) {
+                    let heal = cut + 1_000 + rng.next_below(700_000);
+                    faults.push(FaultEvent::heal(Duration::from_micros(heal), a, b));
+                }
+            }
+            let options = RunOptions {
+                reliability: Some(ReliabilityConfig::new(Duration::from_millis(8))),
+                faults,
+            };
+            for solution in Solution::ALL {
+                let outcome = run_solution_with(solution, &params, &options);
+                let frees = outcome.trace.count_of("free") as u64;
+                assert_eq!(
+                    outcome.completed,
+                    frees >= params.expected_grants(),
+                    "{solution} seed {seed}"
+                );
+                if !solution.is_middleware() {
+                    assert_eq!(
+                        outcome.app_events,
+                        outcome.trace.count_of("granted") as u64,
+                        "{solution} seed {seed}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

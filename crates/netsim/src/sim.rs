@@ -465,6 +465,12 @@ impl fmt::Display for SimError {
 impl Error for SimError {}
 
 /// Outcome of a simulation run.
+///
+/// The report shares the simulator's copy-on-write trace rather than
+/// copying it. While a report is alive, the first primitive the simulator
+/// records in a later [`Simulator::run_to_quiescence`] call copies the whole
+/// trace, so a loop that runs in slices should drop (or rebind) each report
+/// before it runs the next slice.
 #[derive(Debug, Clone)]
 pub struct SimReport {
     end_time: Instant,
@@ -492,6 +498,13 @@ impl SimReport {
     /// The merged, time-ordered service-primitive trace.
     pub fn trace(&self) -> &Trace {
         &self.trace
+    }
+
+    /// Consumes the report and returns its trace. The trace moves out
+    /// without a copy when nothing else shares it, i.e. once the simulator
+    /// and every other report of it are dropped; otherwise it is cloned.
+    pub fn into_trace(self) -> Trace {
+        Arc::unwrap_or_clone(self.trace)
     }
 
     pub(crate) fn assemble(
@@ -1287,7 +1300,9 @@ impl Simulator {
     /// passed since the start of this call.
     ///
     /// Can be called repeatedly; the clock, metrics and trace persist across
-    /// calls.
+    /// calls. Drop the previous call's [`SimReport`] before calling again:
+    /// while it is alive it shares the trace, and the next recorded
+    /// primitive then copies the whole trace instead of appending in place.
     ///
     /// # Errors
     ///
@@ -1480,6 +1495,81 @@ mod tests {
             .iter()
             .map(|e| e.args()[0].as_int().unwrap() as u8)
             .collect()
+    }
+
+    /// Records one `tick` primitive per millisecond, `remaining` times.
+    struct Ticker {
+        remaining: u32,
+    }
+
+    impl Process for Ticker {
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            ctx.set_timer(Duration::from_millis(1), TimerId(1));
+        }
+        fn on_message(&mut self, _: &mut Context<'_>, _: PartId, _: Payload) {}
+        fn on_timer(&mut self, ctx: &mut Context<'_>, _timer: TimerId) {
+            ctx.record_primitive(Sap::new("probe", ctx.id()), "tick", vec![]);
+            self.remaining -= 1;
+            if self.remaining > 0 {
+                ctx.set_timer(Duration::from_millis(1), TimerId(1));
+            }
+        }
+    }
+
+    fn ticker_sim(ticks: u32) -> Simulator {
+        let mut sim = Simulator::new(SimConfig::new(1));
+        sim.add_process(PartId::new(1), Box::new(Ticker { remaining: ticks }))
+            .unwrap();
+        sim
+    }
+
+    /// The simulator's own trace buffer (single-threaded engine).
+    fn trace_buf(sim: &Simulator) -> &Arc<Trace> {
+        match &sim.inner {
+            EngineImpl::Single(single) => &single.trace.trace,
+            EngineImpl::Sharded(_) => unreachable!("test simulators are single-threaded"),
+        }
+    }
+
+    #[test]
+    fn dropped_report_lets_the_next_slice_append_in_place() {
+        let mut sim = ticker_sim(20);
+        let first = sim.run_to_quiescence(Duration::from_millis(5)).unwrap();
+        let first_len = first.trace().len();
+        assert!(first_len > 0);
+        let buf = Arc::as_ptr(trace_buf(&sim));
+        drop(first);
+        let second = sim.run_to_quiescence(Duration::from_millis(5)).unwrap();
+        assert!(second.trace().len() > first_len);
+        assert_eq!(Arc::as_ptr(trace_buf(&sim)), buf, "trace was copied");
+        assert!(Arc::ptr_eq(&second.trace, trace_buf(&sim)));
+    }
+
+    #[test]
+    fn held_report_makes_the_next_slice_copy_the_trace() {
+        let mut sim = ticker_sim(20);
+        let first = sim.run_to_quiescence(Duration::from_millis(5)).unwrap();
+        let first_len = first.trace().len();
+        let second = sim.run_to_quiescence(Duration::from_millis(5)).unwrap();
+        assert!(!Arc::ptr_eq(&first.trace, &second.trace));
+        assert_eq!(first.trace().len(), first_len, "held snapshot is frozen");
+        assert_eq!(
+            &second.trace().events()[..first_len],
+            first.trace().events()
+        );
+    }
+
+    #[test]
+    fn into_trace_moves_the_trace_out_once_the_simulator_is_gone() {
+        let mut sim = ticker_sim(20);
+        let report = sim.run_to_quiescence(Duration::from_secs(1)).unwrap();
+        let expected = report.trace().clone();
+        let events = report.trace().events().as_ptr();
+        drop(sim);
+        let trace = report.into_trace();
+        assert_eq!(trace, expected);
+        assert_eq!(trace.len(), 20);
+        assert_eq!(trace.events().as_ptr(), events, "trace was copied");
     }
 
     #[test]

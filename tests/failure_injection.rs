@@ -33,12 +33,16 @@ fn reliability_layer_rides_out_a_partition() {
     // Let the system make some progress…
     let r1 = stack.run_to_quiescence(Duration::from_millis(20)).unwrap();
     let grants_before = r1.trace().count_of("granted");
+    // Each report is dropped before the next slice, so the simulator keeps
+    // appending to its trace in place instead of copying it.
+    drop(r1);
 
     // …then cut subscriber 1 off from the controller for a while.
     stack.partition(subscriber_part(1), controller_part());
     let r2 = stack.run_to_quiescence(Duration::from_millis(100)).unwrap();
     // The cut produced drops; retransmissions are piling up.
     assert!(r2.metrics().messages_dropped() > 0);
+    drop(r2);
 
     // Heal and finish: every round completes and the trace conforms.
     stack.heal(subscriber_part(1), controller_part());
@@ -47,6 +51,7 @@ fn reliability_layer_rides_out_a_partition() {
         if report.is_quiescent() {
             break;
         }
+        drop(report);
         report = stack.run_to_quiescence(Duration::from_secs(60)).unwrap();
     }
     assert!(report.is_quiescent());
