@@ -37,7 +37,20 @@ use svckit_analyze::{
     all_targets, fixtures, scale_floor_targets, AnalysisReport, Reduction, ServicePassOptions,
     Symmetry,
 };
-use svckit_sweep::{flag_usize, flag_value};
+use svckit_sweep::flag_value;
+
+/// Parses `--<name> N` as a positive integer (`default` when absent).
+fn positive_flag(args: &[String], name: &str, default: usize) -> Result<usize, String> {
+    match flag_value(args, name) {
+        None => Ok(default),
+        Some(value) => match value.parse::<usize>() {
+            Ok(n) if n > 0 => Ok(n),
+            _ => Err(format!(
+                "--{name} expects a positive integer, got {value:?}"
+            )),
+        },
+    }
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -58,10 +71,20 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    let (max_states, users) = match (
+        positive_flag(&args, "max-states", 200_000),
+        positive_flag(&args, "users", 3),
+    ) {
+        (Ok(max_states), Ok(users)) => (max_states, users),
+        (Err(err), _) | (_, Err(err)) => {
+            eprintln!("error: {err}");
+            return ExitCode::FAILURE;
+        }
+    };
     let options = ServicePassOptions {
         reduction,
         symmetry,
-        max_states: flag_usize(&args, "max-states", 200_000),
+        max_states,
         engine: svckit_sweep::engine_flag(&args).unwrap_or_default(),
         backend: svckit_sweep::backend_flag(&args).unwrap_or_default(),
         ..ServicePassOptions::default()
@@ -71,7 +94,6 @@ fn main() -> ExitCode {
     if args.iter().any(|a| a == "--fixtures") {
         targets.extend(fixtures::expected_codes().into_iter().map(|(t, _)| t));
     }
-    let users = flag_usize(&args, "users", 3);
     if users != 3 {
         scale_floor_targets(&mut targets, users as u64);
     }

@@ -378,20 +378,27 @@ impl Binder {
     }
 
     /// [`Binder::step_fixed`] over `u32` state vectors, for searches whose
-    /// product keys are shared with other `u32`-keyed engines. Slot states
-    /// always fit `u16` (they come from the tables); the wide layout is the
-    /// caller's.
-    pub fn step_wide(&self, key: &[u32], edges: &[Edge]) -> Result<Vec<u32>, Rejection> {
-        let mut next = key.to_vec();
+    /// product keys are shared with other `u32`-keyed engines: writes the
+    /// successor of `key` into `out` (same length) instead of allocating
+    /// it. On rejection `out` holds a partially stepped copy and must be
+    /// ignored. Slot states always fit `u16` (they come from the tables);
+    /// the wide layout is the caller's.
+    pub fn step_wide_into(
+        &self,
+        key: &[u32],
+        edges: &[Edge],
+        out: &mut [u32],
+    ) -> Result<(), Rejection> {
+        out.copy_from_slice(key);
         for (i, e) in edges.iter().enumerate() {
-            let state = u16::try_from(next[e.slot as usize]).expect("slot states fit u16");
+            let state = u16::try_from(out[e.slot as usize]).expect("slot states fit u16");
             let successor = self.slot_info[e.slot as usize].dfa.next(state, e.class);
             if successor == DEAD {
                 return Err(Rejection { edge: i, state });
             }
-            next[e.slot as usize] = u32::from(successor);
+            out[e.slot as usize] = u32::from(successor);
         }
-        Ok(next)
+        Ok(())
     }
 
     /// [`Binder::is_quiescent`] over `u32` state vectors.

@@ -38,7 +38,7 @@ mod backend;
 
 pub use backend::Backend;
 
-use std::collections::HashMap;
+use svckit_model::hash::FastMap;
 
 /// A diagram id: an index into the store's node table. Equal sets have
 /// equal ids (hash-consing), so this is also the set's identity.
@@ -93,11 +93,15 @@ struct Node {
     right: Ldd,
 }
 
+#[derive(Debug)]
 enum Head {
     /// A chain head in original (ascending) position.
     Ordered(u32, Ldd),
-    /// Out-of-order contributions to merge in via union.
-    Singles(Vec<(u32, Ldd)>),
+    /// An out-of-order contribution to merge in via union.
+    Single(u32, Ldd),
+    /// Out-of-order contributions, one per value over the same `down`, to
+    /// merge in via union.
+    Singles(Vec<u32>, Ldd),
     /// No contribution from this chain entry.
     None,
 }
@@ -106,15 +110,27 @@ enum Head {
 #[derive(Debug)]
 pub struct LddStore {
     nodes: Vec<Node>,
-    unique: HashMap<(u32, Ldd, Ldd), Ldd>,
+    unique: FastMap<(u32, Ldd, Ldd), Ldd>,
     /// Binary-op memo: `(op, a, b) → result`.
-    op_cache: HashMap<(u8, Ldd, Ldd), Ldd>,
+    op_cache: FastMap<OpKey, Ldd>,
     /// Relational-product memo: `(op, event, node, depth) → result`.
-    rel_cache: HashMap<(u8, u32, Ldd, u32), Ldd>,
-    count_cache: HashMap<Ldd, u64>,
+    rel_cache: FastMap<RelKey, Ldd>,
+    count_cache: FastMap<Ldd, u64>,
     cache_hits: u64,
     node_limit: usize,
+    /// Work stacks shared by every (recursive) walk: each call pushes one
+    /// entry per chain node it visits — the memo key and the chain head
+    /// it contributes — and pops back down to where it started while
+    /// rebuilding its result, so no walk allocates per call.
+    pair_stack: Vec<(OpKey, Option<(u32, Ldd)>)>,
+    rel_stack: Vec<(RelKey, Head)>,
 }
+
+/// A binary-op memo key: `(op, a, b)`.
+type OpKey = (u8, Ldd, Ldd);
+
+/// A relational-product memo key: `(op, event, node, depth)`.
+type RelKey = (u8, u32, Ldd, u32);
 
 impl Default for LddStore {
     fn default() -> Self {
@@ -138,12 +154,14 @@ impl LddStore {
         };
         LddStore {
             nodes: vec![sentinel; 2],
-            unique: HashMap::new(),
-            op_cache: HashMap::new(),
-            rel_cache: HashMap::new(),
-            count_cache: HashMap::new(),
+            unique: FastMap::default(),
+            op_cache: FastMap::default(),
+            rel_cache: FastMap::default(),
+            count_cache: FastMap::default(),
             cache_hits: 0,
             node_limit,
+            pair_stack: Vec::new(),
+            rel_stack: Vec::new(),
         }
     }
 
@@ -272,8 +290,7 @@ impl LddStore {
             return b;
         }
         debug_assert!(a > UNIT && b > UNIT, "width mismatch in union");
-        let mut steps: Vec<(Ldd, Ldd)> = Vec::new();
-        let mut heads: Vec<(u32, Ldd)> = Vec::new();
+        let base = self.pair_stack.len();
         let (mut x, mut y) = (a, b);
         let tail = loop {
             if x == y || y == EMPTY {
@@ -287,35 +304,27 @@ impl LddStore {
                 self.cache_hits += 1;
                 break r;
             }
-            steps.push((x, y));
             let nx = self.node(x);
             let ny = self.node(y);
-            match nx.value.cmp(&ny.value) {
+            let head = match nx.value.cmp(&ny.value) {
                 std::cmp::Ordering::Less => {
-                    heads.push((nx.value, nx.down));
                     x = nx.right;
+                    (nx.value, nx.down)
                 }
                 std::cmp::Ordering::Greater => {
-                    heads.push((ny.value, ny.down));
                     y = ny.right;
+                    (ny.value, ny.down)
                 }
                 std::cmp::Ordering::Equal => {
                     let down = self.union(nx.down, ny.down);
-                    heads.push((nx.value, down));
                     x = nx.right;
                     y = ny.right;
+                    (nx.value, down)
                 }
-            }
+            };
+            self.pair_stack.push((key, Some(head)));
         };
-        let mut result = tail;
-        for i in (0..steps.len()).rev() {
-            let (value, down) = heads[i];
-            result = self.mk(value, down, result);
-            let (sx, sy) = steps[i];
-            self.op_cache
-                .insert((OP_UNION, sx.min(sy), sx.max(sy)), result);
-        }
-        result
+        self.unwind_pairs(base, tail)
     }
 
     /// `a \ b`.
@@ -326,8 +335,7 @@ impl LddStore {
         if b == EMPTY {
             return a;
         }
-        let mut steps: Vec<(Ldd, Ldd)> = Vec::new();
-        let mut heads: Vec<Option<(u32, Ldd)>> = Vec::new();
+        let base = self.pair_stack.len();
         let (mut x, mut y) = (a, b);
         let tail = loop {
             if x == EMPTY || x == y {
@@ -336,43 +344,32 @@ impl LddStore {
             if y == EMPTY {
                 break x;
             }
-            if let Some(&r) = self.op_cache.get(&(OP_MINUS, x, y)) {
+            let key = (OP_MINUS, x, y);
+            if let Some(&r) = self.op_cache.get(&key) {
                 self.cache_hits += 1;
                 break r;
             }
-            steps.push((x, y));
             let nx = self.node(x);
             let ny = self.node(y);
-            match nx.value.cmp(&ny.value) {
+            let head = match nx.value.cmp(&ny.value) {
                 std::cmp::Ordering::Less => {
-                    heads.push(Some((nx.value, nx.down)));
                     x = nx.right;
+                    Some((nx.value, nx.down))
                 }
                 std::cmp::Ordering::Greater => {
-                    heads.push(None);
                     y = ny.right;
+                    None
                 }
                 std::cmp::Ordering::Equal => {
                     let down = self.minus(nx.down, ny.down);
-                    heads.push(if down == EMPTY {
-                        None
-                    } else {
-                        Some((nx.value, down))
-                    });
                     x = nx.right;
                     y = ny.right;
+                    (down != EMPTY).then_some((nx.value, down))
                 }
-            }
+            };
+            self.pair_stack.push((key, head));
         };
-        let mut result = tail;
-        for i in (0..steps.len()).rev() {
-            if let Some((value, down)) = heads[i] {
-                result = self.mk(value, down, result);
-            }
-            self.op_cache
-                .insert((OP_MINUS, steps[i].0, steps[i].1), result);
-        }
-        result
+        self.unwind_pairs(base, tail)
     }
 
     /// `a ∩ b`.
@@ -383,8 +380,7 @@ impl LddStore {
         if a == EMPTY || b == EMPTY {
             return EMPTY;
         }
-        let mut steps: Vec<(Ldd, Ldd)> = Vec::new();
-        let mut heads: Vec<Option<(u32, Ldd)>> = Vec::new();
+        let base = self.pair_stack.len();
         let (mut x, mut y) = (a, b);
         let tail = loop {
             if x == y {
@@ -398,38 +394,40 @@ impl LddStore {
                 self.cache_hits += 1;
                 break r;
             }
-            steps.push((x, y));
             let nx = self.node(x);
             let ny = self.node(y);
-            match nx.value.cmp(&ny.value) {
+            let head = match nx.value.cmp(&ny.value) {
                 std::cmp::Ordering::Less => {
-                    heads.push(None);
                     x = nx.right;
+                    None
                 }
                 std::cmp::Ordering::Greater => {
-                    heads.push(None);
                     y = ny.right;
+                    None
                 }
                 std::cmp::Ordering::Equal => {
                     let down = self.intersect(nx.down, ny.down);
-                    heads.push(if down == EMPTY {
-                        None
-                    } else {
-                        Some((nx.value, down))
-                    });
                     x = nx.right;
                     y = ny.right;
+                    (down != EMPTY).then_some((nx.value, down))
                 }
-            }
+            };
+            self.pair_stack.push((key, head));
         };
+        self.unwind_pairs(base, tail)
+    }
+
+    /// Pops the set-operation chain entries above `base` (innermost
+    /// first), prepending each head to the result chain built on `tail`
+    /// and memoizing every intermediate result under its step's key.
+    fn unwind_pairs(&mut self, base: usize, tail: Ldd) -> Ldd {
         let mut result = tail;
-        for i in (0..steps.len()).rev() {
-            if let Some((value, down)) = heads[i] {
+        while self.pair_stack.len() > base {
+            let (key, head) = self.pair_stack.pop().expect("entries above the base");
+            if let Some((value, down)) = head {
                 result = self.mk(value, down, result);
             }
-            let (sx, sy) = steps[i];
-            self.op_cache
-                .insert((OP_INTERSECT, sx.min(sy), sx.max(sy)), result);
+            self.op_cache.insert(key, result);
         }
         result
     }
@@ -502,21 +500,20 @@ impl LddStore {
         if a == EMPTY || depth >= max_depth {
             return a;
         }
-        let mut steps: Vec<Ldd> = Vec::new();
-        let mut heads: Vec<Head> = Vec::new();
+        let base = self.rel_stack.len();
         let mut x = a;
         let tail = loop {
             if x == EMPTY {
                 break EMPTY;
             }
-            if let Some(&r) = self.rel_cache.get(&(op, event, x, depth)) {
+            let key = (op, event, x, depth);
+            if let Some(&r) = self.rel_cache.get(&key) {
                 self.cache_hits += 1;
                 break r;
             }
-            steps.push(x);
             let n = self.node(x);
             let down = self.relational(op, n.down, event, depth + 1, max_depth, f);
-            heads.push(if down == EMPTY {
+            let head = if down == EMPTY {
                 Head::None
             } else {
                 match f(depth, n.value) {
@@ -525,20 +522,16 @@ impl LddStore {
                         if op == OP_FILTER {
                             Head::Ordered(n.value, down)
                         } else {
-                            Head::Singles(vec![(target, down)])
+                            Head::Single(target, down)
                         }
                     }
                     LevelStep::Blocked => Head::None,
                 }
-            });
+            };
+            self.rel_stack.push((key, head));
             x = n.right;
         };
-        let mut result = tail;
-        for i in (0..steps.len()).rev() {
-            result = self.combine(std::mem::replace(&mut heads[i], Head::None), result);
-            self.rel_cache.insert((op, event, steps[i], depth), result);
-        }
-        result
+        self.unwind_rel(base, tail)
     }
 
     /// The preimage of `a` under one event: every vector the event steps
@@ -560,21 +553,20 @@ impl LddStore {
         if a == EMPTY || depth >= max_depth {
             return a;
         }
-        let mut steps: Vec<Ldd> = Vec::new();
-        let mut heads: Vec<Head> = Vec::new();
+        let base = self.rel_stack.len();
         let mut x = a;
         let tail = loop {
             if x == EMPTY {
                 break EMPTY;
             }
-            if let Some(&r) = self.rel_cache.get(&(OP_PREIMAGE, event, x, depth)) {
+            let key = (OP_PREIMAGE, event, x, depth);
+            if let Some(&r) = self.rel_cache.get(&key) {
                 self.cache_hits += 1;
                 break r;
             }
-            steps.push(x);
             let n = self.node(x);
             let down = self.preimage_at(n.down, event, depth + 1, max_depth, g);
-            heads.push(if down == EMPTY {
+            let head = if down == EMPTY {
                 Head::None
             } else {
                 match g(depth, n.value) {
@@ -583,18 +575,26 @@ impl LddStore {
                         if sources.is_empty() {
                             Head::None
                         } else {
-                            Head::Singles(sources.into_iter().map(|s| (s, down)).collect())
+                            Head::Singles(sources, down)
                         }
                     }
                 }
-            });
+            };
+            self.rel_stack.push((key, head));
             x = n.right;
         };
+        self.unwind_rel(base, tail)
+    }
+
+    /// [`LddStore::unwind_pairs`] for the relational walks: combines each
+    /// popped head into the result and memoizes it in the relational
+    /// cache.
+    fn unwind_rel(&mut self, base: usize, tail: Ldd) -> Ldd {
         let mut result = tail;
-        for i in (0..steps.len()).rev() {
-            result = self.combine(std::mem::replace(&mut heads[i], Head::None), result);
-            self.rel_cache
-                .insert((OP_PREIMAGE, event, steps[i], depth), result);
+        while self.rel_stack.len() > base {
+            let (key, head) = self.rel_stack.pop().expect("entries above the base");
+            result = self.combine(head, result);
+            self.rel_cache.insert(key, result);
         }
         result
     }
@@ -603,9 +603,13 @@ impl LddStore {
         match head {
             Head::None => rest,
             Head::Ordered(value, down) => self.mk(value, down, rest),
-            Head::Singles(singles) => {
+            Head::Single(value, down) => {
+                let single = self.mk(value, down, EMPTY);
+                self.union(rest, single)
+            }
+            Head::Singles(values, down) => {
                 let mut result = rest;
-                for (value, down) in singles {
+                for value in values {
                     let single = self.mk(value, down, EMPTY);
                     result = self.union(result, single);
                 }

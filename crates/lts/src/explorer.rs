@@ -28,11 +28,15 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use svckit_dfa::{Binder, Compiled, Edge, Engine};
 use svckit_ldd::Backend;
+use svckit_model::hash::FastMap;
 use svckit_model::{Constraint, ConstraintKind, ConstraintScope, Sap, ServiceDefinition, Value};
 
 use crate::lts::{Lts, LtsBuilder, StateId};
 use crate::symmetry::{orbit_factor, Symmetry, SymmetryGroups};
 
+use store::StateStore;
+
+mod store;
 mod symbolic;
 
 /// An abstract event of the universe: a primitive with concrete arguments at
@@ -785,31 +789,39 @@ impl<'a> ServiceExplorer<'a> {
         let mut engine = StepEngine::new(self);
         let event_ids: Vec<u32> = self.universe.iter().map(|e| engine.event_id(e)).collect();
         let mut builder = LtsBuilder::new();
-        let mut index: HashMap<Vec<u32>, StateId> = HashMap::new();
         let init = engine.initial_key();
+        let mut store = StateStore::new(init.len());
+        // Store id → builder state.
+        let mut lts_ids: Vec<StateId> = Vec::new();
         let id0 = builder.add_state("init");
         if engine.is_quiescent(&init) {
             builder.mark_terminal(id0);
         }
-        index.insert(init.clone(), id0);
-        let mut queue = VecDeque::from([(init, id0)]);
-        while let Some((key, from)) = queue.pop_front() {
+        store.insert(&init);
+        lts_ids.push(id0);
+        let mut queue = VecDeque::from([0u32]);
+        let mut key = init;
+        let mut next = vec![0; key.len()];
+        while let Some(sid) = queue.pop_front() {
+            key.copy_from_slice(store.get(sid));
+            let from = lts_ids[sid as usize];
             for (event, &eid) in self.universe.iter().zip(&event_ids) {
-                if let Ok(next) = engine.step_key(&key, event, eid) {
-                    match index.get(&next) {
-                        Some(&to) => builder.add_transition(from, event.clone(), to),
-                        None => {
-                            if index.len() >= max_states {
-                                continue;
-                            }
-                            let to = builder.add_state(format!("q{}", index.len()));
-                            if engine.is_quiescent(&next) {
-                                builder.mark_terminal(to);
-                            }
-                            index.insert(next.clone(), to);
-                            builder.add_transition(from, event.clone(), to);
-                            queue.push_back((next, to));
+                if engine.step_into(&key, event, eid, &mut next).is_err() {
+                    continue;
+                }
+                match store.find(&next) {
+                    Some(to) => builder.add_transition(from, event.clone(), lts_ids[to as usize]),
+                    None => {
+                        if store.len() >= max_states {
+                            continue;
                         }
+                        let to = builder.add_state(format!("q{}", store.len()));
+                        if engine.is_quiescent(&next) {
+                            builder.mark_terminal(to);
+                        }
+                        queue.push_back(store.insert(&next));
+                        lts_ids.push(to);
+                        builder.add_transition(from, event.clone(), to);
                     }
                 }
             }
@@ -842,30 +854,19 @@ impl<'a> ServiceExplorer<'a> {
                 engine.event_id(&event);
             }
         }
-        let mut pool: Vec<Vec<u32>> = Vec::new();
-        let mut ids: HashMap<Vec<u32>, u32> = HashMap::new();
-        fn intern(
-            key: Vec<u32>,
-            ids: &mut HashMap<Vec<u32>, u32>,
-            pool: &mut Vec<Vec<u32>>,
-        ) -> u32 {
-            if let Some(&id) = ids.get(&key) {
-                return id;
-            }
-            let id = u32::try_from(pool.len()).expect("fewer than 2^32 service states");
-            pool.push(key.clone());
-            ids.insert(key, id);
-            id
-        }
-        let cs0 = intern(engine.initial_key(), &mut ids, &mut pool);
+        let init = engine.initial_key();
+        let mut store = StateStore::new(init.len());
+        let cs0 = store.insert(&init);
         // BFS search-tree nodes: (parent node, event taken to get here).
         let mut nodes: Vec<(Option<usize>, Option<AbstractEvent>)> = vec![(None, None)];
         let mut seen: HashSet<(StateId, u32)> = HashSet::new();
         seen.insert((implementation.initial(), cs0));
         let mut queue: VecDeque<(StateId, u32, usize)> =
             VecDeque::from([(implementation.initial(), cs0, 0)]);
+        let mut key = init;
+        let mut next = vec![0; key.len()];
         while let Some((is, csid, node)) = queue.pop_front() {
-            let key = pool[csid as usize].clone();
+            key.copy_from_slice(store.get(csid));
             for (act, t) in implementation.outgoing(is) {
                 match act.visible() {
                     None => {
@@ -877,9 +878,9 @@ impl<'a> ServiceExplorer<'a> {
                     }
                     Some(event) => {
                         let eid = engine.event_id(event);
-                        match engine.step_key(&key, event, eid) {
-                            Ok(next) => {
-                                let nid = intern(next, &mut ids, &mut pool);
+                        match engine.step_into(&key, event, eid, &mut next) {
+                            Ok(()) => {
+                                let nid = store.intern(&next);
                                 if seen.insert((*t, nid)) {
                                     nodes.push((Some(node), Some(event.clone())));
                                     queue.push_back((*t, nid, nodes.len() - 1));
@@ -1166,8 +1167,6 @@ impl<'a> ServiceExplorer<'a> {
         };
         let n = self.universe.len();
 
-        let mut pool: Vec<Vec<u32>> = Vec::new();
-        let mut ids: HashMap<Vec<u32>, u32> = HashMap::new();
         // Breadth-first tree: state id → (parent state, universe index).
         let mut parents: Vec<Option<(u32, u32)>> = Vec::new();
         let mut quiescent: Vec<bool> = Vec::new();
@@ -1179,19 +1178,17 @@ impl<'a> ServiceExplorer<'a> {
         let mut ample_hist: Vec<u64> = Vec::new();
         let mut states_saved = 0u64;
 
-        let raw_init = engine.initial_key();
-        let (init, init_orbit) = match sym.as_mut() {
-            Some(sym) => {
-                let (key, orbit, _) = sym.canonical(&mut engine, raw_init);
-                (key, orbit)
-            }
-            None => (raw_init, 1),
+        let mut key = engine.initial_key();
+        let width = key.len();
+        let init_orbit = match sym.as_mut() {
+            Some(sym) => sym.canonical(&mut engine, &mut key).0,
+            None => 1,
         };
         states_saved += init_orbit - 1;
-        pool.push(init.clone());
-        ids.insert(init, 0);
+        let mut store = StateStore::new(width);
+        store.insert(&key);
         parents.push(None);
-        quiescent.push(engine.is_quiescent(&pool[0]));
+        quiescent.push(engine.is_quiescent(&key));
         let mut queue: VecDeque<u32> = VecDeque::from([0]);
 
         let steps_to = |sid: u32, parents: &[Option<(u32, u32)>]| -> Vec<u32> {
@@ -1205,22 +1202,30 @@ impl<'a> ServiceExplorer<'a> {
             steps
         };
 
+        // Per-expansion buffers, reused across states: universe event `i`'s
+        // (canonical) successor lives at `succ[i * width..(i + 1) * width]`
+        // and its orbit size (1 without symmetry) at `orbits[i]`.
+        let mut succ = vec![0u32; n * width];
+        let mut orbits = vec![1u64; n];
+        let mut enabled: Vec<usize> = Vec::with_capacity(n);
+        let mut enabled_bits = vec![0u64; n.div_ceil(64)];
+        let mut ample: Vec<usize> = Vec::with_capacity(n);
+
         while let Some(sid) = queue.pop_front() {
-            let key = pool[sid as usize].clone();
-            let mut enabled: Vec<usize> = Vec::new();
-            // Successor and its orbit size (1 without symmetry).
-            let mut succ: Vec<Option<(Vec<u32>, u64)>> = vec![None; n];
+            key.copy_from_slice(store.get(sid));
+            enabled.clear();
             for i in 0..n {
-                if let Ok(next) = engine.step_key(&key, &self.universe[i], event_ids[i]) {
+                let next = &mut succ[i * width..(i + 1) * width];
+                if engine
+                    .step_into(&key, &self.universe[i], event_ids[i], next)
+                    .is_ok()
+                {
                     enabled.push(i);
                     enabled_ever[i] = true;
-                    succ[i] = Some(match sym.as_mut() {
-                        Some(sym) => {
-                            let (canon, orbit, _) = sym.canonical(&mut engine, next);
-                            (canon, orbit)
-                        }
-                        None => (next, 1),
-                    });
+                    orbits[i] = match sym.as_mut() {
+                        Some(sym) => sym.canonical(&mut engine, next).0,
+                        None => 1,
+                    };
                 }
             }
             if enabled.is_empty() {
@@ -1230,35 +1235,45 @@ impl<'a> ServiceExplorer<'a> {
                 }
                 continue;
             }
+            let successor = |i: usize| &succ[i * width..(i + 1) * width];
             let mut expand: &[usize] = &enabled;
-            let ample: Vec<usize>;
             if let Some(closures) = &closures {
                 // Candidate minimising |closure ∩ enabled| (ties: lowest
-                // universe index, for determinism).
-                let mut best: Option<Vec<usize>> = None;
+                // universe index, for determinism); only the winner's set
+                // is materialised.
+                enabled_bits.fill(0);
                 for &i in &enabled {
-                    let set: Vec<usize> = enabled
+                    enabled_bits[i / 64] |= 1 << (i % 64);
+                }
+                let (mut best, mut best_len) = (enabled[0], usize::MAX);
+                for &i in &enabled {
+                    let len: u32 = closures[i]
                         .iter()
-                        .copied()
-                        .filter(|&j| closures[i][j / 64] >> (j % 64) & 1 == 1)
-                        .collect();
-                    if best.as_ref().is_none_or(|b| set.len() < b.len()) {
-                        best = Some(set);
+                        .zip(&enabled_bits)
+                        .map(|(c, e)| (c & e).count_ones())
+                        .sum();
+                    if (len as usize) < best_len {
+                        (best, best_len) = (i, len as usize);
                     }
                 }
-                let candidate = best.expect("enabled set is non-empty");
                 // Guard against trivial starvation: an ample set whose
                 // every transition loops back to this very state would let
                 // the search idle forever and ignore the rest of the
                 // enabled events (constraint-irrelevant events self-loop;
                 // under symmetry, orbit-internal moves count as self-loops
                 // too, which only ever forces *more* expansion).
-                let only_self_loops = candidate
-                    .iter()
-                    .all(|&i| succ[i].as_ref().expect("enabled").0 == key);
-                if candidate.len() < enabled.len() && !only_self_loops {
-                    ample = candidate;
-                    expand = &ample;
+                if best_len < enabled.len() {
+                    let closure = &closures[best];
+                    ample.clear();
+                    ample.extend(
+                        enabled
+                            .iter()
+                            .copied()
+                            .filter(|&j| closure[j / 64] >> (j % 64) & 1 == 1),
+                    );
+                    if !ample.iter().all(|&i| successor(i) == key.as_slice()) {
+                        expand = &ample;
+                    }
                 }
             }
             if ample_hist.len() <= expand.len() {
@@ -1268,19 +1283,17 @@ impl<'a> ServiceExplorer<'a> {
             svckit_obs::obs_count!("lts.states_expanded");
             svckit_obs::obs_record!("lts.ample_size", expand.len());
             for &i in expand {
-                let (next, orbit) = succ[i].clone().expect("enabled event has a successor");
-                match ids.get(&next) {
-                    Some(&to) => edges.push((sid, i as u32, to)),
+                let next = successor(i);
+                match store.find(next) {
+                    Some(to) => edges.push((sid, i as u32, to)),
                     None => {
-                        if pool.len() >= options.max_states {
+                        if store.len() >= options.max_states {
                             truncated = true;
                             continue;
                         }
-                        let to = u32::try_from(pool.len()).expect("fewer than 2^32 states");
-                        states_saved += orbit - 1;
-                        quiescent.push(engine.is_quiescent(&next));
-                        pool.push(next.clone());
-                        ids.insert(next, to);
+                        let to = store.insert(next);
+                        states_saved += orbits[i] - 1;
+                        quiescent.push(engine.is_quiescent(next));
                         parents.push(Some((sid, i as u32)));
                         edges.push((sid, i as u32, to));
                         queue.push_back(to);
@@ -1342,10 +1355,10 @@ impl<'a> ServiceExplorer<'a> {
                     cycle,
                 }
             });
-        svckit_obs::obs_count!("lts.states", pool.len());
+        svckit_obs::obs_count!("lts.states", store.len());
         svckit_obs::obs_count!("lts.transitions", edges.len());
         let orbit_count = match options.symmetry {
-            Symmetry::On => pool.len(),
+            Symmetry::On => store.len(),
             Symmetry::Off => 0,
         };
         if options.symmetry == Symmetry::On {
@@ -1354,7 +1367,7 @@ impl<'a> ServiceExplorer<'a> {
             svckit_obs::obs_count!("lts.sym_states_saved", states_saved as usize);
         }
         ExploreReport {
-            states: pool.len(),
+            states: store.len(),
             transitions: edges.len(),
             truncated,
             deadlock_states,
@@ -1399,8 +1412,9 @@ impl<'a> ServiceExplorer<'a> {
         // identity (all fragments are empty), so sigma starts there.
         let mut sigma: Vec<Vec<usize>> =
             sym.groups.iter().map(|g| (0..g.len()).collect()).collect();
-        let raw_init = engine.initial_key();
-        let (mut key, _, _) = sym.canonical(engine, raw_init);
+        let mut key = engine.initial_key();
+        sym.canonical(engine, &mut key);
+        let mut next = vec![0; key.len()];
         let mut out = Vec::with_capacity(steps.len());
         for &ei in steps {
             let event = &self.universe[ei as usize];
@@ -1412,19 +1426,20 @@ impl<'a> ServiceExplorer<'a> {
                 ),
                 None => event.clone(),
             });
-            let next = match engine.step_key(&key, event, event_ids[ei as usize]) {
-                Ok(next) => next,
-                Err(_) => unreachable!("recorded search edges step successfully"),
-            };
-            let (canon, _, orders) = sym.canonical(engine, next);
-            if let Some(orders) = &orders {
+            if engine
+                .step_into(&key, event, event_ids[ei as usize], &mut next)
+                .is_err()
+            {
+                unreachable!("recorded search edges step successfully");
+            }
+            if sym.canonical(engine, &mut next).1 {
                 // Canonical member p of the successor is the stepped
                 // state's member orders[g][p]: compose the renamings.
-                for (g, order) in orders.iter().enumerate() {
+                for (g, order) in sym.orders.iter().enumerate() {
                     sigma[g] = order.iter().map(|&src| sigma[g][src]).collect();
                 }
             }
-            key = canon;
+            std::mem::swap(&mut key, &mut next);
         }
         out
     }
@@ -1508,7 +1523,7 @@ struct ConstraintTable {
     /// Whether `states[i]` is quiescent for this constraint.
     quiescent: Vec<bool>,
     /// Memoized `(state id, event id) → step result`.
-    trans: HashMap<(u32, u32), Result<u32, StepViolation>>,
+    trans: FastMap<(u32, u32), Result<u32, StepViolation>>,
 }
 
 impl ConstraintTable {
@@ -1552,9 +1567,6 @@ struct ProductEngine<'x, 'a> {
     /// whatever alphabet the implementation uses).
     event_ids: HashMap<AbstractEvent, u32>,
     tables: Vec<ConstraintTable>,
-    /// All constraint indices, the relevance fallback when the service has
-    /// constraint kinds we cannot introspect.
-    all_indices: Vec<usize>,
 }
 
 impl<'x, 'a> ProductEngine<'x, 'a> {
@@ -1567,7 +1579,7 @@ impl<'x, 'a> ProductEngine<'x, 'a> {
                     states: Vec::new(),
                     ids: HashMap::new(),
                     quiescent: Vec::new(),
-                    trans: HashMap::new(),
+                    trans: FastMap::default(),
                 };
                 table.intern(
                     c,
@@ -1583,7 +1595,6 @@ impl<'x, 'a> ProductEngine<'x, 'a> {
             explorer,
             event_ids: HashMap::new(),
             tables,
-            all_indices: (0..constraints.len()).collect(),
         }
     }
 
@@ -1608,96 +1619,120 @@ impl<'x, 'a> ProductEngine<'x, 'a> {
             .all(|(&sid, table)| table.quiescent[sid as usize])
     }
 
-    /// The memoized violation behind an `Err` from [`ProductEngine::step_key`].
+    /// The memoized violation behind an `Err` from [`ProductEngine::step_into`].
     fn violation(&self, constraint: usize, sid: u32, eid: u32) -> StepViolation {
         match &self.tables[constraint].trans[&(sid, eid)] {
             Err(violation) => violation.clone(),
-            Ok(_) => unreachable!("step_key reported a violation"),
+            Ok(_) => unreachable!("step_into reported a violation"),
         }
     }
 
-    /// Steps a product key by one event. `Err((constraint index, state id))`
-    /// identifies the first violated constraint; fetch the violation with
-    /// [`ProductEngine::violation`].
-    fn step_key(
+    /// One constraint's memoized step — the per-level factor of
+    /// [`ProductEngine::step_into`], also tabulated level by level by the
+    /// symbolic backend. `None` means the constraint rejects the event in
+    /// this state.
+    fn level_step(&mut self, ci: usize, sid: u32, event: &AbstractEvent, eid: u32) -> Option<u32> {
+        if let Some(memo) = self.tables[ci].trans.get(&(sid, eid)) {
+            return memo.as_ref().ok().copied();
+        }
+        let explorer = self.explorer;
+        let constraint = &explorer.service.constraints()[ci];
+        let current = Arc::clone(&self.tables[ci].states[sid as usize]);
+        let computed = explorer
+            .step_constraint(constraint, &current, event)
+            .map(|stepped| self.tables[ci].intern(constraint, stepped));
+        let next = computed.as_ref().ok().copied();
+        self.tables[ci].trans.insert((sid, eid), computed);
+        next
+    }
+
+    /// Steps a product key by one event into `out` (same width).
+    /// `Err((constraint index, state id))` identifies the first violated
+    /// constraint; fetch the violation with [`ProductEngine::violation`].
+    fn step_into(
         &mut self,
         key: &[u32],
         event: &AbstractEvent,
         eid: u32,
-    ) -> Result<Vec<u32>, (usize, u32)> {
+        out: &mut [u32],
+    ) -> Result<(), (usize, u32)> {
         let explorer = self.explorer;
-        let relevant: &[usize] = if explorer.has_opaque_kinds {
-            &self.all_indices
+        // Without a relevance index (opaque kinds), every constraint steps.
+        let (relevant, all): (&[usize], _) = if explorer.has_opaque_kinds {
+            (&[], 0..self.tables.len())
         } else {
-            explorer
-                .relevance
-                .get(&event.primitive)
-                .map_or(&[], Vec::as_slice)
+            let relevant = explorer.relevance.get(&event.primitive);
+            (relevant.map_or(&[], Vec::as_slice), 0..0)
         };
-        let mut next = key.to_vec();
-        for &i in relevant {
+        out.copy_from_slice(key);
+        for i in relevant.iter().copied().chain(all) {
             let sid = key[i];
-            if !self.tables[i].trans.contains_key(&(sid, eid)) {
-                let constraint = &explorer.service.constraints()[i];
-                let current = Arc::clone(&self.tables[i].states[sid as usize]);
-                let computed = explorer
-                    .step_constraint(constraint, &current, event)
-                    .map(|stepped| self.tables[i].intern(constraint, stepped));
-                self.tables[i].trans.insert((sid, eid), computed);
-            }
-            match &self.tables[i].trans[&(sid, eid)] {
-                Ok(nid) => next[i] = *nid,
-                Err(_) => return Err((i, sid)),
+            match self.level_step(i, sid, event, eid) {
+                Some(next) => out[i] = next,
+                None => return Err((i, sid)),
             }
         }
-        Ok(next)
+        Ok(())
     }
 
-    /// Re-interns `key` with every SAP renamed through `rename` (a
-    /// bijection on symmetric-group members, the identity elsewhere).
-    /// Constraints whose state mentions no renamed SAP keep their
-    /// interned id — no allocation, no rebuild.
-    fn rename_key(&mut self, key: &[u32], rename: &HashMap<Sap, Sap>) -> Vec<u32> {
+    /// Re-interns `key` in place with every group member's SAP renamed
+    /// through the member permutation `orders` (see [`renamed_member`]).
+    /// Constraints whose state mentions no renamed SAP keep their interned
+    /// id — no allocation, no rebuild.
+    fn rename_key(&mut self, key: &mut [u32], groups: &[Vec<Sap>], orders: &[Vec<usize>]) {
         let constraints = self.explorer.service.constraints();
-        let mut next = key.to_vec();
-        for (ci, slot) in next.iter_mut().enumerate() {
+        let rename = |sap: &Sap| renamed_member(groups, orders, sap);
+        for (ci, slot) in key.iter_mut().enumerate() {
             let current = Arc::clone(&self.tables[ci].states[*slot as usize]);
             let renamed = match current.as_ref() {
                 CState::Counters(map) => {
-                    if map.keys().all(|(owner, _)| {
-                        owner.as_ref().is_none_or(|sap| !rename.contains_key(sap))
-                    }) {
+                    if map
+                        .keys()
+                        .all(|(owner, _)| owner.as_ref().is_none_or(|sap| rename(sap).is_none()))
+                    {
                         continue;
                     }
                     CState::Counters(
                         map.iter()
                             .map(|((owner, k), &count)| {
-                                let owner = owner
-                                    .as_ref()
-                                    .map(|sap| rename.get(sap).unwrap_or(sap).clone());
+                                let owner =
+                                    owner.as_ref().map(|sap| rename(sap).unwrap_or(sap).clone());
                                 ((owner, k.clone()), count)
                             })
                             .collect(),
                     )
                 }
                 CState::Holders(held) => {
-                    if held.values().all(|sap| !rename.contains_key(sap)) {
+                    if held.values().all(|sap| rename(sap).is_none()) {
                         continue;
                     }
                     CState::Holders(
                         held.iter()
-                            .map(|(k, sap)| (k.clone(), rename.get(sap).unwrap_or(sap).clone()))
+                            .map(|(k, sap)| (k.clone(), rename(sap).unwrap_or(sap).clone()))
                             .collect(),
                     )
                 }
             };
             *slot = self.tables[ci].intern(&constraints[ci], renamed);
         }
-        next
     }
 }
 
-/// Why a [`StepEngine::step_key`] rejected, with enough context to render
+/// The SAP group member `sap` becomes under the member permutation
+/// `orders` (canonical position `p` ← member `orders[g][p]`), or `None`
+/// when `sap` is no group member or stays put.
+fn renamed_member<'g>(groups: &'g [Vec<Sap>], orders: &[Vec<usize>], sap: &Sap) -> Option<&'g Sap> {
+    groups.iter().zip(orders).find_map(|(members, order)| {
+        let j = members.iter().position(|m| m == sap)?;
+        let pos = order
+            .iter()
+            .position(|&src| src == j)
+            .expect("orders permute the whole group");
+        (pos != j).then(|| &members[pos])
+    })
+}
+
+/// Why a [`StepEngine::step_into`] rejected, with enough context to render
 /// the [`StepViolation`] lazily (searches only materialise violations for
 /// the one counterexample they report).
 enum StepErr {
@@ -1757,24 +1792,26 @@ impl<'x, 'a> StepEngine<'x, 'a> {
         }
     }
 
-    fn step_key(
+    /// Steps `key` by one event into `out` (same width); on `Err` the
+    /// contents of `out` are unspecified.
+    fn step_into(
         &mut self,
         key: &[u32],
         event: &AbstractEvent,
         eid: u32,
-    ) -> Result<Vec<u32>, StepErr> {
+        out: &mut [u32],
+    ) -> Result<(), StepErr> {
         match self {
             StepEngine::Interp(engine) => engine
-                .step_key(key, event, eid)
+                .step_into(key, event, eid, out)
                 .map_err(|(ci, sid)| StepErr::Interp { ci, sid, eid }),
-            StepEngine::Dfa(rt) => {
-                rt.binder
-                    .step_wide(key, rt.binder.edges(eid))
-                    .map_err(|rejection| StepErr::Dfa {
-                        edge: rt.binder.edges(eid)[rejection.edge],
-                        state: rejection.state,
-                    })
-            }
+            StepEngine::Dfa(rt) => rt
+                .binder
+                .step_wide_into(key, rt.binder.edges(eid), out)
+                .map_err(|rejection| StepErr::Dfa {
+                    edge: rt.binder.edges(eid)[rejection.edge],
+                    state: rejection.state,
+                }),
         }
     }
 
@@ -1825,26 +1862,51 @@ enum FragAtom {
     HeldSlot { slot: u32 },
 }
 
+/// DFA only: one mutex slot's holder states tabulated against group
+/// members at [`SymCanon::build`], so canonicalization reads and rewrites
+/// holders with integer lookups alone.
+struct MutexSlot {
+    slot: u32,
+    /// Slot state → the (group, member) it names as holder, `None` for the
+    /// free state and for holders outside every group.
+    holder: Vec<Option<(usize, usize)>>,
+    /// `state_of[g][j]` = the slot state "held by group `g`'s member `j`",
+    /// `None` when that member never interned as a holder.
+    state_of: Vec<Vec<Option<u16>>>,
+}
+
 /// The canonicalizer behind [`ExploreOptions::symmetry`]: detected
-/// symmetric groups, the fragment-id interner, and (under the DFA engine)
-/// the slot families that tie each member's slots together.
+/// symmetric groups, the fragment-id interner, (under the DFA engine) the
+/// slot families that tie each member's slots together, and the scratch
+/// buffers [`SymCanon::canonical`] reuses from call to call.
 struct SymCanon {
     /// The detected groups, each sorted by SAP order.
     groups: Vec<Vec<Sap>>,
     /// SAP → (group index, member index within the group).
-    member_index: HashMap<Sap, (usize, usize)>,
+    member_index: FastMap<Sap, (usize, usize)>,
     /// Fragment → dense id, assigned in first-encounter order. Sorting
     /// members by these ids is the canonical form; discovery order makes
     /// it engine-independent (see [`FragAtom`]).
-    frag_ids: HashMap<Vec<FragAtom>, u32>,
+    frag_ids: FastMap<Vec<FragAtom>, u32>,
     /// DFA only: `dfa_families[g][f][j]` = the slot of group `g`'s member
     /// `j` in family `f` (one family per non-mutex `(constraint, key)`
     /// instance bound to a member, sorted by that pair).
     dfa_families: Vec<Vec<Vec<u32>>>,
-    /// DFA only: `(slot, constraint)` of every mutex slot, ascending.
-    dfa_mutex: Vec<(u32, usize)>,
+    /// DFA only: every mutex slot, ascending.
+    dfa_mutex: Vec<MutexSlot>,
     /// Non-identity canonicalizations performed so far.
     canon_hits: u64,
+    /// The per-group member orders the last [`SymCanon::canonical`] call
+    /// applied: canonical position `p` took the fragment of member
+    /// `orders[g][p]`.
+    orders: Vec<Vec<usize>>,
+    /// Scratch: the fragment being built, the current group's fragment
+    /// ids, those ids in canonical order, and a copy of the key being
+    /// permuted.
+    frag: Vec<FragAtom>,
+    frags: Vec<u32>,
+    sorted: Vec<u32>,
+    source: Vec<u32>,
 }
 
 impl SymCanon {
@@ -1862,7 +1924,7 @@ impl SymCanon {
             return None;
         }
         let groups: Vec<Vec<Sap>> = detected.groups().to_vec();
-        let mut member_index: HashMap<Sap, (usize, usize)> = HashMap::new();
+        let mut member_index: FastMap<Sap, (usize, usize)> = FastMap::default();
         for (g, members) in groups.iter().enumerate() {
             for (j, sap) in members.iter().enumerate() {
                 member_index.insert(sap.clone(), (g, j));
@@ -1874,12 +1936,31 @@ impl SymCanon {
                 // slots, `None` until that member's slot interns.
                 type Families = BTreeMap<(usize, Vec<Value>), Vec<Option<u32>>>;
                 let mut families: Vec<Families> = vec![BTreeMap::new(); groups.len()];
-                let mut mutexes: Vec<(u32, usize)> = Vec::new();
+                let mut mutexes: Vec<MutexSlot> = Vec::new();
                 for (slot, (ci, (owner, key))) in rt.binder.slot_instances().into_iter().enumerate()
                 {
                     let slot = u32::try_from(slot).expect("slot count fits u32");
                     if rt.binder.is_mutex(ci) {
-                        mutexes.push((slot, ci));
+                        let holder = (0..rt.binder.slot_nstates(slot))
+                            .map(|state| {
+                                let sap = rt.binder.mutex_holder_of(ci, state)?;
+                                member_index.get(&sap).copied()
+                            })
+                            .collect();
+                        let state_of = groups
+                            .iter()
+                            .map(|members| {
+                                members
+                                    .iter()
+                                    .map(|sap| rt.binder.mutex_holder_state(ci, sap))
+                                    .collect()
+                            })
+                            .collect();
+                        mutexes.push(MutexSlot {
+                            slot,
+                            holder,
+                            state_of,
+                        });
                     } else if let Some(&(g, j)) =
                         owner.as_ref().and_then(|sap| member_index.get(sap))
                     {
@@ -1913,20 +1994,26 @@ impl SymCanon {
             }
             StepEngine::Interp(_) => (Vec::new(), Vec::new()),
         };
+        let orders = vec![Vec::new(); groups.len()];
         Some(SymCanon {
             groups,
             member_index,
-            frag_ids: HashMap::new(),
+            frag_ids: FastMap::default(),
             dfa_families,
             dfa_mutex,
             canon_hits: 0,
+            orders,
+            frag: Vec::new(),
+            frags: Vec::new(),
+            sorted: Vec::new(),
+            source: Vec::new(),
         })
     }
 
-    /// Rewrites `key` to its orbit representative and returns it together
-    /// with the orbit's size and — when the canonicalization was not the
-    /// identity — the per-group member orders applied (canonical position
-    /// `p` took the fragment of member `orders[g][p]`).
+    /// Rewrites `key` in place to its orbit representative. Returns the
+    /// orbit's size and whether the canonicalization was not the identity
+    /// — in which case [`SymCanon::orders`] holds the member orders
+    /// applied.
     ///
     /// The representative is well-defined on orbits: permuting members
     /// permutes the fragment multiset, and "position `p` gets the `p`-th
@@ -1934,70 +2021,85 @@ impl SymCanon {
     /// (equal fragments) are broken stably by member index, which cannot
     /// change the resulting state — tied fragments are identical. Applying
     /// the form twice is the identity, since sorted fragments stay sorted.
-    fn canonical(
-        &mut self,
-        engine: &mut StepEngine<'_, '_>,
-        key: Vec<u32>,
-    ) -> (Vec<u32>, u64, Option<Vec<Vec<usize>>>) {
-        let mut orders: Vec<Vec<usize>> = Vec::with_capacity(self.groups.len());
+    fn canonical(&mut self, engine: &mut StepEngine<'_, '_>, key: &mut [u32]) -> (u64, bool) {
         let mut orbit = 1u64;
         let mut identity = true;
         for g in 0..self.groups.len() {
             let members = self.groups[g].len();
-            let mut frags: Vec<u32> = Vec::with_capacity(members);
+            self.frags.clear();
             for j in 0..members {
-                let frag = member_frag(
-                    &*engine,
+                member_frag(
+                    engine,
                     &self.groups,
                     &self.dfa_families,
                     &self.dfa_mutex,
                     g,
                     j,
-                    &key,
+                    key,
+                    &mut self.frag,
                 );
-                let next_id =
-                    u32::try_from(self.frag_ids.len()).expect("fewer than 2^32 fragments");
-                frags.push(*self.frag_ids.entry(frag).or_insert(next_id));
+                let id = match self.frag_ids.get(self.frag.as_slice()) {
+                    Some(&id) => id,
+                    None => {
+                        let id =
+                            u32::try_from(self.frag_ids.len()).expect("fewer than 2^32 fragments");
+                        self.frag_ids.insert(self.frag.clone(), id);
+                        id
+                    }
+                };
+                self.frags.push(id);
             }
-            orbit = orbit.saturating_mul(orbit_factor(&frags));
-            let mut order: Vec<usize> = (0..members).collect();
+            let frags = &self.frags;
+            let order = &mut self.orders[g];
+            order.clear();
+            order.extend(0..members);
             order.sort_by_key(|&j| frags[j]);
             identity &= order.iter().enumerate().all(|(pos, &src)| pos == src);
-            orders.push(order);
+            self.sorted.clear();
+            self.sorted.extend(order.iter().map(|&j| frags[j]));
+            orbit = orbit.saturating_mul(orbit_factor(&self.sorted));
         }
         if identity {
-            return (key, orbit, None);
+            return (orbit, false);
         }
         self.canon_hits += 1;
-        let renamed = permute_key(
-            engine,
-            &self.groups,
-            &self.dfa_families,
-            &self.dfa_mutex,
-            &self.member_index,
-            &orders,
-            &key,
-        );
-        (renamed, orbit, Some(orders))
+        match engine {
+            StepEngine::Interp(product) => product.rename_key(key, &self.groups, &self.orders),
+            StepEngine::Dfa(_) => {
+                self.source.clear();
+                self.source.extend_from_slice(key);
+                permute_slots(
+                    &self.dfa_families,
+                    &self.dfa_mutex,
+                    &self.orders,
+                    &self.source,
+                    key,
+                );
+            }
+        }
+        (orbit, true)
     }
 }
 
-/// The state fragment of group `g`'s member `j` in product state `key`.
-/// Deterministic within each engine (constraint order, then `BTreeMap` /
-/// family order), so equal fragments produce equal vectors.
+/// Writes the state fragment of group `g`'s member `j` in product state
+/// `key` into `frag`. Deterministic within each engine (constraint order,
+/// then `BTreeMap` / family order), so equal fragments produce equal
+/// vectors.
+#[allow(clippy::too_many_arguments)]
 fn member_frag(
     engine: &StepEngine<'_, '_>,
     groups: &[Vec<Sap>],
     dfa_families: &[Vec<Vec<u32>>],
-    dfa_mutex: &[(u32, usize)],
+    dfa_mutex: &[MutexSlot],
     g: usize,
     j: usize,
     key: &[u32],
-) -> Vec<FragAtom> {
-    let sap = &groups[g][j];
-    let mut frag = Vec::new();
+    frag: &mut Vec<FragAtom>,
+) {
+    frag.clear();
     match engine {
         StepEngine::Interp(product) => {
+            let sap = &groups[g][j];
             for (ci, &sid) in key.iter().enumerate() {
                 match product.tables[ci].states[sid as usize].as_ref() {
                     CState::Counters(map) => {
@@ -2024,7 +2126,7 @@ fn member_frag(
                 }
             }
         }
-        StepEngine::Dfa(rt) => {
+        StepEngine::Dfa(_) => {
             for (f, family) in dfa_families[g].iter().enumerate() {
                 let state = key[family[j] as usize];
                 if state != 0 {
@@ -2034,77 +2136,48 @@ fn member_frag(
                     });
                 }
             }
-            for &(slot, ci) in dfa_mutex {
-                let state = key[slot as usize];
-                if state != 0 && rt.binder.mutex_holder_of(ci, state as u16).as_ref() == Some(sap) {
-                    frag.push(FragAtom::HeldSlot { slot });
+            for mutex in dfa_mutex {
+                let state = key[mutex.slot as usize] as usize;
+                if mutex.holder.get(state).copied().flatten() == Some((g, j)) {
+                    frag.push(FragAtom::HeldSlot { slot: mutex.slot });
                 }
             }
         }
     }
-    frag
 }
 
-/// Applies the member permutation `orders` (canonical position `p` ←
-/// member `orders[g][p]`) to `key`: the DFA engine permutes slot states
-/// along each family and rewrites held mutex slots through the holder
-/// alphabet; the interpreter renames SAPs inside each constraint state and
-/// re-interns.
-fn permute_key(
-    engine: &mut StepEngine<'_, '_>,
-    groups: &[Vec<Sap>],
+/// DFA engine: writes `source` with the member permutation `orders`
+/// (canonical position `p` ← member `orders[g][p]`) applied into `key` —
+/// slot states move along each family, and held mutex slots are rewritten
+/// to the renamed holder's state. Slots outside every family and mutex
+/// keep their value, so `key` must start as a copy of `source`.
+fn permute_slots(
     dfa_families: &[Vec<Vec<u32>>],
-    dfa_mutex: &[(u32, usize)],
-    member_index: &HashMap<Sap, (usize, usize)>,
+    dfa_mutex: &[MutexSlot],
     orders: &[Vec<usize>],
-    key: &[u32],
-) -> Vec<u32> {
-    match engine {
-        StepEngine::Interp(product) => {
-            let mut rename: HashMap<Sap, Sap> = HashMap::new();
-            for (g, order) in orders.iter().enumerate() {
-                for (pos, &src) in order.iter().enumerate() {
-                    if pos != src {
-                        rename.insert(groups[g][src].clone(), groups[g][pos].clone());
-                    }
-                }
+    source: &[u32],
+    key: &mut [u32],
+) {
+    for (families, order) in dfa_families.iter().zip(orders) {
+        for family in families {
+            for (pos, &src) in order.iter().enumerate() {
+                key[family[pos] as usize] = source[family[src] as usize];
             }
-            product.rename_key(key, &rename)
         }
-        StepEngine::Dfa(rt) => {
-            let mut next = key.to_vec();
-            for (g, families) in dfa_families.iter().enumerate() {
-                for family in families {
-                    for (pos, &src) in orders[g].iter().enumerate() {
-                        next[family[pos] as usize] = key[family[src] as usize];
-                    }
-                }
-            }
-            for &(slot, ci) in dfa_mutex {
-                let state = key[slot as usize];
-                if state == 0 {
-                    continue;
-                }
-                let Some(holder) = rt.binder.mutex_holder_of(ci, state as u16) else {
-                    continue;
-                };
-                let Some(&(g, j)) = member_index.get(&holder) else {
-                    continue;
-                };
-                let pos = orders[g]
-                    .iter()
-                    .position(|&src| src == j)
-                    .expect("orders permute the whole group");
-                let renamed = &groups[g][pos];
-                if renamed != &holder {
-                    let state = rt
-                        .binder
-                        .mutex_holder_state(ci, renamed)
-                        .expect("group members share the mutex holder alphabet");
-                    next[slot as usize] = u32::from(state);
-                }
-            }
-            next
+    }
+    for mutex in dfa_mutex {
+        let state = source[mutex.slot as usize] as usize;
+        let Some((g, j)) = mutex.holder.get(state).copied().flatten() else {
+            continue;
+        };
+        let pos = orders[g]
+            .iter()
+            .position(|&src| src == j)
+            .expect("orders permute the whole group");
+        if pos != j {
+            let renamed =
+                mutex.state_of[g][pos].expect("group members share the mutex holder alphabet");
+            key[mutex.slot as usize] = u32::from(renamed);
         }
     }
 }

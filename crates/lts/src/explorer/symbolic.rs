@@ -13,7 +13,7 @@
 //!
 //! The search is a breadth-first fixpoint over per-ply frontiers. Every
 //! event's step relation factorizes into independent deterministic
-//! partial maps per level (the explicit engine's `step_key` touches only
+//! partial maps per level (the explicit engine's `step_into` touches only
 //! the event's relevant levels), so the relational product is applied as
 //! a per-level functional walk — no monolithic transition relation is
 //! ever built. Diagnostics are then re-derived set-wise:
@@ -34,44 +34,23 @@
 //! Everything is oracle-locked against the explicit engine by the
 //! `ldd_oracle` proptests and the backend-matrix goldens.
 
-use std::collections::HashMap;
-use std::sync::Arc;
-
 use svckit_dfa::DEAD;
 use svckit_ldd::{Ldd, LddStore, LevelStep, PreStep, EMPTY};
+use svckit_model::hash::FastMap;
 
 use super::{
-    AbstractEvent, ExploreOptions, ExploreReport, LivelockWitness, ProductEngine, ServiceExplorer,
-    StepEngine,
+    AbstractEvent, ExploreOptions, ExploreReport, LivelockWitness, ServiceExplorer, StepEngine,
 };
 
 /// Reserved relational-product token for the quiescence filter. Real
 /// events intern dense ids from 0, so the top of the range is free.
 const QUIESCENCE_TOKEN: u32 = u32::MAX;
 
-impl ProductEngine<'_, '_> {
-    /// One constraint's memoized step — the per-level factor of
-    /// [`ProductEngine::step_key`], exposed for the symbolic backend.
-    /// `None` means the constraint rejects the event in this state.
-    fn level_step(&mut self, ci: usize, sid: u32, event: &AbstractEvent, eid: u32) -> Option<u32> {
-        if !self.tables[ci].trans.contains_key(&(sid, eid)) {
-            let explorer = self.explorer;
-            let constraint = &explorer.service.constraints()[ci];
-            let current = Arc::clone(&self.tables[ci].states[sid as usize]);
-            let computed = explorer
-                .step_constraint(constraint, &current, event)
-                .map(|stepped| self.tables[ci].intern(constraint, stepped));
-            self.tables[ci].trans.insert((sid, eid), computed);
-        }
-        self.tables[ci].trans[&(sid, eid)].as_ref().ok().copied()
-    }
-}
-
 /// How one event touches one level, resolved per engine.
 enum Touch {
     /// DFA: the occurrence classes stepped on this slot, in edge order
     /// (an event rarely steps a slot twice, but composition is sequential
-    /// exactly like `Binder::step_wide`).
+    /// exactly like `Binder::step_wide_into`).
     Classes(Vec<u16>),
     /// Interpreter: step through the constraint table's lazy memo.
     Constraint,
@@ -80,7 +59,7 @@ enum Touch {
 /// One event's per-level footprint: which levels it touches (everything
 /// else is identity) and how deep the diagram walk must descend.
 struct EventRel {
-    touched: HashMap<u32, Touch>,
+    touched: FastMap<u32, Touch>,
     /// 1 + the deepest touched level; 0 for footprint-free events (their
     /// image and enabled-filter are the identity).
     max_depth: u32,
@@ -89,7 +68,7 @@ struct EventRel {
 /// Per-event inverse step maps for preimages: level → target → ascending
 /// source values. Built once, after the forward fixpoint has interned
 /// every reachable per-level state.
-type EventInverse = HashMap<u32, HashMap<u32, Vec<u32>>>;
+type EventInverse = FastMap<u32, FastMap<u32, Vec<u32>>>;
 
 fn build_rels(
     explorer: &ServiceExplorer<'_>,
@@ -101,7 +80,7 @@ fn build_rels(
         .iter()
         .zip(event_ids)
         .map(|(event, &eid)| {
-            let mut touched: HashMap<u32, Touch> = HashMap::new();
+            let mut touched: FastMap<u32, Touch> = FastMap::default();
             match engine {
                 StepEngine::Dfa(rt) => {
                     for edge in rt.binder.edges(eid) {
@@ -227,7 +206,7 @@ fn build_inverse(
     rels.iter()
         .enumerate()
         .map(|(ei, rel)| {
-            let mut inv: EventInverse = HashMap::new();
+            let mut inv: EventInverse = FastMap::default();
             for (&level, touch) in &rel.touched {
                 let per_level = inv.entry(level).or_default();
                 match touch {
@@ -511,24 +490,25 @@ impl<'a> ServiceExplorer<'a> {
             // indices first must eventually revisit a state.
             let mut visited: Vec<Vec<u32>> = vec![entry.clone()];
             let mut walk: Vec<u32> = Vec::new();
+            let mut next = vec![0; entry.len()];
             let mut key = entry;
             let split = loop {
-                let mut landed: Option<Vec<u32>> = None;
-                for &ei in &non_progress {
-                    if let Ok(next) = engine.step_key(&key, &self.universe[ei], event_ids[ei]) {
-                        if store.contains(core, &next) {
-                            walk.push(u32::try_from(ei).expect("universe index fits u32"));
-                            landed = Some(next);
-                            break;
-                        }
+                let landed = non_progress.iter().any(|&ei| {
+                    let stepped = engine
+                        .step_into(&key, &self.universe[ei], event_ids[ei], &mut next)
+                        .is_ok();
+                    if stepped && store.contains(core, &next) {
+                        walk.push(u32::try_from(ei).expect("universe index fits u32"));
+                        return true;
                     }
-                }
-                let next = landed.expect("core states keep a non-progress successor");
+                    false
+                });
+                assert!(landed, "core states keep a non-progress successor");
                 if let Some(pos) = visited.iter().position(|s| s == &next) {
                     break pos;
                 }
                 visited.push(next.clone());
-                key = next;
+                std::mem::swap(&mut key, &mut next);
             };
             let prefix: Vec<AbstractEvent> = prefix_steps
                 .iter()
@@ -604,19 +584,19 @@ impl<'a> ServiceExplorer<'a> {
             "backward chaining reaches the initial ply"
         );
         let mut key = init_key.to_vec();
+        let mut next = vec![0; key.len()];
         let mut steps: Vec<u32> = Vec::with_capacity(d);
-        for next_set in chain.iter().skip(1) {
-            let advanced = (0..self.universe.len()).find_map(|ei| {
-                let next = engine
-                    .step_key(&key, &self.universe[ei], event_ids[ei])
-                    .ok()?;
-                store
-                    .contains(*next_set, &next)
-                    .then_some((u32::try_from(ei).expect("universe index fits u32"), next))
-            });
-            let (ei, next) = advanced.expect("every chained ply is forward-reachable");
-            steps.push(ei);
-            key = next;
+        for &next_set in chain.iter().skip(1) {
+            let ei = (0..self.universe.len())
+                .find(|&ei| {
+                    engine
+                        .step_into(&key, &self.universe[ei], event_ids[ei], &mut next)
+                        .is_ok()
+                        && store.contains(next_set, &next)
+                })
+                .expect("every chained ply is forward-reachable");
+            steps.push(u32::try_from(ei).expect("universe index fits u32"));
+            std::mem::swap(&mut key, &mut next);
         }
         (steps, key)
     }

@@ -141,14 +141,13 @@ pub(crate) fn factorial(n: u64) -> u64 {
     (2..=n).try_fold(1u64, u64::checked_mul).unwrap_or(u64::MAX)
 }
 
-/// The orbit size of a state whose per-member fragment ids (one group) are
-/// `frags`: `n! / ∏ mᵢ!` over the multiplicities `mᵢ` of equal fragments.
-/// Members with equal fragments are *fixed* by the corresponding
-/// transpositions, so they do not multiply the orbit.
-pub(crate) fn orbit_factor(frags: &[u32]) -> u64 {
-    let mut sorted = frags.to_vec();
-    sorted.sort_unstable();
-    let mut size = factorial(frags.len() as u64);
+/// The orbit size of a state whose per-member fragment ids (one group),
+/// in ascending order, are `sorted`: `n! / ∏ mᵢ!` over the multiplicities
+/// `mᵢ` of equal fragments. Members with equal fragments are *fixed* by
+/// the corresponding transpositions, so they do not multiply the orbit.
+pub(crate) fn orbit_factor(sorted: &[u32]) -> u64 {
+    debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]), "fragments sorted");
+    let mut size = factorial(sorted.len() as u64);
     let mut run = 1u64;
     for i in 1..=sorted.len() {
         if i < sorted.len() && sorted[i] == sorted[i - 1] {

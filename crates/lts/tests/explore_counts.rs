@@ -1,0 +1,164 @@
+//! Exact-count regression for the explicit state search.
+//!
+//! The floor-control service over 4 users × 2 resources is the analyzer's
+//! heaviest explicit workload. Every count `ServiceExplorer::explore`
+//! reports for it — states, transitions, the expansion histogram and the
+//! symmetry bookkeeping — is pinned here for all four (reduction ×
+//! symmetry) combinations under both engines. The search order, the
+//! ample-set choice and the canonicalizer all feed these numbers, so any
+//! change to the kernel that is not a pure speed-up shows up as a
+//! mismatch.
+
+use svckit_lts::explorer::{AbstractEvent, ExploreOptions, Reduction, ServiceExplorer};
+use svckit_lts::{Engine, Symmetry};
+use svckit_model::{
+    Constraint, ConstraintScope, Direction, PartId, PrimitiveSpec, Sap, ServiceDefinition, Value,
+};
+
+/// The paper's floor-control service (Figure 5), constraint for
+/// constraint as the floor-control solutions define it.
+fn floor_control() -> ServiceDefinition {
+    ServiceDefinition::builder("floor-control")
+        .role("subscriber", 2, usize::MAX)
+        .primitive(PrimitiveSpec::new("request", Direction::FromUser).param_id("resid"))
+        .primitive(PrimitiveSpec::new("granted", Direction::ToUser).param_id("resid"))
+        .primitive(PrimitiveSpec::new("free", Direction::FromUser).param_id("resid"))
+        .constraint(
+            Constraint::eventually_follows("request", "granted", ConstraintScope::SameSap)
+                .keyed(&[0]),
+        )
+        .constraint(
+            Constraint::eventually_follows("granted", "free", ConstraintScope::SameSap).keyed(&[0]),
+        )
+        .constraint(
+            Constraint::precedes("request", "granted", ConstraintScope::SameSap).keyed(&[0]),
+        )
+        .constraint(Constraint::precedes("granted", "free", ConstraintScope::SameSap).keyed(&[0]))
+        .constraint(Constraint::mutual_exclusion("granted", "free").keyed(&[0]))
+        .build()
+        .expect("the floor-control service is well-formed")
+}
+
+fn universe(users: u64, resources: u64) -> Vec<AbstractEvent> {
+    let mut events = Vec::new();
+    for s in 1..=users {
+        let sap = Sap::new("subscriber", PartId::new(s));
+        for r in 1..=resources {
+            for primitive in ["request", "granted", "free"] {
+                events.push(AbstractEvent::new(
+                    sap.clone(),
+                    primitive,
+                    vec![Value::Id(r)],
+                ));
+            }
+        }
+    }
+    events
+}
+
+/// The pinned counts of one (reduction, symmetry) combination.
+struct Expected {
+    reduction: Reduction,
+    symmetry: Symmetry,
+    states: usize,
+    transitions: usize,
+    ample_hist: &'static [u64],
+    canon_hits: u64,
+    sym_states_saved: u64,
+}
+
+const EXPECTED: [Expected; 4] = [
+    Expected {
+        reduction: Reduction::AmpleSets,
+        symmetry: Symmetry::On,
+        states: 1630,
+        transitions: 6414,
+        ample_hist: &[0, 26, 146, 352, 586, 438, 69, 12, 1],
+        canon_hits: 7650,
+        sym_states_saved: 25504,
+    },
+    Expected {
+        reduction: Reduction::AmpleSets,
+        symmetry: Symmetry::Off,
+        states: 27134,
+        transitions: 105476,
+        ample_hist: &[0, 280, 2240, 6720, 10085, 6720, 1008, 80, 1],
+        canon_hits: 0,
+        sym_states_saved: 0,
+    },
+    Expected {
+        reduction: Reduction::Full,
+        symmetry: Symmetry::On,
+        states: 8595,
+        transitions: 69630,
+        ample_hist: &[
+            0, 0, 2, 20, 104, 380, 968, 1670, 2031, 1734, 1000, 430, 185, 52, 14, 4, 1,
+        ],
+        canon_hits: 29468,
+        sym_states_saved: 155430,
+    },
+    Expected {
+        reduction: Reduction::Full,
+        symmetry: Symmetry::Off,
+        states: 164025,
+        transitions: 1312200,
+        ample_hist: &[
+            0, 0, 16, 256, 1792, 7296, 19200, 33984, 40768, 32776, 17728, 7104, 2400, 576, 112, 16,
+            1,
+        ],
+        canon_hits: 0,
+        sym_states_saved: 0,
+    },
+];
+
+fn check_engine(engine: Engine) {
+    let service = floor_control();
+    let explorer = ServiceExplorer::with_engine(&service, universe(4, 2), 2, engine);
+    assert_eq!(explorer.engine(), engine, "floor-control compiles");
+    for expected in &EXPECTED {
+        let report = explorer.explore(&ExploreOptions {
+            max_states: 200_000,
+            reduction: expected.reduction,
+            symmetry: expected.symmetry,
+            ..ExploreOptions::default()
+        });
+        let what = format!(
+            "{engine:?} engine, {:?}, symmetry {}",
+            expected.reduction, expected.symmetry
+        );
+        assert!(!report.truncated, "{what}: truncated");
+        assert_eq!(report.states, expected.states, "{what}: states");
+        assert_eq!(
+            report.transitions, expected.transitions,
+            "{what}: transitions"
+        );
+        assert_eq!(report.ample_hist, expected.ample_hist, "{what}: ample_hist");
+        assert_eq!(report.canon_hits, expected.canon_hits, "{what}: canon_hits");
+        let orbit_count = match expected.symmetry {
+            Symmetry::On => expected.states,
+            Symmetry::Off => 0,
+        };
+        assert_eq!(report.orbit_count, orbit_count, "{what}: orbit_count");
+        assert_eq!(
+            report.sym_states_saved, expected.sym_states_saved,
+            "{what}: sym_states_saved"
+        );
+        assert_eq!(report.deadlock_states, 0, "{what}: deadlocks");
+    }
+    // The quotient is exact under full expansion: representatives plus
+    // the states they stand for are the unreduced state count.
+    assert_eq!(
+        EXPECTED[2].states as u64 + EXPECTED[2].sym_states_saved,
+        EXPECTED[3].states as u64
+    );
+}
+
+#[test]
+fn floor_control_4x2_counts_are_pinned_under_the_dfa_engine() {
+    check_engine(Engine::Dfa);
+}
+
+#[test]
+fn floor_control_4x2_counts_are_pinned_under_the_interpreter() {
+    check_engine(Engine::Interp);
+}

@@ -1,17 +1,20 @@
-//! A fast, deterministic hasher for the simulator's hot-path maps.
+//! A fast, deterministic hasher for hot-path maps keyed by small integers.
 //!
-//! The event core does several hash-map lookups per simulated message
-//! (link scalars, per-pair arrival clamps, node RNGs, timer generations),
-//! all keyed by small integers. The standard library's SipHash is
-//! DoS-resistant but costs tens of nanoseconds per `(u64, u64)` key —
-//! more than the rest of the dispatch path combined. Keys here are node
-//! and timer ids chosen by trusted test harnesses, so collision attacks
-//! are not part of the threat model and the Firefox/rustc "Fx" multiply-
-//! rotate hash is the right trade: 2-3 ns per key, fully deterministic.
+//! The simulator's event core does several hash-map lookups per simulated
+//! message (link scalars, per-pair arrival clamps, node RNGs, timer
+//! generations), and the verifiers probe their memo tables (LDD unique
+//! and operation caches, symmetry fragment ids) once or more per state.
+//! The standard library's SipHash is DoS-resistant but costs tens of
+//! nanoseconds per `(u64, u64)` key — more than the rest of either path.
+//! Keys here are node, timer and table ids chosen by trusted harnesses, so
+//! collision attacks are not part of the threat model and the
+//! Firefox/rustc "Fx" multiply-rotate hash is the right trade: 2-3 ns per
+//! key, fully deterministic.
 //!
-//! Hash-map *iteration* order still depends on the hasher, so none of the
-//! simulator's observable output may iterate a [`FastMap`]; everything
-//! reported (metrics, traces) goes through `BTreeMap`s or sorted vectors.
+//! Hash-map *iteration* order still depends on the hasher, so no
+//! observable output may iterate a [`FastMap`]; everything reported
+//! (metrics, traces, diagnostics) goes through `BTreeMap`s or sorted
+//! vectors.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -22,7 +25,7 @@ const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
 /// Multiply-rotate hasher for small integer keys.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct FxHasher {
+pub struct FxHasher {
     hash: u64,
 }
 
@@ -71,7 +74,7 @@ impl Hasher for FxHasher {
 
 /// A `HashMap` using [`FxHasher`]; drop-in for the simulator's internal
 /// integer-keyed maps.
-pub(crate) type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 #[cfg(test)]
 mod tests {

@@ -62,6 +62,7 @@
 pub mod conformance;
 mod constraint;
 mod error;
+pub mod hash;
 mod id;
 mod interface;
 mod primitive;

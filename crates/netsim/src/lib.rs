@@ -56,7 +56,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod hash;
 mod link;
 mod metrics;
 mod rng;

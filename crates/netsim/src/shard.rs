@@ -72,10 +72,10 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
 
+use svckit_model::hash::FastMap;
 use svckit_model::{Duration, Instant, PartId, PrimitiveEvent};
 use svckit_obs::TraceCtx;
 
-use crate::hash::FastMap;
 use crate::metrics::NetMetrics;
 use crate::rng::DeterministicRng;
 use crate::sim::{

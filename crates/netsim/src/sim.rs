@@ -7,10 +7,10 @@ use std::fmt;
 use std::str::FromStr;
 use std::sync::Arc;
 
+use svckit_model::hash::FastMap;
 use svckit_model::{Duration, Instant, PartId, PrimitiveEvent, Sap, Trace, Value};
 use svckit_obs::TraceCtx;
 
-use crate::hash::FastMap;
 use crate::link::LinkConfig;
 use crate::metrics::NetMetrics;
 use crate::rng::DeterministicRng;
