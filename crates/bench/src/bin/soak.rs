@@ -106,26 +106,53 @@ fn audit(report: &SweepReport) -> (usize, usize) {
     (violations, completed)
 }
 
+/// Prints one `error:` line and exits with code 1.
+fn fail(message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(1);
+}
+
+/// `--<name>` as an integer of at least `min`, or `default` when absent.
+/// A malformed or too-small value is an `error:` exit, not a panic.
+fn count_flag(args: &[String], name: &str, default: u64, min: u64) -> u64 {
+    let Some(value) = flag_value(args, name) else {
+        return default;
+    };
+    match value.parse::<u64>() {
+        Ok(n) if n >= min => n,
+        _ => fail(&format!(
+            "--{name} expects an integer >= {min}, got {value:?}"
+        )),
+    }
+}
+
 /// The `--clients N` mode: one big raw-netsim cell instead of the
 /// campaign grid. Exits the process when done.
-fn run_scale_mode(args: &[String], clients: u64) -> ! {
+fn run_scale_mode(args: &[String]) -> ! {
+    let rounds = count_flag(args, "rounds", 2, 0);
+    let shards = count_flag(args, "shards", 1, 0);
     let cfg = ScaleConfig {
-        clients,
-        servers: flag_usize(args, "servers", 4) as u64,
-        rounds: flag_usize(args, "rounds", 2) as u32,
-        shards: flag_usize(args, "shards", 1) as u32,
-        seed: flag_usize(args, "seed", 42) as u64,
+        clients: count_flag(args, "clients", 0, 2),
+        servers: count_flag(args, "servers", 4, 1),
+        rounds: u32::try_from(rounds)
+            .unwrap_or_else(|_| fail(&format!("--rounds {rounds} is too large"))),
+        shards: u32::try_from(shards)
+            .unwrap_or_else(|_| fail(&format!("--shards {shards} is too large"))),
+        seed: count_flag(args, "seed", 42, 0),
         ..ScaleConfig::default()
     };
+    // Open the output before the run, so an unwritable path fails fast.
+    let path = flag_value(args, "out").unwrap_or_else(|| "SOAK_scale.json".to_owned());
+    let mut file =
+        std::fs::File::create(&path).unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
     println!(
         "scale soak: {} clients x {} rounds over {} servers, {} shard(s)",
         cfg.clients, cfg.rounds, cfg.servers, cfg.shards
     );
     let out = run_scale_soak(&cfg);
-    assert!(
-        out.quiescent,
-        "scale soak must finish inside the virtual-time cap"
-    );
+    if !out.quiescent {
+        fail("scale soak did not finish inside the virtual-time cap");
+    }
     println!(
         "  {} events in {:.2}s wall = {:.0} events/sec",
         out.events, out.wall_secs, out.events_per_sec
@@ -139,19 +166,17 @@ fn run_scale_mode(args: &[String], clients: u64) -> ! {
         out.end_us as f64 / 1e6,
         out.messages_delivered
     );
-    let path = flag_value(args, "out").unwrap_or_else(|| "SOAK_scale.json".to_owned());
-    std::fs::write(&path, out.to_canonical_json()).expect("write scale soak json");
+    if let Err(e) = std::io::Write::write_all(&mut file, out.to_canonical_json().as_bytes()) {
+        fail(&format!("cannot write {path}: {e}"));
+    }
     println!("wrote {path} (canonical: byte-identical across --shards)");
     std::process::exit(0);
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(clients) = flag_value(&args, "clients") {
-        let clients: u64 = clients
-            .parse()
-            .unwrap_or_else(|_| panic!("--clients expects a number, got {clients:?}"));
-        run_scale_mode(&args, clients);
+    if flag_value(&args, "clients").is_some() {
+        run_scale_mode(&args);
     }
     let seeds = flag_usize(&args, "seeds", 8) as u64;
     let threads = flag_usize(&args, "threads", default_threads());

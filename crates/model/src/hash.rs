@@ -1,7 +1,7 @@
 //! A fast, deterministic hasher for hot-path maps keyed by small integers.
 //!
-//! The simulator's event core does several hash-map lookups per simulated
-//! message (link scalars, per-pair arrival clamps, node RNGs, timer
+//! The simulator's event core does a few hash-map lookups per simulated
+//! message (the destination's slot, per-pair arrival clamps, timer
 //! generations), and the verifiers probe their memo tables (LDD unique
 //! and operation caches, symmetry fragment ids) once or more per state.
 //! The standard library's SipHash is DoS-resistant but costs tens of

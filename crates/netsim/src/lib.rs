@@ -58,6 +58,7 @@
 
 mod link;
 mod metrics;
+mod node;
 mod rng;
 mod shard;
 mod sim;

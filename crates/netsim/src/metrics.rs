@@ -23,10 +23,16 @@ impl NetMetrics {
         NetMetrics::default()
     }
 
-    pub(crate) fn record_send(&mut self, from: PartId, bytes: usize) {
+    /// Counts one send. The sender is counted on its node slot instead,
+    /// and [`NetMetrics::per_sender_mut`] fills the per-sender map when a
+    /// report is made.
+    pub(crate) fn record_send(&mut self, bytes: usize) {
         self.messages_sent += 1;
         self.bytes_sent += bytes as u64;
-        *self.per_sender.entry(from).or_insert(0) += 1;
+    }
+
+    pub(crate) fn per_sender_mut(&mut self) -> &mut BTreeMap<PartId, u64> {
+        &mut self.per_sender
     }
 
     pub(crate) fn record_delivery(&mut self, bytes: usize) {
@@ -47,6 +53,8 @@ impl NetMetrics {
     }
 
     /// Folds another counter set into this one (sharded-engine merge).
+    /// Per-sender counts are not merged: they live on the node slots and
+    /// are filled in after the merge.
     pub(crate) fn absorb(&mut self, other: &NetMetrics) {
         self.messages_sent += other.messages_sent;
         self.messages_delivered += other.messages_delivered;
@@ -55,9 +63,6 @@ impl NetMetrics {
         self.bytes_sent += other.bytes_sent;
         self.bytes_delivered += other.bytes_delivered;
         self.undeliverable += other.undeliverable;
-        for (&sender, &count) in &other.per_sender {
-            *self.per_sender.entry(sender).or_insert(0) += count;
-        }
     }
 
     /// Messages handed to the network by processes.
@@ -124,9 +129,10 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let mut m = NetMetrics::new();
-        m.record_send(PartId::new(1), 10);
-        m.record_send(PartId::new(1), 5);
-        m.record_send(PartId::new(2), 1);
+        m.record_send(10);
+        m.record_send(5);
+        m.record_send(1);
+        m.per_sender_mut().insert(PartId::new(1), 2);
         m.record_delivery(10);
         m.record_drop();
         m.record_duplicate();

@@ -2,8 +2,9 @@
 //!
 //! Selected by [`SimConfig::shards`] ≥ 2. Nodes are partitioned over `S`
 //! shards; each shard owns its own event queue (timer wheel or heap),
-//! clock, RNG streams, timer table, and metrics, and runs on its own
-//! scoped thread. The shards advance in lock-step *windows*:
+//! clock, node table (processes, RNG streams, timers, trace mints), link
+//! RNG streams and metrics, and runs on its own scoped thread. The shards
+//! advance in lock-step *windows*:
 //!
 //! 1. **Exchange** — every shard drains its inbound mailboxes (one
 //!    `Mutex<Vec<_>>` per ordered shard pair, written only by the source
@@ -77,10 +78,11 @@ use svckit_model::{Duration, Instant, PartId, PrimitiveEvent};
 use svckit_obs::TraceCtx;
 
 use crate::metrics::NetMetrics;
+use crate::node::NodeTable;
 use crate::rng::DeterministicRng;
 use crate::sim::{
-    node_seed, provenance_key, Action, Context, EventKind, EventQueue, LinkTable, NodeTracer,
-    Payload, Process, Scheduled, SimConfig, SimError, SimReport, TimerId, TraceBuf, TraceDest,
+    provenance_key, Action, Context, EventKind, EventQueue, LinkTable, Payload, Process, Scheduled,
+    SimConfig, SimError, SimReport, TraceBuf, TraceDest,
 };
 
 /// Sentinel published by a shard with an empty queue.
@@ -142,6 +144,19 @@ impl ShardTrace {
 const PHASE_START: u8 = 0;
 const PHASE_EVENT: u8 = 1;
 
+/// Where a node lives in the sharded engine: its shard, and its slot in
+/// that shard's [`NodeTable`].
+#[derive(Debug, Clone, Copy)]
+struct NodeLoc {
+    shard: u32,
+    slot: u32,
+}
+
+/// The global node registry: node id → location. The one map keyed by
+/// node id, and the authority on which nodes exist (the undeliverable
+/// check).
+type Registry = FastMap<PartId, NodeLoc>;
+
 /// One shard: a vertical slice of the simulation owning a subset of the
 /// nodes and every piece of state their handlers can touch.
 struct Shard {
@@ -150,18 +165,12 @@ struct Shard {
     /// Last locally processed firing instant.
     clock: Instant,
     queue: EventQueue,
-    procs: FastMap<PartId, Box<dyn Process>>,
-    node_rngs: FastMap<PartId, DeterministicRng>,
+    /// The state of every node this shard owns, one slot per node. Trace
+    /// mints live here (not in the per-run worker recorder), so ids
+    /// persist across run slices.
+    nodes: NodeTable,
     /// Per-directed-pair link RNG streams, created lazily on first draw.
     pair_rngs: FastMap<(PartId, PartId), DeterministicRng>,
-    /// Per-node counts of scheduled events, feeding `provenance_key`.
-    sched_counts: FastMap<PartId, u64>,
-    timer_generation: FastMap<PartId, FastMap<TimerId, u64>>,
-    /// Per-node trace-id mints and open-request slots. Owned by the shard
-    /// (not the per-run worker recorder), so ids persist across run
-    /// slices; a node's dispatch order is shard-invariant, so every shard
-    /// count mints identical ids (see [`NodeTracer`]).
-    tracers: FastMap<PartId, NodeTracer>,
     last_arrival: FastMap<(PartId, PartId), Instant>,
     link_busy_until: FastMap<(PartId, PartId), Instant>,
     metrics: NetMetrics,
@@ -182,12 +191,8 @@ impl Shard {
             seed,
             clock: Instant::ZERO,
             queue: EventQueue::new(backend),
-            procs: FastMap::default(),
-            node_rngs: FastMap::default(),
+            nodes: NodeTable::default(),
             pair_rngs: FastMap::default(),
-            sched_counts: FastMap::default(),
-            timer_generation: FastMap::default(),
-            tracers: FastMap::default(),
             last_arrival: FastMap::default(),
             link_busy_until: FastMap::default(),
             metrics: NetMetrics::new(),
@@ -206,37 +211,32 @@ impl Shard {
     #[allow(clippy::too_many_arguments)]
     fn dispatch<F>(
         &mut self,
-        node: PartId,
+        slot: u32,
         now: Instant,
         phase: u8,
         dispatch_key: u128,
         trace_ctx: Option<TraceCtx>,
-        registry: &FastMap<PartId, u32>,
+        registry: &Registry,
         links: &LinkTable,
         call: F,
     ) where
         F: FnOnce(&mut dyn Process, &mut Context<'_>),
     {
         let mut actions = std::mem::take(&mut self.action_buf);
-        if let Some(process) = self.procs.get_mut(&node) {
-            let rng = self
-                .node_rngs
-                .get_mut(&node)
-                .expect("node rng created with the process");
-            self.trace
-                .begin_dispatch(now.as_micros(), phase, dispatch_key);
-            let mut ctx = Context {
-                now,
-                id: node,
-                actions: &mut actions,
-                rng,
-                trace: TraceDest::Shard(&mut self.trace),
-                cur_trace: trace_ctx,
-                tracer: self.tracers.entry(node).or_default(),
-            };
-            call(process.as_mut(), &mut ctx);
-        }
-        self.apply_actions(node, now, &mut actions, registry, links);
+        self.trace
+            .begin_dispatch(now.as_micros(), phase, dispatch_key);
+        let node = self.nodes.slot_mut(slot);
+        let mut ctx = Context {
+            now,
+            id: node.id,
+            actions: &mut actions,
+            rng: &mut node.rng,
+            trace: TraceDest::Shard(&mut self.trace),
+            cur_trace: trace_ctx,
+            tracer: &mut node.tracer,
+        };
+        call(node.process.as_mut(), &mut ctx);
+        self.apply_actions(slot, now, &mut actions, registry, links);
         self.action_buf = actions;
     }
 
@@ -245,12 +245,13 @@ impl Shard {
     /// cross-shard deliveries are routed through `outgoing`.
     fn apply_actions(
         &mut self,
-        node: PartId,
+        slot: u32,
         now: Instant,
         actions: &mut Vec<Action>,
-        registry: &FastMap<PartId, u32>,
+        registry: &Registry,
         links: &LinkTable,
     ) {
+        let node = self.nodes.slot(slot).id;
         for action in actions.drain(..) {
             match action {
                 Action::Send {
@@ -259,9 +260,10 @@ impl Shard {
                     ctx,
                     retransmit,
                 } => {
-                    self.metrics.record_send(node, payload.len());
+                    self.metrics.record_send(payload.len());
+                    self.nodes.slot_mut(slot).sent += 1;
                     svckit_obs::obs_count!("net.sends");
-                    let Some(&target_shard) = registry.get(&to) else {
+                    let Some(&target) = registry.get(&to) else {
                         self.metrics.record_undeliverable();
                         svckit_obs::obs_count!("net.undeliverable");
                         continue;
@@ -301,7 +303,6 @@ impl Shard {
                         continue;
                     }
                     let duplicate = duplicate_p > 0.0 && self.pair_rng(node, to).coin(duplicate_p);
-                    let copies = if duplicate { 2 } else { 1 };
                     if duplicate {
                         self.metrics.record_duplicate();
                         svckit_obs::obs_count!("net.duplicates");
@@ -322,7 +323,7 @@ impl Shard {
                     // bandwidth backlog) is its own attributable segment.
                     if let Some(t) = ctx {
                         if depart > now {
-                            let qid = self.tracers.entry(node).or_default().mint(node);
+                            let qid = self.nodes.slot_mut(slot).mint();
                             svckit_obs::obs_span!(
                                 svckit_obs::trace::SPAN_QUEUE_WAIT,
                                 "net",
@@ -337,8 +338,10 @@ impl Shard {
                         }
                     }
                     let payload_len = payload.len();
-                    let mut payload = Some(payload);
-                    for copy in 0..copies {
+                    // A duplicated send delivers a clone first and the
+                    // original last, as in the single engine.
+                    let extra = duplicate.then(|| Payload::clone(&payload));
+                    for payload in extra.into_iter().chain(Some(payload)) {
                         let jitter = if jitter_bound > 1 {
                             Duration::from_micros(self.pair_rng(node, to).next_below(jitter_bound))
                         } else {
@@ -363,7 +366,7 @@ impl Shard {
                                 // Each copy gets its own transit span, so
                                 // duplicated deliveries stay distinguishable
                                 // in the flame graph.
-                                let sid = self.tracers.entry(node).or_default().mint(node);
+                                let sid = self.nodes.slot_mut(slot).mint();
                                 let span_name = if retransmit {
                                     svckit_obs::trace::SPAN_RETRANSMIT
                                 } else {
@@ -393,18 +396,13 @@ impl Shard {
                                 None
                             }
                         };
-                        let payload = if copy + 1 == copies {
-                            payload.take().expect("one payload per copy loop")
-                        } else {
-                            Payload::clone(payload.as_ref().expect("clone before the last copy"))
-                        };
                         self.route(
-                            node,
+                            slot,
                             now,
-                            target_shard,
+                            target.shard,
                             at,
                             EventKind::Deliver {
-                                to,
+                                slot: target.slot,
                                 from: node,
                                 payload,
                                 ctx: deliver_ctx,
@@ -413,22 +411,15 @@ impl Shard {
                     }
                 }
                 Action::SetTimer { delay, id, ctx } => {
-                    let generation = self
-                        .timer_generation
-                        .entry(node)
-                        .or_default()
-                        .entry(id)
-                        .and_modify(|g| *g += 1)
-                        .or_insert(1);
-                    let generation = *generation;
+                    let generation = self.nodes.slot_mut(slot).bump_timer(id);
                     // Timers are always local to the node's own shard.
                     self.route(
-                        node,
+                        slot,
                         now,
                         self.index,
                         now + delay,
                         EventKind::Timer {
-                            node,
+                            slot,
                             id,
                             generation,
                             ctx,
@@ -436,12 +427,7 @@ impl Shard {
                     );
                 }
                 Action::CancelTimer { id } => {
-                    self.timer_generation
-                        .entry(node)
-                        .or_default()
-                        .entry(id)
-                        .and_modify(|g| *g += 1)
-                        .or_insert(1);
+                    self.nodes.slot_mut(slot).bump_timer(id);
                 }
             }
         }
@@ -454,19 +440,18 @@ impl Shard {
             .or_insert_with(|| DeterministicRng::new(pair_seed(seed, from, to)))
     }
 
-    /// Stamps the event with its provenance key and files it locally or
-    /// into the outgoing buffer.
+    /// Stamps the event with the provenance key of the scheduling node
+    /// (local slot `origin`) and files it locally or into the outgoing
+    /// buffer.
     fn route(
         &mut self,
-        origin: PartId,
+        origin: u32,
         sched_at: Instant,
         target_shard: u32,
         at: Instant,
         kind: EventKind,
     ) {
-        let count = self.sched_counts.entry(origin).or_insert(0);
-        *count += 1;
-        let key = provenance_key(sched_at, origin, *count);
+        let key = self.nodes.slot_mut(origin).next_key(sched_at);
         let event = Scheduled { at, key, kind };
         if target_shard == self.index {
             self.queue.push(event);
@@ -476,12 +461,7 @@ impl Shard {
     }
 
     /// Dispatches one popped event (clock, metrics, obs, handler).
-    fn dispatch_event(
-        &mut self,
-        event: Scheduled,
-        registry: &FastMap<PartId, u32>,
-        links: &LinkTable,
-    ) {
+    fn dispatch_event(&mut self, event: Scheduled, registry: &Registry, links: &LinkTable) {
         debug_assert!(event.at >= self.clock, "shard time went backwards");
         self.clock = event.at;
         self.events_processed += 1;
@@ -489,7 +469,7 @@ impl Shard {
         let key = event.key;
         match event.kind {
             EventKind::Deliver {
-                to,
+                slot,
                 from,
                 payload,
                 ctx,
@@ -498,7 +478,7 @@ impl Shard {
                 svckit_obs::obs_count!("net.deliveries");
                 svckit_obs::obs_count!("net.delivered_bytes", payload.len());
                 self.dispatch(
-                    to,
+                    slot,
                     event.at,
                     PHASE_EVENT,
                     key,
@@ -511,19 +491,15 @@ impl Shard {
                 );
             }
             EventKind::Timer {
-                node,
+                slot,
                 id,
                 generation,
                 ctx,
             } => {
-                let live = self
-                    .timer_generation
-                    .get(&node)
-                    .and_then(|timers| timers.get(&id));
-                if live == Some(&generation) {
+                if self.nodes.slot(slot).timer_live(id, generation) {
                     svckit_obs::obs_count!("net.timer_fires");
                     self.dispatch(
-                        node,
+                        slot,
                         event.at,
                         PHASE_EVENT,
                         key,
@@ -550,7 +526,7 @@ impl Shard {
         &mut self,
         window_end_us: u64,
         deadline: Instant,
-        registry: &FastMap<PartId, u32>,
+        registry: &Registry,
         links: &LinkTable,
     ) {
         let mut run = std::mem::take(&mut self.run_buf);
@@ -577,7 +553,7 @@ impl Shard {
         barrier: &Barrier,
         next_at: &[AtomicU64],
         outboxes: &[Vec<Mutex<Vec<Scheduled>>>],
-        registry: &FastMap<PartId, u32>,
+        registry: &Registry,
         links: &LinkTable,
         lookahead_us: u64,
         deadline: Instant,
@@ -626,9 +602,8 @@ pub(crate) struct ShardedSim {
     config: SimConfig,
     clock: Instant,
     started: bool,
-    /// Global node registry: node → owning shard. Also the authority on
-    /// which nodes exist (the undeliverable check).
-    node_shard: FastMap<PartId, u32>,
+    /// Every bound node's shard and slot (see [`Registry`]).
+    registry: Registry,
     /// Processes staged before the first run; node → shard binding
     /// happens once, when the full population is known.
     staged: BTreeMap<PartId, Box<dyn Process>>,
@@ -648,7 +623,7 @@ impl ShardedSim {
             config,
             clock: Instant::ZERO,
             started: false,
-            node_shard: FastMap::default(),
+            registry: FastMap::default(),
             staged: BTreeMap::new(),
             shards,
             links,
@@ -661,14 +636,14 @@ impl ShardedSim {
         id: PartId,
         process: Box<dyn Process>,
     ) -> Result<(), SimError> {
-        if self.staged.contains_key(&id) || self.node_shard.contains_key(&id) {
+        if self.staged.contains_key(&id) || self.registry.contains_key(&id) {
             return Err(SimError::DuplicateNode(id));
         }
         if self.started {
             // Late registration (after the first run): bind immediately,
             // round-robin over the shards. Mirrors the single engine,
             // where a late process gets no `on_start` either.
-            let shard = (self.node_shard.len() as u32) % self.shard_count();
+            let shard = (self.registry.len() as u32) % self.shard_count();
             self.bind(id, process, shard);
         } else {
             self.staged.insert(id, process);
@@ -676,12 +651,13 @@ impl ShardedSim {
         Ok(())
     }
 
-    fn bind(&mut self, id: PartId, process: Box<dyn Process>, shard: u32) {
-        self.node_shard.insert(id, shard);
-        let s = &mut self.shards[shard as usize];
-        s.node_rngs
-            .insert(id, DeterministicRng::new(node_seed(self.config.seed(), id)));
-        s.procs.insert(id, process);
+    fn bind(&mut self, id: PartId, process: Box<dyn Process>, shard: u32) -> NodeLoc {
+        let slot = self.shards[shard as usize]
+            .nodes
+            .push(self.config.seed(), id, process);
+        let loc = NodeLoc { shard, slot };
+        self.registry.insert(id, loc);
+        loc
     }
 
     pub(crate) fn links_mut(&mut self) -> &mut LinkTable {
@@ -697,7 +673,7 @@ impl ShardedSim {
     }
 
     pub(crate) fn process_count(&self) -> usize {
-        self.staged.len() + self.node_shard.len()
+        self.staged.len() + self.registry.len()
     }
 
     pub(crate) fn events_processed(&self) -> u64 {
@@ -711,7 +687,8 @@ impl ShardedSim {
     /// Binds staged processes to shards (sorted node order, round-robin)
     /// and runs every `on_start` serially in global node order — the same
     /// order the single engine uses, so startup actions interleave
-    /// identically.
+    /// identically. Nothing is bound before the first run, so the staged
+    /// nodes are the whole population.
     fn start_if_needed(&mut self) {
         if self.started {
             return;
@@ -719,23 +696,26 @@ impl ShardedSim {
         self.started = true;
         let staged = std::mem::take(&mut self.staged);
         let count = self.shard_count();
-        for (i, (id, process)) in staged.into_iter().enumerate() {
-            self.bind(id, process, (i as u32) % count);
-        }
-        let mut ids: Vec<PartId> = self.node_shard.keys().copied().collect();
-        ids.sort_unstable();
-        for id in ids {
-            let shard = self.node_shard[&id] as usize;
+        let order: Vec<(PartId, NodeLoc)> = staged
+            .into_iter()
+            .enumerate()
+            .map(|(i, (id, process))| (id, self.bind(id, process, (i as u32) % count)))
+            .collect();
+        for (id, loc) in order {
             // Anchor start-phase trace records at (t=0, node, 0) so the
             // merge reproduces the single engine's node-order startup.
             let dispatch_key = provenance_key(Instant::ZERO, id, 0);
             let (shard, registry, links) = {
                 // Split borrows: the dispatched shard is mutable, the
                 // registry and links are shared.
-                (&mut self.shards[shard], &self.node_shard, &self.links)
+                (
+                    &mut self.shards[loc.shard as usize],
+                    &self.registry,
+                    &self.links,
+                )
             };
             shard.dispatch(
-                id,
+                loc.slot,
                 Instant::ZERO,
                 PHASE_START,
                 dispatch_key,
@@ -746,7 +726,7 @@ impl ShardedSim {
             );
             // Startup actions may target any shard; route them now, while
             // everything is still single-threaded.
-            Self::drain_outgoing_serial(&mut self.shards, shard_index_of(&self.node_shard, id));
+            Self::drain_outgoing_serial(&mut self.shards, loc.shard as usize);
         }
     }
 
@@ -764,7 +744,7 @@ impl ShardedSim {
         &mut self,
         max_elapsed: Duration,
     ) -> Result<SimReport, SimError> {
-        if self.staged.is_empty() && self.node_shard.is_empty() {
+        if self.staged.is_empty() && self.registry.is_empty() {
             return Err(SimError::NoProcesses);
         }
         let lookahead = self.links.min_latency();
@@ -780,7 +760,7 @@ impl ShardedSim {
         let outboxes: Vec<Vec<Mutex<Vec<Scheduled>>>> = (0..shard_count)
             .map(|_| (0..shard_count).map(|_| Mutex::new(Vec::new())).collect())
             .collect();
-        let registry = &self.node_shard;
+        let registry = &self.registry;
         let links = &self.links;
         let lookahead_us = lookahead.as_micros();
 
@@ -857,6 +837,7 @@ impl ShardedSim {
         let mut metrics = NetMetrics::new();
         for shard in &self.shards {
             metrics.absorb(&shard.metrics);
+            shard.nodes.collect_senders(metrics.per_sender_mut());
         }
         Ok(SimReport::assemble(
             self.clock,
@@ -865,8 +846,4 @@ impl ShardedSim {
             self.trace.snapshot(),
         ))
     }
-}
-
-fn shard_index_of(registry: &FastMap<PartId, u32>, id: PartId) -> usize {
-    registry[&id] as usize
 }

@@ -1,7 +1,7 @@
 //! The discrete-event simulator core.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 use std::error::Error;
 use std::fmt;
 use std::str::FromStr;
@@ -13,6 +13,7 @@ use svckit_obs::TraceCtx;
 
 use crate::link::LinkConfig;
 use crate::metrics::NetMetrics;
+use crate::node::{NodeTable, NodeTracer};
 use crate::rng::DeterministicRng;
 use crate::wheel::TimerWheel;
 
@@ -84,27 +85,6 @@ pub(crate) enum Action {
     CancelTimer {
         id: TimerId,
     },
-}
-
-/// Per-node trace-id mint and open-request registry, owned by the
-/// engine (one per node, persistent across run slices). Ids derive from
-/// `(node, per-node sequence)` only, and a node's dispatch order is
-/// shard-invariant, so every `--shards` value mints identical ids.
-#[derive(Debug, Default)]
-pub(crate) struct NodeTracer {
-    next_seq: u64,
-    /// The `(trace_id, root_span_id)` of this node's open request, if
-    /// any. One per node: a user part issues at most one primitive at a
-    /// time (request → granted → free), so a newly issued primitive
-    /// replaces whatever was left open.
-    open: Option<(u64, u64)>,
-}
-
-impl NodeTracer {
-    pub(crate) fn mint(&mut self, node: PartId) -> u64 {
-        self.next_seq += 1;
-        svckit_obs::trace::mint_id(node.raw(), self.next_seq)
-    }
 }
 
 /// Where a handler's recorded primitives go: straight into the merged
@@ -522,10 +502,13 @@ impl SimReport {
     }
 }
 
+/// A pending event. `slot` is the target node's slot in the
+/// [`NodeTable`] of the queue's owner (the single engine, or the shard
+/// the node lives on), resolved when the event was scheduled.
 #[derive(Debug)]
 pub(crate) enum EventKind {
     Deliver {
-        to: PartId,
+        slot: u32,
         from: PartId,
         payload: Payload,
         /// Causal context riding side-band on the delivery (never in the
@@ -533,7 +516,7 @@ pub(crate) enum EventKind {
         ctx: Option<TraceCtx>,
     },
     Timer {
-        node: PartId,
+        slot: u32,
         id: TimerId,
         generation: u64,
         /// Causal context captured when the timer was set, demoted to the
@@ -543,11 +526,10 @@ pub(crate) enum EventKind {
 }
 
 impl EventKind {
-    /// The node this event will be dispatched on.
-    pub(crate) fn target(&self) -> PartId {
+    /// The slot of the node this event will be dispatched on.
+    pub(crate) fn target(&self) -> u32 {
         match self {
-            EventKind::Deliver { to, .. } => *to,
-            EventKind::Timer { node, .. } => *node,
+            EventKind::Deliver { slot, .. } | EventKind::Timer { slot, .. } => *slot,
         }
     }
 }
@@ -643,15 +625,13 @@ impl EventQueue {
         let at = first.at;
         let target = first.kind.target();
         out.push(first);
-        loop {
-            let matches = match self.peek() {
-                Some(next) => next.at == at && next.kind.target() == target,
-                None => false,
-            };
-            if !matches {
-                break;
-            }
-            out.push(self.pop().expect("peeked event exists"));
+        while self
+            .peek()
+            .is_some_and(|next| next.at == at && next.kind.target() == target)
+        {
+            let next = self.pop();
+            debug_assert!(next.is_some(), "a peeked event pops");
+            out.extend(next);
         }
     }
 
@@ -767,26 +747,21 @@ pub(crate) struct SingleSim {
     config: SimConfig,
     clock: Instant,
     started: bool,
-    procs: BTreeMap<PartId, Box<dyn Process>>,
+    /// Every node's state, one slot per node.
+    nodes: NodeTable,
+    /// Node id → slot: the one lookup a send pays, when it resolves its
+    /// destination. Never iterated, so the `FastMap` hasher affects
+    /// lookup cost only, never observable order.
+    slot_of: FastMap<PartId, u32>,
     links: LinkTable,
-    // The per-event maps below use the deterministic `FastMap` hasher;
-    // none of them is ever iterated, so the hash function affects lookup
-    // cost only, never observable order.
+    // The per-pair maps below use the same deterministic hasher and are
+    // likewise never iterated.
     last_arrival: FastMap<(PartId, PartId), Instant>,
     /// For bandwidth-limited links: when the sender-side of each directed
     /// pair becomes free again.
     link_busy_until: FastMap<(PartId, PartId), Instant>,
     queue: EventQueue,
     rng: DeterministicRng,
-    node_rngs: FastMap<PartId, DeterministicRng>,
-    /// Per-node counts of scheduled events, feeding [`provenance_key`].
-    sched_counts: FastMap<PartId, u64>,
-    /// Per-node timer generations, nested so one node's huge timer table
-    /// (e.g. a standing backlog of lease expiries) cannot dilute the cache
-    /// locality of another node's hot few timers.
-    timer_generation: FastMap<PartId, FastMap<TimerId, u64>>,
-    /// Per-node trace-id mints and open-request slots (see [`NodeTracer`]).
-    tracers: FastMap<PartId, NodeTracer>,
     metrics: NetMetrics,
     trace: TraceBuf,
     /// Reused across dispatches so the hot path does not allocate a fresh
@@ -807,16 +782,13 @@ impl SingleSim {
             config,
             clock: Instant::ZERO,
             started: false,
-            procs: BTreeMap::new(),
+            nodes: NodeTable::default(),
+            slot_of: FastMap::default(),
             links,
             last_arrival: FastMap::default(),
             link_busy_until: FastMap::default(),
             queue,
             rng,
-            node_rngs: FastMap::default(),
-            sched_counts: FastMap::default(),
-            timer_generation: FastMap::default(),
-            tracers: FastMap::default(),
             metrics: NetMetrics::new(),
             trace: TraceBuf::new(),
             action_buf: Vec::new(),
@@ -831,17 +803,11 @@ impl SingleSim {
         id: PartId,
         process: Box<dyn Process>,
     ) -> Result<(), SimError> {
-        if self.procs.contains_key(&id) {
+        if self.slot_of.contains_key(&id) {
             return Err(SimError::DuplicateNode(id));
         }
-        // Each node gets its own random stream, derived from the seed and
-        // the node id only. Application-level draws (workload choices) are
-        // therefore independent of network-level draws (jitter, loss) and
-        // of other nodes — the same workload unfolds identically over any
-        // protocol or platform.
-        self.node_rngs
-            .insert(id, DeterministicRng::new(node_seed(self.config.seed(), id)));
-        self.procs.insert(id, process);
+        let slot = self.nodes.push(self.config.seed(), id, process);
+        self.slot_of.insert(id, slot);
         Ok(())
     }
 
@@ -849,14 +815,8 @@ impl SingleSim {
         self.clock
     }
 
-    fn schedule(&mut self, origin: PartId, at: Instant, kind: EventKind) {
-        let count = self.sched_counts.entry(origin).or_insert(0);
-        *count += 1;
-        let key = provenance_key(self.clock, origin, *count);
-        self.queue.push(Scheduled { at, key, kind });
-    }
-
-    fn apply_actions(&mut self, node: PartId, actions: &mut Vec<Action>) {
+    fn apply_actions(&mut self, slot: u32, actions: &mut Vec<Action>) {
+        let node = self.nodes.slot(slot).id;
         for action in actions.drain(..) {
             match action {
                 Action::Send {
@@ -865,13 +825,14 @@ impl SingleSim {
                     ctx,
                     retransmit,
                 } => {
-                    self.metrics.record_send(node, payload.len());
+                    self.metrics.record_send(payload.len());
+                    self.nodes.slot_mut(slot).sent += 1;
                     svckit_obs::obs_count!("net.sends");
-                    if !self.procs.contains_key(&to) {
+                    let Some(&to_slot) = self.slot_of.get(&to) else {
                         self.metrics.record_undeliverable();
                         svckit_obs::obs_count!("net.undeliverable");
                         continue;
-                    }
+                    };
                     // Copy the link's scalar parameters out instead of
                     // cloning the whole `LinkConfig` per send.
                     let link = self.links.link_for(node, to);
@@ -908,7 +869,6 @@ impl SingleSim {
                         continue;
                     }
                     let duplicate = self.rng.coin(duplicate_p);
-                    let copies = if duplicate { 2 } else { 1 };
                     if duplicate {
                         self.metrics.record_duplicate();
                         svckit_obs::obs_count!("net.duplicates");
@@ -932,7 +892,7 @@ impl SingleSim {
                     // bandwidth backlog) is its own attributable segment.
                     if let Some(t) = ctx {
                         if depart > self.clock {
-                            let qid = self.tracers.entry(node).or_default().mint(node);
+                            let qid = self.nodes.slot_mut(slot).mint();
                             svckit_obs::obs_span!(
                                 svckit_obs::trace::SPAN_QUEUE_WAIT,
                                 "net",
@@ -947,8 +907,12 @@ impl SingleSim {
                         }
                     }
                     let payload_len = payload.len();
-                    let mut payload = Some(payload);
-                    for copy in 0..copies {
+                    // A duplicated send delivers a clone first and the
+                    // original last: un-duplicated sends (the
+                    // overwhelmingly common case) never touch the
+                    // payload's reference count at all.
+                    let extra = duplicate.then(|| Payload::clone(&payload));
+                    for payload in extra.into_iter().chain(Some(payload)) {
                         let jitter = Duration::from_micros(self.rng.next_below(jitter_bound));
                         let mut at = depart + latency + jitter;
                         if ordered {
@@ -966,12 +930,13 @@ impl SingleSim {
                             payload_len,
                             at.saturating_since(self.clock).as_micros()
                         );
+                        let sender = self.nodes.slot_mut(slot);
                         let deliver_ctx = match ctx {
                             Some(t) => {
                                 // Each copy gets its own transit span, so
                                 // duplicated deliveries stay distinguishable
                                 // in the flame graph.
-                                let sid = self.tracers.entry(node).or_default().mint(node);
+                                let sid = sender.mint();
                                 let span_name = if retransmit {
                                     svckit_obs::trace::SPAN_RETRANSMIT
                                 } else {
@@ -1001,94 +966,73 @@ impl SingleSim {
                                 None
                             }
                         };
-                        // The last copy takes ownership: un-duplicated sends
-                        // (the overwhelmingly common case) never touch the
-                        // payload's reference count at all.
-                        let payload = if copy + 1 == copies {
-                            payload.take().expect("one payload per copy loop")
-                        } else {
-                            Payload::clone(payload.as_ref().expect("clone before the last copy"))
-                        };
-                        self.schedule(
-                            node,
+                        let key = sender.next_key(self.clock);
+                        self.queue.push(Scheduled {
                             at,
-                            EventKind::Deliver {
-                                to,
+                            key,
+                            kind: EventKind::Deliver {
+                                slot: to_slot,
                                 from: node,
                                 payload,
                                 ctx: deliver_ctx,
                             },
-                        );
+                        });
                     }
                 }
                 Action::SetTimer { delay, id, ctx } => {
-                    let generation = self
-                        .timer_generation
-                        .entry(node)
-                        .or_default()
-                        .entry(id)
-                        .and_modify(|g| *g += 1)
-                        .or_insert(1);
-                    let generation = *generation;
-                    self.schedule(
-                        node,
-                        self.clock + delay,
-                        EventKind::Timer {
-                            node,
+                    let owner = self.nodes.slot_mut(slot);
+                    let generation = owner.bump_timer(id);
+                    let key = owner.next_key(self.clock);
+                    self.queue.push(Scheduled {
+                        at: self.clock + delay,
+                        key,
+                        kind: EventKind::Timer {
+                            slot,
                             id,
                             generation,
                             ctx,
                         },
-                    );
+                    });
                 }
                 Action::CancelTimer { id } => {
                     // Bumping the generation invalidates any pending firing.
-                    self.timer_generation
-                        .entry(node)
-                        .or_default()
-                        .entry(id)
-                        .and_modify(|g| *g += 1)
-                        .or_insert(1);
+                    self.nodes.slot_mut(slot).bump_timer(id);
                 }
             }
         }
     }
 
-    fn dispatch<F>(&mut self, node: PartId, trace_ctx: Option<TraceCtx>, call: F)
+    fn dispatch<F>(&mut self, slot: u32, trace_ctx: Option<TraceCtx>, call: F)
     where
         F: FnOnce(&mut dyn Process, &mut Context<'_>),
     {
         let mut actions = std::mem::take(&mut self.action_buf);
-        if let Some(process) = self.procs.get_mut(&node) {
-            let rng = self
-                .node_rngs
-                .get_mut(&node)
-                .expect("node rng created with the process");
-            let mut ctx = Context {
-                now: self.clock,
-                id: node,
-                actions: &mut actions,
-                rng,
-                trace: TraceDest::Single(&mut self.trace),
-                cur_trace: trace_ctx,
-                tracer: self.tracers.entry(node).or_default(),
-            };
-            call(process.as_mut(), &mut ctx);
-        }
-        self.apply_actions(node, &mut actions);
+        let node = self.nodes.slot_mut(slot);
+        let mut ctx = Context {
+            now: self.clock,
+            id: node.id,
+            actions: &mut actions,
+            rng: &mut node.rng,
+            trace: TraceDest::Single(&mut self.trace),
+            cur_trace: trace_ctx,
+            tracer: &mut node.tracer,
+        };
+        call(node.process.as_mut(), &mut ctx);
+        self.apply_actions(slot, &mut actions);
         // Hand the (now empty) buffer back for the next dispatch, keeping
         // its capacity.
         self.action_buf = actions;
     }
 
+    /// Runs every registered node's `on_start` once, in ascending node-id
+    /// order. A node added after this point gets no `on_start`.
     fn start_if_needed(&mut self) {
         if self.started {
             return;
         }
         self.started = true;
-        let ids: Vec<PartId> = self.procs.keys().copied().collect();
-        for id in ids {
-            self.dispatch(id, None, |p, ctx| p.on_start(ctx));
+        for slot in self.nodes.start_order() {
+            self.dispatch(slot, None, |p, ctx| p.on_start(ctx));
         }
     }
 
@@ -1101,7 +1045,7 @@ impl SingleSim {
         svckit_obs::obs_count!("net.events");
         match event.kind {
             EventKind::Deliver {
-                to,
+                slot,
                 from,
                 payload,
                 ctx,
@@ -1109,21 +1053,17 @@ impl SingleSim {
                 self.metrics.record_delivery(payload.len());
                 svckit_obs::obs_count!("net.deliveries");
                 svckit_obs::obs_count!("net.delivered_bytes", payload.len());
-                self.dispatch(to, ctx, |p, ctx| p.on_message(ctx, from, payload));
+                self.dispatch(slot, ctx, |p, ctx| p.on_message(ctx, from, payload));
             }
             EventKind::Timer {
-                node,
+                slot,
                 id,
                 generation,
                 ctx,
             } => {
-                let live = self
-                    .timer_generation
-                    .get(&node)
-                    .and_then(|timers| timers.get(&id));
-                if live == Some(&generation) {
+                if self.nodes.slot(slot).timer_live(id, generation) {
                     svckit_obs::obs_count!("net.timer_fires");
-                    self.dispatch(node, ctx, |p, ctx| p.on_timer(ctx, id));
+                    self.dispatch(slot, ctx, |p, ctx| p.on_timer(ctx, id));
                 } else {
                     svckit_obs::obs_count!("net.timer_stale");
                 }
@@ -1135,7 +1075,7 @@ impl SingleSim {
         &mut self,
         max_elapsed: Duration,
     ) -> Result<SimReport, SimError> {
-        if self.procs.is_empty() {
+        if self.nodes.is_empty() {
             return Err(SimError::NoProcesses);
         }
         let deadline = self.clock + max_elapsed;
@@ -1175,10 +1115,12 @@ impl SingleSim {
         } else {
             self.clock = deadline;
         }
+        let mut metrics = self.metrics.clone();
+        self.nodes.collect_senders(metrics.per_sender_mut());
         Ok(SimReport {
             end_time: self.clock,
             quiescent,
-            metrics: self.metrics.clone(),
+            metrics,
             trace: self.trace.snapshot(),
         })
     }
@@ -1216,7 +1158,7 @@ impl fmt::Debug for Simulator {
         match &self.inner {
             EngineImpl::Single(sim) => s
                 .field("clock", &sim.clock)
-                .field("processes", &sim.procs.len())
+                .field("processes", &sim.nodes.len())
                 .field("queued_events", &sim.queue.len()),
             EngineImpl::Sharded(sim) => s
                 .field("clock", &sim.now())

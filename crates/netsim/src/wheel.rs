@@ -372,14 +372,14 @@ mod tests {
     use proptest::prelude::*;
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
-    use svckit_model::{Instant, PartId};
+    use svckit_model::Instant;
 
     fn event(at: u64, seq: u64) -> Scheduled {
         Scheduled {
             at: Instant::from_micros(at),
             key: seq as u128,
             kind: EventKind::Timer {
-                node: PartId::new(1),
+                slot: 0,
                 id: TimerId(seq),
                 generation: 1,
                 ctx: None,
