@@ -17,8 +17,8 @@ use svckit::model::Duration;
 use svckit::netsim::LinkConfig;
 use svckit_bench::{fmt_f, print_header, print_row};
 use svckit_sweep::{
-    backend_flag, default_threads, engine_flag, flag_usize, flag_value, obs_flags,
-    queue_backend_flag, run_sweep, shards_flag, symmetry_flag, trace_flags, verbosity, SweepSpec,
+    default_threads, engine_flag, flag_usize, flag_value, obs_flags, run_sweep, shards_flag,
+    trace_flags, verbosity, SweepSpec,
 };
 
 fn main() {
@@ -46,16 +46,11 @@ fn main() {
     if let Some(needle) = flag_value(&args, "filter") {
         spec = spec.filter(needle);
     }
-    if let Some(backend) = queue_backend_flag(&args) {
-        // Either backend must produce byte-identical sweep JSON; CI runs
-        // the smoke sweep under both and `cmp`s the outputs.
-        spec = spec.queue_backend(backend);
-    }
     if let Some(shards) = shards_flag(&args) {
         // Sweep JSON is byte-identical across shard counts >= 2: link
         // randomness is per-pair, so partitioning cannot change it. The
         // E2 links are jittered, so shards >= 2 draw a different (equally
-        // valid) sample than the single-threaded engine's global stream;
+        // valid) sample than one shard's single global stream;
         // CI cmp's --shards 2 against --shards 4.
         spec = spec.shards(shards);
     }
@@ -64,19 +59,6 @@ fn main() {
         // byte-identical sweep JSON; CI cmp's --engine interp against the
         // default dfa run.
         spec = spec.engine(engine);
-    }
-    if let Some(symmetry) = symmetry_flag(&args) {
-        // The simulation never explores state spaces, so sweep JSON is
-        // byte-identical across symmetry settings too; CI cmp's
-        // --symmetry off against the default on run.
-        spec = spec.symmetry(symmetry);
-    }
-    if let Some(backend) = backend_flag(&args) {
-        // Same argument once more: the exploration backend only matters
-        // under --verify-style model checks, so sweep JSON stays
-        // byte-identical under --backend symbolic; CI cmp's it against
-        // the default explicit run.
-        spec = spec.backend(backend);
     }
     let report = run_sweep(&spec, threads);
 
@@ -222,8 +204,8 @@ fn main() {
     }
 
     // T — causal traces for the four Figure-4 deployments. A separate
-    // spec on *deterministic* links: the sequential engine draws jitter
-    // from one global stream and the sharded engine per pair, so the
+    // spec on *deterministic* links: one shard draws jitter from one
+    // global stream and two or more shards draw per pair, so the
     // jittered E2 grid above cannot be byte-identical across --shards —
     // the jitter-free envelope is, and CI `cmp`s shards 1 vs 4 on both
     // files this block writes.
@@ -248,9 +230,6 @@ fn main() {
             );
         if let Some(shards) = shards_flag(&args) {
             trace_spec = trace_spec.shards(shards);
-        }
-        if let Some(backend) = queue_backend_flag(&args) {
-            trace_spec = trace_spec.queue_backend(backend);
         }
         let trace_report = run_sweep(&trace_spec, threads);
         for r in &trace_report.results {

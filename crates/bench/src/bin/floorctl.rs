@@ -23,6 +23,7 @@ use svckit::floorctl::{
     floor_control_service, floor_event_universe, run_solution, RunParams, Solution,
 };
 use svckit::lts::explorer::{ExploreOptions, ServiceExplorer};
+use svckit::lts::Symmetry;
 use svckit::model::conformance::{check_trace, CheckOptions};
 use svckit::model::Duration;
 use svckit::netsim::LinkConfig;
@@ -33,6 +34,8 @@ struct Options {
     show_trace: bool,
     show_check: bool,
     verify: bool,
+    /// The `--verify` exploration: its symmetry quotient and backend.
+    explore: ExploreOptions,
 }
 
 fn usage() -> String {
@@ -95,6 +98,11 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     let mut show_trace = false;
     let mut show_check = false;
     let mut verify = false;
+    let mut explore = ExploreOptions {
+        progress: vec!["granted".to_owned(), "free".to_owned()],
+        symmetry: Symmetry::On,
+        ..ExploreOptions::default()
+    };
 
     let mut iter = args.iter();
     while let Some(flag) = iter.next() {
@@ -156,12 +164,8 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
                 )
             }
             "--link" => params = params.link(parse_link(&value("--link")?)?),
-            "--symmetry" => {
-                params = params.symmetry(value("--symmetry")?.parse()?);
-            }
-            "--backend" => {
-                params = params.backend(value("--backend")?.parse()?);
-            }
+            "--symmetry" => explore.symmetry = value("--symmetry")?.parse()?,
+            "--backend" => explore.backend = value("--backend")?.parse()?,
             "--trace" => show_trace = true,
             "--check" => show_check = true,
             "--verify" => verify = true,
@@ -174,29 +178,22 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         show_trace,
         show_check,
         verify,
+        explore,
     }))
 }
 
 /// The `--verify` pre-run model check: explore the floor-control product
-/// space over this run's universe, with the symmetry quotient per
-/// [`RunParams::symmetry`]. Returns `false` when the service misbehaves
-/// over the configured universe (which would make simulating it pointless).
-fn verify_run(params: &RunParams) -> bool {
+/// space over this run's universe with the `--symmetry` / `--backend`
+/// settings in `explore`. Returns `false` when the service misbehaves over
+/// the configured universe (which would make simulating it pointless).
+fn verify_run(params: &RunParams, explore: &ExploreOptions) -> bool {
     let service = floor_control_service();
     let universe = floor_event_universe(params.subscriber_count(), params.resource_count());
     let explorer = ServiceExplorer::with_engine(&service, universe, 2, params.engine_value());
-    let report = explorer.explore(&ExploreOptions {
-        progress: vec!["granted".to_owned(), "free".to_owned()],
-        symmetry: params.symmetry_value(),
-        backend: params.backend_value(),
-        ..ExploreOptions::default()
-    });
+    let report = explorer.explore(explore);
     println!(
         "model check:  {} state(s), {} transition(s) [symmetry {}, {} concrete state(s) saved]",
-        report.states,
-        report.transitions,
-        params.symmetry_value(),
-        report.sym_states_saved,
+        report.states, report.transitions, explore.symmetry, report.sym_states_saved,
     );
     if report.peak_nodes > 0 {
         println!(
@@ -234,7 +231,7 @@ fn main() -> ExitCode {
         }
     };
 
-    if options.verify && !verify_run(&options.params) {
+    if options.verify && !verify_run(&options.params, &options.explore) {
         return ExitCode::FAILURE;
     }
 

@@ -139,7 +139,6 @@ fn run_scale_mode(args: &[String]) -> ! {
         shards: u32::try_from(shards)
             .unwrap_or_else(|_| fail(&format!("--shards {shards} is too large"))),
         seed: count_flag(args, "seed", 42, 0),
-        ..ScaleConfig::default()
     };
     // Open the output before the run, so an unwritable path fails fast.
     let path = flag_value(args, "out").unwrap_or_else(|| "SOAK_scale.json".to_owned());

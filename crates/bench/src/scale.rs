@@ -23,9 +23,7 @@ use std::collections::VecDeque;
 use std::time::Instant as WallInstant;
 
 use svckit::model::{Duration, PartId};
-use svckit::netsim::{
-    Context, LinkConfig, Payload, Process, QueueBackend, SimConfig, Simulator, TimerId,
-};
+use svckit::netsim::{Context, LinkConfig, Payload, Process, SimConfig, Simulator, TimerId};
 use svckit_sweep::JsonWriter;
 
 /// Clients per floor: the contention group size.
@@ -64,16 +62,14 @@ pub struct ScaleConfig {
     pub servers: u64,
     /// Acquisition rounds per client.
     pub rounds: u32,
-    /// Simulator shard count (1 = sequential engine).
+    /// Simulator shard count (1 = one shard on the caller's thread).
     pub shards: u32,
     /// Deterministic seed.
     pub seed: u64,
-    /// Event-queue backend.
-    pub queue: QueueBackend,
 }
 
 impl Default for ScaleConfig {
-    /// 100 000 clients, 4 servers, 2 rounds, sequential engine, seed 42.
+    /// 100 000 clients, 4 servers, 2 rounds, one shard, seed 42.
     fn default() -> Self {
         ScaleConfig {
             clients: 100_000,
@@ -81,7 +77,6 @@ impl Default for ScaleConfig {
             rounds: 2,
             shards: 1,
             seed: 42,
-            queue: QueueBackend::default(),
         }
     }
 }
@@ -282,7 +277,6 @@ pub fn run_scale_soak(cfg: &ScaleConfig) -> ScaleOutcome {
     let mut sim = Simulator::new(
         SimConfig::new(cfg.seed)
             .default_link(LinkConfig::perfect(Duration::from_micros(500)))
-            .queue_backend(cfg.queue)
             .shards(cfg.shards),
     );
     for s in 0..cfg.servers {
@@ -360,7 +354,6 @@ mod tests {
             rounds: 2,
             shards,
             seed: 11,
-            queue: QueueBackend::default(),
         })
     }
 

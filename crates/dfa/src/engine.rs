@@ -9,8 +9,8 @@ use std::str::FromStr;
 /// Both engines are observationally identical (verdicts, first-violation
 /// choice, rendered messages); the interpreter is kept as the reference
 /// oracle, the DFA tables are the fast path and the default. The knob is
-/// threaded through `RunParams`, `SweepSpec` and the `--engine` CLI flags
-/// exactly like the 0.6.0 `QueueBackend` dual-backend switch.
+/// threaded through `RunParams`, `SweepSpec` and the `--engine` CLI
+/// flags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Engine {
     /// Interpreted per-constraint stepping with memoized verdict caches

@@ -53,13 +53,6 @@ pub use run::{
     FaultAction, FaultEvent, RunOptions, RunOutcome,
 };
 pub use service::{floor_control_service, floor_event_universe};
-/// The reachability-backend knob for model-checking passes over a run's
-/// universe ([`RunParams::backend`]), re-exported from `svckit-ldd` via
-/// `svckit-lts`.
-pub use svckit_lts::Backend;
-/// The symmetry-quotient knob for model-checking passes over a run's
-/// universe ([`RunParams::symmetry`]), re-exported from `svckit-lts`.
-pub use svckit_lts::Symmetry;
 /// The admission gate the middleware deployments install, and its engine
 /// knob ([`RunParams::engine`]), re-exported from `svckit-dfa` via
 /// `svckit-middleware`.

@@ -231,7 +231,6 @@ pub fn deploy_with_policy(params: &RunParams, policy: GrantPolicy) -> MwSystem {
     let mut builder = MwSystemBuilder::new(plan)
         .admission(super::admission_gate(params))
         .seed(params.seed_value())
-        .queue_backend(params.queue())
         .shards(params.shard_count())
         .link(params.link_config().clone())
         .component(

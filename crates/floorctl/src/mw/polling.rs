@@ -218,7 +218,6 @@ pub fn deploy(params: &RunParams) -> MwSystem {
     let mut builder = MwSystemBuilder::new(plan)
         .admission(super::admission_gate(params))
         .seed(params.seed_value())
-        .queue_backend(params.queue())
         .shards(params.shard_count())
         .link(params.link_config().clone())
         .component(CONTROLLER, Box::new(PollingController::new()));

@@ -203,7 +203,6 @@ pub fn deploy_on(params: &RunParams, platform_name: &str) -> MwSystem {
     let mut builder = MwSystemBuilder::new(plan)
         .admission(super::admission_gate(params))
         .seed(params.seed_value())
-        .queue_backend(params.queue())
         .shards(params.shard_count())
         .link(params.link_config().clone())
         .component(CONTROLLER, Box::new(QueueController::new()));

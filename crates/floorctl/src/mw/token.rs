@@ -229,7 +229,6 @@ pub fn deploy_with_style(params: &RunParams, style: PassStyle, caps: PlatformCap
     let mut builder = MwSystemBuilder::new(plan)
         .admission(super::admission_gate(params))
         .seed(params.seed_value())
-        .queue_backend(params.queue())
         .shards(params.shard_count())
         .link(params.link_config().clone());
     for k in 1..=params.subscriber_count() {

@@ -2,10 +2,9 @@
 
 use std::fmt;
 
-use svckit_lts::{Backend, Symmetry};
 use svckit_middleware::Engine;
 use svckit_model::Duration;
-use svckit_netsim::{LinkConfig, QueueBackend};
+use svckit_netsim::LinkConfig;
 
 /// The six floor-control solutions of Figures 4 and 6.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -93,11 +92,8 @@ pub struct RunParams {
     link: LinkConfig,
     seed: u64,
     time_cap: Duration,
-    queue: QueueBackend,
     shards: u32,
     engine: Engine,
-    symmetry: Symmetry,
-    backend: Backend,
 }
 
 impl Default for RunParams {
@@ -114,11 +110,8 @@ impl Default for RunParams {
             link: LinkConfig::lan(),
             seed: 42,
             time_cap: Duration::from_secs(60),
-            queue: QueueBackend::default(),
             shards: 1,
             engine: Engine::default(),
-            symmetry: Symmetry::On,
-            backend: Backend::default(),
         }
     }
 }
@@ -188,18 +181,9 @@ impl RunParams {
         self
     }
 
-    /// Selects the simulator event-queue backend (builder-style). The
-    /// default timer wheel and the reference heap produce identical runs;
-    /// switching is only useful for differential testing.
-    #[must_use]
-    pub fn queue_backend(mut self, backend: QueueBackend) -> Self {
-        self.queue = backend;
-        self
-    }
-
     /// Sets the simulator shard count (builder-style). `1` (the default)
-    /// runs the sequential engine; `N ≥ 2` partitions the nodes over `N`
-    /// lookahead-synchronized shards. On deterministic links the outcome
+    /// runs one shard on the caller's thread; `N ≥ 2` partitions the nodes
+    /// over `N` lookahead-synchronized shards. On deterministic links the outcome
     /// is byte-identical for every value.
     #[must_use]
     pub fn shards(mut self, shards: u32) -> Self {
@@ -215,32 +199,6 @@ impl RunParams {
     #[must_use]
     pub fn engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
-        self
-    }
-
-    /// Selects whether model-checking passes over this run's universe
-    /// (the floorctl CLI's `--verify` pre-run check, analyzer reruns)
-    /// quotient states by the user-permutation symmetry (builder-style).
-    /// The simulation itself never explores, so sweep output is
-    /// byte-identical across settings — the knob only bounds what a
-    /// verification of the configured subscriber count costs. Defaults to
-    /// [`Symmetry::On`]: verification wants the quotient.
-    #[must_use]
-    pub fn symmetry(mut self, symmetry: Symmetry) -> Self {
-        self.symmetry = symmetry;
-        self
-    }
-
-    /// Selects the reachability backend of model-checking passes over
-    /// this run's universe (builder-style): explicit breadth-first search
-    /// or symbolic LDD fixpoints. Like [`RunParams::symmetry`], the
-    /// simulation itself never explores — the knob only changes how the
-    /// `--verify` pre-run check represents the state space, and both
-    /// backends report identical verdicts. Defaults to
-    /// [`Backend::Explicit`].
-    #[must_use]
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -289,25 +247,9 @@ impl RunParams {
         self.shards
     }
 
-    /// Event-queue backend.
-    pub fn queue(&self) -> QueueBackend {
-        self.queue
-    }
-
     /// Constraint-evaluation engine for the admission gate.
     pub fn engine_value(&self) -> Engine {
         self.engine
-    }
-
-    /// Symmetry setting for model-checking passes over this run's universe.
-    pub fn symmetry_value(&self) -> Symmetry {
-        self.symmetry
-    }
-
-    /// Reachability backend for model-checking passes over this run's
-    /// universe.
-    pub fn backend_value(&self) -> Backend {
-        self.backend
     }
 
     /// Simulated-time cap.
@@ -336,20 +278,6 @@ mod tests {
     fn expected_grants_is_product() {
         let p = RunParams::default().subscribers(3).rounds(7);
         assert_eq!(p.expected_grants(), 21);
-    }
-
-    #[test]
-    fn symmetry_defaults_on_and_round_trips() {
-        assert_eq!(RunParams::default().symmetry_value(), Symmetry::On);
-        let p = RunParams::default().symmetry(Symmetry::Off);
-        assert_eq!(p.symmetry_value(), Symmetry::Off);
-    }
-
-    #[test]
-    fn backend_defaults_explicit_and_round_trips() {
-        assert_eq!(RunParams::default().backend_value(), Backend::Explicit);
-        let p = RunParams::default().backend(Backend::Symbolic);
-        assert_eq!(p.backend_value(), Backend::Symbolic);
     }
 
     #[test]

@@ -166,7 +166,6 @@ pub fn deploy_with_reliability(
 ) -> Stack {
     let mut builder = StackBuilder::new(registry())
         .seed(params.seed_value())
-        .queue_backend(params.queue())
         .shards(params.shard_count())
         .link(params.link_config().clone());
     if let Some(config) = reliability {

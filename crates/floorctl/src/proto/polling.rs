@@ -179,7 +179,6 @@ fn resid_field(pdu: &Pdu) -> Option<u64> {
 pub fn deploy(params: &RunParams) -> Stack {
     let mut builder = StackBuilder::new(registry())
         .seed(params.seed_value())
-        .queue_backend(params.queue())
         .shards(params.shard_count())
         .link(params.link_config().clone())
         .node(

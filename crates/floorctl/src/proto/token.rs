@@ -118,7 +118,6 @@ pub fn deploy(params: &RunParams) -> Stack {
     let full: BTreeSet<u64> = (1..=params.resource_count()).collect();
     let mut builder = StackBuilder::new(registry())
         .seed(params.seed_value())
-        .queue_backend(params.queue())
         .shards(params.shard_count())
         .link(params.link_config().clone());
     for k in 1..=n {

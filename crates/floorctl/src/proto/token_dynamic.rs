@@ -364,7 +364,6 @@ pub fn deploy(params: &RunParams, config: &DynamicRingConfig) -> Stack {
 
     let mut builder = StackBuilder::new(registry())
         .seed(params.seed_value())
-        .queue_backend(params.queue())
         .shards(params.shard_count())
         .link(params.link_config().clone());
     for k in 1..=founders {

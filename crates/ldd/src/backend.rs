@@ -9,9 +9,9 @@ use std::str::FromStr;
 /// `ldd_oracle` proptests and the CI backend-`cmp` steps pin this); the
 /// explicit breadth-first search is the reference and the default, the
 /// symbolic engine represents state sets as list decision diagrams and
-/// reaches universe sizes the explicit engine cannot. The knob is threaded
-/// through `RunParams`, `SweepSpec` and the `--backend` CLI flags exactly
-/// like the 0.8.0 `--engine` switch.
+/// reaches universe sizes the explicit engine cannot. Verification entry
+/// points read it: `ExploreOptions`, the analyzer's `ServicePassOptions`
+/// and the `--backend` flags of `svckit-analyze` and `floorctl --verify`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Backend {
     /// Explicit-state breadth-first search over interned product keys

@@ -6,7 +6,7 @@ use std::sync::{Arc, Mutex};
 
 use svckit_dfa::{AdmissionGate, AdmissionStats};
 use svckit_model::{Duration, PartId};
-use svckit_netsim::{LinkConfig, QueueBackend, SimConfig, SimReport, Simulator};
+use svckit_netsim::{LinkConfig, SimConfig, SimReport, Simulator};
 
 use crate::broker::Broker;
 use crate::component::Component;
@@ -22,7 +22,6 @@ pub struct MwSystemBuilder {
     plan: DeploymentPlan,
     seed: u64,
     link: LinkConfig,
-    queue: QueueBackend,
     shards: u32,
     admission: Option<Arc<AdmissionGate>>,
     implementations: BTreeMap<String, Box<dyn Component>>,
@@ -44,7 +43,6 @@ impl MwSystemBuilder {
             plan,
             seed: 0,
             link: LinkConfig::default(),
-            queue: QueueBackend::default(),
             shards: 1,
             admission: None,
             implementations: BTreeMap::new(),
@@ -62,13 +60,6 @@ impl MwSystemBuilder {
     #[must_use]
     pub fn link(mut self, link: LinkConfig) -> Self {
         self.link = link;
-        self
-    }
-
-    /// Selects the simulator event-queue backend (builder-style).
-    #[must_use]
-    pub fn queue_backend(mut self, backend: QueueBackend) -> Self {
-        self.queue = backend;
         self
     }
 
@@ -137,7 +128,6 @@ impl MwSystemBuilder {
         let mut sim = Simulator::new(
             SimConfig::new(self.seed)
                 .default_link(self.link)
-                .queue_backend(self.queue)
                 .shards(self.shards),
         );
         let mut counters = BTreeMap::new();

@@ -7,7 +7,11 @@
 //! reproducible:
 //!
 //! * [`Simulator`] — the event loop: a logical clock, a priority queue of
-//!   scheduled deliveries and timers, and a seeded PRNG;
+//!   scheduled deliveries and timers, and seeded PRNG streams. The nodes
+//!   are dealt over [`SimConfig::shards`] shards of one engine: one shard
+//!   (the default) runs on the caller's thread, two or more run in
+//!   lock-step windows on scoped threads, and a handler's panic reaches
+//!   the caller either way;
 //! * [`Process`] — the behaviour attached to each node (protocol entities,
 //!   middleware engines and user parts all implement it);
 //! * [`LinkConfig`] — per-link latency, jitter, loss, duplication and

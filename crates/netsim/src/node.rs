@@ -1,9 +1,9 @@
-//! The dense per-node state table shared by both engines.
+//! The dense per-node state table of one shard.
 //!
 //! Everything the engine keeps for one node — its process, its random
 //! stream, its schedule count, its timer generations, its trace-id mint
-//! and its send count — lives in one [`NodeSlot`], and the slots of an
-//! engine (or of one shard) sit in one `Vec`. A node id is resolved to its
+//! and its send count — lives in one [`NodeSlot`], and the slots of a
+//! shard sit in one `Vec`. A node id is resolved to its
 //! slot once, when a send names its destination; from then on the event
 //! carries the slot, so dispatching a delivery or a timer is a `Vec`
 //! index, never a map lookup.
@@ -87,18 +87,18 @@ impl NodeSlot {
     }
 }
 
-/// The slots of one engine or shard, in registration order. Slot numbers
-/// are stable: nodes are only ever appended.
+/// The slots of one shard, in binding order. Slot numbers are stable:
+/// nodes are only ever appended, except by [`NodeTable::take`] before the
+/// first run.
 #[derive(Default)]
 pub(crate) struct NodeTable {
     slots: Vec<NodeSlot>,
 }
 
 impl NodeTable {
-    /// Appends a node and returns its slot.
+    /// Appends a fresh node and returns its slot.
     pub(crate) fn push(&mut self, seed: u64, id: PartId, process: Box<dyn Process>) -> u32 {
-        let slot = u32::try_from(self.slots.len()).expect("fewer than 2^32 nodes");
-        self.slots.push(NodeSlot {
+        self.push_slot(NodeSlot {
             id,
             process,
             rng: DeterministicRng::new(node_seed(seed, id)),
@@ -106,16 +106,19 @@ impl NodeTable {
             timers: FastMap::default(),
             tracer: NodeTracer::default(),
             sent: 0,
-        });
+        })
+    }
+
+    /// Appends an existing node and returns its slot.
+    pub(crate) fn push_slot(&mut self, node: NodeSlot) -> u32 {
+        let slot = u32::try_from(self.slots.len()).expect("fewer than 2^32 nodes");
+        self.slots.push(node);
         slot
     }
 
-    pub(crate) fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+    /// Removes every node, leaving the table empty.
+    pub(crate) fn take(&mut self) -> Vec<NodeSlot> {
+        std::mem::take(&mut self.slots)
     }
 
     pub(crate) fn slot(&self, slot: u32) -> &NodeSlot {
@@ -124,14 +127,6 @@ impl NodeTable {
 
     pub(crate) fn slot_mut(&mut self, slot: u32) -> &mut NodeSlot {
         &mut self.slots[slot as usize]
-    }
-
-    /// Every slot, in ascending node-id order: the order `on_start` runs
-    /// in, whatever order the nodes were registered in.
-    pub(crate) fn start_order(&self) -> Vec<u32> {
-        let mut order: Vec<u32> = (0..self.slots.len() as u32).collect();
-        order.sort_unstable_by_key(|&slot| self.slots[slot as usize].id);
-        order
     }
 
     /// Records each node's send count in `per_sender`, skipping nodes

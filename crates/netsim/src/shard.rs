@@ -1,10 +1,25 @@
-//! The conservative-lookahead sharded simulation engine.
+//! The simulation engine: nodes dealt over `S ≥ 1` shards.
 //!
-//! Selected by [`SimConfig::shards`] ≥ 2. Nodes are partitioned over `S`
-//! shards; each shard owns its own event queue (timer wheel or heap),
+//! Every [`Simulator`] runs on this engine; [`SimConfig::shards`] only
+//! picks `S`. Each shard owns its own event queue (timer wheel or heap),
 //! clock, node table (processes, RNG streams, timers, trace mints), link
-//! RNG streams and metrics, and runs on its own scoped thread. The shards
-//! advance in lock-step *windows*:
+//! randomness, metrics and trace spool, and there is exactly one dispatch
+//! path: [`Shard::process_window`] pops the shard's events in `(at, key)`
+//! order and runs their handlers. Before the first run the nodes are
+//! dealt round-robin in ascending id order, so node `i` of that order
+//! lives on shard `i % S`.
+//!
+//! # One shard
+//!
+//! `S = 1` is the default and the serial event loop: the whole run slice
+//! is one window with no upper bound, processed on the caller's thread.
+//! There is no barrier, mailbox, thread or lookahead, so zero-latency
+//! links are legal.
+//!
+//! # Two or more shards
+//!
+//! Each shard runs on its own scoped thread, and the shards advance in
+//! lock-step *windows*:
 //!
 //! 1. **Exchange** — every shard drains its inbound mailboxes (one
 //!    `Mutex<Vec<_>>` per ordered shard pair, written only by the source
@@ -19,6 +34,11 @@
 //!    shards are filed into the pairwise mailboxes; the next window picks
 //!    them up.
 //!
+//! A worker whose handler panics raises a flag and stands in for itself at
+//! the barrier once, so the other workers stop at their next wait instead
+//! of blocking forever, and the run re-raises the handler's own panic on
+//! the caller's thread.
+//!
 //! # Why the lookahead bound is safe
 //!
 //! Every event processed in a window fires at some `t ∈ [T, T + W)`. A
@@ -32,7 +52,7 @@
 //! PDES (Chandy–Misra style) safety condition; `W = 0` is rejected as
 //! [`SimError::ZeroLookahead`] because windows would have zero width.
 //!
-//! # Why the output is identical for every shard count ≥ 2
+//! # Determinism across shard counts
 //!
 //! Everything observable is a function of *per-node* and *per-directed-
 //! pair* histories, and each of those histories is computed from data
@@ -44,34 +64,32 @@
 //!   reorder it, and the safety argument above means nothing arrives
 //!   late. Each node's dispatch sequence is therefore the same for any
 //!   placement of the other nodes.
-//! * Link randomness (loss, duplication, jitter) is drawn from a
-//!   dedicated per-directed-pair stream seeded from `(seed, from, to)`,
-//!   advanced in the sender's dispatch order. Node randomness
-//!   ([`Context::rand_u64`]) comes from the same per-node streams as the
-//!   single engine.
+//! * Node randomness ([`Context::rand_u64`]) comes from per-node streams
+//!   seeded from `(seed, node)`.
 //! * Metrics are sums of per-shard counters; the merged trace is sorted
 //!   by `(time, start-phase, dispatching event key, record index)` —
 //!   both aggregations are independent of which shard computed what.
 //!
-//! # Relation to `shards = 1`
-//!
-//! The single engine draws link randomness from one global stream in
-//! global event order, which no partition can reproduce; on *lossy or
-//! jittered* links the sharded engine is therefore a (deterministic)
+//! Link randomness (loss, duplication, jitter) is the one place where the
+//! shard count changes behaviour; see [`LinkDraws`]. One shard draws from
+//! a single stream in global event order, which no partition can
+//! reproduce, so two or more shards draw from per-directed-pair streams
+//! instead. Hence every `S ≥ 2` produces byte-identical reports on any
+//! link, and on lossy or jittered links `S = 1` is a (deterministic)
 //! different sample of the same distribution. On deterministic links —
-//! zero jitter, loss 0 or 1, no duplication — no link randomness is ever
-//! consumed, node RNG streams coincide, and both engines share one event
-//! order, so `shards = 1` and `shards = N` produce byte-identical
-//! reports. That envelope is what the sharded goldens, the oracle suite
-//! in `tests/shard_oracle.rs`, and the CI `--shards 4` vs `--shards 1`
-//! `cmp` step pin down.
+//! zero jitter, loss 0 or 1, no duplication — link randomness never
+//! changes an outcome, so every `S`, one included, produces byte-identical
+//! reports. The sharded goldens, the oracle suite in
+//! `tests/shard_oracle.rs` and the CI shard `cmp` steps pin this down;
+//! `tests/serial_golden.rs` pins the one-shard stream.
 //!
+//! [`Simulator`]: crate::sim::Simulator
 //! [`SimConfig::shards`]: crate::sim::SimConfig::shards
+//! [`SimError::ZeroLookahead`]: crate::sim::SimError::ZeroLookahead
 //! [`Context::rand_u64`]: crate::sim::Context::rand_u64
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Barrier, Mutex, PoisonError};
 
 use svckit_model::hash::FastMap;
 use svckit_model::{Duration, Instant, PartId, PrimitiveEvent};
@@ -81,8 +99,8 @@ use crate::metrics::NetMetrics;
 use crate::node::NodeTable;
 use crate::rng::DeterministicRng;
 use crate::sim::{
-    provenance_key, Action, Context, EventKind, EventQueue, LinkTable, Payload, Process, Scheduled,
-    SimConfig, SimError, SimReport, TraceBuf, TraceDest,
+    Action, Context, EventKind, EventQueue, LinkTable, Payload, Process, QueueBackend, Scheduled,
+    TraceBuf,
 };
 
 /// Sentinel published by a shard with an empty queue.
@@ -96,10 +114,75 @@ fn pair_seed(seed: u64, from: PartId, to: PartId) -> u64 {
         ^ 0x94D0_49BB_1331_11EB
 }
 
+/// Where a shard draws link randomness (loss, duplication, jitter) from.
+/// Picked by the shard count, never configured separately.
+#[derive(Debug)]
+enum LinkDraws {
+    /// One shard: a single stream seeded from the run seed, drawn in
+    /// global event order — a loss and a duplication coin per send and a
+    /// jitter draw per delivered copy, even at zero jitter. `tests/
+    /// serial_golden.rs` pins this exact pattern.
+    Serial(DeterministicRng),
+    /// Two or more shards: one stream per directed pair, seeded from
+    /// `(seed, from, to)` and advanced in the sender's dispatch order, so
+    /// no partition can change it. Draws on deterministic parameters are
+    /// skipped, so a fully deterministic pair never creates its stream.
+    PerPair {
+        seed: u64,
+        streams: FastMap<(PartId, PartId), DeterministicRng>,
+    },
+}
+
+impl LinkDraws {
+    fn new(seed: u64, shard_count: u32) -> Self {
+        if shard_count == 1 {
+            LinkDraws::Serial(DeterministicRng::new(seed))
+        } else {
+            LinkDraws::PerPair {
+                seed,
+                streams: FastMap::default(),
+            }
+        }
+    }
+
+    fn pair(
+        seed: u64,
+        streams: &mut FastMap<(PartId, PartId), DeterministicRng>,
+        from: PartId,
+        to: PartId,
+    ) -> &mut DeterministicRng {
+        streams
+            .entry((from, to))
+            .or_insert_with(|| DeterministicRng::new(pair_seed(seed, from, to)))
+    }
+
+    /// A Bernoulli trial with probability `p` for the pair `from → to`.
+    fn coin(&mut self, from: PartId, to: PartId, p: f64) -> bool {
+        match self {
+            LinkDraws::Serial(rng) => rng.coin(p),
+            LinkDraws::PerPair { seed, streams } => {
+                p > 0.0 && Self::pair(*seed, streams, from, to).coin(p)
+            }
+        }
+    }
+
+    /// A jitter in `[0, bound)` µs for one delivered copy on `from → to`.
+    fn jitter(&mut self, from: PartId, to: PartId, bound: u64) -> Duration {
+        let micros = match self {
+            LinkDraws::Serial(rng) => rng.next_below(bound),
+            LinkDraws::PerPair { seed, streams } if bound > 1 => {
+                Self::pair(*seed, streams, from, to).next_below(bound)
+            }
+            LinkDraws::PerPair { .. } => 0,
+        };
+        Duration::from_micros(micros)
+    }
+}
+
 /// One spooled trace record with the sort key that reproduces the global
-/// single-engine insertion order: records from the start phase come
-/// first (in node order), then records grouped by the event that was
-/// being dispatched, in that event's total-order position.
+/// serial insertion order: records from the start phase come first (in
+/// node order), then records grouped by the event that was being
+/// dispatched, in that event's total-order position.
 #[derive(Debug)]
 struct SpooledRecord {
     time_us: u64,
@@ -110,9 +193,9 @@ struct SpooledRecord {
 }
 
 /// Per-shard spool of service primitives recorded during a run, merged
-/// into the shared [`TraceBuf`] after the worker threads join.
+/// into the simulator's trace when the run slice ends.
 #[derive(Debug, Default)]
-pub(crate) struct ShardTrace {
+pub(crate) struct TraceSpool {
     records: Vec<SpooledRecord>,
     time_us: u64,
     phase: u8,
@@ -120,7 +203,7 @@ pub(crate) struct ShardTrace {
     idx: u32,
 }
 
-impl ShardTrace {
+impl TraceSpool {
     /// Called by the engine before every handler invocation.
     fn begin_dispatch(&mut self, time_us: u64, phase: u8, dispatch_key: u128) {
         self.time_us = time_us;
@@ -141,62 +224,95 @@ impl ShardTrace {
     }
 }
 
-const PHASE_START: u8 = 0;
+/// Moves every shard's spooled records into `trace`, in the order one
+/// serial loop records them: `(time, phase, dispatching event key, record
+/// index)`. A lone shard dispatches in exactly that order, so its spool
+/// needs no sort.
+pub(crate) fn merge_spools(shards: &mut [Shard], trace: &mut TraceBuf) {
+    if let [shard] = shards {
+        for record in shard.trace.records.drain(..) {
+            trace.push(record.event);
+        }
+        return;
+    }
+    let mut spooled: Vec<SpooledRecord> = Vec::new();
+    for shard in shards {
+        spooled.append(&mut shard.trace.records);
+    }
+    spooled.sort_by(|a, b| {
+        (a.time_us, a.phase, a.dispatch_key, a.idx).cmp(&(
+            b.time_us,
+            b.phase,
+            b.dispatch_key,
+            b.idx,
+        ))
+    });
+    for record in spooled {
+        trace.push(record.event);
+    }
+}
+
+pub(crate) const PHASE_START: u8 = 0;
 const PHASE_EVENT: u8 = 1;
 
-/// Where a node lives in the sharded engine: its shard, and its slot in
-/// that shard's [`NodeTable`].
+/// Where a node lives: its shard, and its slot in that shard's
+/// [`NodeTable`].
 #[derive(Debug, Clone, Copy)]
-struct NodeLoc {
-    shard: u32,
-    slot: u32,
+pub(crate) struct NodeLoc {
+    pub(crate) shard: u32,
+    pub(crate) slot: u32,
 }
 
 /// The global node registry: node id → location. The one map keyed by
 /// node id, and the authority on which nodes exist (the undeliverable
-/// check).
-type Registry = FastMap<PartId, NodeLoc>;
+/// check). Never iterated in an order that reaches the output, so the
+/// `FastMap` hasher affects lookup cost only.
+pub(crate) type Registry = FastMap<PartId, NodeLoc>;
 
 /// One shard: a vertical slice of the simulation owning a subset of the
 /// nodes and every piece of state their handlers can touch.
-struct Shard {
+pub(crate) struct Shard {
     index: u32,
-    seed: u64,
     /// Last locally processed firing instant.
-    clock: Instant,
-    queue: EventQueue,
+    pub(crate) clock: Instant,
+    pub(crate) queue: EventQueue,
     /// The state of every node this shard owns, one slot per node. Trace
     /// mints live here (not in the per-run worker recorder), so ids
     /// persist across run slices.
-    nodes: NodeTable,
-    /// Per-directed-pair link RNG streams, created lazily on first draw.
-    pair_rngs: FastMap<(PartId, PartId), DeterministicRng>,
+    pub(crate) nodes: NodeTable,
+    link_draws: LinkDraws,
+    // The per-pair maps below use the deterministic `FastMap` hasher and
+    // are never iterated.
     last_arrival: FastMap<(PartId, PartId), Instant>,
+    /// For bandwidth-limited links: when the sender side of each directed
+    /// pair becomes free again.
     link_busy_until: FastMap<(PartId, PartId), Instant>,
-    metrics: NetMetrics,
-    trace: ShardTrace,
+    pub(crate) metrics: NetMetrics,
+    trace: TraceSpool,
+    /// Reused across dispatches so the hot path does not allocate a fresh
+    /// action vector per event.
     action_buf: Vec<Action>,
+    /// Reused batch buffer for [`EventQueue::pop_run`].
     run_buf: Vec<Scheduled>,
-    /// Cross-shard sends produced by the current window, flushed into the
-    /// pairwise mailboxes before the next exchange barrier.
-    outgoing: Vec<(u32, Scheduled)>,
-    events_processed: u64,
-    peak_queue_len: usize,
+    /// Sends to nodes on other shards, produced by the current window (or
+    /// the start phase) and flushed into the pairwise mailboxes.
+    pub(crate) outgoing: Vec<(u32, Scheduled)>,
+    pub(crate) events_processed: u64,
+    pub(crate) peak_queue_len: usize,
 }
 
 impl Shard {
-    fn new(index: u32, seed: u64, backend: crate::sim::QueueBackend) -> Self {
+    pub(crate) fn new(index: u32, seed: u64, backend: QueueBackend, shard_count: u32) -> Self {
         Shard {
             index,
-            seed,
             clock: Instant::ZERO,
             queue: EventQueue::new(backend),
             nodes: NodeTable::default(),
-            pair_rngs: FastMap::default(),
+            link_draws: LinkDraws::new(seed, shard_count),
             last_arrival: FastMap::default(),
             link_busy_until: FastMap::default(),
             metrics: NetMetrics::new(),
-            trace: ShardTrace::default(),
+            trace: TraceSpool::default(),
             action_buf: Vec::new(),
             run_buf: Vec::new(),
             outgoing: Vec::new(),
@@ -209,7 +325,7 @@ impl Shard {
     /// total-order position of whatever triggered the handler; it anchors
     /// the deterministic trace merge.
     #[allow(clippy::too_many_arguments)]
-    fn dispatch<F>(
+    pub(crate) fn dispatch<F>(
         &mut self,
         slot: u32,
         now: Instant,
@@ -231,18 +347,17 @@ impl Shard {
             id: node.id,
             actions: &mut actions,
             rng: &mut node.rng,
-            trace: TraceDest::Shard(&mut self.trace),
+            trace: &mut self.trace,
             cur_trace: trace_ctx,
             tracer: &mut node.tracer,
         };
         call(node.process.as_mut(), &mut ctx);
         self.apply_actions(slot, now, &mut actions, registry, links);
+        // Hand the (now empty) buffer back for the next dispatch, keeping
+        // its capacity.
         self.action_buf = actions;
     }
 
-    /// The sharded twin of `SingleSim::apply_actions`: identical link
-    /// semantics, but link randomness comes from the per-pair stream and
-    /// cross-shard deliveries are routed through `outgoing`.
     fn apply_actions(
         &mut self,
         slot: u32,
@@ -268,6 +383,8 @@ impl Shard {
                         svckit_obs::obs_count!("net.undeliverable");
                         continue;
                     };
+                    // Copy the link's scalar parameters out instead of
+                    // cloning the whole `LinkConfig` per send.
                     let link = links.link_for(node, to);
                     let loss = link.loss();
                     let duplicate_p = link.duplicate();
@@ -275,18 +392,14 @@ impl Shard {
                     let jitter_bound = link.jitter().as_micros() + 1;
                     let ordered = link.is_ordered();
                     let transmission = link.transmission_time(payload.len());
-                    // `coin` never draws for probabilities 0 and 1, and a
-                    // jitter bound of 1 µs always yields 0 — so on fully
-                    // deterministic links the pair stream is never even
-                    // created, which is what makes the single engine's
-                    // global stream irrelevant there.
-                    if loss > 0.0 && self.pair_rng(node, to).coin(loss) {
+                    if self.link_draws.coin(node, to, loss) {
                         self.metrics.record_drop();
                         svckit_obs::obs_count!("net.drops");
                         match ctx {
-                            // Root-parented for the same reason as the
-                            // single engine: resends carry the original
-                            // send's context.
+                            // Parent at the trace root, not the carried
+                            // span: a retransmitted frame keeps its
+                            // originating send's context, whose delivery
+                            // span closed long before the resend.
                             Some(t) => svckit_obs::obs_event!(
                                 "net.drop",
                                 "net",
@@ -302,11 +415,14 @@ impl Shard {
                         }
                         continue;
                     }
-                    let duplicate = duplicate_p > 0.0 && self.pair_rng(node, to).coin(duplicate_p);
+                    let duplicate = self.link_draws.coin(node, to, duplicate_p);
                     if duplicate {
                         self.metrics.record_duplicate();
                         svckit_obs::obs_count!("net.duplicates");
                     }
+                    // Serialization: a bandwidth-limited link is occupied
+                    // for the message's transmission time; back-to-back
+                    // sends queue behind it.
                     let mut depart = now;
                     if transmission > Duration::ZERO {
                         let busy = self
@@ -339,14 +455,12 @@ impl Shard {
                     }
                     let payload_len = payload.len();
                     // A duplicated send delivers a clone first and the
-                    // original last, as in the single engine.
+                    // original last: un-duplicated sends (the
+                    // overwhelmingly common case) never touch the
+                    // payload's reference count at all.
                     let extra = duplicate.then(|| Payload::clone(&payload));
                     for payload in extra.into_iter().chain(Some(payload)) {
-                        let jitter = if jitter_bound > 1 {
-                            Duration::from_micros(self.pair_rng(node, to).next_below(jitter_bound))
-                        } else {
-                            Duration::ZERO
-                        };
+                        let jitter = self.link_draws.jitter(node, to, jitter_bound);
                         let mut at = depart + latency + jitter;
                         if ordered {
                             let last = self.last_arrival.entry((node, to)).or_insert(Instant::ZERO);
@@ -355,6 +469,8 @@ impl Shard {
                             }
                             *last = at;
                         }
+                        // Transit = serialization queueing + transmission +
+                        // propagation + jitter, all in virtual time.
                         svckit_obs::obs_link!(
                             node.raw(),
                             to.raw(),
@@ -427,17 +543,11 @@ impl Shard {
                     );
                 }
                 Action::CancelTimer { id } => {
+                    // Bumping the generation invalidates any pending firing.
                     self.nodes.slot_mut(slot).bump_timer(id);
                 }
             }
         }
-    }
-
-    fn pair_rng(&mut self, from: PartId, to: PartId) -> &mut DeterministicRng {
-        let seed = self.seed;
-        self.pair_rngs
-            .entry((from, to))
-            .or_insert_with(|| DeterministicRng::new(pair_seed(seed, from, to)))
     }
 
     /// Stamps the event with the provenance key of the scheduling node
@@ -460,7 +570,8 @@ impl Shard {
         }
     }
 
-    /// Dispatches one popped event (clock, metrics, obs, handler).
+    /// Dispatches one popped event (clock, metrics, obs, handler). The
+    /// queue-depth sample is taken by the caller once per batch.
     fn dispatch_event(&mut self, event: Scheduled, registry: &Registry, links: &LinkTable) {
         debug_assert!(event.at >= self.clock, "shard time went backwards");
         self.clock = event.at;
@@ -485,9 +596,7 @@ impl Shard {
                     ctx,
                     registry,
                     links,
-                    |p, c| {
-                        p.on_message(c, from, payload);
-                    },
+                    |p, c| p.on_message(c, from, payload),
                 );
             }
             EventKind::Timer {
@@ -506,9 +615,7 @@ impl Shard {
                         ctx,
                         registry,
                         links,
-                        |p, c| {
-                            p.on_timer(c, id);
-                        },
+                        |p, c| p.on_timer(c, id),
                     );
                 } else {
                     svckit_obs::obs_count!("net.timer_stale");
@@ -534,6 +641,12 @@ impl Shard {
             if at.as_micros() >= window_end_us || at > deadline {
                 break;
             }
+            // Batch dispatch: pull the whole same-instant, same-target run
+            // in one queue operation and pay the bookkeeping (depth
+            // sample) once. The events still dispatch one by one, in
+            // exactly the order repeated pops would yield, because an
+            // event's actions may cancel or re-arm timers later in the
+            // same batch.
             self.queue.pop_run(&mut run);
             self.peak_queue_len = self.peak_queue_len.max(self.queue.len() + run.len());
             svckit_obs::obs_record!("net.queue_depth", self.queue.len());
@@ -545,12 +658,22 @@ impl Shard {
         self.run_buf = run;
     }
 
+    /// The one-shard run slice: a single unbounded window on the caller's
+    /// thread. The queue it stops at also counts towards the peak: events
+    /// past the deadline are pending too (`tests/serial_golden.rs` pins
+    /// the resulting counter).
+    pub(crate) fn run_serial(&mut self, deadline: Instant, registry: &Registry, links: &LinkTable) {
+        self.process_window(u64::MAX, deadline, registry, links);
+        self.peak_queue_len = self.peak_queue_len.max(self.queue.len());
+    }
+
     /// The lock-step worker: exchange, agree, advance — until every shard
-    /// is idle or the next global event is past the deadline.
+    /// is idle, the next global event is past the deadline, or another
+    /// worker panicked.
     #[allow(clippy::too_many_arguments)]
     fn worker(
         &mut self,
-        barrier: &Barrier,
+        lockstep: &Lockstep,
         next_at: &[AtomicU64],
         outboxes: &[Vec<Mutex<Vec<Scheduled>>>],
         registry: &Registry,
@@ -558,15 +681,17 @@ impl Shard {
         lookahead_us: u64,
         deadline: Instant,
     ) {
+        let _stand_in = StandInOnUnwind(lockstep);
         let me = self.index as usize;
         let deadline_us = deadline.as_micros();
         loop {
             // Exchange: by this barrier every shard has flushed the
             // previous window's sends, so the mailbox matrix is stable.
-            barrier.wait();
+            if !lockstep.wait() {
+                return;
+            }
             for column in outboxes {
-                let mut inbox = column[me].lock().expect("mailbox poisoned");
-                for event in inbox.drain(..) {
+                for event in lock(&column[me]).drain(..) {
                     self.queue.push(event);
                 }
             }
@@ -575,275 +700,133 @@ impl Shard {
                 Ordering::SeqCst,
             );
             // Agree: all published; every shard computes the same minimum.
-            barrier.wait();
+            if !lockstep.wait() {
+                return;
+            }
             let t = next_at
                 .iter()
                 .map(|a| a.load(Ordering::SeqCst))
-                .min()
-                .expect("at least one shard");
+                .fold(IDLE, u64::min);
             if t == IDLE || t > deadline_us {
                 return;
             }
             // Advance: the window [T, T + W) is safe for every shard.
             self.process_window(t.saturating_add(lookahead_us), deadline, registry, links);
             for (target, event) in self.outgoing.drain(..) {
-                outboxes[me][target as usize]
-                    .lock()
-                    .expect("mailbox poisoned")
-                    .push(event);
+                lock(&outboxes[me][target as usize]).push(event);
             }
         }
     }
 }
 
-/// The sharded engine behind [`crate::sim::Simulator`]. See the module
-/// docs for the protocol and its guarantees.
-pub(crate) struct ShardedSim {
-    config: SimConfig,
-    clock: Instant,
-    started: bool,
-    /// Every bound node's shard and slot (see [`Registry`]).
-    registry: Registry,
-    /// Processes staged before the first run; node → shard binding
-    /// happens once, when the full population is known.
-    staged: BTreeMap<PartId, Box<dyn Process>>,
-    shards: Vec<Shard>,
-    links: LinkTable,
-    trace: TraceBuf,
+/// Locks a mailbox. No mailbox is held while a handler runs, and every
+/// update under one is a single push or drain, so no panic can leave one
+/// invalid; recovering a poisoned guard keeps locking infallible by
+/// construction.
+fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-impl ShardedSim {
-    pub(crate) fn new(config: SimConfig) -> Self {
-        let shard_count = config.shard_count();
-        let shards = (0..shard_count)
-            .map(|i| Shard::new(i, config.seed(), config.queue()))
-            .collect();
-        let links = LinkTable::new(config.default_link.clone());
-        ShardedSim {
-            config,
-            clock: Instant::ZERO,
-            started: false,
-            registry: FastMap::default(),
-            staged: BTreeMap::new(),
-            shards,
-            links,
-            trace: TraceBuf::new(),
+/// The lock-step barrier and the flag a panicking worker raises.
+struct Lockstep {
+    barrier: Barrier,
+    broken: AtomicBool,
+}
+
+impl Lockstep {
+    /// Waits for every worker; `false` once some worker has panicked.
+    fn wait(&self) -> bool {
+        self.barrier.wait();
+        !self.broken.load(Ordering::SeqCst)
+    }
+}
+
+/// Stands in for its worker at the barrier once if the worker unwinds out
+/// of a handler. Every panic falls between two waits, so this one wait
+/// releases every other worker at its next wait; they see the flag and
+/// return instead of waiting forever for the worker that is gone.
+struct StandInOnUnwind<'a>(&'a Lockstep);
+
+impl Drop for StandInOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.broken.store(true, Ordering::SeqCst);
+            self.0.barrier.wait();
         }
     }
+}
 
-    pub(crate) fn add_process(
-        &mut self,
-        id: PartId,
-        process: Box<dyn Process>,
-    ) -> Result<(), SimError> {
-        if self.staged.contains_key(&id) || self.registry.contains_key(&id) {
-            return Err(SimError::DuplicateNode(id));
-        }
-        if self.started {
-            // Late registration (after the first run): bind immediately,
-            // round-robin over the shards. Mirrors the single engine,
-            // where a late process gets no `on_start` either.
-            let shard = (self.registry.len() as u32) % self.shard_count();
-            self.bind(id, process, shard);
-        } else {
-            self.staged.insert(id, process);
-        }
-        Ok(())
-    }
+/// Runs one slice over two or more shards, one scoped thread each, until
+/// every shard is idle or the next event is past `deadline`. A handler
+/// panic on any worker ends the run and is re-raised here with the
+/// handler's own payload.
+pub(crate) fn run_lockstep(
+    shards: &mut [Shard],
+    registry: &Registry,
+    links: &LinkTable,
+    deadline: Instant,
+) {
+    let shard_count = shards.len();
+    let lockstep = Lockstep {
+        barrier: Barrier::new(shard_count),
+        broken: AtomicBool::new(false),
+    };
+    let next_at: Vec<AtomicU64> = (0..shard_count).map(|_| AtomicU64::new(IDLE)).collect();
+    let outboxes: Vec<Vec<Mutex<Vec<Scheduled>>>> = (0..shard_count)
+        .map(|_| (0..shard_count).map(|_| Mutex::new(Vec::new())).collect())
+        .collect();
+    let lookahead_us = links.min_latency().as_micros();
 
-    fn bind(&mut self, id: PartId, process: Box<dyn Process>, shard: u32) -> NodeLoc {
-        let slot = self.shards[shard as usize]
-            .nodes
-            .push(self.config.seed(), id, process);
-        let loc = NodeLoc { shard, slot };
-        self.registry.insert(id, loc);
-        loc
-    }
-
-    pub(crate) fn links_mut(&mut self) -> &mut LinkTable {
-        &mut self.links
-    }
-
-    pub(crate) fn now(&self) -> Instant {
-        self.clock
-    }
-
-    pub(crate) fn shard_count(&self) -> u32 {
-        self.shards.len() as u32
-    }
-
-    pub(crate) fn process_count(&self) -> usize {
-        self.staged.len() + self.registry.len()
-    }
-
-    pub(crate) fn events_processed(&self) -> u64 {
-        self.shards.iter().map(|s| s.events_processed).sum()
-    }
-
-    pub(crate) fn peak_queue_len(&self) -> usize {
-        self.shards.iter().map(|s| s.peak_queue_len).sum()
-    }
-
-    /// Binds staged processes to shards (sorted node order, round-robin)
-    /// and runs every `on_start` serially in global node order — the same
-    /// order the single engine uses, so startup actions interleave
-    /// identically. Nothing is bound before the first run, so the staged
-    /// nodes are the whole population.
-    fn start_if_needed(&mut self) {
-        if self.started {
-            return;
-        }
-        self.started = true;
-        let staged = std::mem::take(&mut self.staged);
-        let count = self.shard_count();
-        let order: Vec<(PartId, NodeLoc)> = staged
-            .into_iter()
-            .enumerate()
-            .map(|(i, (id, process))| (id, self.bind(id, process, (i as u32) % count)))
-            .collect();
-        for (id, loc) in order {
-            // Anchor start-phase trace records at (t=0, node, 0) so the
-            // merge reproduces the single engine's node-order startup.
-            let dispatch_key = provenance_key(Instant::ZERO, id, 0);
-            let (shard, registry, links) = {
-                // Split borrows: the dispatched shard is mutable, the
-                // registry and links are shared.
-                (
-                    &mut self.shards[loc.shard as usize],
-                    &self.registry,
-                    &self.links,
-                )
-            };
-            shard.dispatch(
-                loc.slot,
-                Instant::ZERO,
-                PHASE_START,
-                dispatch_key,
-                None,
-                registry,
-                links,
-                |p, ctx| p.on_start(ctx),
-            );
-            // Startup actions may target any shard; route them now, while
-            // everything is still single-threaded.
-            Self::drain_outgoing_serial(&mut self.shards, loc.shard as usize);
-        }
-    }
-
-    fn drain_outgoing_serial(shards: &mut [Shard], from: usize) {
-        if shards[from].outgoing.is_empty() {
-            return;
-        }
-        let outgoing = std::mem::take(&mut shards[from].outgoing);
-        for (target, event) in outgoing {
-            shards[target as usize].queue.push(event);
-        }
-    }
-
-    pub(crate) fn run_to_quiescence(
-        &mut self,
-        max_elapsed: Duration,
-    ) -> Result<SimReport, SimError> {
-        if self.staged.is_empty() && self.registry.is_empty() {
-            return Err(SimError::NoProcesses);
-        }
-        let lookahead = self.links.min_latency();
-        if lookahead == Duration::ZERO {
-            return Err(SimError::ZeroLookahead);
-        }
-        self.start_if_needed();
-        let deadline = self.clock + max_elapsed;
-        let shard_count = self.shards.len();
-
-        let barrier = Barrier::new(shard_count);
-        let next_at: Vec<AtomicU64> = (0..shard_count).map(|_| AtomicU64::new(IDLE)).collect();
-        let outboxes: Vec<Vec<Mutex<Vec<Scheduled>>>> = (0..shard_count)
-            .map(|_| (0..shard_count).map(|_| Mutex::new(Vec::new())).collect())
-            .collect();
-        let registry = &self.registry;
-        let links = &self.links;
-        let lookahead_us = lookahead.as_micros();
-
-        // One scoped thread per shard, re-spawned per run slice: fault
-        // injection between slices then needs no synchronization at all.
-        // Each worker records obs under its own recorder; the recorders
-        // are folded into the caller's in shard order afterwards, keeping
-        // obs output independent of thread scheduling.
-        let recorders: Vec<svckit_obs::Recorder> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter_mut()
-                .map(|shard| {
-                    let barrier = &barrier;
-                    let next_at = next_at.as_slice();
-                    let outboxes = outboxes.as_slice();
-                    scope.spawn(move || {
-                        let ((), recorder) =
-                            svckit_obs::with_recorder(svckit_obs::Recorder::new(), || {
-                                shard.worker(
-                                    barrier,
-                                    next_at,
-                                    outboxes,
-                                    registry,
-                                    links,
-                                    lookahead_us,
-                                    deadline,
-                                );
-                            });
-                        recorder
-                    })
+    // One scoped thread per shard, re-spawned per run slice: fault
+    // injection between slices then needs no synchronization at all.
+    // Each worker records obs under its own recorder; the recorders are
+    // folded into the caller's in shard order afterwards, keeping obs
+    // output independent of thread scheduling.
+    let joined: Vec<std::thread::Result<svckit_obs::Recorder>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = shards
+            .iter_mut()
+            .map(|shard| {
+                let lockstep = &lockstep;
+                let next_at = next_at.as_slice();
+                let outboxes = outboxes.as_slice();
+                scope.spawn(move || {
+                    let ((), recorder) =
+                        svckit_obs::with_recorder(svckit_obs::Recorder::new(), || {
+                            shard.worker(
+                                lockstep,
+                                next_at,
+                                outboxes,
+                                registry,
+                                links,
+                                lookahead_us,
+                                deadline,
+                            );
+                        });
+                    recorder
                 })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
-                .collect()
-        });
-        for recorder in &recorders {
-            svckit_obs::absorb_into_current(recorder);
-        }
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join()).collect()
+    });
+    // Every worker has returned by now: the one that panicked stood in at
+    // the barrier on its way out. Re-raise the first panic in shard order.
+    let recorders = match joined.into_iter().collect::<Result<Vec<_>, _>>() {
+        Ok(recorders) => recorders,
+        Err(payload) => std::panic::resume_unwind(payload),
+    };
+    for recorder in &recorders {
+        svckit_obs::absorb_into_current(recorder);
+    }
+}
 
-        // Deterministic trace merge: spooled records sort by
-        // (time, phase, dispatching key, record index) — the exact order
-        // the single engine would have appended them in.
-        let mut spooled: Vec<SpooledRecord> = Vec::new();
-        for shard in &mut self.shards {
-            spooled.append(&mut shard.trace.records);
-        }
-        spooled.sort_by(|a, b| {
-            (a.time_us, a.phase, a.dispatch_key, a.idx).cmp(&(
-                b.time_us,
-                b.phase,
-                b.dispatch_key,
-                b.idx,
-            ))
-        });
-        for record in spooled {
-            self.trace.push(record.event);
-        }
-
-        let quiescent = self.shards.iter_mut().all(|s| s.queue.is_empty());
-        if quiescent {
-            let last = self
-                .shards
-                .iter()
-                .map(|s| s.clock)
-                .max()
-                .unwrap_or(self.clock);
-            self.clock = self.clock.max(last);
-        } else {
-            self.clock = deadline;
-        }
-        let mut metrics = NetMetrics::new();
-        for shard in &self.shards {
-            metrics.absorb(&shard.metrics);
-            shard.nodes.collect_senders(metrics.per_sender_mut());
-        }
-        Ok(SimReport::assemble(
-            self.clock,
-            quiescent,
-            metrics,
-            self.trace.snapshot(),
-        ))
+/// Files the start phase's cross-shard sends of shard `from` straight into
+/// their target queues; the start phase runs on one thread.
+pub(crate) fn drain_outgoing_serial(shards: &mut [Shard], from: usize) {
+    if shards[from].outgoing.is_empty() {
+        return;
+    }
+    let outgoing = std::mem::take(&mut shards[from].outgoing);
+    for (target, event) in outgoing {
+        shards[target as usize].queue.push(event);
     }
 }

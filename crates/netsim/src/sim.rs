@@ -1,10 +1,10 @@
 //! The discrete-event simulator core.
 
 use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
 use std::collections::BinaryHeap;
 use std::error::Error;
 use std::fmt;
-use std::str::FromStr;
 use std::sync::Arc;
 
 use svckit_model::hash::FastMap;
@@ -13,8 +13,9 @@ use svckit_obs::TraceCtx;
 
 use crate::link::LinkConfig;
 use crate::metrics::NetMetrics;
-use crate::node::{NodeTable, NodeTracer};
+use crate::node::NodeTracer;
 use crate::rng::DeterministicRng;
+use crate::shard::{self, NodeLoc, Registry, Shard, TraceSpool, PHASE_START};
 use crate::wheel::TimerWheel;
 
 /// A message payload as it travels through the simulator.
@@ -87,24 +88,6 @@ pub(crate) enum Action {
     },
 }
 
-/// Where a handler's recorded primitives go: straight into the merged
-/// trace (single engine) or into the shard's local spool, merged
-/// deterministically after the run (sharded engine).
-#[derive(Debug)]
-pub(crate) enum TraceDest<'a> {
-    Single(&'a mut TraceBuf),
-    Shard(&'a mut crate::shard::ShardTrace),
-}
-
-impl TraceDest<'_> {
-    fn push(&mut self, event: PrimitiveEvent) {
-        match self {
-            TraceDest::Single(buf) => buf.push(event),
-            TraceDest::Shard(spool) => spool.push(event),
-        }
-    }
-}
-
 /// The capabilities handed to a [`Process`] handler.
 #[derive(Debug)]
 pub struct Context<'a> {
@@ -112,7 +95,7 @@ pub struct Context<'a> {
     pub(crate) id: PartId,
     pub(crate) actions: &'a mut Vec<Action>,
     pub(crate) rng: &'a mut DeterministicRng,
-    pub(crate) trace: TraceDest<'a>,
+    pub(crate) trace: &'a mut TraceSpool,
     /// The causal context of the event being dispatched (side-band from
     /// the delivering message or firing timer); inherited by every send
     /// and timer this handler issues.
@@ -330,27 +313,6 @@ pub enum QueueBackend {
     Heap,
 }
 
-impl fmt::Display for QueueBackend {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            QueueBackend::Wheel => write!(f, "wheel"),
-            QueueBackend::Heap => write!(f, "heap"),
-        }
-    }
-}
-
-impl FromStr for QueueBackend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "wheel" => Ok(QueueBackend::Wheel),
-            "heap" => Ok(QueueBackend::Heap),
-            other => Err(format!("unknown queue backend {other:?} (wheel|heap)")),
-        }
-    }
-}
-
 /// Configuration of a [`Simulator`].
 #[derive(Debug, Clone)]
 pub struct SimConfig {
@@ -389,9 +351,10 @@ impl SimConfig {
     }
 
     /// Partitions the nodes over `shards` conservative-lookahead shards
-    /// (builder-style). `0` and `1` both select the single-threaded
-    /// engine; see [`crate::shard`] for the parallel one and for the
-    /// determinism guarantees across shard counts.
+    /// (builder-style). `0` and `1` both select one shard, which runs on
+    /// the caller's thread; see the `shard` module docs for the lock-step
+    /// protocol of two or more and for the determinism guarantees across
+    /// shard counts.
     #[must_use]
     pub fn shards(mut self, shards: u32) -> Self {
         self.shards = shards;
@@ -401,11 +364,6 @@ impl SimConfig {
     /// The PRNG seed.
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// The selected event-queue backend.
-    pub fn queue(&self) -> QueueBackend {
-        self.queue
     }
 
     /// The configured shard count (at least 1).
@@ -422,9 +380,10 @@ pub enum SimError {
     DuplicateNode(PartId),
     /// A run was requested with no registered processes.
     NoProcesses,
-    /// The sharded engine needs a positive minimum link latency to bound
-    /// its lookahead window; a zero-latency link would force zero-width
-    /// windows and the shards could never advance.
+    /// A run over two or more shards needs a positive minimum link
+    /// latency to bound its lookahead window; a zero-latency link would
+    /// force zero-width windows and the shards could never advance. One
+    /// shard has no window and accepts zero-latency links.
     ZeroLookahead,
 }
 
@@ -486,25 +445,11 @@ impl SimReport {
     pub fn into_trace(self) -> Trace {
         Arc::unwrap_or_clone(self.trace)
     }
-
-    pub(crate) fn assemble(
-        end_time: Instant,
-        quiescent: bool,
-        metrics: NetMetrics,
-        trace: Arc<Trace>,
-    ) -> Self {
-        SimReport {
-            end_time,
-            quiescent,
-            metrics,
-            trace,
-        }
-    }
 }
 
-/// A pending event. `slot` is the target node's slot in the
-/// [`NodeTable`] of the queue's owner (the single engine, or the shard
-/// the node lives on), resolved when the event was scheduled.
+/// A pending event. `slot` is the target node's slot in the node table
+/// of the shard that owns the queue (the shard the node lives on),
+/// resolved when the event was scheduled.
 #[derive(Debug)]
 pub(crate) enum EventKind {
     Deliver {
@@ -661,8 +606,8 @@ impl EventQueue {
 
 /// The per-pair link configuration of a simulated network: explicit
 /// directed links over a default, plus the saved pre-partition state
-/// that [`LinkTable::heal`] restores. Shared verbatim by the single and
-/// the sharded engine so fault semantics cannot drift between them.
+/// that [`LinkTable::heal`] restores. One table, shared read-only by
+/// every shard during a run.
 #[derive(Debug)]
 pub(crate) struct LinkTable {
     pub(crate) default: LinkConfig,
@@ -729,8 +674,9 @@ impl LinkTable {
 
     /// The smallest latency any message can currently experience: the
     /// minimum over the default link and every explicit link. This bounds
-    /// the conservative lookahead window of the sharded engine — any
-    /// cross-shard send departs at least this far before it can arrive.
+    /// the conservative lookahead window of a run over two or more shards
+    /// — any cross-shard send departs at least this far before it can
+    /// arrive.
     pub(crate) fn min_latency(&self) -> Duration {
         self.links
             .values()
@@ -739,445 +685,50 @@ impl LinkTable {
     }
 }
 
-/// The single-threaded simulation engine: one clock, one event queue,
-/// every node. This is the exact historical code path — [`Simulator`]
-/// routes to it whenever `shards <= 1` — and the reference the sharded
-/// engine is proven against.
-pub(crate) struct SingleSim {
-    config: SimConfig,
-    clock: Instant,
-    started: bool,
-    /// Every node's state, one slot per node.
-    nodes: NodeTable,
-    /// Node id → slot: the one lookup a send pays, when it resolves its
-    /// destination. Never iterated, so the `FastMap` hasher affects
-    /// lookup cost only, never observable order.
-    slot_of: FastMap<PartId, u32>,
-    links: LinkTable,
-    // The per-pair maps below use the same deterministic hasher and are
-    // likewise never iterated.
-    last_arrival: FastMap<(PartId, PartId), Instant>,
-    /// For bandwidth-limited links: when the sender-side of each directed
-    /// pair becomes free again.
-    link_busy_until: FastMap<(PartId, PartId), Instant>,
-    queue: EventQueue,
-    rng: DeterministicRng,
-    metrics: NetMetrics,
-    trace: TraceBuf,
-    /// Reused across dispatches so the hot path does not allocate a fresh
-    /// action vector per event.
-    action_buf: Vec<Action>,
-    /// Reused batch buffer for [`EventQueue::pop_run`].
-    run_buf: Vec<Scheduled>,
-    events_processed: u64,
-    peak_queue_len: usize,
-}
-
-impl SingleSim {
-    pub(crate) fn new(config: SimConfig) -> Self {
-        let rng = DeterministicRng::new(config.seed());
-        let queue = EventQueue::new(config.queue());
-        let links = LinkTable::new(config.default_link.clone());
-        SingleSim {
-            config,
-            clock: Instant::ZERO,
-            started: false,
-            nodes: NodeTable::default(),
-            slot_of: FastMap::default(),
-            links,
-            last_arrival: FastMap::default(),
-            link_busy_until: FastMap::default(),
-            queue,
-            rng,
-            metrics: NetMetrics::new(),
-            trace: TraceBuf::new(),
-            action_buf: Vec::new(),
-            run_buf: Vec::new(),
-            events_processed: 0,
-            peak_queue_len: 0,
-        }
-    }
-
-    pub(crate) fn add_process(
-        &mut self,
-        id: PartId,
-        process: Box<dyn Process>,
-    ) -> Result<(), SimError> {
-        if self.slot_of.contains_key(&id) {
-            return Err(SimError::DuplicateNode(id));
-        }
-        let slot = self.nodes.push(self.config.seed(), id, process);
-        self.slot_of.insert(id, slot);
-        Ok(())
-    }
-
-    pub(crate) fn now(&self) -> Instant {
-        self.clock
-    }
-
-    fn apply_actions(&mut self, slot: u32, actions: &mut Vec<Action>) {
-        let node = self.nodes.slot(slot).id;
-        for action in actions.drain(..) {
-            match action {
-                Action::Send {
-                    to,
-                    payload,
-                    ctx,
-                    retransmit,
-                } => {
-                    self.metrics.record_send(payload.len());
-                    self.nodes.slot_mut(slot).sent += 1;
-                    svckit_obs::obs_count!("net.sends");
-                    let Some(&to_slot) = self.slot_of.get(&to) else {
-                        self.metrics.record_undeliverable();
-                        svckit_obs::obs_count!("net.undeliverable");
-                        continue;
-                    };
-                    // Copy the link's scalar parameters out instead of
-                    // cloning the whole `LinkConfig` per send.
-                    let link = self.links.link_for(node, to);
-                    let loss = link.loss();
-                    let duplicate_p = link.duplicate();
-                    let latency = link.latency();
-                    let jitter_bound = link.jitter().as_micros() + 1;
-                    let ordered = link.is_ordered();
-                    let transmission = link.transmission_time(payload.len());
-                    if self.rng.coin(loss) {
-                        self.metrics.record_drop();
-                        svckit_obs::obs_count!("net.drops");
-                        match ctx {
-                            // Parent at the trace root, not the carried
-                            // span: a retransmitted frame keeps its
-                            // originating send's context, whose delivery
-                            // span closed long before the resend.
-                            Some(t) => svckit_obs::obs_event!(
-                                "net.drop",
-                                "net",
-                                to.raw(),
-                                self.clock.as_micros(),
-                                t.trace_id,
-                                0u64,
-                                t.parent_id
-                            ),
-                            None => svckit_obs::obs_event!(
-                                "net.drop",
-                                "net",
-                                to.raw(),
-                                self.clock.as_micros()
-                            ),
-                        }
-                        continue;
-                    }
-                    let duplicate = self.rng.coin(duplicate_p);
-                    if duplicate {
-                        self.metrics.record_duplicate();
-                        svckit_obs::obs_count!("net.duplicates");
-                    }
-                    // Serialization: a bandwidth-limited link is occupied
-                    // for the message's transmission time; back-to-back
-                    // sends queue behind it.
-                    let mut depart = self.clock;
-                    if transmission > Duration::ZERO {
-                        let busy = self
-                            .link_busy_until
-                            .entry((node, to))
-                            .or_insert(Instant::ZERO);
-                        if depart < *busy {
-                            depart = *busy;
-                        }
-                        depart += transmission;
-                        *busy = depart;
-                    }
-                    // Time spent queued behind the link (serialization /
-                    // bandwidth backlog) is its own attributable segment.
-                    if let Some(t) = ctx {
-                        if depart > self.clock {
-                            let qid = self.nodes.slot_mut(slot).mint();
-                            svckit_obs::obs_span!(
-                                svckit_obs::trace::SPAN_QUEUE_WAIT,
-                                "net",
-                                node.raw(),
-                                0u64,
-                                self.clock.as_micros(),
-                                depart.as_micros(),
-                                t.trace_id,
-                                qid,
-                                t.parent_id
-                            );
-                        }
-                    }
-                    let payload_len = payload.len();
-                    // A duplicated send delivers a clone first and the
-                    // original last: un-duplicated sends (the
-                    // overwhelmingly common case) never touch the
-                    // payload's reference count at all.
-                    let extra = duplicate.then(|| Payload::clone(&payload));
-                    for payload in extra.into_iter().chain(Some(payload)) {
-                        let jitter = Duration::from_micros(self.rng.next_below(jitter_bound));
-                        let mut at = depart + latency + jitter;
-                        if ordered {
-                            let last = self.last_arrival.entry((node, to)).or_insert(Instant::ZERO);
-                            if at < *last {
-                                at = *last;
-                            }
-                            *last = at;
-                        }
-                        // Transit = serialization queueing + transmission +
-                        // propagation + jitter, all in virtual time.
-                        svckit_obs::obs_link!(
-                            node.raw(),
-                            to.raw(),
-                            payload_len,
-                            at.saturating_since(self.clock).as_micros()
-                        );
-                        let sender = self.nodes.slot_mut(slot);
-                        let deliver_ctx = match ctx {
-                            Some(t) => {
-                                // Each copy gets its own transit span, so
-                                // duplicated deliveries stay distinguishable
-                                // in the flame graph.
-                                let sid = sender.mint();
-                                let span_name = if retransmit {
-                                    svckit_obs::trace::SPAN_RETRANSMIT
-                                } else {
-                                    svckit_obs::trace::SPAN_TRANSIT
-                                };
-                                svckit_obs::obs_span!(
-                                    span_name,
-                                    "net",
-                                    to.raw(),
-                                    node.raw(),
-                                    depart.as_micros(),
-                                    at.as_micros(),
-                                    t.trace_id,
-                                    sid,
-                                    t.parent_id
-                                );
-                                Some(t.hop(sid))
-                            }
-                            None => {
-                                svckit_obs::obs_span!(
-                                    "net.transit",
-                                    "net",
-                                    to.raw(),
-                                    self.clock.as_micros(),
-                                    at.as_micros()
-                                );
-                                None
-                            }
-                        };
-                        let key = sender.next_key(self.clock);
-                        self.queue.push(Scheduled {
-                            at,
-                            key,
-                            kind: EventKind::Deliver {
-                                slot: to_slot,
-                                from: node,
-                                payload,
-                                ctx: deliver_ctx,
-                            },
-                        });
-                    }
-                }
-                Action::SetTimer { delay, id, ctx } => {
-                    let owner = self.nodes.slot_mut(slot);
-                    let generation = owner.bump_timer(id);
-                    let key = owner.next_key(self.clock);
-                    self.queue.push(Scheduled {
-                        at: self.clock + delay,
-                        key,
-                        kind: EventKind::Timer {
-                            slot,
-                            id,
-                            generation,
-                            ctx,
-                        },
-                    });
-                }
-                Action::CancelTimer { id } => {
-                    // Bumping the generation invalidates any pending firing.
-                    self.nodes.slot_mut(slot).bump_timer(id);
-                }
-            }
-        }
-    }
-
-    fn dispatch<F>(&mut self, slot: u32, trace_ctx: Option<TraceCtx>, call: F)
-    where
-        F: FnOnce(&mut dyn Process, &mut Context<'_>),
-    {
-        let mut actions = std::mem::take(&mut self.action_buf);
-        let node = self.nodes.slot_mut(slot);
-        let mut ctx = Context {
-            now: self.clock,
-            id: node.id,
-            actions: &mut actions,
-            rng: &mut node.rng,
-            trace: TraceDest::Single(&mut self.trace),
-            cur_trace: trace_ctx,
-            tracer: &mut node.tracer,
-        };
-        call(node.process.as_mut(), &mut ctx);
-        self.apply_actions(slot, &mut actions);
-        // Hand the (now empty) buffer back for the next dispatch, keeping
-        // its capacity.
-        self.action_buf = actions;
-    }
-
-    /// Runs every registered node's `on_start` once, in ascending node-id
-    /// order. A node added after this point gets no `on_start`.
-    fn start_if_needed(&mut self) {
-        if self.started {
-            return;
-        }
-        self.started = true;
-        for slot in self.nodes.start_order() {
-            self.dispatch(slot, None, |p, ctx| p.on_start(ctx));
-        }
-    }
-
-    /// Dispatches one popped event. The queue-depth sample is taken by the
-    /// caller once per batch; everything else here is per event.
-    fn dispatch_event(&mut self, event: Scheduled) {
-        debug_assert!(event.at >= self.clock, "time went backwards");
-        self.clock = event.at;
-        self.events_processed += 1;
-        svckit_obs::obs_count!("net.events");
-        match event.kind {
-            EventKind::Deliver {
-                slot,
-                from,
-                payload,
-                ctx,
-            } => {
-                self.metrics.record_delivery(payload.len());
-                svckit_obs::obs_count!("net.deliveries");
-                svckit_obs::obs_count!("net.delivered_bytes", payload.len());
-                self.dispatch(slot, ctx, |p, ctx| p.on_message(ctx, from, payload));
-            }
-            EventKind::Timer {
-                slot,
-                id,
-                generation,
-                ctx,
-            } => {
-                if self.nodes.slot(slot).timer_live(id, generation) {
-                    svckit_obs::obs_count!("net.timer_fires");
-                    self.dispatch(slot, ctx, |p, ctx| p.on_timer(ctx, id));
-                } else {
-                    svckit_obs::obs_count!("net.timer_stale");
-                }
-            }
-        }
-    }
-
-    pub(crate) fn run_to_quiescence(
-        &mut self,
-        max_elapsed: Duration,
-    ) -> Result<SimReport, SimError> {
-        if self.nodes.is_empty() {
-            return Err(SimError::NoProcesses);
-        }
-        let deadline = self.clock + max_elapsed;
-        self.start_if_needed();
-        let mut quiescent = true;
-        let mut run = std::mem::take(&mut self.run_buf);
-        loop {
-            // Batch dispatch: pull the whole same-instant, same-target run
-            // in one queue operation and pay the bookkeeping (depth
-            // sample, watermark) once. The events still dispatch one by
-            // one, in exactly the order repeated pops would yield, because
-            // an event's actions may cancel or re-arm timers later in the
-            // same batch.
-            self.queue.pop_run(&mut run);
-            if run.is_empty() {
-                break;
-            }
-            self.peak_queue_len = self.peak_queue_len.max(self.queue.len() + run.len());
-            if run[0].at > deadline {
-                // The whole run shares one firing instant, so it goes back
-                // wholesale.
-                for event in run.drain(..) {
-                    self.queue.push(event);
-                }
-                quiescent = false;
-                break;
-            }
-            svckit_obs::obs_record!("net.queue_depth", self.queue.len());
-            for event in run.drain(..) {
-                self.dispatch_event(event);
-            }
-        }
-        run.clear();
-        self.run_buf = run;
-        if quiescent {
-            // No pending events: clock stays at the last event time.
-        } else {
-            self.clock = deadline;
-        }
-        let mut metrics = self.metrics.clone();
-        self.nodes.collect_senders(metrics.per_sender_mut());
-        Ok(SimReport {
-            end_time: self.clock,
-            quiescent,
-            metrics,
-            trace: self.trace.snapshot(),
-        })
-    }
-
-    pub(crate) fn events_processed(&self) -> u64 {
-        self.events_processed
-    }
-
-    pub(crate) fn peak_queue_len(&self) -> usize {
-        self.peak_queue_len
-    }
-}
-
 /// A deterministic discrete-event network simulator.
 ///
-/// Routes to one of two engines chosen by [`SimConfig::shards`]: the
-/// single-threaded engine (`shards <= 1`, the exact historical code
-/// path), or the conservative-lookahead sharded engine (`shards >= 2`,
-/// one scoped thread per shard — see [`crate::shard`] for the
-/// synchronization protocol and the determinism guarantees).
+/// The nodes are dealt over [`SimConfig::shards`] shards, one by default.
+/// One shard runs on the caller's thread; two or more run in lock-step
+/// windows, one scoped thread each. See the `shard` module docs for the
+/// protocol and the determinism guarantees.
 ///
 /// See the [crate-level documentation](crate) for an end-to-end example.
 pub struct Simulator {
-    inner: EngineImpl,
-}
-
-enum EngineImpl {
-    Single(Box<SingleSim>),
-    Sharded(Box<crate::shard::ShardedSim>),
+    seed: u64,
+    clock: Instant,
+    started: bool,
+    /// Every node's shard and slot (see [`Registry`]).
+    registry: Registry,
+    shards: Vec<Shard>,
+    links: LinkTable,
+    trace: TraceBuf,
 }
 
 impl fmt::Debug for Simulator {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut s = f.debug_struct("Simulator");
-        match &self.inner {
-            EngineImpl::Single(sim) => s
-                .field("clock", &sim.clock)
-                .field("processes", &sim.nodes.len())
-                .field("queued_events", &sim.queue.len()),
-            EngineImpl::Sharded(sim) => s
-                .field("clock", &sim.now())
-                .field("processes", &sim.process_count())
-                .field("shards", &sim.shard_count()),
-        }
-        .finish_non_exhaustive()
+        f.debug_struct("Simulator")
+            .field("clock", &self.clock)
+            .field("processes", &self.registry.len())
+            .field("shards", &self.shards.len())
+            .finish_non_exhaustive()
     }
 }
 
 impl Simulator {
     /// Creates a simulator from a configuration.
     pub fn new(config: SimConfig) -> Self {
-        let inner = if config.shard_count() <= 1 {
-            EngineImpl::Single(Box::new(SingleSim::new(config)))
-        } else {
-            EngineImpl::Sharded(Box::new(crate::shard::ShardedSim::new(config)))
-        };
-        Simulator { inner }
+        let shard_count = config.shard_count();
+        Simulator {
+            seed: config.seed,
+            clock: Instant::ZERO,
+            started: false,
+            registry: Registry::default(),
+            shards: (0..shard_count)
+                .map(|i| Shard::new(i, config.seed, config.queue, shard_count))
+                .collect(),
+            links: LinkTable::new(config.default_link),
+            trace: TraceBuf::new(),
+        }
     }
 
     /// Registers a process at node `id`.
@@ -1186,26 +737,29 @@ impl Simulator {
     ///
     /// Returns [`SimError::DuplicateNode`] when `id` is already taken.
     pub fn add_process(&mut self, id: PartId, process: Box<dyn Process>) -> Result<(), SimError> {
-        match &mut self.inner {
-            EngineImpl::Single(sim) => sim.add_process(id, process),
-            EngineImpl::Sharded(sim) => sim.add_process(id, process),
+        // Round-robin in registration order. The first run re-deals the
+        // nodes in id order if they were registered out of order.
+        let shard = (self.registry.len() % self.shards.len()) as u32;
+        match self.registry.entry(id) {
+            Entry::Occupied(_) => Err(SimError::DuplicateNode(id)),
+            Entry::Vacant(entry) => {
+                let slot = self.shards[shard as usize]
+                    .nodes
+                    .push(self.seed, id, process);
+                entry.insert(NodeLoc { shard, slot });
+                Ok(())
+            }
         }
     }
 
     /// Configures the directed link `from → to`.
     pub fn set_link(&mut self, from: PartId, to: PartId, link: LinkConfig) {
-        match &mut self.inner {
-            EngineImpl::Single(sim) => sim.links.set(from, to, link),
-            EngineImpl::Sharded(sim) => sim.links_mut().set(from, to, link),
-        }
+        self.links.set(from, to, link);
     }
 
     /// Configures both directions between `a` and `b`.
     pub fn set_link_symmetric(&mut self, a: PartId, b: PartId, link: LinkConfig) {
-        match &mut self.inner {
-            EngineImpl::Single(sim) => sim.links.set_symmetric(a, b, link),
-            EngineImpl::Sharded(sim) => sim.links_mut().set_symmetric(a, b, link),
-        }
+        self.links.set_symmetric(a, b, link);
     }
 
     /// Partitions `a` from `b`: every message between them (both
@@ -1215,26 +769,77 @@ impl Simulator {
     /// Partitioning an already-partitioned pair is a no-op, so the saved
     /// pre-partition configuration survives repeated calls.
     pub fn partition(&mut self, a: PartId, b: PartId) {
-        match &mut self.inner {
-            EngineImpl::Single(sim) => sim.links.partition(a, b),
-            EngineImpl::Sharded(sim) => sim.links_mut().partition(a, b),
-        }
+        self.links.partition(a, b);
     }
 
     /// Heals a partition created by [`Simulator::partition`], restoring the
     /// previous link configuration (explicit or default).
     pub fn heal(&mut self, a: PartId, b: PartId) {
-        match &mut self.inner {
-            EngineImpl::Single(sim) => sim.links.heal(a, b),
-            EngineImpl::Sharded(sim) => sim.links_mut().heal(a, b),
-        }
+        self.links.heal(a, b);
     }
 
     /// The current simulated time.
     pub fn now(&self) -> Instant {
-        match &self.inner {
-            EngineImpl::Single(sim) => sim.now(),
-            EngineImpl::Sharded(sim) => sim.now(),
+        self.clock
+    }
+
+    /// The id of node `i` in dealing order: `add_process` binds the `i`-th
+    /// registered node to slot `i / S` of shard `i % S`.
+    fn dealt_id(&self, i: usize) -> PartId {
+        let count = self.shards.len();
+        self.shards[i % count].nodes.slot((i / count) as u32).id
+    }
+
+    /// Runs every registered node's `on_start` once, serially, in
+    /// ascending node-id order, with node `i` of that order on shard
+    /// `i % S`. A node added after this point gets no `on_start`.
+    fn start_if_needed(&mut self) {
+        if self.started {
+            return;
+        }
+        self.started = true;
+        let nodes = self.registry.len();
+        if (1..nodes).any(|i| self.dealt_id(i - 1) > self.dealt_id(i)) {
+            self.redeal();
+        }
+        let count = self.shards.len();
+        for i in 0..nodes {
+            let (shard, slot) = (i % count, (i / count) as u32);
+            let id = self.shards[shard].nodes.slot(slot).id;
+            // Anchor start-phase trace records at (t=0, node, 0), so the
+            // merge keeps them in node order ahead of every event.
+            self.shards[shard].dispatch(
+                slot,
+                Instant::ZERO,
+                PHASE_START,
+                provenance_key(Instant::ZERO, id, 0),
+                None,
+                &self.registry,
+                &self.links,
+                |p, ctx| p.on_start(ctx),
+            );
+            // Startup actions may target any shard; route them now, while
+            // everything is still single-threaded.
+            shard::drain_outgoing_serial(&mut self.shards, shard);
+        }
+    }
+
+    /// Re-binds the nodes as registration in ascending id order would
+    /// have, and updates the registry. Only reached when nodes were
+    /// registered out of id order.
+    fn redeal(&mut self) {
+        let mut nodes: Vec<_> = self
+            .shards
+            .iter_mut()
+            .flat_map(|s| s.nodes.take())
+            .collect();
+        nodes.sort_unstable_by_key(|node| node.id);
+        let count = self.shards.len();
+        for (i, node) in nodes.into_iter().enumerate() {
+            let id = node.id;
+            let shard = (i % count) as u32;
+            let slot = self.shards[shard as usize].nodes.push_slot(node);
+            self.registry.insert(id, NodeLoc { shard, slot });
         }
     }
 
@@ -1249,31 +854,61 @@ impl Simulator {
     /// # Errors
     ///
     /// Returns [`SimError::NoProcesses`] when no process is registered, and
-    /// [`SimError::ZeroLookahead`] when the sharded engine is selected but
+    /// [`SimError::ZeroLookahead`] when the run has two or more shards but
     /// some link latency is zero.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the panic of any handler, with the handler's own payload,
+    /// whichever shard ran it.
     pub fn run_to_quiescence(&mut self, max_elapsed: Duration) -> Result<SimReport, SimError> {
-        match &mut self.inner {
-            EngineImpl::Single(sim) => sim.run_to_quiescence(max_elapsed),
-            EngineImpl::Sharded(sim) => sim.run_to_quiescence(max_elapsed),
+        if self.registry.is_empty() {
+            return Err(SimError::NoProcesses);
         }
+        if self.shards.len() > 1 && self.links.min_latency() == Duration::ZERO {
+            return Err(SimError::ZeroLookahead);
+        }
+        self.start_if_needed();
+        let deadline = self.clock + max_elapsed;
+        match self.shards.as_mut_slice() {
+            [shard] => shard.run_serial(deadline, &self.registry, &self.links),
+            shards => shard::run_lockstep(shards, &self.registry, &self.links, deadline),
+        }
+        shard::merge_spools(&mut self.shards, &mut self.trace);
+
+        let quiescent = self.shards.iter().all(|s| s.queue.is_empty());
+        self.clock = if quiescent {
+            // The clock stays at the last event time.
+            self.shards
+                .iter()
+                .map(|s| s.clock)
+                .fold(self.clock, Instant::max)
+        } else {
+            deadline
+        };
+        let mut metrics = NetMetrics::new();
+        for shard in &self.shards {
+            metrics.absorb(&shard.metrics);
+            shard.nodes.collect_senders(metrics.per_sender_mut());
+        }
+        Ok(SimReport {
+            end_time: self.clock,
+            quiescent,
+            metrics,
+            trace: self.trace.snapshot(),
+        })
     }
 
     /// Total number of events dispatched so far, across all runs (and all
     /// shards). Engine bookkeeping, deliberately not part of [`SimReport`].
     pub fn events_processed(&self) -> u64 {
-        match &self.inner {
-            EngineImpl::Single(sim) => sim.events_processed(),
-            EngineImpl::Sharded(sim) => sim.events_processed(),
-        }
+        self.shards.iter().map(|s| s.events_processed).sum()
     }
 
     /// High-water mark of pending events (live timers plus in-flight
-    /// messages; summed over shards for the sharded engine).
+    /// messages), summed over the per-shard high-water marks.
     pub fn peak_queue_len(&self) -> usize {
-        match &self.inner {
-            EngineImpl::Single(sim) => sim.peak_queue_len(),
-            EngineImpl::Sharded(sim) => sim.peak_queue_len(),
-        }
+        self.shards.iter().map(|s| s.peak_queue_len).sum()
     }
 }
 
@@ -1465,12 +1100,9 @@ mod tests {
         sim
     }
 
-    /// The simulator's own trace buffer (single-threaded engine).
+    /// The simulator's own trace buffer.
     fn trace_buf(sim: &Simulator) -> &Arc<Trace> {
-        match &sim.inner {
-            EngineImpl::Single(single) => &single.trace.trace,
-            EngineImpl::Sharded(_) => unreachable!("test simulators are single-threaded"),
-        }
+        &sim.trace.trace
     }
 
     #[test]

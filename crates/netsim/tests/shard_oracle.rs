@@ -1,7 +1,6 @@
-//! Property-test oracle: on deterministic links the sharded
-//! conservative-lookahead engine must be observationally
-//! indistinguishable from the single-threaded reference engine, for
-//! every shard count.
+//! Property-test oracle: on deterministic links the lock-step run over
+//! two or more shards must be observationally indistinguishable from the
+//! one-shard serial run, for every shard count.
 //!
 //! Each case builds the *same* scripted multi-node workload at
 //! `shards ∈ {1, 2, 4}` and asserts that every observable is
@@ -238,8 +237,9 @@ fn assert_shard_counts_agree(case: &Case) {
 
 /// Asserts shard counts 2, 3 and 4 produce byte-identical observables
 /// *among themselves* — the invariance that holds on every link,
-/// jittered or not, because all link randomness is per-pair. The
-/// single-threaded engine is deliberately not in this comparison.
+/// jittered or not, because all link randomness is per-pair. One shard,
+/// which draws from a single global stream, is deliberately not in this
+/// comparison.
 fn assert_sharded_counts_invariant(case: &Case) {
     let (base_logs, base_reports) = run_case(case, 2);
     for shards in [3u32, 4] {
@@ -474,9 +474,9 @@ fn jittered_links_are_shard_count_invariant() {
     assert_sharded_counts_invariant(&case);
 }
 
-/// A zero-latency link makes the lookahead window empty: the sharded
-/// engine must refuse to run rather than guess, and the single engine
-/// must keep accepting it (the historical behaviour).
+/// A zero-latency link makes the lookahead window empty: two or more
+/// shards must refuse to run rather than guess, and one shard, which has
+/// no window, must keep accepting it (the historical behaviour).
 #[test]
 fn zero_lookahead_is_rejected_only_when_sharded() {
     let build = |shards: u32| {

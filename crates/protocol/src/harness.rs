@@ -7,7 +7,7 @@ use std::sync::{Arc, Mutex};
 
 use svckit_codec::PduRegistry;
 use svckit_model::{Duration, PartId, Sap};
-use svckit_netsim::{LinkConfig, QueueBackend, SimConfig, SimError, SimReport, Simulator};
+use svckit_netsim::{LinkConfig, SimConfig, SimError, SimReport, Simulator};
 
 use crate::counters::ProtoCounters;
 use crate::entity::{ProtocolEntity, ProtocolNode, UserPart};
@@ -51,7 +51,6 @@ type PendingNode = (PartId, Sap, Box<dyn UserPart>, Box<dyn ProtocolEntity>);
 pub struct StackBuilder {
     seed: u64,
     link: LinkConfig,
-    queue: QueueBackend,
     shards: u32,
     registry: Arc<PduRegistry>,
     reliability: Option<ReliabilityConfig>,
@@ -73,7 +72,6 @@ impl StackBuilder {
         StackBuilder {
             seed: 0,
             link: LinkConfig::default(),
-            queue: QueueBackend::default(),
             shards: 1,
             registry: Arc::new(registry),
             reliability: None,
@@ -92,13 +90,6 @@ impl StackBuilder {
     #[must_use]
     pub fn link(mut self, link: LinkConfig) -> Self {
         self.link = link;
-        self
-    }
-
-    /// Selects the simulator event-queue backend (builder-style).
-    #[must_use]
-    pub fn queue_backend(mut self, backend: QueueBackend) -> Self {
-        self.queue = backend;
         self
     }
 
@@ -141,7 +132,6 @@ impl StackBuilder {
         let mut sim = Simulator::new(
             SimConfig::new(self.seed)
                 .default_link(self.link)
-                .queue_backend(self.queue)
                 .shards(self.shards),
         );
         let mut counters = BTreeMap::new();

@@ -86,20 +86,11 @@ pub fn default_threads() -> usize {
 fn run_cell(spec: &SweepSpec, cell: &Cell) -> RunOutcome {
     let variation = &spec.variations[cell.variation];
     let mut params = variation.params.clone().seed(cell.seed);
-    if let Some(backend) = spec.queue {
-        params = params.queue_backend(backend);
-    }
     if let Some(shards) = spec.shards {
         params = params.shards(shards);
     }
     if let Some(engine) = spec.engine {
         params = params.engine(engine);
-    }
-    if let Some(symmetry) = spec.symmetry {
-        params = params.symmetry(symmetry);
-    }
-    if let Some(backend) = spec.backend {
-        params = params.backend(backend);
     }
     let faults = match cell.campaign {
         Some(i) => spec.campaigns[i].events.clone(),

@@ -537,19 +537,8 @@ pub fn flag_usize(args: &[String], name: &str, default: usize) -> usize {
     }
 }
 
-/// Parses the shared `--queue-backend` flag (`wheel` | `heap`); `None`
-/// when absent, leaving each spec/variation to its own default.
-///
-/// # Panics
-///
-/// Panics (with a usage message) on an unknown backend name.
-pub fn queue_backend_flag(args: &[String]) -> Option<svckit::netsim::QueueBackend> {
-    let value = flag_value(args, "queue-backend")?;
-    Some(value.parse().unwrap_or_else(|e| panic!("{e}")))
-}
-
 /// Parses the shared `--shards N` flag; `None` when absent, leaving each
-/// spec/variation to its own default (the sequential engine).
+/// spec/variation to its own default (one shard).
 ///
 /// # Panics
 ///
@@ -572,17 +561,6 @@ pub fn shards_flag(args: &[String]) -> Option<u32> {
 /// Panics (with a usage message) on an unknown engine name.
 pub fn engine_flag(args: &[String]) -> Option<svckit::floorctl::Engine> {
     let value = flag_value(args, "engine")?;
-    Some(value.parse().unwrap_or_else(|e| panic!("{e}")))
-}
-
-/// Parses the shared `--symmetry` flag (`on` | `off`); `None` when absent,
-/// leaving each consumer to its own default.
-///
-/// # Panics
-///
-/// Panics (with a usage message) on an unknown setting.
-pub fn symmetry_flag(args: &[String]) -> Option<svckit::lts::Symmetry> {
-    let value = flag_value(args, "symmetry")?;
     Some(value.parse().unwrap_or_else(|e| panic!("{e}")))
 }
 

@@ -8,8 +8,7 @@
 
 use std::fmt;
 
-use svckit::floorctl::{Backend, Engine, FaultEvent, RunParams, Solution, Symmetry};
-use svckit::netsim::QueueBackend;
+use svckit::floorctl::{Engine, FaultEvent, RunParams, Solution};
 use svckit::protocol::ReliabilityConfig;
 
 /// What one cell runs: a floor-control solution directly, or an MDA
@@ -75,11 +74,6 @@ pub struct SweepSpec {
     /// cells whose group label (`target/variation/campaign`) contains this
     /// substring. Lets `--filter` re-run a single group of a large sweep.
     pub filter: Option<String>,
-    /// Optional event-queue backend override applied to every cell
-    /// (`--queue-backend`). `None` keeps each variation's own setting.
-    /// Both backends produce byte-identical sweep JSON — overriding is
-    /// only useful for differential testing in CI.
-    pub queue: Option<QueueBackend>,
     /// Optional simulator shard count override applied to every cell
     /// (`--shards`). `None` keeps each variation's own setting.
     pub shards: Option<u32>,
@@ -88,19 +82,6 @@ pub struct SweepSpec {
     /// engines produce byte-identical sweep JSON — overriding is only
     /// useful for differential testing in CI.
     pub engine: Option<Engine>,
-    /// Optional symmetry-quotient override applied to every cell
-    /// (`--symmetry`). `None` keeps each variation's own setting. The
-    /// simulation never explores state spaces, so sweep JSON is
-    /// byte-identical across settings — the knob reaches the cells' run
-    /// parameters for pre-run verification tooling (`floorctl --verify`).
-    pub symmetry: Option<Symmetry>,
-    /// Optional reachability-backend override applied to every cell
-    /// (`--backend`). `None` keeps each variation's own setting. Like
-    /// [`SweepSpec::symmetry`], the simulation never explores state
-    /// spaces, so sweep JSON is byte-identical across settings — the knob
-    /// reaches the cells' run parameters for pre-run verification tooling
-    /// (`floorctl --verify`).
-    pub backend: Option<Backend>,
 }
 
 /// One expanded grid point, by index into the owning [`SweepSpec`].
@@ -129,11 +110,8 @@ impl SweepSpec {
             campaigns: Vec::new(),
             seeds: Vec::new(),
             filter: None,
-            queue: None,
             shards: None,
             engine: None,
-            symmetry: None,
-            backend: None,
         }
     }
 
@@ -216,14 +194,6 @@ impl SweepSpec {
         self
     }
 
-    /// Forces every cell onto the given event-queue backend
-    /// (builder-style). See [`SweepSpec::queue`].
-    #[must_use]
-    pub fn queue_backend(mut self, backend: QueueBackend) -> Self {
-        self.queue = Some(backend);
-        self
-    }
-
     /// Forces every cell onto the given simulator shard count
     /// (builder-style). See [`SweepSpec::shards`].
     #[must_use]
@@ -237,22 +207,6 @@ impl SweepSpec {
     #[must_use]
     pub fn engine(mut self, engine: Engine) -> Self {
         self.engine = Some(engine);
-        self
-    }
-
-    /// Forces every cell onto the given symmetry setting (builder-style).
-    /// See [`SweepSpec::symmetry`].
-    #[must_use]
-    pub fn symmetry(mut self, symmetry: Symmetry) -> Self {
-        self.symmetry = Some(symmetry);
-        self
-    }
-
-    /// Forces every cell onto the given reachability backend
-    /// (builder-style). See [`SweepSpec::backend`].
-    #[must_use]
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = Some(backend);
         self
     }
 

@@ -11,7 +11,6 @@ use svckit::lts::explorer::{AbstractEvent, ServiceExplorer};
 use svckit::lts::LtsBuilder;
 use svckit::model::conformance::{check_trace, CheckOptions};
 use svckit::model::{Instant, PartId, PrimitiveEvent, Sap, Trace, Value};
-use svckit::netsim::QueueBackend;
 
 fn sap(k: u64) -> Sap {
     Sap::new("subscriber", PartId::new(k))
@@ -123,29 +122,31 @@ fn explorer_accepts_every_solution_trace_as_a_path() {
     }
 }
 
-/// Runs `solution` on the given backend and fingerprints everything the
-/// conformance machinery consumes: the recorded service-primitive trace
-/// plus the run's floor metrics, via their debug rendering.
-fn solution_fingerprint(solution: Solution, backend: QueueBackend) -> String {
+/// Runs `solution` on `shards` simulator shards and fingerprints
+/// everything the conformance machinery consumes: the recorded
+/// service-primitive trace plus the run's floor metrics, via their debug
+/// rendering.
+fn solution_fingerprint(solution: Solution, shards: u32) -> String {
     let params = RunParams::default()
         .subscribers(3)
         .resources(2)
         .rounds(2)
-        .queue_backend(backend);
+        .shards(shards);
     let outcome = run_solution(solution, &params);
     assert!(outcome.conformant, "{solution} must stay conformant");
     format!("{:?} {:?}", outcome.trace, outcome.floor)
 }
 
 #[test]
-fn every_solution_trace_is_backend_invariant() {
-    // One parametrized check per solution: the timer wheel and the
-    // reference heap must yield byte-identical traces and metrics.
+fn every_solution_trace_is_shard_count_invariant() {
+    // One parametrized check per solution: two and four shards draw link
+    // randomness from the same per-pair streams, so even on the default
+    // jittered LAN they must yield byte-identical traces and metrics.
     for solution in Solution::ALL {
         assert_eq!(
-            solution_fingerprint(solution, QueueBackend::Wheel),
-            solution_fingerprint(solution, QueueBackend::Heap),
-            "{solution} diverged between queue backends"
+            solution_fingerprint(solution, 2),
+            solution_fingerprint(solution, 4),
+            "{solution} diverged between shard counts"
         );
     }
 }

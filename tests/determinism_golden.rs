@@ -82,23 +82,24 @@ fn netsim_digest(seed: u64, backend: QueueBackend) -> u64 {
     fnv1a(format!("{report:?}").as_bytes())
 }
 
-fn solution_digest(solution: Solution, seed: u64, backend: QueueBackend) -> u64 {
+/// Solutions run on the default timer wheel only: the queue backend is a
+/// netsim-level choice, and the heap stays pinned to the wheel by the
+/// netsim goldens below and by `svckit-netsim`'s `wheel_oracle`.
+fn solution_digest(solution: Solution, seed: u64) -> u64 {
     let params = RunParams::default()
         .subscribers(4)
         .resources(2)
         .rounds(3)
-        .seed(seed)
-        .queue_backend(backend);
+        .seed(seed);
     let outcome = run_solution(solution, &params);
     assert!(outcome.completed, "{solution:?} workload must complete");
     assert!(outcome.conformant, "{solution:?} trace must conform");
     fnv1a(format!("{outcome:?}").as_bytes())
 }
 
-/// Computes a scenario digest under both event-queue backends, asserts
-/// they agree, and returns the shared value — every golden below goes
-/// through this, so each digest check doubles as a backend-equivalence
-/// check.
+/// Computes a netsim scenario digest under both event-queue backends,
+/// asserts they agree, and returns the shared value — each netsim digest
+/// check doubles as a backend-equivalence check.
 fn digest_on_both_backends(digest: impl Fn(QueueBackend) -> u64) -> u64 {
     let wheel = digest(QueueBackend::Wheel);
     let heap = digest(QueueBackend::Heap);
@@ -130,15 +131,15 @@ fn netsim_report_matches_golden_digest() {
 #[test]
 fn middleware_solution_is_bit_identical_per_seed() {
     assert_eq!(
-        digest_on_both_backends(|b| solution_digest(Solution::MwCallback, 7, b)),
-        digest_on_both_backends(|b| solution_digest(Solution::MwCallback, 7, b))
+        solution_digest(Solution::MwCallback, 7),
+        solution_digest(Solution::MwCallback, 7)
     );
 }
 
 #[test]
 fn middleware_solution_matches_golden_digest() {
     assert_eq!(
-        digest_on_both_backends(|b| solution_digest(Solution::MwCallback, 7, b)),
+        solution_digest(Solution::MwCallback, 7),
         GOLDEN_MW_CALLBACK_SEED7
     );
 }
@@ -146,24 +147,23 @@ fn middleware_solution_matches_golden_digest() {
 #[test]
 fn protocol_solution_is_bit_identical_per_seed() {
     assert_eq!(
-        digest_on_both_backends(|b| solution_digest(Solution::ProtoCallback, 7, b)),
-        digest_on_both_backends(|b| solution_digest(Solution::ProtoCallback, 7, b))
+        solution_digest(Solution::ProtoCallback, 7),
+        solution_digest(Solution::ProtoCallback, 7)
     );
 }
 
 #[test]
 fn protocol_solution_matches_golden_digest() {
     assert_eq!(
-        digest_on_both_backends(|b| solution_digest(Solution::ProtoCallback, 7, b)),
+        solution_digest(Solution::ProtoCallback, 7),
         GOLDEN_PROTO_CALLBACK_SEED7
     );
 }
 
 /// The Chatter scenario on a deterministic (perfect) link, at a given
-/// shard count. No link randomness is consumed on such links, so the
-/// sharded engine must be byte-identical to the sequential one at every
-/// shard count — see `svckit-netsim`'s `shard` module docs for the
-/// envelope argument.
+/// shard count. Link randomness never changes an outcome on such links,
+/// so every shard count must be byte-identical to one shard — see
+/// `svckit-netsim`'s `shard` module docs for the envelope argument.
 fn sharded_netsim_digest(seed: u64, shards: u32) -> u64 {
     let mut sim = Simulator::new(
         SimConfig::new(seed)
