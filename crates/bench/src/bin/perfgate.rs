@@ -58,7 +58,11 @@ const SPECIAL_KEYS: [&str; 5] = [
 ];
 
 /// Throughput keys: higher is better, gated as a floor, not a ceiling.
-const FLOOR_KEYS: [&str; 2] = ["netsim/soak_100k_evps", "mw_admission_evps"];
+const FLOOR_KEYS: [&str; 3] = [
+    "netsim/soak_100k_evps",
+    "mw_admission_evps",
+    "mw_admission_evps_96x8",
+];
 
 /// Largest tolerated `obs_disabled_overhead` percentage with obs off.
 const MAX_DISABLED_OVERHEAD_PCT: f64 = 3.0;

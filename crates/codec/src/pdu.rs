@@ -2,17 +2,20 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use svckit_model::{ParamSpec, Value, ValueType};
 
 use crate::error::CodecError;
-use crate::value_codec::{decode_value, encode_value};
+use crate::value_codec::{decode_value, encode_value, encoded_len};
 
 /// Schema of one PDU type: a numeric wire id, a name, and typed fields.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PduSchema {
     id: u8,
-    name: String,
+    /// Shared with every [`Pdu`] decoded under this schema, so decoding
+    /// does not copy the name.
+    name: Arc<str>,
     fields: Vec<ParamSpec>,
 }
 
@@ -21,7 +24,7 @@ impl PduSchema {
     pub fn new(id: u8, name: impl Into<String>) -> Self {
         PduSchema {
             id,
-            name: name.into(),
+            name: Arc::from(name.into()),
             fields: Vec::new(),
         }
     }
@@ -65,7 +68,7 @@ impl fmt::Display for PduSchema {
 /// A decoded PDU: its schema name and argument values.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Pdu {
-    name: String,
+    name: Arc<str>,
     args: Vec<Value>,
 }
 
@@ -88,7 +91,7 @@ impl Pdu {
     /// Returns [`CodecError::MissingArgument`] when `index` is out of range.
     pub fn arg(&self, index: usize) -> Result<&Value, CodecError> {
         self.args.get(index).ok_or(CodecError::MissingArgument {
-            pdu: self.name.clone(),
+            pdu: self.name.to_string(),
             index,
             len: self.args.len(),
         })
@@ -97,6 +100,12 @@ impl Pdu {
     /// Consumes the PDU, returning its arguments.
     pub fn into_args(self) -> Vec<Value> {
         self.args
+    }
+
+    /// Consumes the PDU, returning its schema name (shared with the
+    /// registry, not copied) and its arguments.
+    pub fn into_parts(self) -> (Arc<str>, Vec<Value>) {
+        (self.name, self.args)
     }
 }
 
@@ -203,7 +212,9 @@ impl PduRegistry {
                 });
             }
         }
-        let mut out = vec![schema.id()];
+        // Sized once: the marshalled frame never regrows while encoding.
+        let mut out = Vec::with_capacity(1 + args.iter().map(encoded_len).sum::<usize>());
+        out.push(schema.id());
         for value in args {
             encode_value(&mut out, value);
         }
@@ -247,7 +258,7 @@ impl PduRegistry {
             });
         }
         Ok(Pdu {
-            name: schema.name().to_owned(),
+            name: Arc::clone(&schema.name),
             args,
         })
     }

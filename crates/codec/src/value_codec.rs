@@ -17,7 +17,7 @@ use std::collections::BTreeSet;
 use svckit_model::Value;
 
 use crate::error::CodecError;
-use crate::varint::{read_varint, unzigzag, write_varint, zigzag};
+use crate::varint::{read_varint, unzigzag, varint_len, write_varint, zigzag};
 
 const TAG_UNIT: u8 = 0;
 const TAG_BOOL: u8 = 1;
@@ -65,11 +65,22 @@ pub fn encode_value(out: &mut Vec<u8>, value: &Value) {
     }
 }
 
-/// Number of bytes [`encode_value`] would produce for `value`.
+/// Number of bytes [`encode_value`] would produce for `value`, computed
+/// without encoding it.
 pub fn encoded_len(value: &Value) -> usize {
-    let mut buf = Vec::new();
-    encode_value(&mut buf, value);
-    buf.len()
+    1 + match value {
+        Value::Unit => 0,
+        Value::Bool(_) => 1,
+        Value::Int(i) => varint_len(zigzag(*i)),
+        Value::Text(t) => varint_len(t.len() as u64) + t.len(),
+        Value::Id(id) => varint_len(*id),
+        Value::Set(items) => {
+            varint_len(items.len() as u64) + items.iter().map(encoded_len).sum::<usize>()
+        }
+        Value::List(items) => {
+            varint_len(items.len() as u64) + items.iter().map(encoded_len).sum::<usize>()
+        }
+    }
 }
 
 /// Maximum collection nesting depth [`decode_value`] accepts.

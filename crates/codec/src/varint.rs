@@ -15,6 +15,12 @@ pub fn write_varint(out: &mut Vec<u8>, mut value: u64) {
     }
 }
 
+/// Number of bytes [`write_varint`] emits for `value`.
+pub(crate) fn varint_len(value: u64) -> usize {
+    // One byte per started group of 7 significant bits; zero takes one.
+    (64 - (value | 1).leading_zeros() as usize).div_ceil(7)
+}
+
 /// Reads an unsigned LEB128 integer from the front of `input`, returning the
 /// value and the number of bytes consumed.
 ///
@@ -54,12 +60,24 @@ mod tests {
 
     #[test]
     fn roundtrip_varint_edge_values() {
-        for v in [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX] {
+        for v in [
+            0u64,
+            1,
+            127,
+            128,
+            300,
+            16_383,
+            16_384,
+            u32::MAX as u64,
+            1 << 63,
+            u64::MAX,
+        ] {
             let mut buf = Vec::new();
             write_varint(&mut buf, v);
             let (back, used) = read_varint(&buf).unwrap();
             assert_eq!(back, v);
             assert_eq!(used, buf.len());
+            assert_eq!(varint_len(v), buf.len(), "{v}");
         }
     }
 

@@ -160,8 +160,9 @@ impl InterpGate {
 #[derive(Debug)]
 struct GateInner {
     binder: Binder,
-    /// Canonical (trailing-zero-trimmed) product state, DFA engine only.
-    key: Vec<u16>,
+    /// Dense product state (one entry per interned slot), stepped in
+    /// place; DFA engine only.
+    state: Vec<u16>,
     interp: InterpGate,
     stats: AdmissionStats,
 }
@@ -198,7 +199,7 @@ impl AdmissionGate {
             engine,
             inner: Mutex::new(GateInner {
                 binder: Binder::new(compiled),
-                key: Vec::new(),
+                state: Vec::new(),
                 interp: InterpGate::default(),
                 stats: AdmissionStats::default(),
             }),
@@ -210,23 +211,32 @@ impl AdmissionGate {
         self.engine
     }
 
+    /// The compiled tables the gate validates against.
+    pub fn compiled(&self) -> Arc<Compiled> {
+        Arc::clone(self.lock().binder.compiled())
+    }
+
+    /// Runs `f` on the gate's binder, so a [`Monitor`](crate::Monitor)
+    /// can resolve occurrences through the gate's interning tables.
+    pub(crate) fn with_binder<R>(&self, f: impl FnOnce(&mut Binder) -> R) -> R {
+        f(&mut self.lock().binder)
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, GateInner> {
+        self.inner.lock().expect("admission gate lock")
+    }
+
     /// Validates one primitive occurrence. Returns whether it was
     /// admissible; a rejected occurrence leaves the gate state unchanged.
     pub fn admit(&self, sap: &Sap, primitive: &str, args: &[Value]) -> bool {
-        let mut inner = self.inner.lock().expect("admission gate lock");
+        let mut inner = self.lock();
         inner.stats.checked += 1;
         let admitted = match self.engine {
             Engine::Dfa => {
                 let id = inner.binder.resolve_cached(sap, primitive, args);
                 // Split-borrow dance: edges borrow the binder immutably.
-                let GateInner { binder, key, .. } = &mut *inner;
-                match binder.step_canonical(key, binder.edges(id)) {
-                    Ok(next) => {
-                        *key = next;
-                        true
-                    }
-                    Err(_) => false,
-                }
+                let GateInner { binder, state, .. } = &mut *inner;
+                binder.step_dense(state, binder.edges(id)).is_ok()
             }
             Engine::Interp => {
                 let GateInner { binder, interp, .. } = &mut *inner;
@@ -241,7 +251,7 @@ impl AdmissionGate {
 
     /// Cumulative statistics.
     pub fn stats(&self) -> AdmissionStats {
-        self.inner.lock().expect("admission gate lock").stats
+        self.lock().stats
     }
 }
 

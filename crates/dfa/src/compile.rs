@@ -2,6 +2,7 @@
 
 use std::sync::Arc;
 
+use svckit_model::hash::FastMap;
 use svckit_model::{Constraint, ConstraintKind, ConstraintScope, ServiceDefinition};
 
 use crate::dfa::{Dfa, DfaCache, StateMeta};
@@ -145,6 +146,15 @@ impl Shape {
         }
     }
 
+    /// The two primitive names the shape relates.
+    fn names(&self) -> [&str; 2] {
+        match self {
+            Shape::Counter { up, down, .. } => [up, down],
+            Shape::After { enable, check, .. } => [enable, check],
+            Shape::Mutex { acquire, release } => [acquire, release],
+        }
+    }
+
     /// Builds and interns the shape's DFA (for mutexes: the zero-holder
     /// table, regrown by the binder as holders appear).
     pub(crate) fn build_dfa(&self, cache: &mut DfaCache) -> Arc<Dfa> {
@@ -181,7 +191,14 @@ pub(crate) struct CompiledConstraint {
 #[derive(Debug)]
 pub struct Compiled {
     pub(crate) constraints: Vec<CompiledConstraint>,
+    /// Constraint indices that mention each primitive, ascending, deduped
+    /// (the interpreter's relevance map).
+    pub(crate) by_primitive: FastMap<String, Vec<usize>>,
     pub(crate) max_outstanding: u32,
+    /// The service compiled, kept for its primitive and role schemas
+    /// (what the conformance [`Monitor`](crate::Monitor) validates
+    /// occurrences against besides the constraints).
+    service: ServiceDefinition,
     /// Lazily-determinized mutex tables keyed by holder count (the
     /// regrown table depends only on it). Shared by every binder over
     /// this compiled set, so re-deployments (fresh gates, fresh
@@ -216,9 +233,20 @@ impl Compiled {
                 dfa,
             });
         }
+        let mut by_primitive: FastMap<String, Vec<usize>> = FastMap::default();
+        for (ci, cc) in constraints.iter().enumerate() {
+            for name in cc.shape.names() {
+                let entry = by_primitive.entry(name.to_owned()).or_default();
+                if entry.last() != Some(&ci) {
+                    entry.push(ci);
+                }
+            }
+        }
         Some(Compiled {
             constraints,
+            by_primitive,
             max_outstanding,
+            service: service.clone(),
             mutex_tables: std::sync::Mutex::new(std::collections::HashMap::new()),
         })
     }
@@ -303,6 +331,11 @@ impl Compiled {
     /// The exploration bound the counters were compiled with.
     pub fn max_outstanding(&self) -> u32 {
         self.max_outstanding
+    }
+
+    /// The service definition this set was compiled from.
+    pub fn service(&self) -> &ServiceDefinition {
+        &self.service
     }
 }
 

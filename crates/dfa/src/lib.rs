@@ -20,12 +20,14 @@
 //!    per (constraint, scope-instance, correlation-key) — and a product
 //!    state is simply the vector of slot states.
 //!
-//! Three layers consume the result: the `svckit-lts` explorer (engine
+//! Four layers consume the result: the `svckit-lts` explorer (engine
 //! `dfa` vs the interpreted reference `interp`), the middleware admission
 //! path ([`AdmissionGate`]: a server validating primitive occurrences
-//! against its service definition per dispatch), and the analyzer
-//! ([`product::check_product`]: contradiction = empty language, deadlock =
-//! reachable non-accepting sink with a minimal-word counterexample).
+//! against its service definition per dispatch), the run harness's
+//! conformance verdict ([`Monitor`]: a whole trace checked online, one
+//! occurrence at a time), and the analyzer ([`product::check_product`]:
+//! contradiction = empty language, deadlock = reachable non-accepting
+//! sink with a minimal-word counterexample).
 //!
 //! The compiled engine is **observationally identical** to the
 //! interpreter — same verdicts, same first-violation choice, same
@@ -40,6 +42,7 @@ pub mod admission;
 pub mod compile;
 pub mod dfa;
 pub mod engine;
+pub mod monitor;
 pub mod nfa;
 pub mod product;
 pub mod runner;
@@ -48,5 +51,6 @@ pub use admission::{AdmissionGate, AdmissionStats, ADMISSION_BOUND};
 pub use compile::Compiled;
 pub use dfa::{Dfa, DfaCache, DEAD};
 pub use engine::Engine;
+pub use monitor::Monitor;
 pub use product::{check_product, ProductCheck};
 pub use runner::{Binder, Edge, Instance};

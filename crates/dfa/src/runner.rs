@@ -17,14 +17,26 @@
 //! starts at state 0 — so a state vector trimmed of trailing zeros is a
 //! canonical product state no matter how many slots were interned later
 //! ([`Binder::step_canonical`]). That trimming is what makes explorer
-//! states stable under dynamic slot growth.
+//! states stable under dynamic slot growth. Run-time checkers (the
+//! admission gate, the conformance monitor) instead keep one *dense*
+//! vector with a state per interned slot and step it in place
+//! (`Binder::step_dense`).
+//!
+//! Slots and occurrences are interned through fingerprint indexes: a
+//! lookup hashes the caller's borrowed values once and confirms a hit by
+//! comparing against the stored key, so it never allocates, and only a
+//! new slot or occurrence copies its key. Every map is a [`FastMap`];
+//! nothing iterates one into an observable output (slot numbering follows
+//! interning order alone).
 
-use std::collections::HashMap;
+use std::borrow::Borrow;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
+use svckit_model::hash::{FastMap, FxHasher};
 use svckit_model::{ConstraintScope, Sap, Value};
 
-use crate::compile::{Compiled, CompiledConstraint, CounterFlavor, Shape};
+use crate::compile::{Compiled, CounterFlavor, Shape};
 use crate::dfa::{Dfa, DEAD};
 use crate::nfa::{mutex_acquire, mutex_release, DOWN, ENABLE, UP};
 
@@ -62,6 +74,86 @@ struct SlotInfo {
     dfa: Arc<Dfa>,
 }
 
+/// The end of a fingerprint chain.
+const NONE: u32 = u32::MAX;
+
+/// A slot's scope instance — its access point ([`NONE`] for a global
+/// scope) and correlation-key values — and the next older slot sharing
+/// its fingerprint.
+#[derive(Debug, Clone)]
+struct SlotKey {
+    sap: u32,
+    keyvals: Vec<Value>,
+    next: u32,
+}
+
+/// An interned occurrence, and the next older occurrence sharing its
+/// fingerprint.
+#[derive(Debug, Clone)]
+struct OccKey {
+    sap: u32,
+    primitive: u32,
+    args: Vec<Value>,
+    next: u32,
+}
+
+/// Values interned to dense ids in first-seen order, so keys that repeat
+/// them (an access point, a primitive name) store a `u32`.
+#[derive(Debug)]
+struct Interner<T> {
+    items: Vec<T>,
+    ids: FastMap<T, u32>,
+}
+
+impl<T: Hash + Eq + Clone> Interner<T> {
+    fn new() -> Self {
+        Interner {
+            items: Vec::new(),
+            ids: FastMap::default(),
+        }
+    }
+
+    fn id<Q>(&mut self, item: &Q) -> u32
+    where
+        T: Borrow<Q>,
+        Q: Hash + Eq + ToOwned<Owned = T> + ?Sized,
+    {
+        if let Some(&id) = self.ids.get(item) {
+            return id;
+        }
+        let id = u32::try_from(self.items.len()).expect("interned count fits u32");
+        self.items.push(item.to_owned());
+        self.ids.insert(item.to_owned(), id);
+        id
+    }
+}
+
+/// The value a correlation key reads at argument position `i` (`Unit`
+/// past the end, like the interpreter's keys).
+fn key_value(args: &[Value], i: usize) -> &Value {
+    static MISSING: Value = Value::Unit;
+    args.get(i).unwrap_or(&MISSING)
+}
+
+/// Finishes an Fx hash with murmur3's 64-bit finalizer, so the index
+/// maps' bucket bits depend on every input bit.
+fn fingerprint(hasher: &FxHasher) -> u64 {
+    let mut h = hasher.finish();
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^= h >> 33;
+    // This crate's unit tests give every key one fingerprint, so each
+    // lookup walks a chain through all earlier keys and must tell them
+    // apart by comparing.
+    if cfg!(test) {
+        0
+    } else {
+        h
+    }
+}
+
 #[derive(Debug, Clone, Default)]
 struct MutexRt {
     /// Interned holder SAPs (index = holder id in the alphabet).
@@ -72,35 +164,33 @@ struct MutexRt {
 #[derive(Debug)]
 pub struct Binder {
     compiled: Arc<Compiled>,
-    /// Constraint indices that mention each primitive, ascending, deduped
-    /// (the interpreter's relevance map).
-    by_primitive: HashMap<String, Vec<usize>>,
-    slots: HashMap<(usize, Instance), u32>,
+    /// The access points and primitive names occurrence and slot keys
+    /// refer to.
+    saps: Interner<Sap>,
+    primitives: Interner<String>,
+    /// Slot fingerprint → the newest slot with it; older ones chain
+    /// through [`SlotKey::next`].
+    slot_index: FastMap<u64, u32>,
+    /// Per slot, parallel to `slot_info` (kept apart so the stepping
+    /// path reads only the small `SlotInfo`s).
+    slot_keys: Vec<SlotKey>,
     slot_info: Vec<SlotInfo>,
     /// Per-constraint mutex runtime (empty holder set for other shapes).
     mutex: Vec<MutexRt>,
     /// Per-constraint *current* DFA (mutex tables regrow with holders).
     current_dfa: Vec<Arc<Dfa>>,
-    /// Occurrence → edge-list id, so steady-state resolution is a few
-    /// hash lookups. Nested (sap → primitive → args) instead of one
-    /// tuple key so hits borrow the caller's values — no allocation on
-    /// the admission/explorer hot path.
-    occ_cache: HashMap<Sap, HashMap<String, HashMap<Vec<Value>, u32>>>,
+    /// Occurrence fingerprint → the newest resolution id with it; older
+    /// ones chain through [`OccKey::next`]. Steady-state resolution is
+    /// one hash of the caller's borrowed values, one probe and one
+    /// compare — no allocation on the admission/explorer hot path.
+    occ_index: FastMap<u64, u32>,
+    occ_keys: Vec<OccKey>,
     edge_lists: Vec<Vec<Edge>>,
 }
 
 impl Binder {
     /// Creates a binder over a compiled constraint set.
     pub fn new(compiled: Arc<Compiled>) -> Binder {
-        let mut by_primitive: HashMap<String, Vec<usize>> = HashMap::new();
-        for (ci, cc) in compiled.constraints.iter().enumerate() {
-            for name in Self::names(cc) {
-                let entry = by_primitive.entry(name.to_owned()).or_default();
-                if entry.last() != Some(&ci) {
-                    entry.push(ci);
-                }
-            }
-        }
         let mutex = compiled
             .constraints
             .iter()
@@ -113,21 +203,16 @@ impl Binder {
             .collect();
         Binder {
             compiled,
-            by_primitive,
-            slots: HashMap::new(),
+            saps: Interner::new(),
+            primitives: Interner::new(),
+            slot_index: FastMap::default(),
+            slot_keys: Vec::new(),
             slot_info: Vec::new(),
             mutex,
             current_dfa,
-            occ_cache: HashMap::new(),
+            occ_index: FastMap::default(),
+            occ_keys: Vec::new(),
             edge_lists: Vec::new(),
-        }
-    }
-
-    fn names(cc: &CompiledConstraint) -> [&str; 2] {
-        match &cc.shape {
-            Shape::Counter { up, down, .. } => [up, down],
-            Shape::After { enable, check, .. } => [enable, check],
-            Shape::Mutex { acquire, release } => [acquire, release],
         }
     }
 
@@ -166,17 +251,45 @@ impl Binder {
         &self.compiled.constraints[ci].display
     }
 
-    fn intern_slot(&mut self, ci: usize, instance: Instance) -> u32 {
-        if let Some(&slot) = self.slots.get(&(ci, instance.clone())) {
-            return slot;
+    /// The slot of constraint `ci` (correlation key positions `key`) for
+    /// the scope instance `(sap id, key values of args)`, interned on
+    /// first sight. Only a new slot copies its key values.
+    fn intern_slot(&mut self, ci: usize, key: &[usize], sap: u32, args: &[Value]) -> u32 {
+        let mut hasher = FxHasher::default();
+        ci.hash(&mut hasher);
+        sap.hash(&mut hasher);
+        for &i in key {
+            key_value(args, i).hash(&mut hasher);
         }
-        let slot = u32::try_from(self.slot_info.len()).expect("slot count fits u32");
-        self.slots.insert((ci, instance), slot);
+        let fp = fingerprint(&hasher);
+        let newest = self.slot_index.get(&fp).copied().unwrap_or(NONE);
+        let mut slot = newest;
+        while slot != NONE {
+            let held = &self.slot_keys[slot as usize];
+            if self.slot_info[slot as usize].ci == ci
+                && held.sap == sap
+                && held.keyvals.len() == key.len()
+                && key
+                    .iter()
+                    .zip(&held.keyvals)
+                    .all(|(&i, v)| key_value(args, i) == v)
+            {
+                return slot;
+            }
+            slot = held.next;
+        }
+        let fresh = u32::try_from(self.slot_info.len()).expect("slot count fits u32");
+        self.slot_keys.push(SlotKey {
+            sap,
+            keyvals: key.iter().map(|&i| key_value(args, i).clone()).collect(),
+            next: newest,
+        });
+        self.slot_index.insert(fp, fresh);
         self.slot_info.push(SlotInfo {
             ci,
             dfa: Arc::clone(&self.current_dfa[ci]),
         });
-        slot
+        fresh
     }
 
     /// Interns `sap` as a holder of mutex constraint `ci`, regrowing the
@@ -198,34 +311,25 @@ impl Binder {
         holders - 1
     }
 
-    fn keyvals(cc: &CompiledConstraint, args: &[Value]) -> Vec<Value> {
-        cc.key
-            .iter()
-            .map(|&i| args.get(i).cloned().unwrap_or(Value::Unit))
-            .collect()
-    }
-
     /// Resolves an occurrence to its edges, interning slots (and mutex
     /// holders) as needed. Edges come in ascending constraint order.
     pub fn resolve(&mut self, sap: &Sap, primitive: &str, args: &[Value]) -> Vec<Edge> {
-        let cis = self
-            .by_primitive
-            .get(primitive)
-            .cloned()
-            .unwrap_or_default();
-        let mut edges = Vec::with_capacity(cis.len());
         // Borrow the constraint set through a local `Arc` so shape data
-        // stays readable across the `&mut self` holder interning below.
+        // stays readable across the `&mut self` interning below.
         let compiled = Arc::clone(&self.compiled);
-        for ci in cis {
+        let Some(cis) = compiled.by_primitive.get(primitive) else {
+            return Vec::new();
+        };
+        let mut edges = Vec::with_capacity(cis.len());
+        let sap_id = self.saps.id(sap);
+        for &ci in cis {
             let cc = &compiled.constraints[ci];
-            let keyvals = Self::keyvals(cc, args);
-            let (instance, class) = match &cc.shape {
+            let (scope_sap, class) = match &cc.shape {
                 Shape::Counter { up, scope, .. } => {
                     // The interpreter checks the `up` name first, so a
                     // constraint relating a primitive to itself counts up.
                     let class = if primitive == up { UP } else { DOWN };
-                    (Self::scoped(*scope, sap, keyvals), class)
+                    (Self::scoped(*scope, sap_id), class)
                 }
                 Shape::After { enable, scope, .. } => {
                     let class = if primitive == enable {
@@ -233,7 +337,7 @@ impl Binder {
                     } else {
                         crate::nfa::CHECK
                     };
-                    (Self::scoped(*scope, sap, keyvals), class)
+                    (Self::scoped(*scope, sap_id), class)
                 }
                 Shape::Mutex { acquire, .. } => {
                     let holder = self.holder_index(ci, sap);
@@ -242,10 +346,10 @@ impl Binder {
                     } else {
                         mutex_release(holder)
                     };
-                    ((None, keyvals), class)
+                    (NONE, class)
                 }
             };
-            let slot = self.intern_slot(ci, instance);
+            let slot = self.intern_slot(ci, &cc.key, scope_sap, args);
             edges.push(Edge {
                 slot,
                 class,
@@ -255,10 +359,10 @@ impl Binder {
         edges
     }
 
-    fn scoped(scope: ConstraintScope, sap: &Sap, keyvals: Vec<Value>) -> Instance {
+    fn scoped(scope: ConstraintScope, sap: u32) -> u32 {
         match scope {
-            ConstraintScope::SameSap => (Some(sap.clone()), keyvals),
-            ConstraintScope::Global => (None, keyvals),
+            ConstraintScope::SameSap => sap,
+            ConstraintScope::Global => NONE,
         }
     }
 
@@ -266,23 +370,33 @@ impl Binder {
     /// returns an id for [`Binder::edges`]. The steady-state cost of
     /// classifying an occurrence is one hash lookup.
     pub fn resolve_cached(&mut self, sap: &Sap, primitive: &str, args: &[Value]) -> u32 {
-        if let Some(&id) = self
-            .occ_cache
-            .get(sap)
-            .and_then(|by_prim| by_prim.get(primitive))
-            .and_then(|by_args| by_args.get(args))
-        {
-            return id;
+        let mut hasher = FxHasher::default();
+        sap.hash(&mut hasher);
+        primitive.hash(&mut hasher);
+        args.hash(&mut hasher);
+        let fp = fingerprint(&hasher);
+        let newest = self.occ_index.get(&fp).copied().unwrap_or(NONE);
+        let mut id = newest;
+        while id != NONE {
+            let key = &self.occ_keys[id as usize];
+            if key.args == args
+                && self.primitives.items[key.primitive as usize] == primitive
+                && self.saps.items[key.sap as usize] == *sap
+            {
+                return id;
+            }
+            id = key.next;
         }
+        let id = u32::try_from(self.occ_keys.len()).expect("occurrence count fits u32");
         let edges = self.resolve(sap, primitive, args);
-        let id = u32::try_from(self.edge_lists.len()).expect("edge-list count fits u32");
         self.edge_lists.push(edges);
-        self.occ_cache
-            .entry(sap.clone())
-            .or_default()
-            .entry(primitive.to_owned())
-            .or_default()
-            .insert(args.to_vec(), id);
+        self.occ_keys.push(OccKey {
+            sap: self.saps.id(sap),
+            primitive: self.primitives.id(primitive),
+            args: args.to_vec(),
+            next: newest,
+        });
+        self.occ_index.insert(fp, id);
         id
     }
 
@@ -297,12 +411,13 @@ impl Binder {
     /// constraint whose instances differ only in the SAP are images of one
     /// another under user permutations.
     pub fn slot_instances(&self) -> Vec<(usize, Instance)> {
-        let mut out: Vec<Option<(usize, Instance)>> = vec![None; self.slot_info.len()];
-        for ((ci, instance), &slot) in &self.slots {
-            out[slot as usize] = Some((*ci, instance.clone()));
-        }
-        out.into_iter()
-            .map(|entry| entry.expect("every slot id was interned through the map"))
+        self.slot_info
+            .iter()
+            .zip(&self.slot_keys)
+            .map(|(info, key)| {
+                let sap = (key.sap != NONE).then(|| self.saps.items[key.sap as usize].clone());
+                (info.ci, (sap, key.keyvals.clone()))
+            })
             .collect()
     }
 
@@ -356,6 +471,46 @@ impl Binder {
         let mut next = key.to_vec();
         self.step_into(&mut next, edges)?;
         Ok(next)
+    }
+
+    /// Steps a *dense* product state — one entry per interned slot — in
+    /// place, first growing it with initial (zero) states for slots
+    /// interned since the last step. Every edge is checked before any slot
+    /// is written, so a rejection leaves `state` exactly as it was (the
+    /// reject-and-continue semantics of the admission gate). An
+    /// occurrence's edges drive distinct slots (one per constraint), so
+    /// checking them all against the pre-state is the same as stepping
+    /// them in turn.
+    pub(crate) fn step_dense(&self, state: &mut Vec<u16>, edges: &[Edge]) -> Result<(), Rejection> {
+        state.resize(self.slot_info.len(), 0);
+        for (i, e) in edges.iter().enumerate() {
+            let from = state[e.slot as usize];
+            if self.slot_info[e.slot as usize].dfa.next(from, e.class) == DEAD {
+                return Err(Rejection {
+                    edge: i,
+                    state: from,
+                });
+            }
+        }
+        for e in edges {
+            let slot = &mut state[e.slot as usize];
+            *slot = self.slot_info[e.slot as usize].dfa.next(*slot, e.class);
+        }
+        Ok(())
+    }
+
+    /// Whether a rejection of `edge` only hit the obligation bound the
+    /// counters were compiled with (a `Precedes` / `EventuallyFollows`
+    /// trigger past the bound) rather than a violation of the constraint
+    /// itself. Trace-level checking has no such bound.
+    pub(crate) fn is_bound_rejection(&self, edge: &Edge) -> bool {
+        matches!(
+            &self.compiled.constraints[edge.ci as usize].shape,
+            Shape::Counter {
+                flavor: CounterFlavor::Precedes | CounterFlavor::Eventually,
+                ..
+            } if edge.class == UP
+        )
     }
 
     /// Steps a *canonical* (trailing-zero-trimmed) product state, growing
@@ -596,6 +751,12 @@ mod tests {
         assert_eq!(id1, id2);
         assert_ne!(id1, id3);
         assert_eq!(b.edges(id1).len(), 1);
+        // Every field of the occurrence tells it apart.
+        let id4 = b.resolve_cached(&sap(1), "a", &[Value::Id(1)]);
+        let id5 = b.resolve_cached(&sap(2), "a", &[]);
+        assert_eq!([id3, id4, id5], [1, 2, 3], "three new occurrences");
+        assert_eq!(b.resolve_cached(&sap(1), "a", &[Value::Id(1)]), id4);
+        assert_eq!(b.resolve_cached(&sap(2), "a", &[]), id5);
     }
 
     #[test]

@@ -3,53 +3,13 @@
 //! interpreter gate must make identical admit/reject decisions (and hence
 //! report identical statistics).
 
+mod common;
+
 use proptest::prelude::*;
 
+use common::{arb_constraint, service, NAMES};
 use svckit_dfa::{AdmissionGate, Engine};
-use svckit_model::{
-    Constraint, ConstraintScope, Direction, PartId, PrimitiveSpec, Sap, ServiceDefinition, Value,
-};
-
-const NAMES: [&str; 3] = ["a", "b", "c"];
-
-fn arb_constraint() -> impl Strategy<Value = Constraint> {
-    (
-        0usize..5,
-        0usize..NAMES.len(),
-        0usize..NAMES.len(),
-        0usize..2,
-        any::<bool>(),
-        1usize..3,
-    )
-        .prop_map(|(kind, p1, p2, scope, keyed, limit)| {
-            let (x, y) = (NAMES[p1], NAMES[p2]);
-            let scope = [ConstraintScope::SameSap, ConstraintScope::Global][scope];
-            let constraint = match kind {
-                0 => Constraint::precedes(x, y, scope),
-                1 => Constraint::after(x, y, scope),
-                2 => Constraint::eventually_follows(x, y, scope),
-                3 => Constraint::at_most_outstanding(x, y, limit, scope),
-                _ => Constraint::mutual_exclusion(x, y),
-            };
-            if keyed {
-                constraint.keyed(&[0])
-            } else {
-                constraint
-            }
-        })
-}
-
-fn service(constraints: &[Constraint]) -> Option<ServiceDefinition> {
-    let mut builder = ServiceDefinition::builder("admission-oracle")
-        .role("user", 1, 8)
-        .primitive(PrimitiveSpec::new("a", Direction::FromUser).param_id("k"))
-        .primitive(PrimitiveSpec::new("b", Direction::FromUser).param_id("k"))
-        .primitive(PrimitiveSpec::new("c", Direction::ToUser).param_id("k"));
-    for constraint in constraints {
-        builder = builder.constraint(constraint.clone());
-    }
-    builder.build().ok()
-}
+use svckit_model::{PartId, Sap, Value};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]

@@ -23,10 +23,13 @@ impl FloorMetrics {
     /// resource).
     pub fn from_trace(trace: &Trace) -> Self {
         let mut metrics = FloorMetrics::default();
-        let mut outstanding: BTreeMap<(Sap, Vec<Value>), VecDeque<svckit_model::Instant>> =
+        // Keys borrow from the trace: no per-event copy of the access point
+        // or the arguments.
+        let mut outstanding: BTreeMap<(&Sap, &[Value]), VecDeque<svckit_model::Instant>> =
             BTreeMap::new();
+        let mut grants_per_sap: BTreeMap<&Sap, u64> = BTreeMap::new();
         for event in trace {
-            let key = (event.sap().clone(), event.args().to_vec());
+            let key = (event.sap(), event.args());
             match event.primitive() {
                 "request" => {
                     metrics.requests += 1;
@@ -34,10 +37,7 @@ impl FloorMetrics {
                 }
                 "granted" => {
                     metrics.grants += 1;
-                    *metrics
-                        .grants_per_sap
-                        .entry(event.sap().clone())
-                        .or_insert(0) += 1;
+                    *grants_per_sap.entry(event.sap()).or_insert(0) += 1;
                     if let Some(started) = outstanding.entry(key).or_default().pop_front() {
                         metrics
                             .latencies
@@ -55,6 +55,10 @@ impl FloorMetrics {
         // starves requesters look identical to one that granted
         // everything. Surface them instead.
         metrics.outstanding_at_end = outstanding.values().map(|q| q.len() as u64).sum();
+        metrics.grants_per_sap = grants_per_sap
+            .into_iter()
+            .map(|(sap, grants)| (sap.clone(), grants))
+            .collect();
         metrics.latencies.sort_unstable();
         metrics
     }

@@ -12,29 +12,22 @@ pub mod polling;
 pub mod queue;
 pub mod token;
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-use svckit_middleware::{AdmissionGate, Compiled, ADMISSION_BOUND};
+use svckit_middleware::AdmissionGate;
 use svckit_model::PartId;
 
 use crate::params::RunParams;
-use crate::service::floor_control_service;
+use crate::service::floor_compiled;
 
-/// The admission gate every middleware deployment installs: the
-/// floor-control service compiled once per *process* (the tables are
-/// stateless templates), with a fresh gate per deployment driven by the
-/// engine selected in [`RunParams::engine`]. Passive — it counts
-/// violations against the service definition without perturbing the run.
+/// The admission gate every middleware deployment installs: a fresh gate
+/// per deployment over the process-wide compiled floor-control tables,
+/// driven by the engine selected in [`RunParams::engine`]. Passive — it
+/// counts violations against the service definition without perturbing
+/// the run.
 pub(crate) fn admission_gate(params: &RunParams) -> Arc<AdmissionGate> {
-    static FLOOR_COMPILED: OnceLock<Arc<Compiled>> = OnceLock::new();
-    let compiled = FLOOR_COMPILED.get_or_init(|| {
-        Arc::new(
-            Compiled::compile(&floor_control_service(), ADMISSION_BOUND)
-                .expect("floor-control constraints compile"),
-        )
-    });
     Arc::new(AdmissionGate::with_compiled(
-        Arc::clone(compiled),
+        floor_compiled(),
         params.engine_value(),
     ))
 }

@@ -1,6 +1,8 @@
 //! The unified run harness for all six solutions.
 
-use svckit_middleware::MwSystem;
+use std::sync::Arc;
+
+use svckit_middleware::{AdmissionGate, Monitor, MwSystem};
 use svckit_model::conformance::{check_trace, CheckOptions};
 use svckit_model::{Duration, Instant, PartId, Trace};
 use svckit_netsim::SimReport;
@@ -8,7 +10,7 @@ use svckit_protocol::{ReliabilityConfig, Stack};
 
 use crate::metrics::FloorMetrics;
 use crate::params::{RunParams, Solution};
-use crate::service::floor_control_service;
+use crate::service::floor_compiled;
 use crate::{mw, proto};
 
 /// A network fault (or repair) injected into a running deployment.
@@ -200,21 +202,42 @@ pub fn run_middleware_deployment_with(
     run_deployment(Deployment::Middleware(system), label, params, faults)
 }
 
-/// Running totals of the trace primitives the harness watches.
+/// Running totals of the trace primitives the harness watches, and the
+/// run's conformance monitor.
 ///
 /// Slices advance the simulated clock monotonically, so a slice only ever
 /// appends to the trace and earlier events never move. Tallying just the
-/// events appended since the last slice keeps the totals exact at
-/// O(new events) per slice.
-#[derive(Debug, Default)]
+/// events appended since the last slice keeps the totals exact, and the
+/// monitor's verdict incremental, at O(new events) per slice.
+#[derive(Debug)]
 struct Tally {
     /// Length of the trace prefix already tallied.
     seen: usize,
     frees: u64,
     grants: u64,
+    monitor: Monitor,
 }
 
 impl Tally {
+    /// A tally whose monitor shares the interning tables of `gate`, when
+    /// the gate checks against the same compiled floor-control tables;
+    /// otherwise the monitor keeps its own.
+    fn new(gate: Option<&Arc<AdmissionGate>>) -> Self {
+        let compiled = floor_compiled();
+        let monitor = match gate {
+            Some(gate) if Arc::ptr_eq(&gate.compiled(), &compiled) => {
+                Monitor::sharing(Arc::clone(gate))
+            }
+            _ => Monitor::new(compiled),
+        };
+        Tally {
+            seen: 0,
+            frees: 0,
+            grants: 0,
+            monitor,
+        }
+    }
+
     fn absorb(&mut self, trace: &Trace) {
         for event in &trace.events()[self.seen..] {
             match event.primitive() {
@@ -222,6 +245,8 @@ impl Tally {
                 "granted" => self.grants += 1,
                 _ => {}
             }
+            self.monitor
+                .observe(event.sap(), event.primitive(), event.args());
         }
         self.seen = trace.len();
     }
@@ -239,7 +264,11 @@ fn run_deployment(
     schedule.sort_by_key(|f| f.at); // stable: equal times keep listed order
     let mut next_fault = 0usize;
     let mut elapsed = Duration::ZERO;
-    let mut tally = Tally::default();
+    let gate = match &deployment {
+        Deployment::Middleware(system) => system.admission_gate(),
+        Deployment::Protocol(_) => None,
+    };
+    let mut tally = Tally::new(gate);
     // Each slice's report is dropped before the next slice runs: a report
     // still holding the simulator's copy-on-write trace would make the next
     // append deep-copy the whole trace.
@@ -284,19 +313,13 @@ fn run_deployment(
     let trace = report.into_trace();
 
     let completed = tally.frees >= expected_frees;
-    let options = CheckOptions {
-        // Incomplete runs were cut off mid-flight; outstanding requests are
-        // pending, not wrong.
-        allow_pending_liveness: !completed,
-        ..CheckOptions::default()
-    };
-    let check = check_trace(&floor_control_service(), &trace, &options);
+    let (conformant, violations) = verdict(&tally.monitor, &trace, completed);
 
     RunOutcome {
         solution,
         completed,
-        conformant: check.is_conformant(),
-        violations: check.violations().len(),
+        conformant,
+        violations,
         floor: FloorMetrics::from_trace(&trace),
         trace,
         end_time,
@@ -307,9 +330,36 @@ fn run_deployment(
     }
 }
 
+/// The run's `(conformant, violations)` verdict. A clean monitor settles
+/// it without re-reading the trace; only a flagged run pays for
+/// [`check_trace`], which supplies the exact violation list (and stays
+/// authoritative past the monitor's compiled obligation bound). Debug
+/// builds check every run both ways.
+fn verdict(monitor: &Monitor, trace: &Trace, completed: bool) -> (bool, usize) {
+    debug_assert_eq!(monitor.events(), trace.len());
+    let clean = monitor.is_clean(completed);
+    if clean && !cfg!(debug_assertions) {
+        return (true, 0);
+    }
+    let options = CheckOptions {
+        // Incomplete runs were cut off mid-flight; outstanding requests are
+        // pending, not wrong.
+        allow_pending_liveness: !completed,
+        ..CheckOptions::default()
+    };
+    let report = check_trace(floor_compiled().service(), trace, &options);
+    debug_assert!(!clean || report.is_conformant(), "clean monitor, {report}");
+    debug_assert!(
+        clean || !report.is_conformant() || monitor.hit_bound(),
+        "monitor flagged a conformant trace below its bound"
+    );
+    (report.is_conformant(), report.violations().len())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::floor_control_service;
     use svckit_netsim::DeterministicRng;
 
     fn small() -> RunParams {
@@ -468,6 +518,51 @@ mod tests {
                         "{solution} seed {seed}"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn the_monitor_verdict_matches_check_trace_on_clean_and_broken_traces() {
+        let service = floor_control_service();
+        let outcome = run_solution(Solution::MwCallback, &small());
+        // Drop the first `free`: its holder never releases, so the next
+        // grant of that resource breaks mutual exclusion and the
+        // unanswered grant breaks liveness.
+        let events = outcome.trace.events();
+        let first_free = events
+            .iter()
+            .position(|e| e.primitive() == "free")
+            .expect("a completed run frees");
+        let broken: Trace = events
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| i != first_free)
+            .map(|(_, e)| e.clone())
+            .collect();
+        // Both monitor kinds: its own tables, and a fresh gate's.
+        let gate = crate::mw::admission_gate(&small());
+        for ((trace, conformant), gate) in [(&outcome.trace, true), (&broken, false)]
+            .into_iter()
+            .flat_map(|case| [(case, None), (case, Some(&gate))])
+        {
+            // Two slices' worth of absorbing, as the run loop does.
+            let mut tally = Tally::new(gate);
+            let half: Trace = trace.events()[..trace.len() / 2].iter().cloned().collect();
+            tally.absorb(&half);
+            tally.absorb(trace);
+            for completed in [false, true] {
+                let options = CheckOptions {
+                    allow_pending_liveness: !completed,
+                    ..CheckOptions::default()
+                };
+                let report = check_trace(&service, trace, &options);
+                assert_eq!(report.is_conformant(), conformant);
+                assert_eq!(
+                    verdict(&tally.monitor, trace, completed),
+                    (conformant, report.violations().len()),
+                    "completed={completed}"
+                );
             }
         }
     }

@@ -1,6 +1,9 @@
 //! The floor-control service definition (Figure 5).
 
+use std::sync::{Arc, OnceLock};
+
 use svckit_lts::explorer::AbstractEvent;
+use svckit_middleware::{Compiled, ADMISSION_BOUND};
 use svckit_model::{
     Constraint, ConstraintScope, Direction, PartId, PrimitiveSpec, Sap, ServiceDefinition, Value,
 };
@@ -40,6 +43,20 @@ pub fn floor_control_service() -> ServiceDefinition {
         .constraint(Constraint::mutual_exclusion("granted", "free").keyed(&[0]))
         .build()
         .expect("the floor-control service definition is well-formed")
+}
+
+/// The floor-control service compiled once per *process* at
+/// [`ADMISSION_BOUND`]. The tables are stateless templates (memoized
+/// mutex tables included), so every admission gate and every run's
+/// conformance monitor shares this one copy.
+pub(crate) fn floor_compiled() -> Arc<Compiled> {
+    static FLOOR_COMPILED: OnceLock<Arc<Compiled>> = OnceLock::new();
+    Arc::clone(FLOOR_COMPILED.get_or_init(|| {
+        Arc::new(
+            Compiled::compile(&floor_control_service(), ADMISSION_BOUND)
+                .expect("floor-control constraints compile"),
+        )
+    }))
 }
 
 /// The access point of subscriber `part`.

@@ -34,17 +34,16 @@ impl Broker {
         Arc::clone(&self.counters)
     }
 
-    fn deliver(&self, net: &mut Context<'_>, component: &str, source: &str, payload: Vec<Value>) {
+    /// Sends one `mw_deliver` frame — `[source, payload list]` — to
+    /// `component`.
+    fn deliver(&self, net: &mut Context<'_>, component: &str, frame: &[Value]) {
         let Some(entry) = self.plan.component(component) else {
             self.counters.lock().unwrap().dispatch_errors += 1;
             return;
         };
         let bytes = self
             .registry
-            .encode(
-                wire::PDU_DELIVER,
-                &[Value::Text(source.to_owned()), wire::wrap_list(payload)],
-            )
+            .encode(wire::PDU_DELIVER, frame)
             .expect("wire schema is static");
         let mut c = self.counters.lock().unwrap();
         c.deliveries += 1;
@@ -81,13 +80,13 @@ impl Process for Broker {
                 return;
             }
         };
-        let name = pdu.name().to_owned();
-        let mut args = pdu.into_args();
-        match name.as_str() {
+        let (name, mut args) = pdu.into_parts();
+        match &*name {
             wire::PDU_ENQUEUE => {
                 let body = wire::unwrap_list(args.pop().expect("schema has 2 fields"));
-                let queue = args.pop().and_then(|v| v.as_text().map(str::to_owned));
-                let Some(queue) = queue else { return };
+                let Some(queue) = args.pop().and_then(Value::into_text) else {
+                    return;
+                };
                 let Some(consumers) = self.plan.queue_consumers(&queue) else {
                     self.counters.lock().unwrap().dispatch_errors += 1;
                     return;
@@ -95,22 +94,32 @@ impl Process for Broker {
                 if consumers.is_empty() {
                     return;
                 }
-                let consumers = consumers.to_vec();
-                let idx = self.round_robin.entry(queue.clone()).or_insert(0);
-                let target = consumers[*idx % consumers.len()].clone();
-                *idx += 1;
-                self.deliver(net, &target, &queue, body);
+                // Only a queue's first message pays for its counter key.
+                let turn = match self.round_robin.get_mut(queue.as_str()) {
+                    Some(next) => {
+                        *next += 1;
+                        *next - 1
+                    }
+                    None => {
+                        self.round_robin.insert(queue.clone(), 1);
+                        0
+                    }
+                };
+                let target = &consumers[turn % consumers.len()];
+                self.deliver(net, target, &[Value::Text(queue), wire::wrap_list(body)]);
             }
             wire::PDU_PUBLISH => {
                 let body = wire::unwrap_list(args.pop().expect("schema has 2 fields"));
-                let topic = args.pop().and_then(|v| v.as_text().map(str::to_owned));
-                let Some(topic) = topic else { return };
+                let Some(topic) = args.pop().and_then(Value::into_text) else {
+                    return;
+                };
                 let Some(subscribers) = self.plan.topic_subscribers(&topic) else {
                     self.counters.lock().unwrap().dispatch_errors += 1;
                     return;
                 };
+                let frame = [Value::Text(topic), wire::wrap_list(body)];
                 for subscriber in subscribers {
-                    self.deliver(net, subscriber, &topic, body.clone());
+                    self.deliver(net, subscriber, &frame);
                 }
             }
             _ => {

@@ -44,6 +44,7 @@ pub use error::MwError;
 pub use plan::{DeploymentPlan, DeploymentPlanBuilder, PlatformCaps};
 /// The runtime admission path, re-exported from `svckit-dfa`: install a
 /// gate with [`MwSystemBuilder::admission`] to validate every recorded
-/// primitive occurrence against a compiled service definition.
-pub use svckit_dfa::{AdmissionGate, AdmissionStats, Compiled, Engine, ADMISSION_BOUND};
+/// primitive occurrence against a compiled service definition. The
+/// [`Monitor`] checks a whole trace against the same compiled tables.
+pub use svckit_dfa::{AdmissionGate, AdmissionStats, Compiled, Engine, Monitor, ADMISSION_BOUND};
 pub use system::{MwSystem, MwSystemBuilder};

@@ -59,12 +59,13 @@ impl MwNode {
         args: Vec<Value>,
     ) {
         // Validate against our own contract: the caller-side check can be
-        // bypassed by hand-crafted frames, so the skeleton re-checks.
-        let entry = self.plan.component(&self.name).cloned();
-        let sig = entry
-            .as_ref()
-            .and_then(|e| e.find_operation(&iface, &op))
-            .cloned();
+        // bypassed by hand-crafted frames, so the skeleton re-checks. The
+        // signature is borrowed through a second handle on the shared plan,
+        // so the component below can still be called mutably.
+        let plan = Arc::clone(&self.plan);
+        let sig = plan
+            .component(&self.name)
+            .and_then(|e| e.find_operation(&iface, &op));
         let Some(sig) = sig else {
             self.counters.lock().unwrap().dispatch_errors += 1;
             return;
@@ -132,13 +133,12 @@ impl Process for MwNode {
                 return;
             }
         };
-        let name = pdu.name().to_owned();
-        let mut args = pdu.into_args();
-        match name.as_str() {
+        let (name, mut args) = pdu.into_parts();
+        match &*name {
             wire::PDU_REQUEST => {
                 let argv = wire::unwrap_list(args.pop().expect("schema has 4 fields"));
-                let op = args.pop().and_then(|v| v.as_text().map(str::to_owned));
-                let iface = args.pop().and_then(|v| v.as_text().map(str::to_owned));
+                let op = args.pop().and_then(Value::into_text);
+                let iface = args.pop().and_then(Value::into_text);
                 let call = args.pop().and_then(|v| v.as_id());
                 if let (Some(op), Some(iface), Some(call)) = (op, iface, call) {
                     self.dispatch_operation(net, from, Some(call), iface, op, argv);
@@ -146,8 +146,8 @@ impl Process for MwNode {
             }
             wire::PDU_ONEWAY => {
                 let argv = wire::unwrap_list(args.pop().expect("schema has 3 fields"));
-                let op = args.pop().and_then(|v| v.as_text().map(str::to_owned));
-                let iface = args.pop().and_then(|v| v.as_text().map(str::to_owned));
+                let op = args.pop().and_then(Value::into_text);
+                let iface = args.pop().and_then(Value::into_text);
                 if let (Some(op), Some(iface)) = (op, iface) {
                     self.dispatch_operation(net, from, None, iface, op, argv);
                 }
@@ -183,7 +183,7 @@ impl Process for MwNode {
             }
             wire::PDU_DELIVER => {
                 let payload = wire::unwrap_list(args.pop().expect("schema has 2 fields"));
-                let source = args.pop().and_then(|v| v.as_text().map(str::to_owned));
+                let source = args.pop().and_then(Value::into_text);
                 if let Some(source) = source {
                     self.counters.lock().unwrap().deliveries += 1;
                     svckit_obs::obs_count!("mw.deliveries");

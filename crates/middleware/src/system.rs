@@ -221,6 +221,11 @@ impl MwSystem {
         self.admission.as_ref().map(|g| g.stats())
     }
 
+    /// The installed admission gate, if any.
+    pub fn admission_gate(&self) -> Option<&Arc<AdmissionGate>> {
+        self.admission.as_ref()
+    }
+
     /// Sum of all component counters (broker included).
     pub fn total_counters(&self) -> MwCounters {
         let mut total = MwCounters::default();

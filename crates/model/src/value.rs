@@ -69,6 +69,14 @@ impl Value {
         }
     }
 
+    /// Moves the text payload out, if this value is a [`Value::Text`].
+    pub fn into_text(self) -> Option<String> {
+        match self {
+            Value::Text(t) => Some(t),
+            _ => None,
+        }
+    }
+
     /// Returns the set payload, if this value is a [`Value::Set`].
     pub fn as_set(&self) -> Option<&BTreeSet<Value>> {
         match self {
