@@ -29,9 +29,11 @@
 //! legacy alias).
 //!
 //! Exit status is 1 when any error-severity diagnostic is reported, or when
-//! warnings are reported under `--deny warnings`.
+//! warnings are reported under `--deny warnings`. A malformed flag value
+//! prints one `error:` line and also exits with 1.
 
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use svckit_analyze::{
     all_targets, fixtures, scale_floor_targets, AnalysisReport, Reduction, ServicePassOptions,
@@ -52,42 +54,39 @@ fn positive_flag(args: &[String], name: &str, default: usize) -> Result<usize, S
     }
 }
 
+/// Parses `--<name> VALUE` through `T`'s `FromStr` (`default` when absent).
+fn parsed_flag<T: FromStr<Err = String>>(
+    args: &[String],
+    name: &str,
+    default: T,
+) -> Result<T, String> {
+    flag_value(args, name).map_or(Ok(default), |value| {
+        value.parse().map_err(|err| format!("--{name}: {err}"))
+    })
+}
+
+/// The pass options and the `--users` count the flags select.
+fn parse_options(args: &[String]) -> Result<(ServicePassOptions, usize), String> {
+    let options = ServicePassOptions {
+        reduction: parsed_flag(args, "por", Reduction::AmpleSets)?,
+        symmetry: parsed_flag(args, "symmetry", Symmetry::On)?,
+        max_states: positive_flag(args, "max-states", 200_000)?,
+        engine: parsed_flag(args, "engine", Default::default())?,
+        backend: parsed_flag(args, "backend", Default::default())?,
+        ..ServicePassOptions::default()
+    };
+    Ok((options, positive_flag(args, "users", 3)?))
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let deny_warnings = flag_value(&args, "deny").is_some_and(|v| v == "warnings");
-    let reduction = match flag_value(&args, "por").as_deref() {
-        None | Some("on") => Reduction::AmpleSets,
-        Some("off") => Reduction::Full,
-        Some(other) => {
-            eprintln!("--por expects `on` or `off`, got {other:?}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let symmetry = match flag_value(&args, "symmetry").as_deref() {
-        None | Some("on") => Symmetry::On,
-        Some("off") => Symmetry::Off,
-        Some(other) => {
-            eprintln!("--symmetry expects `on` or `off`, got {other:?}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let (max_states, users) = match (
-        positive_flag(&args, "max-states", 200_000),
-        positive_flag(&args, "users", 3),
-    ) {
-        (Ok(max_states), Ok(users)) => (max_states, users),
-        (Err(err), _) | (_, Err(err)) => {
+    let (options, users) = match parse_options(&args) {
+        Ok(parsed) => parsed,
+        Err(err) => {
             eprintln!("error: {err}");
             return ExitCode::FAILURE;
         }
-    };
-    let options = ServicePassOptions {
-        reduction,
-        symmetry,
-        max_states,
-        engine: svckit_sweep::engine_flag(&args).unwrap_or_default(),
-        backend: svckit_sweep::backend_flag(&args).unwrap_or_default(),
-        ..ServicePassOptions::default()
     };
 
     let mut targets = all_targets();

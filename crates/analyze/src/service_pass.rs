@@ -115,7 +115,6 @@ pub fn progress_primitives(service: &ServiceDefinition) -> Vec<String> {
             ConstraintKind::Precedes { later, .. } => later,
             ConstraintKind::MutualExclusion { release, .. } => release,
             ConstraintKind::After { .. } => continue,
-            _ => continue,
         };
         if !progress.iter().any(|p| p == name) {
             progress.push(name.clone());

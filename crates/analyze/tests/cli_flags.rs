@@ -1,4 +1,4 @@
-//! The analyzer binary rejects malformed numeric flags with a one-line
+//! The analyzer binary rejects malformed flags with a one-line
 //! `error:` and exit code 1 — no panic, no backtrace, and no silent run
 //! over an empty universe.
 
@@ -46,5 +46,29 @@ fn malformed_max_states_is_an_error_not_a_panic() {
     assert_rejected(
         &["--max-states", "-5", "--users", "4"],
         r#"error: --max-states expects a positive integer, got "-5""#,
+    );
+}
+
+#[test]
+fn unknown_engine_and_backend_are_errors_not_panics() {
+    assert_rejected(
+        &["--engine", "bogus"],
+        r#"error: --engine: unknown engine "bogus" (expected dfa|interp)"#,
+    );
+    assert_rejected(
+        &["--backend", "bogus"],
+        r#"error: --backend: unknown backend "bogus" (expected explicit|symbolic)"#,
+    );
+}
+
+#[test]
+fn unknown_por_and_symmetry_settings_carry_the_error_prefix() {
+    assert_rejected(
+        &["--por", "maybe"],
+        "error: --por: unknown POR setting `maybe` (on|off)",
+    );
+    assert_rejected(
+        &["--symmetry", "maybe"],
+        "error: --symmetry: unknown symmetry setting `maybe` (on|off)",
     );
 }

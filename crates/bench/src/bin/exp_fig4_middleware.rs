@@ -17,12 +17,16 @@ use svckit::model::Duration;
 use svckit::netsim::LinkConfig;
 use svckit_bench::{fmt_f, print_header, print_row};
 use svckit_sweep::{
-    default_threads, engine_flag, flag_usize, flag_value, obs_flags, run_sweep, shards_flag,
-    trace_flags, verbosity, SweepSpec,
+    default_threads, flag_usize, flag_value, obs_flags, run_sweep, shards_flag, trace_flags,
+    verbosity, SweepSpec,
 };
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let shards = shards_flag(&args).unwrap_or_else(|err| {
+        eprintln!("error: {err}");
+        std::process::exit(1);
+    });
     let threads = flag_usize(&args, "threads", default_threads());
     let out = flag_value(&args, "out").unwrap_or_else(|| "SWEEP_fig4_middleware.json".to_owned());
 
@@ -46,19 +50,13 @@ fn main() {
     if let Some(needle) = flag_value(&args, "filter") {
         spec = spec.filter(needle);
     }
-    if let Some(shards) = shards_flag(&args) {
+    if let Some(shards) = shards {
         // Sweep JSON is byte-identical across shard counts >= 2: link
         // randomness is per-pair, so partitioning cannot change it. The
         // E2 links are jittered, so shards >= 2 draw a different (equally
         // valid) sample than one shard's single global stream;
         // CI cmp's --shards 2 against --shards 4.
         spec = spec.shards(shards);
-    }
-    if let Some(engine) = engine_flag(&args) {
-        // The admission gate is passive, so both engines produce
-        // byte-identical sweep JSON; CI cmp's --engine interp against the
-        // default dfa run.
-        spec = spec.engine(engine);
     }
     let report = run_sweep(&spec, threads);
 
@@ -228,7 +226,7 @@ fn main() {
                     .seed(108)
                     .time_cap(Duration::from_secs(300)),
             );
-        if let Some(shards) = shards_flag(&args) {
+        if let Some(shards) = shards {
             trace_spec = trace_spec.shards(shards);
         }
         let trace_report = run_sweep(&trace_spec, threads);

@@ -189,7 +189,7 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
 fn verify_run(params: &RunParams, explore: &ExploreOptions) -> bool {
     let service = floor_control_service();
     let universe = floor_event_universe(params.subscriber_count(), params.resource_count());
-    let explorer = ServiceExplorer::with_engine(&service, universe, 2, params.engine_value());
+    let explorer = ServiceExplorer::new(&service, universe, 2);
     let report = explorer.explore(explore);
     println!(
         "model check:  {} state(s), {} transition(s) [symmetry {}, {} concrete state(s) saved]",

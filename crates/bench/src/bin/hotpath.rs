@@ -32,12 +32,11 @@ use std::sync::Arc;
 use std::time::Instant as WallInstant;
 
 use svckit::floorctl::{
-    floor_control_service, floor_event_universe, run_solution, AdmissionGate, Engine, RunParams,
-    Solution,
+    floor_control_service, floor_event_universe, run_solution, AdmissionGate, RunParams, Solution,
 };
 use svckit::lts::explorer::{ExploreOptions, Reduction, ServiceExplorer};
 use svckit::lts::{Backend, Symmetry};
-use svckit::middleware::{Compiled, ADMISSION_BOUND};
+use svckit::middleware::{Compiled, Engine, ADMISSION_BOUND};
 use svckit::model::{Duration, PartId};
 use svckit::netsim::{Context, LinkConfig, Process, QueueBackend, SimConfig, Simulator, TimerId};
 use svckit::obs::with_recorder;

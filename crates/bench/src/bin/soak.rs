@@ -214,7 +214,7 @@ fn main() {
         spec = spec.filter(needle.clone());
         reliable_spec = reliable_spec.filter(needle);
     }
-    if let Some(shards) = shards_flag(&args) {
+    if let Some(shards) = shards_flag(&args).unwrap_or_else(|e| fail(&e)) {
         // Campaign cells stay byte-identical under any shard count; the
         // flag exists so CI can prove it on the full fault grid too.
         spec = spec.shards(shards);

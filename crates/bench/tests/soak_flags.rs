@@ -1,24 +1,33 @@
 //! The soak binary's `--clients` mode rejects malformed flags and an
 //! unwritable `--out` with a one-line `error:` and exit code 1 — no
-//! panic, no backtrace.
+//! panic, no backtrace. So does a bad `--shards` count, in the soak grid
+//! and in the sweep-based `exp_fig4_middleware`.
 
 use std::process::Command;
 
-fn soak(args: &[&str]) -> (Option<i32>, String) {
-    let output = Command::new(env!("CARGO_BIN_EXE_soak"))
+fn run(binary: &str, args: &[&str]) -> (Option<i32>, String) {
+    let output = Command::new(binary)
         .args(args)
         .output()
-        .expect("the soak binary runs");
+        .expect("the binary runs");
     (
         output.status.code(),
         String::from_utf8_lossy(&output.stderr).into_owned(),
     )
 }
 
-fn assert_rejected(args: &[&str], expected: &str) {
-    let (code, stderr) = soak(args);
+fn soak(args: &[&str]) -> (Option<i32>, String) {
+    run(env!("CARGO_BIN_EXE_soak"), args)
+}
+
+fn assert_rejected_by(binary: &str, args: &[&str], expected: &str) {
+    let (code, stderr) = run(binary, args);
     assert_eq!(code, Some(1), "{args:?}: exit code (stderr: {stderr})");
     assert_eq!(stderr.trim_end(), expected, "{args:?}: stderr");
+}
+
+fn assert_rejected(args: &[&str], expected: &str) {
+    assert_rejected_by(env!("CARGO_BIN_EXE_soak"), args, expected);
 }
 
 #[test]
@@ -79,4 +88,21 @@ fn a_small_scale_soak_writes_its_json() {
     let json = std::fs::read_to_string(&path).unwrap();
     assert!(json.contains(r#""quiescent": true"#), "{json}");
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_bad_shard_count_is_an_error_not_a_panic() {
+    assert_rejected(
+        &["--shards", "x"],
+        r#"error: --shards expects an integer >= 1, got "x""#,
+    );
+    assert_rejected(
+        &["--shards", "0"],
+        r#"error: --shards expects an integer >= 1, got "0""#,
+    );
+    assert_rejected_by(
+        env!("CARGO_BIN_EXE_exp_fig4_middleware"),
+        &["--shards", "0"],
+        r#"error: --shards expects an integer >= 1, got "0""#,
+    );
 }

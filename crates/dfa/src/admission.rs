@@ -183,7 +183,7 @@ impl AdmissionGate {
     /// Compiles `service` and builds a gate driven by `engine`.
     ///
     /// Returns `None` when the service's constraints cannot be compiled
-    /// (unknown constraint kinds).
+    /// (an `AtMostOutstanding` limit too large for a dense table).
     pub fn new(service: &ServiceDefinition, engine: Engine) -> Option<AdmissionGate> {
         let compiled = Arc::new(Compiled::compile(service, ADMISSION_BOUND)?);
         Some(AdmissionGate::with_compiled(compiled, engine))

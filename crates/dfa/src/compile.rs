@@ -5,8 +5,7 @@ use std::sync::Arc;
 use svckit_model::hash::FastMap;
 use svckit_model::{Constraint, ConstraintKind, ConstraintScope, ServiceDefinition};
 
-use crate::dfa::{Dfa, DfaCache, StateMeta};
-use crate::nfa::{determinize, mutex_acquire, mutex_release, Nfa, CHECK, DOWN, ENABLE, OTHER, UP};
+use crate::dfa::{Dfa, DfaCache, StateMeta, DEAD};
 
 /// Largest dense table (states per automaton) the compiler will emit.
 /// A bound beyond this (an absurd `max_outstanding` or `limit`) falls back
@@ -15,7 +14,7 @@ const MAX_TABLE_STATES: u32 = 4096;
 
 /// Which counter semantics a counter-shaped constraint uses. All three
 /// count outstanding obligations; they differ in what happens at the
-/// edges (see [`Shape::counter_nfa`]).
+/// edges (see [`Shape::counter_dfa`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum CounterFlavor {
     /// `Precedes`: a `DOWN` at zero is a violation.
@@ -51,99 +50,97 @@ pub(crate) enum Shape {
     Mutex { acquire: String, release: String },
 }
 
+/// Class of events irrelevant to the constraint: always a self-loop.
+pub(crate) const OTHER: u16 = 0;
+/// Counter shapes: the obligation-creating primitive occurred.
+pub(crate) const UP: u16 = 1;
+/// Counter shapes: the obligation-discharging primitive occurred.
+pub(crate) const DOWN: u16 = 2;
+/// `After`: the enabling primitive occurred.
+pub(crate) const ENABLE: u16 = 1;
+/// `After`: the enabled primitive occurred (forbidden before any enabler).
+pub(crate) const CHECK: u16 = 2;
+
+/// `MutualExclusion`: class of an acquire by the interned holder `i`.
+pub(crate) fn mutex_acquire(holder: u16) -> u16 {
+    1 + 2 * holder
+}
+
+/// `MutualExclusion`: class of a release by the interned holder `i`.
+pub(crate) fn mutex_release(holder: u16) -> u16 {
+    2 + 2 * holder
+}
+
+/// Metadata of a state that is neither weighted nor held.
+fn plain(quiescent: bool) -> StateMeta {
+    StateMeta {
+        quiescent,
+        weight: 0,
+        holder: None,
+    }
+}
+
 impl Shape {
-    /// The NFA for a counter shape with the given bound: states are the
-    /// counter values `0..=bound`.
-    fn counter_nfa(bound: u32, flavor: CounterFlavor) -> Nfa {
-        let nstates = bound as usize + 1;
-        let mut trans = Vec::with_capacity(3 * nstates);
-        for s in 0..nstates {
-            trans.push((s, OTHER, s));
-            if s < nstates - 1 {
-                trans.push((s, UP, s + 1));
-            }
-            if s > 0 {
-                trans.push((s, DOWN, s - 1));
-            } else if flavor != CounterFlavor::Precedes {
-                // EventuallyFollows / AtMostOutstanding discharge
-                // saturates at zero instead of violating.
-                trans.push((0, DOWN, 0));
-            }
+    /// The table for a counter shape with the given bound: state `s` is
+    /// the counter value `0..=bound`. `UP` climbs and is rejected at the
+    /// bound; `DOWN` descends, and at zero is rejected (`Precedes`) or
+    /// saturates (`EventuallyFollows` / `AtMostOutstanding`).
+    fn counter_dfa(bound: u32, flavor: CounterFlavor) -> Dfa {
+        let top = u16::try_from(bound).expect("counter bound fits a dense table");
+        let mut table = Vec::with_capacity(3 * (usize::from(top) + 1));
+        for s in 0..=top {
+            let up = if s < top { s + 1 } else { DEAD };
+            let down = match s {
+                0 if flavor == CounterFlavor::Precedes => DEAD,
+                0 => 0,
+                _ => s - 1,
+            };
+            // Row order is the class order OTHER, UP, DOWN.
+            table.extend([s, up, down]);
         }
-        let meta = (0..nstates)
+        let meta = (0..=top)
             .map(|s| StateMeta {
-                quiescent: s == 0,
                 weight: if flavor == CounterFlavor::Eventually {
-                    s as u32
+                    u32::from(s)
                 } else {
                     0
                 },
-                holder: None,
+                ..plain(s == 0)
             })
             .collect();
-        Nfa {
-            nclasses: 3,
-            nstates,
-            start: 0,
-            trans,
-            meta,
-        }
+        Dfa::new(3, table, meta)
     }
 
-    /// The NFA for `After`: a two-state enable latch. `CHECK` before any
-    /// `ENABLE` is the violation; once enabled, everything is allowed.
-    fn after_nfa() -> Nfa {
-        let trans = vec![
-            (0, OTHER, 0),
-            (0, ENABLE, 1),
-            (1, OTHER, 1),
-            (1, ENABLE, 1),
-            (1, CHECK, 1),
-        ];
-        let meta = (0..2)
-            .map(|_| StateMeta {
-                quiescent: true, // After never blocks quiescence
-                weight: 0,
-                holder: None,
-            })
-            .collect();
-        Nfa {
-            nclasses: 3,
-            nstates: 2,
-            start: 0,
-            trans,
-            meta,
-        }
+    /// The table for `After`: a two-state enable latch over the classes
+    /// OTHER, ENABLE, CHECK. `CHECK` before any `ENABLE` is the violation;
+    /// once enabled, everything is allowed. Both states are quiescent
+    /// (`After` never blocks quiescence).
+    fn after_dfa() -> Dfa {
+        Dfa::new(3, vec![0, 1, DEAD, 1, 1, 1], vec![plain(true); 2])
     }
 
-    /// The NFA for `MutualExclusion` over `holders` interned holder SAPs:
-    /// state 0 is free, state `1 + i` is held by holder `i`. Acquiring
-    /// while held (by anyone, including oneself) and releasing by a
-    /// non-holder (or when free) are the violations.
-    pub(crate) fn mutex_nfa(holders: u16) -> Nfa {
-        let nstates = holders as usize + 1;
-        let mut trans = Vec::new();
-        for s in 0..nstates {
-            trans.push((s, OTHER, s));
+    /// The table for `MutualExclusion` over `holders` interned holder
+    /// SAPs: state 0 is free, state `1 + i` is held by holder `i`.
+    /// Acquiring while held (by anyone, including oneself) and releasing
+    /// by a non-holder (or when free) are the violations.
+    pub(crate) fn mutex_dfa(holders: u16) -> Dfa {
+        let nclasses = 1 + 2 * holders;
+        let width = usize::from(nclasses);
+        let mut table = vec![DEAD; (usize::from(holders) + 1) * width];
+        for s in 0..=holders {
+            table[usize::from(s) * width + usize::from(OTHER)] = s;
         }
         for i in 0..holders {
-            trans.push((0, mutex_acquire(i), 1 + i as usize));
-            trans.push((1 + i as usize, mutex_release(i), 0));
+            table[usize::from(mutex_acquire(i))] = 1 + i;
+            table[usize::from(1 + i) * width + usize::from(mutex_release(i))] = 0;
         }
-        let meta = (0..nstates)
-            .map(|s| StateMeta {
-                quiescent: s == 0,
-                weight: 0,
-                holder: if s == 0 { None } else { Some(s as u16 - 1) },
-            })
+        let meta = std::iter::once(plain(true))
+            .chain((0..holders).map(|i| StateMeta {
+                holder: Some(i),
+                ..plain(false)
+            }))
             .collect();
-        Nfa {
-            nclasses: 1 + 2 * holders,
-            nstates,
-            start: 0,
-            trans,
-            meta,
-        }
+        Dfa::new(nclasses, table, meta)
     }
 
     /// The two primitive names the shape relates.
@@ -158,12 +155,11 @@ impl Shape {
     /// Builds and interns the shape's DFA (for mutexes: the zero-holder
     /// table, regrown by the binder as holders appear).
     pub(crate) fn build_dfa(&self, cache: &mut DfaCache) -> Arc<Dfa> {
-        let nfa = match self {
-            Shape::Counter { flavor, bound, .. } => Shape::counter_nfa(*bound, *flavor),
-            Shape::After { .. } => Shape::after_nfa(),
-            Shape::Mutex { .. } => Shape::mutex_nfa(0),
-        };
-        cache.intern(determinize(&nfa))
+        cache.intern(match self {
+            Shape::Counter { flavor, bound, .. } => Shape::counter_dfa(*bound, *flavor),
+            Shape::After { .. } => Shape::after_dfa(),
+            Shape::Mutex { .. } => Shape::mutex_dfa(0),
+        })
     }
 }
 
@@ -199,10 +195,10 @@ pub struct Compiled {
     /// (what the conformance [`Monitor`](crate::Monitor) validates
     /// occurrences against besides the constraints).
     service: ServiceDefinition,
-    /// Lazily-determinized mutex tables keyed by holder count (the
-    /// regrown table depends only on it). Shared by every binder over
-    /// this compiled set, so re-deployments (fresh gates, fresh
-    /// explorers) don't re-run subset construction per interned holder.
+    /// Lazily-built mutex tables keyed by holder count (the regrown table
+    /// depends only on it). Shared by every binder over this compiled
+    /// set, so re-deployments (fresh gates, fresh explorers) don't
+    /// rebuild a table per interned holder.
     mutex_tables: std::sync::Mutex<std::collections::HashMap<u16, Arc<Dfa>>>,
 }
 
@@ -211,15 +207,13 @@ impl Compiled {
     /// `max_outstanding` (the cap on unmatched `Precedes` /
     /// `EventuallyFollows` obligations, same role as in the interpreter).
     ///
-    /// Returns `None` when the constraint set contains a kind this
-    /// compiler does not know (`ConstraintKind` is `#[non_exhaustive]`) or
-    /// a bound too large for a dense table — callers fall back to the
-    /// interpreter.
+    /// Returns `None` when a bound is too large for a dense table —
+    /// callers fall back to the interpreter.
     pub fn compile(service: &ServiceDefinition, max_outstanding: u32) -> Option<Compiled> {
         let mut cache = DfaCache::new();
         let mut constraints = Vec::with_capacity(service.constraints().len());
         for constraint in service.constraints() {
-            let shape = Self::shape_of(constraint, max_outstanding)?;
+            let shape = Self::shape_of(constraint, max_outstanding);
             if let Shape::Counter { bound, .. } = &shape {
                 if bound.checked_add(1)? > MAX_TABLE_STATES {
                     return None;
@@ -251,20 +245,20 @@ impl Compiled {
         })
     }
 
-    /// The mutex table for `holders` interned holder SAPs, determinized
-    /// on first request and memoized for every binder sharing this set.
+    /// The mutex table for `holders` interned holder SAPs, built on first
+    /// request and memoized for every binder sharing this set.
     pub(crate) fn mutex_table(&self, holders: u16) -> Arc<Dfa> {
         Arc::clone(
             self.mutex_tables
                 .lock()
                 .expect("mutex table cache lock")
                 .entry(holders)
-                .or_insert_with(|| Arc::new(determinize(&Shape::mutex_nfa(holders)))),
+                .or_insert_with(|| Arc::new(Shape::mutex_dfa(holders))),
         )
     }
 
-    fn shape_of(constraint: &Constraint, max_outstanding: u32) -> Option<Shape> {
-        Some(match constraint.kind() {
+    fn shape_of(constraint: &Constraint, max_outstanding: u32) -> Shape {
+        match constraint.kind() {
             ConstraintKind::Precedes {
                 earlier,
                 later,
@@ -297,7 +291,9 @@ impl Compiled {
                 down: response.clone(),
                 scope: *scope,
                 flavor: CounterFlavor::AtMost,
-                bound: u32::try_from(*limit).ok()?,
+                // A limit past `u32` saturates; the table-size check in
+                // `compile` then rejects it.
+                bound: u32::try_from(*limit).unwrap_or(u32::MAX),
             },
             ConstraintKind::After {
                 enabler,
@@ -312,10 +308,7 @@ impl Compiled {
                 acquire: acquire.clone(),
                 release: release.clone(),
             },
-            // `ConstraintKind` is #[non_exhaustive]: an unknown kind means
-            // this compiler cannot promise equivalence — fall back.
-            _ => return None,
-        })
+        }
     }
 
     /// Number of constraints compiled.
@@ -342,7 +335,6 @@ impl Compiled {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dfa::DEAD;
     use svckit_model::{Direction, PrimitiveSpec};
 
     fn service(constraints: Vec<Constraint>) -> ServiceDefinition {
@@ -438,7 +430,7 @@ mod tests {
 
     #[test]
     fn mutex_tables_grow_with_the_holder_set() {
-        let two = determinize(&Shape::mutex_nfa(2));
+        let two = Shape::mutex_dfa(2);
         assert_eq!(two.nstates(), 3);
         assert_eq!(two.next(0, mutex_acquire(1)), 2);
         assert_eq!(two.next(2, mutex_acquire(0)), DEAD, "already held");
@@ -446,5 +438,87 @@ mod tests {
         assert_eq!(two.next(2, mutex_release(1)), 0);
         assert_eq!(two.next(0, mutex_release(0)), DEAD, "nothing held");
         assert_eq!(two.meta(2).holder, Some(1));
+    }
+
+    const X: u16 = DEAD;
+
+    /// A literal table: row-major cells and per-state
+    /// `(quiescent, weight, holder)`.
+    fn literal(nclasses: u16, table: &[u16], meta: &[(bool, u32, Option<u16>)]) -> Dfa {
+        let meta = meta
+            .iter()
+            .map(|&(quiescent, weight, holder)| StateMeta {
+                quiescent,
+                weight,
+                holder,
+            })
+            .collect();
+        Dfa::new(nclasses, table.to_vec(), meta)
+    }
+
+    #[test]
+    fn counter_tables_are_pinned_cell_by_cell() {
+        // Rows are [OTHER, UP, DOWN]; state `s` is the counter value.
+        // `Precedes` rejects `DOWN` at zero, the other flavours saturate.
+        let tables: [(&[u16], &[u16]); 4] = [
+            (&[0, X, X], &[0, X, 0]),
+            (&[0, 1, X, 1, X, 0], &[0, 1, 0, 1, X, 0]),
+            (&[0, 1, X, 1, 2, 0, 2, X, 1], &[0, 1, 0, 1, 2, 0, 2, X, 1]),
+            (
+                &[0, 1, X, 1, 2, 0, 2, 3, 1, 3, X, 2],
+                &[0, 1, 0, 1, 2, 0, 2, 3, 1, 3, X, 2],
+            ),
+        ];
+        for (bound, (precedes, saturating)) in (0u32..).zip(tables) {
+            let cases = [
+                (CounterFlavor::Precedes, precedes),
+                (CounterFlavor::Eventually, saturating),
+                (CounterFlavor::AtMost, saturating),
+            ];
+            for (flavor, table) in cases {
+                // Only `EventuallyFollows` weighs its counter value.
+                let meta: Vec<_> = (0..=bound)
+                    .map(|s| {
+                        let weight = if flavor == CounterFlavor::Eventually {
+                            s
+                        } else {
+                            0
+                        };
+                        (s == 0, weight, None)
+                    })
+                    .collect();
+                assert_eq!(
+                    Shape::counter_dfa(bound, flavor),
+                    literal(3, table, &meta),
+                    "{flavor:?} at bound {bound}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn after_and_mutex_tables_are_pinned_cell_by_cell() {
+        // [OTHER, ENABLE, CHECK]; both latch states are quiescent.
+        let after = literal(3, &[0, 1, X, 1, 1, 1], &[(true, 0, None); 2]);
+        assert_eq!(Shape::after_dfa(), after);
+        // [OTHER, acquire(0), release(0), acquire(1), release(1), ...];
+        // state `1 + i` is held by holder `i`.
+        let free = (true, 0, None);
+        let held = |i| (false, 0, Some(i));
+        assert_eq!(Shape::mutex_dfa(0), literal(1, &[0], &[free]));
+        assert_eq!(
+            Shape::mutex_dfa(1),
+            literal(3, &[0, 1, X, 1, X, 0], &[free, held(0)])
+        );
+        #[rustfmt::skip]
+        let two = [
+            0, 1, X, 2, X,
+            1, X, 0, X, X,
+            2, X, X, X, 0,
+        ];
+        assert_eq!(
+            Shape::mutex_dfa(2),
+            literal(5, &two, &[free, held(0), held(1)])
+        );
     }
 }

@@ -1,4 +1,10 @@
 //! The engine knob: interpreted reference vs compiled DFA tables.
+//!
+//! The knob exists where the choice is measured or cross-checked: the
+//! explorer (`ServiceExplorer::with_engine`), the admission gate
+//! (`AdmissionGate::with_compiled`) and the analyzer's `--engine` flag.
+//! Runs have no engine knob: the gate is passive, so middleware
+//! deployments install the default engine.
 
 use std::fmt;
 use std::str::FromStr;
@@ -8,9 +14,7 @@ use std::str::FromStr;
 ///
 /// Both engines are observationally identical (verdicts, first-violation
 /// choice, rendered messages); the interpreter is kept as the reference
-/// oracle, the DFA tables are the fast path and the default. The knob is
-/// threaded through `RunParams`, `SweepSpec` and the `--engine` CLI
-/// flags.
+/// oracle, the DFA tables are the fast path and the default.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Engine {
     /// Interpreted per-constraint stepping with memoized verdict caches

@@ -6,16 +6,15 @@
 //! service's constraint set **once** into finite automata, so that taking
 //! (or vetoing) a constraint step is a couple of array lookups:
 //!
-//! 1. each constraint becomes an [`Nfa`](nfa::Nfa) over a small *class
-//!    alphabet* — every concrete event collapses to the role it plays for
-//!    that constraint (obligation up/down, enable/check, acquire/release
-//!    by holder index, or irrelevant);
-//! 2. subset construction ([`nfa::determinize`]) turns the NFA into a
-//!    [`Dfa`](dfa::Dfa) with a dense row-major transition table;
-//! 3. structurally identical DFAs are content-interned behind `Arc`s
+//! 1. each constraint becomes a [`Dfa`](dfa::Dfa) — a dense row-major
+//!    transition table, written down directly per constraint shape — over
+//!    a small *class alphabet*: every concrete event collapses to the role
+//!    it plays for that constraint (obligation up/down, enable/check,
+//!    acquire/release by holder index, or irrelevant);
+//! 2. structurally identical DFAs are content-interned behind `Arc`s
 //!    ([`dfa::DfaCache`]) — a service whose five constraints reduce to two
 //!    shapes shares two tables;
-//! 4. at run time a [`Binder`](runner::Binder) maps each concrete
+//! 3. at run time a [`Binder`](runner::Binder) maps each concrete
 //!    occurrence `(sap, primitive, args)` to *slots* — one DFA instance
 //!    per (constraint, scope-instance, correlation-key) — and a product
 //!    state is simply the vector of slot states.
@@ -43,7 +42,6 @@ pub mod compile;
 pub mod dfa;
 pub mod engine;
 pub mod monitor;
-pub mod nfa;
 pub mod product;
 pub mod runner;
 

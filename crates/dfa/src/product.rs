@@ -43,24 +43,26 @@ pub fn check_product(
     use std::collections::HashMap;
 
     let width = binder.slot_count();
-    let initial = vec![0u16; width];
-    let mut index: HashMap<Vec<u16>, usize> = HashMap::new();
+    let initial = vec![0u32; width];
+    let mut index: HashMap<Vec<u32>, usize> = HashMap::new();
     index.insert(initial.clone(), 0);
     // (state key, parent index, universe event from parent)
-    type Node = (Vec<u16>, Option<(usize, usize)>);
+    type Node = (Vec<u32>, Option<(usize, usize)>);
     let mut nodes: Vec<Node> = vec![(initial, None)];
     let mut dead_states = 0usize;
     let mut minimal_word: Option<Vec<usize>> = None;
     let mut truncated = false;
 
+    let mut key = vec![0u32; width];
+    let mut next = vec![0u32; width];
     let mut cursor = 0usize;
     while cursor < nodes.len() {
-        let key = nodes[cursor].0.clone();
+        key.copy_from_slice(&nodes[cursor].0);
         let mut any_allowed = false;
         for (ei, edges) in universe_edges.iter().enumerate() {
-            let Ok(next) = binder.step_fixed(&key, edges) else {
+            if binder.step_wide_into(&key, edges, &mut next).is_err() {
                 continue;
-            };
+            }
             any_allowed = true;
             if index.contains_key(&next) {
                 continue;
@@ -70,7 +72,7 @@ pub fn check_product(
                 continue;
             }
             index.insert(next.clone(), nodes.len());
-            nodes.push((next, Some((cursor, ei))));
+            nodes.push((next.clone(), Some((cursor, ei))));
         }
         if !any_allowed {
             dead_states += 1;

@@ -12,15 +12,14 @@
 //! 2. for each edge, one dense-table load: `DEAD` vetoes the event,
 //!    anything else is the slot's next state.
 //!
-//! Slot 0-states are never materialized: the interpreter drops map
-//! entries when a counter returns to zero, and every automaton here
-//! starts at state 0 — so a state vector trimmed of trailing zeros is a
-//! canonical product state no matter how many slots were interned later
-//! ([`Binder::step_canonical`]). That trimming is what makes explorer
-//! states stable under dynamic slot growth. Run-time checkers (the
-//! admission gate, the conformance monitor) instead keep one *dense*
-//! vector with a state per interned slot and step it in place
-//! (`Binder::step_dense`).
+//! There are two steps. Run-time checkers (the admission gate, the
+//! conformance monitor) keep one *dense* `u16` vector with a state per
+//! interned slot and step it in place (`Binder::step_dense`). Searches
+//! keep `u32` product keys and write each successor into a reused buffer
+//! ([`Binder::step_wide_into`]). Every automaton starts at state 0, so a
+//! key is read as 0 past its end: the explorer trims trailing zeros off
+//! its states, which keeps them canonical however many slots are interned
+//! later, just as the interpreter drops a counter that returns to zero.
 //!
 //! Slots and occurrences are interned through fingerprint indexes: a
 //! lookup hashes the caller's borrowed values once and confirms a hit by
@@ -36,9 +35,10 @@ use std::sync::Arc;
 use svckit_model::hash::{FastMap, FxHasher};
 use svckit_model::{ConstraintScope, Sap, Value};
 
-use crate::compile::{Compiled, CounterFlavor, Shape};
+use crate::compile::{
+    mutex_acquire, mutex_release, Compiled, CounterFlavor, Shape, CHECK, DOWN, ENABLE, UP,
+};
 use crate::dfa::{Dfa, DEAD};
-use crate::nfa::{mutex_acquire, mutex_release, DOWN, ENABLE, UP};
 
 /// A scope instance: the SAP (for `SameSap` constraints) and the
 /// correlation-key values an automaton instance is bound to. Mirrors the
@@ -133,6 +133,15 @@ impl<T: Hash + Eq + Clone> Interner<T> {
 fn key_value(args: &[Value], i: usize) -> &Value {
     static MISSING: Value = Value::Unit;
     args.get(i).unwrap_or(&MISSING)
+}
+
+/// A slot state read from a `u32` product key. Keys only ever hold
+/// states the tables produced, so the narrowing is lossless; it does not
+/// branch in release builds, which keeps the search loops tight.
+#[inline]
+fn wide_state(state: u32) -> u16 {
+    debug_assert!(u16::try_from(state).is_ok(), "slot states fit u16");
+    state as u16
 }
 
 /// Finishes an Fx hash with murmur3's 64-bit finalizer, so the index
@@ -332,11 +341,7 @@ impl Binder {
                     (Self::scoped(*scope, sap_id), class)
                 }
                 Shape::After { enable, scope, .. } => {
-                    let class = if primitive == enable {
-                        ENABLE
-                    } else {
-                        crate::nfa::CHECK
-                    };
+                    let class = if primitive == enable { ENABLE } else { CHECK };
                     (Self::scoped(*scope, sap_id), class)
                 }
                 Shape::Mutex { acquire, .. } => {
@@ -450,27 +455,15 @@ impl Binder {
         (0..dfa.nstates()).find(|&s| dfa.meta(s).holder == Some(h))
     }
 
+    /// Whether the occurrence behind `edges` is allowed in product key
+    /// `key` (slots beyond the key are at their initial state 0). Reads
+    /// the key without copying it.
     #[inline]
-    fn state_of(key: &[u16], slot: u32) -> u16 {
-        key.get(slot as usize).copied().unwrap_or(0)
-    }
-
-    /// Whether the occurrence behind `edges` is allowed in product state
-    /// `key` (slots beyond the vector are at their initial state 0).
-    #[inline]
-    pub fn allowed(&self, key: &[u16], edges: &[Edge]) -> bool {
+    pub fn allowed(&self, key: &[u32], edges: &[Edge]) -> bool {
         edges.iter().all(|e| {
-            let state = Self::state_of(key, e.slot);
+            let state = key.get(e.slot as usize).map_or(0, |&s| wide_state(s));
             self.slot_info[e.slot as usize].dfa.next(state, e.class) != DEAD
         })
-    }
-
-    /// Steps `key` (fixed length — every edge slot must be in range) and
-    /// returns the successor, or the first rejecting edge.
-    pub fn step_fixed(&self, key: &[u16], edges: &[Edge]) -> Result<Vec<u16>, Rejection> {
-        let mut next = key.to_vec();
-        self.step_into(&mut next, edges)?;
-        Ok(next)
     }
 
     /// Steps a *dense* product state — one entry per interned slot — in
@@ -513,40 +506,24 @@ impl Binder {
         )
     }
 
-    /// Steps a *canonical* (trailing-zero-trimmed) product state, growing
-    /// it as needed and re-trimming the successor.
-    pub fn step_canonical(&self, key: &[u16], edges: &[Edge]) -> Result<Vec<u16>, Rejection> {
-        let needed = edges
-            .iter()
-            .map(|e| e.slot as usize + 1)
-            .max()
-            .unwrap_or(0)
-            .max(key.len());
-        let mut next = Vec::with_capacity(needed);
-        next.extend_from_slice(key);
-        next.resize(needed, 0);
-        self.step_into(&mut next, edges)?;
-        while next.last() == Some(&0) {
-            next.pop();
-        }
-        Ok(next)
-    }
-
-    /// [`Binder::step_fixed`] over `u32` state vectors, for searches whose
-    /// product keys are shared with other `u32`-keyed engines: writes the
-    /// successor of `key` into `out` (same length) instead of allocating
-    /// it. On rejection `out` holds a partially stepped copy and must be
-    /// ignored. Slot states always fit `u16` (they come from the tables);
-    /// the wide layout is the caller's.
+    /// Steps the `u32` product key `key` of a search, writing the
+    /// successor into `out` instead of allocating it. `out` may be wider
+    /// than `key`: the slots past `key` start at their initial state 0.
+    /// Every edge slot must be below `out.len()`. On rejection `out` holds
+    /// a partially stepped copy and must be ignored. Slot states always
+    /// fit `u16` (they come from the tables); the wide layout is the
+    /// caller's.
     pub fn step_wide_into(
         &self,
         key: &[u32],
         edges: &[Edge],
         out: &mut [u32],
     ) -> Result<(), Rejection> {
-        out.copy_from_slice(key);
+        let (head, tail) = out.split_at_mut(key.len());
+        head.copy_from_slice(key);
+        tail.fill(0);
         for (i, e) in edges.iter().enumerate() {
-            let state = u16::try_from(out[e.slot as usize]).expect("slot states fit u16");
+            let state = wide_state(out[e.slot as usize]);
             let successor = self.slot_info[e.slot as usize].dfa.next(state, e.class);
             if successor == DEAD {
                 return Err(Rejection { edge: i, state });
@@ -556,40 +533,18 @@ impl Binder {
         Ok(())
     }
 
-    /// [`Binder::is_quiescent`] over `u32` state vectors.
+    /// Whether the `u32` product key `key` is quiescent: every touched
+    /// slot sits in a quiescent state (the `After` latch is quiescent in
+    /// both states, exactly like the interpreter's exemption).
     pub fn is_quiescent_wide(&self, key: &[u32]) -> bool {
-        key.iter().enumerate().all(|(i, &s)| {
-            s == 0
-                || self.slot_info[i]
-                    .dfa
-                    .meta(u16::try_from(s).expect("slot states fit u16"))
-                    .quiescent
-        })
-    }
-
-    fn step_into(&self, key: &mut [u16], edges: &[Edge]) -> Result<(), Rejection> {
-        for (i, e) in edges.iter().enumerate() {
-            let state = key[e.slot as usize];
-            let successor = self.slot_info[e.slot as usize].dfa.next(state, e.class);
-            if successor == DEAD {
-                return Err(Rejection { edge: i, state });
-            }
-            key[e.slot as usize] = successor;
-        }
-        Ok(())
-    }
-
-    /// Whether `key` is quiescent: every touched slot sits in a quiescent
-    /// state (the `After` latch is quiescent in both states, exactly like
-    /// the interpreter's exemption).
-    pub fn is_quiescent(&self, key: &[u16]) -> bool {
         key.iter()
             .enumerate()
-            .all(|(i, &s)| s == 0 || self.slot_info[i].dfa.meta(s).quiescent)
+            .all(|(i, &s)| s == 0 || self.slot_info[i].dfa.meta(wide_state(s)).quiescent)
     }
 
-    /// Total outstanding `EventuallyFollows` obligations in `key` (the sum
-    /// of the obligation weights of every slot state).
+    /// Total outstanding `EventuallyFollows` obligations in the dense
+    /// state `key` (the sum of the obligation weights of every slot
+    /// state).
     pub fn obligations(&self, key: &[u16]) -> u32 {
         key.iter()
             .enumerate()
@@ -686,20 +641,24 @@ mod tests {
     }
 
     #[test]
-    fn canonical_stepping_trims_trailing_zeros() {
+    fn wide_stepping_reads_slots_past_the_key_as_initial() {
         let mut b = binder(
             vec![Constraint::precedes("a", "b", ConstraintScope::SameSap)],
             2,
         );
         let up = b.resolve(&sap(1), "a", &[]);
         let down = b.resolve(&sap(1), "b", &[]);
-        let s1 = b.step_canonical(&[], &up).expect("a is allowed initially");
-        assert_eq!(s1, vec![1]);
-        let s0 = b.step_canonical(&s1, &down).expect("b discharges");
-        assert_eq!(s0, Vec::<u16>::new(), "back to the canonical empty state");
-        let rejected = b.step_canonical(&[], &down);
+        let mut s1 = [7u32];
+        b.step_wide_into(&[], &up, &mut s1)
+            .expect("a is allowed initially");
+        assert_eq!(s1, [1]);
+        let mut s0 = [7u32];
+        b.step_wide_into(&s1, &down, &mut s0).expect("b discharges");
+        assert_eq!(s0, [0]);
+        assert!(b.allowed(&[], &up));
+        assert!(!b.allowed(&[], &down));
         assert_eq!(
-            rejected,
+            b.step_wide_into(&[], &down, &mut s0),
             Err(Rejection { edge: 0, state: 0 }),
             "b before a violates"
         );
@@ -712,14 +671,15 @@ mod tests {
         let acq2 = b.resolve(&sap(2), "a", &[Value::Id(9)]);
         let rel2 = b.resolve(&sap(2), "b", &[Value::Id(9)]);
         assert_eq!(acq1[0].slot, acq2[0].slot, "same key, same slot");
-        let held = b.step_canonical(&[], &acq1).unwrap();
-        let rejection = b.step_canonical(&held, &acq2).unwrap_err();
+        let mut held = Vec::new();
+        b.step_dense(&mut held, &acq1).unwrap();
+        let rejection = b.step_dense(&mut held, &acq2).unwrap_err();
         let msg = b.violation_message(&acq2[rejection.edge], rejection.state, &sap(2));
         assert_eq!(msg, format!("`a` at {} while held by {}", sap(2), sap(1)));
-        let rejection = b.step_canonical(&held, &rel2).unwrap_err();
+        let rejection = b.step_dense(&mut held, &rel2).unwrap_err();
         let msg = b.violation_message(&rel2[rejection.edge], rejection.state, &sap(2));
         assert_eq!(msg, format!("`b` at {} but holder is {}", sap(2), sap(1)));
-        let rejection = b.step_canonical(&[], &rel2).unwrap_err();
+        let rejection = b.step_dense(&mut Vec::new(), &rel2).unwrap_err();
         let msg = b.violation_message(&rel2[rejection.edge], rejection.state, &sap(2));
         assert_eq!(msg, format!("`b` at {} but nothing is held", sap(2)));
     }
@@ -728,15 +688,17 @@ mod tests {
     fn regrowing_the_holder_alphabet_keeps_old_states_valid() {
         let mut b = binder(vec![Constraint::mutual_exclusion("a", "b")], 2);
         let acq1 = b.resolve(&sap(1), "a", &[]);
-        let held = b.step_canonical(&[], &acq1).unwrap();
+        let mut held = Vec::new();
+        b.step_dense(&mut held, &acq1).unwrap();
         // A new holder appears only now: the table regrows, but the state
         // reached under the smaller alphabet must still mean "held by 1".
         let rel9 = b.resolve(&sap(9), "b", &[]);
-        let rejection = b.step_canonical(&held, &rel9).unwrap_err();
+        let rejection = b.step_dense(&mut held, &rel9).unwrap_err();
         let msg = b.violation_message(&rel9[rejection.edge], rejection.state, &sap(9));
         assert_eq!(msg, format!("`b` at {} but holder is {}", sap(9), sap(1)));
         let rel1 = b.resolve(&sap(1), "b", &[]);
-        assert_eq!(b.step_canonical(&held, &rel1).unwrap(), Vec::<u16>::new());
+        b.step_dense(&mut held, &rel1).unwrap();
+        assert_eq!(held, vec![0]);
     }
 
     #[test]
@@ -768,16 +730,22 @@ mod tests {
             ],
             3,
         );
+        let wide = |state: &[u16]| state.iter().map(|&s| u32::from(s)).collect::<Vec<_>>();
         let up = b.resolve(&sap(1), "a", &[]);
-        let s1 = b.step_canonical(&[], &up).unwrap();
-        let s2 = b.step_canonical(&s1, &up).unwrap();
-        assert_eq!(b.obligations(&s2), 2);
-        assert!(!b.is_quiescent(&s2), "outstanding EF obligations");
+        let mut state = Vec::new();
+        b.step_dense(&mut state, &up).unwrap();
+        b.step_dense(&mut state, &up).unwrap();
+        assert_eq!(b.obligations(&state), 2);
+        assert!(
+            !b.is_quiescent_wide(&wide(&state)),
+            "outstanding EF obligations"
+        );
         let down = b.resolve(&sap(1), "b", &[]);
-        let s1 = b.step_canonical(&s2, &down).unwrap();
-        let s0 = b.step_canonical(&s1, &down).unwrap();
+        b.step_dense(&mut state, &down).unwrap();
+        b.step_dense(&mut state, &down).unwrap();
         // The After latch stays enabled (state 1) but is quiescent.
-        assert!(b.is_quiescent(&s0));
-        assert_eq!(b.obligations(&s0), 0);
+        assert_eq!(state, vec![0, 1]);
+        assert!(b.is_quiescent_wide(&wide(&state)));
+        assert_eq!(b.obligations(&state), 0);
     }
 }

@@ -53,7 +53,6 @@ pub use run::{
     FaultAction, FaultEvent, RunOptions, RunOutcome,
 };
 pub use service::{floor_control_service, floor_event_universe};
-/// The admission gate the middleware deployments install, and its engine
-/// knob ([`RunParams::engine`]), re-exported from `svckit-dfa` via
-/// `svckit-middleware`.
-pub use svckit_middleware::{AdmissionGate, AdmissionStats, Engine};
+/// The admission gate the middleware deployments install, re-exported
+/// from `svckit-dfa` via `svckit-middleware`.
+pub use svckit_middleware::{AdmissionGate, AdmissionStats};

@@ -229,7 +229,7 @@ pub fn deploy_with_policy(params: &RunParams, policy: GrantPolicy) -> MwSystem {
     let plan = plan.build().expect("callback plan is well-formed");
 
     let mut builder = MwSystemBuilder::new(plan)
-        .admission(super::admission_gate(params))
+        .admission(super::admission_gate())
         .seed(params.seed_value())
         .shards(params.shard_count())
         .link(params.link_config().clone())

@@ -14,21 +14,19 @@ pub mod token;
 
 use std::sync::Arc;
 
-use svckit_middleware::AdmissionGate;
+use svckit_middleware::{AdmissionGate, Engine};
 use svckit_model::PartId;
 
-use crate::params::RunParams;
 use crate::service::floor_compiled;
 
 /// The admission gate every middleware deployment installs: a fresh gate
-/// per deployment over the process-wide compiled floor-control tables,
-/// driven by the engine selected in [`RunParams::engine`]. Passive — it
-/// counts violations against the service definition without perturbing
-/// the run.
-pub(crate) fn admission_gate(params: &RunParams) -> Arc<AdmissionGate> {
+/// per deployment over the process-wide compiled floor-control tables.
+/// Passive — it counts violations against the service definition without
+/// perturbing the run.
+pub(crate) fn admission_gate() -> Arc<AdmissionGate> {
     Arc::new(AdmissionGate::with_compiled(
         floor_compiled(),
-        params.engine_value(),
+        Engine::default(),
     ))
 }
 
@@ -69,28 +67,27 @@ mod tests {
 
     #[test]
     fn deployments_validate_their_whole_workload_through_the_gate() {
-        use svckit_middleware::Engine;
         let params = crate::RunParams::default()
             .subscribers(3)
             .resources(1)
             .rounds(2);
-        let mut baseline = None;
-        for engine in [Engine::Dfa, Engine::Interp] {
-            let params = params.clone().engine(engine);
-            let mut system = super::callback::deploy(&params);
-            let report = system.run_to_quiescence(params.cap()).unwrap();
-            let stats = system.admission_stats().expect("deploy installs a gate");
-            // Every recorded primitive went through the gate, and a
-            // conformant workload is never rejected.
-            assert_eq!(stats.checked, report.trace().len() as u64, "{engine}");
-            assert_eq!(stats.rejected, 0, "{engine}");
-            // The passive gate leaves the trace byte-identical across
-            // engines (and hence identical to no gate at all).
-            let trace = format!("{:?}", report.trace());
-            match &baseline {
-                None => baseline = Some(trace),
-                Some(b) => assert_eq!(&trace, b, "engines must not perturb the run"),
-            }
+        let mut system = super::callback::deploy(&params);
+        let report = system.run_to_quiescence(params.cap()).unwrap();
+        let stats = system.admission_stats().expect("deploy installs a gate");
+        // Every recorded primitive went through the gate, and a
+        // conformant workload is never rejected.
+        assert_eq!(stats.checked, report.trace().len() as u64);
+        assert_eq!(stats.rejected, 0);
+        // The interpreted reference engine makes the same decisions on the
+        // recorded trace.
+        let interp = AdmissionGate::with_compiled(floor_compiled(), Engine::Interp);
+        for event in report.trace().iter() {
+            assert!(interp.admit(event.sap(), event.primitive(), event.args()));
         }
+        let replayed = interp.stats();
+        assert_eq!(
+            (replayed.checked, replayed.rejected),
+            (stats.checked, stats.rejected)
+        );
     }
 }

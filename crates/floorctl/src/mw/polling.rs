@@ -216,7 +216,7 @@ pub fn deploy(params: &RunParams) -> MwSystem {
     let plan = plan.build().expect("polling plan is well-formed");
 
     let mut builder = MwSystemBuilder::new(plan)
-        .admission(super::admission_gate(params))
+        .admission(super::admission_gate())
         .seed(params.seed_value())
         .shards(params.shard_count())
         .link(params.link_config().clone())

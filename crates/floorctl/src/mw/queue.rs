@@ -201,7 +201,7 @@ pub fn deploy_on(params: &RunParams, platform_name: &str) -> MwSystem {
     let plan = plan.build().expect("queue plan is well-formed");
 
     let mut builder = MwSystemBuilder::new(plan)
-        .admission(super::admission_gate(params))
+        .admission(super::admission_gate())
         .seed(params.seed_value())
         .shards(params.shard_count())
         .link(params.link_config().clone())

@@ -227,7 +227,7 @@ pub fn deploy_with_style(params: &RunParams, style: PassStyle, caps: PlatformCap
     let plan = plan.build().expect("token plan is well-formed");
 
     let mut builder = MwSystemBuilder::new(plan)
-        .admission(super::admission_gate(params))
+        .admission(super::admission_gate())
         .seed(params.seed_value())
         .shards(params.shard_count())
         .link(params.link_config().clone());

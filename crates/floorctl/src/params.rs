@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-use svckit_middleware::Engine;
 use svckit_model::Duration;
 use svckit_netsim::LinkConfig;
 
@@ -93,7 +92,6 @@ pub struct RunParams {
     seed: u64,
     time_cap: Duration,
     shards: u32,
-    engine: Engine,
 }
 
 impl Default for RunParams {
@@ -111,7 +109,6 @@ impl Default for RunParams {
             seed: 42,
             time_cap: Duration::from_secs(60),
             shards: 1,
-            engine: Engine::default(),
         }
     }
 }
@@ -191,17 +188,6 @@ impl RunParams {
         self
     }
 
-    /// Selects the constraint-evaluation engine of the admission gate the
-    /// middleware deployments install (builder-style). Both engines make
-    /// identical decisions — the gate is passive either way — so sweep
-    /// output is byte-identical across engines; switching is only useful
-    /// for differential testing and benchmarking.
-    #[must_use]
-    pub fn engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// Number of subscribers.
     pub fn subscriber_count(&self) -> u64 {
         self.subscribers
@@ -245,11 +231,6 @@ impl RunParams {
     /// Simulator shard count.
     pub fn shard_count(&self) -> u32 {
         self.shards
-    }
-
-    /// Constraint-evaluation engine for the admission gate.
-    pub fn engine_value(&self) -> Engine {
-        self.engine
     }
 
     /// Simulated-time cap.

@@ -541,7 +541,7 @@ mod tests {
             .map(|(_, e)| e.clone())
             .collect();
         // Both monitor kinds: its own tables, and a fresh gate's.
-        let gate = crate::mw::admission_gate(&small());
+        let gate = crate::mw::admission_gate();
         for ((trace, conformant), gate) in [(&outcome.trace, true), (&broken, false)]
             .into_iter()
             .flat_map(|case| [(case, None), (case, Some(&gate))])

@@ -24,6 +24,7 @@
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::error::Error;
 use std::fmt;
+use std::str::FromStr;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use svckit_dfa::{Binder, Compiled, Edge, Engine};
@@ -94,11 +95,12 @@ enum CState {
 enum Repr {
     /// Interpreter: one map-backed state per constraint.
     Interp(Vec<Arc<CState>>),
-    /// Compiled tables: one `u16` DFA state per interned slot, trailing
-    /// zeros trimmed (slot automata all start at 0, and the binder interns
-    /// slots on demand — trimming keeps state equality independent of how
-    /// many slots happen to exist when a state is formed).
-    Dfa(Vec<u16>),
+    /// Compiled tables: the searches' `u32` product key, one DFA state
+    /// per interned slot, trailing zeros trimmed (slot automata all start
+    /// at 0, and the binder interns slots on demand — trimming keeps state
+    /// equality independent of how many slots happen to exist when a state
+    /// is formed).
+    Dfa(Vec<u32>),
 }
 
 /// A state of the constraint automaton. Opaque; obtain the initial state
@@ -115,22 +117,6 @@ enum Repr {
 pub struct ExplorerState(Repr);
 
 impl ExplorerState {
-    /// Total number of outstanding liveness obligations in this state.
-    pub fn outstanding_obligations(&self, explorer: &ServiceExplorer<'_>) -> usize {
-        match &self.0 {
-            Repr::Interp(cstates) => cstates
-                .iter()
-                .zip(explorer.service.constraints())
-                .filter(|(_, c)| matches!(c.kind(), ConstraintKind::EventuallyFollows { .. }))
-                .map(|(cs, _)| match cs.as_ref() {
-                    CState::Counters(m) => m.values().map(|v| *v as usize).sum(),
-                    CState::Holders(_) => 0,
-                })
-                .sum(),
-            Repr::Dfa(key) => explorer.dfa_rt().binder.obligations(key) as usize,
-        }
-    }
-
     /// Whether no obligations are outstanding and nothing is held — the
     /// quiescent states, marked terminal in [`ServiceExplorer::to_lts`].
     /// Enablement markers of [`ConstraintKind::After`] constraints do not
@@ -149,7 +135,7 @@ impl ExplorerState {
                         CState::Holders(h) => h.is_empty(),
                     })
             }
-            Repr::Dfa(key) => explorer.dfa_rt().binder.is_quiescent(key),
+            Repr::Dfa(key) => explorer.dfa_rt().binder.is_quiescent_wide(key),
         }
     }
 }
@@ -216,21 +202,18 @@ impl fmt::Display for SafetyCounterexample {
 
 impl Error for SafetyCounterexample {}
 
-/// The two primitive names a constraint kind reacts to, or `None` for
-/// variants this version cannot introspect (`ConstraintKind` is
-/// `#[non_exhaustive]`).
-fn constraint_primitives(kind: &ConstraintKind) -> Option<[&str; 2]> {
+/// The two primitive names a constraint kind reacts to.
+fn constraint_primitives(kind: &ConstraintKind) -> [&str; 2] {
     match kind {
-        ConstraintKind::Precedes { earlier, later, .. } => Some([earlier, later]),
-        ConstraintKind::After { enabler, then, .. } => Some([enabler, then]),
+        ConstraintKind::Precedes { earlier, later, .. } => [earlier, later],
+        ConstraintKind::After { enabler, then, .. } => [enabler, then],
         ConstraintKind::EventuallyFollows {
             trigger, response, ..
-        } => Some([trigger, response]),
-        ConstraintKind::AtMostOutstanding {
+        }
+        | ConstraintKind::AtMostOutstanding {
             trigger, response, ..
-        } => Some([trigger, response]),
-        ConstraintKind::MutualExclusion { acquire, release } => Some([acquire, release]),
-        _ => None,
+        } => [trigger, response],
+        ConstraintKind::MutualExclusion { acquire, release } => [acquire, release],
     }
 }
 
@@ -287,7 +270,7 @@ pub struct ServiceExplorer<'a> {
     universe: Vec<AbstractEvent>,
     max_outstanding: u32,
     /// The *effective* engine: [`Engine::Dfa`] only when the constraint
-    /// set compiled (unknown kinds and absurd bounds fall back).
+    /// set compiled (absurd bounds fall back).
     engine: Engine,
     /// Present exactly when `engine == Engine::Dfa`.
     dfa: Option<Mutex<DfaRt>>,
@@ -297,12 +280,9 @@ pub struct ServiceExplorer<'a> {
     /// [`ServiceExplorer::step`] only has to run (and deep-copy) the
     /// constraints listed here.
     relevance: HashMap<String, Vec<usize>>,
-    /// A constraint kind we could not introspect is present: fall back to
-    /// stepping every constraint on every event.
-    has_opaque_kinds: bool,
     /// The relevance index resolved per universe event: `universe[i]` only
     /// has to satisfy the constraints in `universe_relevance[i]` (empty =
-    /// always allowed). Not consulted when `has_opaque_kinds`.
+    /// always allowed).
     universe_relevance: Vec<Vec<usize>>,
     /// Verdict memo for [`ServiceExplorer::allowed`]; a `Mutex` (not
     /// `RefCell`) so the explorer stays `Sync`.
@@ -341,8 +321,8 @@ impl<'a> ServiceExplorer<'a> {
     /// Like [`ServiceExplorer::new`], with an explicit [`Engine`].
     ///
     /// [`Engine::Dfa`] compiles the constraint set once into dense
-    /// transition tables; constraint kinds the compiler does not know (or
-    /// bounds too large for dense tables) fall back to [`Engine::Interp`].
+    /// transition tables; bounds too large for dense tables fall back to
+    /// [`Engine::Interp`].
     /// Both engines answer every query identically — byte-for-byte, down
     /// to violation messages (the equivalence tests and the proptest
     /// oracle pin this) — so the knob only selects a performance profile.
@@ -353,20 +333,14 @@ impl<'a> ServiceExplorer<'a> {
         engine: Engine,
     ) -> Self {
         let mut relevance: HashMap<String, Vec<usize>> = HashMap::new();
-        let mut has_opaque_kinds = false;
         for (i, constraint) in service.constraints().iter().enumerate() {
-            match constraint_primitives(constraint.kind()) {
-                Some(primitives) => {
-                    for name in primitives {
-                        let entry = relevance.entry(name.to_owned()).or_default();
-                        // A constraint naming the same primitive twice must
-                        // still be stepped once.
-                        if entry.last() != Some(&i) {
-                            entry.push(i);
-                        }
-                    }
+            for name in constraint_primitives(constraint.kind()) {
+                let entry = relevance.entry(name.to_owned()).or_default();
+                // A constraint naming the same primitive twice must still
+                // be stepped once.
+                if entry.last() != Some(&i) {
+                    entry.push(i);
                 }
-                None => has_opaque_kinds = true,
             }
         }
         let universe_relevance: Vec<Vec<usize>> = universe
@@ -401,7 +375,6 @@ impl<'a> ServiceExplorer<'a> {
             engine,
             dfa,
             relevance,
-            has_opaque_kinds,
             universe_relevance,
             allowed_cache,
         }
@@ -648,10 +621,27 @@ impl<'a> ServiceExplorer<'a> {
                 let id = rt
                     .binder
                     .resolve_cached(&event.sap, &event.primitive, &event.args);
-                return match rt.binder.step_canonical(key, rt.binder.edges(id)) {
-                    Ok(next) => Ok(ExplorerState(Repr::Dfa(next))),
+                let edges = rt.binder.edges(id);
+                let width = edges
+                    .iter()
+                    .map(|e| e.slot as usize + 1)
+                    .max()
+                    .unwrap_or(0)
+                    .max(key.len());
+                // One plain allocation grown from the key: a zeroed one
+                // (`vec![0; width]`) costs more per step.
+                let mut next = Vec::with_capacity(width);
+                next.extend_from_slice(key);
+                next.resize(width, 0);
+                return match rt.binder.step_wide_into(key, edges, &mut next) {
+                    Ok(()) => {
+                        while next.last() == Some(&0) {
+                            next.pop();
+                        }
+                        Ok(ExplorerState(Repr::Dfa(next)))
+                    }
                     Err(rejection) => {
-                        let edge = rt.binder.edges(id)[rejection.edge];
+                        let edge = edges[rejection.edge];
                         Err(StepViolation {
                             constraint: rt.binder.constraint_display(edge.ci as usize).to_owned(),
                             message: rt.binder.violation_message(
@@ -666,14 +656,6 @@ impl<'a> ServiceExplorer<'a> {
             Repr::Interp(cstates) => cstates,
         };
         let constraints = self.service.constraints();
-        if self.has_opaque_kinds {
-            // Conservative path: step every constraint.
-            let mut next = Vec::with_capacity(cstates.len());
-            for (constraint, cstate) in constraints.iter().zip(cstates) {
-                next.push(Arc::new(self.step_constraint(constraint, cstate, event)?));
-            }
-            return Ok(ExplorerState(Repr::Interp(next)));
-        }
         // Start from a shallow copy (refcount bumps) and replace only the
         // constraints the event is relevant to; constraints that step to an
         // unchanged state keep sharing the predecessor's allocation.
@@ -720,14 +702,6 @@ impl<'a> ServiceExplorer<'a> {
             }
             Repr::Interp(cstates) => cstates,
         };
-        if self.has_opaque_kinds {
-            // Conservative path: no relevance index to pre-filter with.
-            return self
-                .universe
-                .iter()
-                .filter(|e| self.step(state, e).is_ok())
-                .collect();
-        }
         let constraints = self.service.constraints();
         let mut cache = self.allowed_cache.lock().expect("allowed cache poisoned");
         let sids: Vec<u32> = cstates
@@ -920,10 +894,22 @@ pub enum Reduction {
     Full,
     /// Ample-set partial-order reduction: in each state, expand only a
     /// stubborn subset of the enabled events whose members commute with
-    /// everything outside the subset. Falls back to [`Reduction::Full`]
-    /// when the service contains constraint kinds the explorer cannot
-    /// introspect (no dependence information is derivable for those).
+    /// everything outside the subset.
     AmpleSets,
+}
+
+impl FromStr for Reduction {
+    type Err = String;
+
+    /// Parses a POR setting: `on` is [`Reduction::AmpleSets`], `off` is
+    /// [`Reduction::Full`].
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "on" => Ok(Reduction::AmpleSets),
+            "off" => Ok(Reduction::Full),
+            other => Err(format!("unknown POR setting `{other}` (on|off)")),
+        }
+    }
 }
 
 /// Options for [`ServiceExplorer::explore`].
@@ -1056,13 +1042,7 @@ impl<'a> ServiceExplorer<'a> {
     /// it — which makes `closure(e) ∩ enabled` a stubborn set: enabled
     /// members have all their dependents inside, and disabled members can
     /// only be enabled from inside.
-    ///
-    /// Returns `None` when the service has constraint kinds we cannot
-    /// introspect (no footprint information).
-    fn dependence_closures(&self) -> Option<Vec<Vec<u64>>> {
-        if self.has_opaque_kinds {
-            return None;
-        }
+    fn dependence_closures(&self) -> Vec<Vec<u64>> {
         let constraints = self.service.constraints();
         let n = self.universe.len();
         // Footprint of each event: the (constraint, instance) entries it
@@ -1082,7 +1062,7 @@ impl<'a> ServiceExplorer<'a> {
                             | ConstraintKind::EventuallyFollows { scope, .. }
                             | ConstraintKind::AtMostOutstanding { scope, .. } => *scope,
                             // Mutual exclusion keeps one global holder map.
-                            _ => ConstraintScope::Global,
+                            ConstraintKind::MutualExclusion { .. } => ConstraintScope::Global,
                         };
                         (ci, Self::instance(scope, event, constraint.key()))
                     })
@@ -1123,7 +1103,7 @@ impl<'a> ServiceExplorer<'a> {
                 }
             }
         }
-        Some(closures)
+        closures
     }
 
     /// Exhaustively explores the reachable product states, reporting
@@ -1162,7 +1142,7 @@ impl<'a> ServiceExplorer<'a> {
             Symmetry::Off => None,
         };
         let closures = match options.reduction {
-            Reduction::AmpleSets => self.dependence_closures(),
+            Reduction::AmpleSets => Some(self.dependence_closures()),
             Reduction::Full => None,
         };
         let n = self.universe.len();
@@ -1656,16 +1636,9 @@ impl<'x, 'a> ProductEngine<'x, 'a> {
         eid: u32,
         out: &mut [u32],
     ) -> Result<(), (usize, u32)> {
-        let explorer = self.explorer;
-        // Without a relevance index (opaque kinds), every constraint steps.
-        let (relevant, all): (&[usize], _) = if explorer.has_opaque_kinds {
-            (&[], 0..self.tables.len())
-        } else {
-            let relevant = explorer.relevance.get(&event.primitive);
-            (relevant.map_or(&[], Vec::as_slice), 0..0)
-        };
+        let relevant = self.explorer.relevance.get(&event.primitive);
         out.copy_from_slice(key);
-        for i in relevant.iter().copied().chain(all) {
+        for &i in relevant.map_or(&[][..], Vec::as_slice) {
             let sid = key[i];
             match self.level_step(i, sid, event, eid) {
                 Some(next) => out[i] = next,
@@ -1910,15 +1883,11 @@ struct SymCanon {
 }
 
 impl SymCanon {
-    /// Builds the canonicalizer, or `None` when no symmetry is available:
-    /// trivial groups, or constraint kinds whose state we cannot
-    /// introspect. Call only after every universe event has been interned
+    /// Builds the canonicalizer, or `None` when the detected groups are
+    /// trivial. Call only after every universe event has been interned
     /// into `engine` — the DFA slot set and mutex holder alphabet must be
     /// complete.
     fn build(explorer: &ServiceExplorer<'_>, engine: &StepEngine<'_, '_>) -> Option<SymCanon> {
-        if explorer.has_opaque_kinds {
-            return None;
-        }
         let detected = SymmetryGroups::detect(&explorer.universe);
         if detected.is_trivial() {
             return None;
@@ -2364,20 +2333,6 @@ mod tests {
         assert!(err.message().contains("state-space bound"), "{err}");
     }
 
-    #[test]
-    fn outstanding_obligations_counts_liveness_only() {
-        let svc = floor_control();
-        let explorer = ServiceExplorer::new(&svc, universe(1, 1), 2);
-        let sap = Sap::new("subscriber", PartId::new(1));
-        let req = AbstractEvent::new(sap, "request", vec![Value::Id(1)]);
-        let st = explorer.initial_state();
-        assert_eq!(st.outstanding_obligations(&explorer), 0);
-        let st = explorer.step(&st, &req).unwrap();
-        assert_eq!(st.outstanding_obligations(&explorer), 1);
-        let st = explorer.step(&st, &req).unwrap();
-        assert_eq!(st.outstanding_obligations(&explorer), 2);
-    }
-
     fn sorted_events(events: &[AbstractEvent]) -> Vec<String> {
         let mut v: Vec<String> = events.iter().map(|e| e.to_string()).collect();
         v.sort();
@@ -2517,7 +2472,7 @@ mod tests {
 
     /// Walks a few hundred states under both engines, comparing every
     /// query surface: allowed sets, step verdicts (including the exact
-    /// violation strings), quiescence and obligation counts.
+    /// violation strings) and quiescence.
     #[test]
     fn engines_agree_on_every_query_along_a_walk() {
         let svc = floor_control();
@@ -2534,10 +2489,6 @@ mod tests {
             visited += 1;
             assert_eq!(dfa.allowed(&ds), interp.allowed(&is));
             assert_eq!(ds.is_quiescent(&dfa), is.is_quiescent(&interp));
-            assert_eq!(
-                ds.outstanding_obligations(&dfa),
-                is.outstanding_obligations(&interp)
-            );
             for event in dfa.universe() {
                 match (dfa.step(&ds, event), interp.step(&is, event)) {
                     (Ok(dn), Ok(inn)) => stack.push((dn, inn)),

@@ -93,17 +93,9 @@ fn build_rels(
                         }
                     }
                 }
-                StepEngine::Interp(product) => {
-                    let relevant: Vec<usize> = if explorer.has_opaque_kinds {
-                        (0..product.tables.len()).collect()
-                    } else {
-                        explorer
-                            .relevance
-                            .get(&event.primitive)
-                            .cloned()
-                            .unwrap_or_default()
-                    };
-                    for ci in relevant {
+                StepEngine::Interp(_) => {
+                    let relevant = explorer.relevance.get(&event.primitive);
+                    for &ci in relevant.map_or(&[][..], Vec::as_slice) {
                         let ci = u32::try_from(ci).expect("constraint count fits u32");
                         touched.insert(ci, Touch::Constraint);
                     }

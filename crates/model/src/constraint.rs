@@ -38,7 +38,6 @@ impl fmt::Display for ConstraintScope {
 
 /// The relation a constraint imposes.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
 pub enum ConstraintKind {
     /// Liveness: every occurrence of `trigger` is eventually followed by a
     /// matching occurrence of `response` (1–1 matching in order).

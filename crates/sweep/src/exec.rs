@@ -89,9 +89,6 @@ fn run_cell(spec: &SweepSpec, cell: &Cell) -> RunOutcome {
     if let Some(shards) = spec.shards {
         params = params.shards(shards);
     }
-    if let Some(engine) = spec.engine {
-        params = params.engine(engine);
-    }
     let faults = match cell.campaign {
         Some(i) => spec.campaigns[i].events.clone(),
         None => Vec::new(),

@@ -537,43 +537,20 @@ pub fn flag_usize(args: &[String], name: &str, default: usize) -> usize {
     }
 }
 
-/// Parses the shared `--shards N` flag; `None` when absent, leaving each
-/// spec/variation to its own default (one shard).
+/// Parses the shared `--shards N` flag; `Ok(None)` when absent, leaving
+/// each spec/variation to its own default (one shard).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics (with a usage message) when the value is not a positive number.
-pub fn shards_flag(args: &[String]) -> Option<u32> {
-    let value = flag_value(args, "shards")?;
-    let shards: u32 = value
-        .parse()
-        .unwrap_or_else(|_| panic!("--shards expects a number, got {value:?}"));
-    assert!(shards >= 1, "--shards expects a count >= 1");
-    Some(shards)
-}
-
-/// Parses the shared `--engine` flag (`dfa` | `interp`); `None` when
-/// absent, leaving each spec/variation to its own default (the compiled
-/// DFA tables).
-///
-/// # Panics
-///
-/// Panics (with a usage message) on an unknown engine name.
-pub fn engine_flag(args: &[String]) -> Option<svckit::floorctl::Engine> {
-    let value = flag_value(args, "engine")?;
-    Some(value.parse().unwrap_or_else(|e| panic!("{e}")))
-}
-
-/// Parses the shared `--backend` flag (`explicit` | `symbolic`); `None`
-/// when absent, leaving each consumer to its own default (the explicit
-/// breadth-first search).
-///
-/// # Panics
-///
-/// Panics (with a usage message) on an unknown backend name.
-pub fn backend_flag(args: &[String]) -> Option<svckit::lts::Backend> {
-    let value = flag_value(args, "backend")?;
-    Some(value.parse().unwrap_or_else(|e| panic!("{e}")))
+/// A usage message when the value is not a count >= 1.
+pub fn shards_flag(args: &[String]) -> Result<Option<u32>, String> {
+    let Some(value) = flag_value(args, "shards") else {
+        return Ok(None);
+    };
+    match value.parse::<u32>() {
+        Ok(shards) if shards >= 1 => Ok(Some(shards)),
+        _ => Err(format!("--shards expects an integer >= 1, got {value:?}")),
+    }
 }
 
 #[cfg(test)]

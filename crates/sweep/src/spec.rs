@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-use svckit::floorctl::{Engine, FaultEvent, RunParams, Solution};
+use svckit::floorctl::{FaultEvent, RunParams, Solution};
 use svckit::protocol::ReliabilityConfig;
 
 /// What one cell runs: a floor-control solution directly, or an MDA
@@ -77,11 +77,6 @@ pub struct SweepSpec {
     /// Optional simulator shard count override applied to every cell
     /// (`--shards`). `None` keeps each variation's own setting.
     pub shards: Option<u32>,
-    /// Optional admission-engine override applied to every cell
-    /// (`--engine`). `None` keeps each variation's own setting. Both
-    /// engines produce byte-identical sweep JSON — overriding is only
-    /// useful for differential testing in CI.
-    pub engine: Option<Engine>,
 }
 
 /// One expanded grid point, by index into the owning [`SweepSpec`].
@@ -111,7 +106,6 @@ impl SweepSpec {
             seeds: Vec::new(),
             filter: None,
             shards: None,
-            engine: None,
         }
     }
 
@@ -199,14 +193,6 @@ impl SweepSpec {
     #[must_use]
     pub fn shards(mut self, shards: u32) -> Self {
         self.shards = Some(shards.max(1));
-        self
-    }
-
-    /// Forces every cell onto the given admission engine (builder-style).
-    /// See [`SweepSpec::engine`].
-    #[must_use]
-    pub fn engine(mut self, engine: Engine) -> Self {
-        self.engine = Some(engine);
         self
     }
 
