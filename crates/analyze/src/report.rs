@@ -28,14 +28,14 @@ pub struct TargetReport {
     /// Context lines (trajectory milestones, solution classification).
     pub notes: Vec<String>,
     /// Full-vs-reduced exploration statistics (shared schema with the
-    /// explorer benchmarks' `BENCH_hotpath.por.json` sidecar).
+    /// explorer benchmarks' `BENCH_hotpath.stats.json` sidecar).
     pub por: PorStats,
     /// Unquotiented-vs-symmetry-quotient exploration statistics (shared
-    /// schema with the explorer benchmarks' `BENCH_hotpath.sym.json`
+    /// schema with the explorer benchmarks' `BENCH_hotpath.stats.json`
     /// sidecar). Identical whichever `--symmetry` setting ran.
     pub sym: SymStats,
     /// Symbolic-backend statistics (shared schema with the explorer
-    /// benchmarks' `BENCH_hotpath.ldd.json` sidecar). All zeros — and
+    /// benchmarks' `BENCH_hotpath.stats.json` sidecar). All zeros — and
     /// omitted from the JSON report — under `--backend explicit`.
     pub ldd: LddStats,
 }

@@ -80,11 +80,11 @@ pub struct ServiceAnalysis {
     /// Transitions taken (reduction- and symmetry-dependent).
     pub transitions: usize,
     /// Full-vs-reduced exploration statistics, in the schema the explorer
-    /// benchmarks share (`BENCH_hotpath.por.json`). Both halves run at the
+    /// benchmarks share (`BENCH_hotpath.stats.json`). Both halves run at the
     /// configured symmetry setting.
     pub por: PorStats,
     /// Unquotiented-vs-quotient exploration statistics, in the schema the
-    /// explorer benchmarks share (`BENCH_hotpath.sym.json`). Both halves
+    /// explorer benchmarks share (`BENCH_hotpath.stats.json`). Both halves
     /// run at the configured reduction setting, so the block is identical
     /// whichever symmetry setting the caller picked.
     pub sym: SymStats,

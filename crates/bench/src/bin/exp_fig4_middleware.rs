@@ -17,18 +17,15 @@ use svckit::model::Duration;
 use svckit::netsim::LinkConfig;
 use svckit_bench::{fmt_f, print_header, print_row};
 use svckit_sweep::{
-    default_threads, flag_usize, flag_value, obs_flags, run_sweep, shards_flag, trace_flags,
-    verbosity, SweepSpec,
+    default_threads, fail, flag_usize, flag_value, output_flags, run_sweep, shards_flag,
+    trace_flags, verbosity, SweepSpec,
 };
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let shards = shards_flag(&args).unwrap_or_else(|err| {
-        eprintln!("error: {err}");
-        std::process::exit(1);
-    });
-    let threads = flag_usize(&args, "threads", default_threads());
-    let out = flag_value(&args, "out").unwrap_or_else(|| "SWEEP_fig4_middleware.json".to_owned());
+    let shards = shards_flag(&args).unwrap_or_else(|e| fail(&e));
+    let threads = flag_usize(&args, "threads", default_threads()).unwrap_or_else(|e| fail(&e));
+    let (out, obs) = output_flags(&args, "SWEEP_fig4_middleware.json").unwrap_or_else(|e| fail(&e));
 
     println!("E2 — middleware-centred solutions (Figure 4)\n");
     let mut spec = SweepSpec::new("fig4_middleware").solutions([
@@ -190,11 +187,13 @@ fn main() {
     println!("solution's cost grows with ring size even at fixed contention; grant");
     println!("policy never affects safety (all conformant) but LIFO wrecks the tail.");
     println!();
-    report.write_json(&out);
+    report.write_json(&out).unwrap_or_else(|e| fail(&e));
 
     let verbose = verbosity(&args);
-    if let Some((obs_path, format)) = obs_flags(&args) {
-        report.write_obs(&obs_path, format);
+    if let Some((obs_path, format)) = obs {
+        report
+            .write_obs(&obs_path, format)
+            .unwrap_or_else(|e| fail(&e));
         verbose.info(&format!("wrote obs {obs_path} ({format:?})"));
     }
     if svckit::obs::sites_enabled() {
@@ -233,7 +232,9 @@ fn main() {
         for r in &trace_report.results {
             assert!(r.outcome.completed && r.outcome.conformant);
         }
-        trace_report.write_trace(&flags);
+        trace_report
+            .write_trace(&flags)
+            .unwrap_or_else(|e| fail(&e));
         if !svckit::obs::sites_enabled() {
             verbose.info(
                 "note: obs sites are compiled out; trace outputs are empty \

@@ -12,13 +12,13 @@ use svckit::model::Duration;
 use svckit::netsim::LinkConfig;
 use svckit_bench::{fmt_f, print_header, print_row};
 use svckit_sweep::{
-    default_threads, flag_usize, flag_value, obs_flags, run_sweep, verbosity, SweepSpec,
+    default_threads, fail, flag_usize, flag_value, output_flags, run_sweep, verbosity, SweepSpec,
 };
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let threads = flag_usize(&args, "threads", default_threads());
-    let out = flag_value(&args, "out").unwrap_or_else(|| "SWEEP_fig6_protocol.json".to_owned());
+    let threads = flag_usize(&args, "threads", default_threads()).unwrap_or_else(|e| fail(&e));
+    let (out, obs) = output_flags(&args, "SWEEP_fig6_protocol.json").unwrap_or_else(|e| fail(&e));
 
     println!("E4 — protocol-centred solutions (Figure 6)\n");
     let mut spec = SweepSpec::new("fig6_protocol").solutions([
@@ -163,11 +163,13 @@ fn main() {
     println!("Shape: identical user-visible service; loss is absorbed below the");
     println!("service boundary at the price of retransmissions and latency.");
     println!();
-    report.write_json(&out);
+    report.write_json(&out).unwrap_or_else(|e| fail(&e));
 
     let verbose = verbosity(&args);
-    if let Some((obs_path, format)) = obs_flags(&args) {
-        report.write_obs(&obs_path, format);
+    if let Some((obs_path, format)) = obs {
+        report
+            .write_obs(&obs_path, format)
+            .unwrap_or_else(|e| fail(&e));
         verbose.info(&format!("wrote obs {obs_path} ({format:?})"));
     }
     if svckit::obs::sites_enabled() {

@@ -15,13 +15,13 @@
 use svckit::floorctl::{RunParams, Solution};
 use svckit_bench::{fmt_f, print_header, print_row};
 use svckit_sweep::{
-    default_threads, flag_usize, flag_value, obs_flags, run_sweep, verbosity, SweepSpec,
+    default_threads, fail, flag_usize, flag_value, output_flags, run_sweep, verbosity, SweepSpec,
 };
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let threads = flag_usize(&args, "threads", default_threads());
-    let out = flag_value(&args, "out").unwrap_or_else(|| "SWEEP_paradigms.json".to_owned());
+    let threads = flag_usize(&args, "threads", default_threads()).unwrap_or_else(|e| fail(&e));
+    let (out, obs) = output_flags(&args, "SWEEP_paradigms.json").unwrap_or_else(|e| fail(&e));
 
     println!("E1 — paradigm structures (Figures 1-3)\n");
     let spec = SweepSpec::new("paradigms")
@@ -73,11 +73,13 @@ fn main() {
     println!("The middleware structure places coordination in components (scattering ~1);");
     println!("the protocol structure places it in the service provider (scattering << 1).");
     println!();
-    report.write_json(&out);
+    report.write_json(&out).unwrap_or_else(|e| fail(&e));
 
     let verbose = verbosity(&args);
-    if let Some((obs_path, format)) = obs_flags(&args) {
-        report.write_obs(&obs_path, format);
+    if let Some((obs_path, format)) = obs {
+        report
+            .write_obs(&obs_path, format)
+            .unwrap_or_else(|e| fail(&e));
         verbose.info(&format!("wrote obs {obs_path} ({format:?})"));
     }
     if svckit::obs::sites_enabled() {

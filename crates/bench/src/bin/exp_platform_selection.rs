@@ -17,7 +17,8 @@ use svckit::mda::{catalog, transform, QosSpec, TransformPolicy};
 use svckit::model::Duration;
 use svckit_bench::{fmt_f, print_header, print_row};
 use svckit_sweep::{
-    default_threads, flag_usize, flag_value, obs_flags, run_sweep, verbosity, CellResult, SweepSpec,
+    default_threads, fail, flag_usize, flag_value, output_flags, run_sweep, verbosity, CellResult,
+    SweepSpec,
 };
 
 fn run_selection(label: &str, qos: &QosSpec, measured: &[(&CellResult, usize)]) {
@@ -76,9 +77,9 @@ fn run_selection(label: &str, qos: &QosSpec, measured: &[(&CellResult, usize)]) 
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let threads = flag_usize(&args, "threads", default_threads());
-    let out =
-        flag_value(&args, "out").unwrap_or_else(|| "SWEEP_platform_selection.json".to_owned());
+    let threads = flag_usize(&args, "threads", default_threads()).unwrap_or_else(|e| fail(&e));
+    let (out, obs) =
+        output_flags(&args, "SWEEP_platform_selection.json").unwrap_or_else(|e| fail(&e));
 
     println!("E10 — QoS-driven platform selection (Figure 10, selection step)\n");
     let params = RunParams::default()
@@ -136,11 +137,13 @@ fn main() {
     println!("replaces the RPC reply), but broker indirection costs latency — a");
     println!("latency budget therefore selects the RPC branch of the trajectory.");
     println!();
-    report.write_json(&out);
+    report.write_json(&out).unwrap_or_else(|e| fail(&e));
 
     let verbose = verbosity(&args);
-    if let Some((obs_path, format)) = obs_flags(&args) {
-        report.write_obs(&obs_path, format);
+    if let Some((obs_path, format)) = obs {
+        report
+            .write_obs(&obs_path, format)
+            .unwrap_or_else(|e| fail(&e));
         verbose.info(&format!("wrote obs {obs_path} ({format:?})"));
     }
     if svckit::obs::sites_enabled() {

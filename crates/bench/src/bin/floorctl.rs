@@ -285,7 +285,6 @@ fn main() -> ExitCode {
             &outcome.trace,
             &CheckOptions {
                 allow_pending_liveness: !outcome.completed,
-                ..CheckOptions::default()
             },
         );
         println!("\nconformance report: {report}");

@@ -1,7 +1,10 @@
-//! Hot-path benchmark binary: times the two engines every experiment
-//! funnels through — the `svckit-lts` constraint-automaton explorer and the
-//! `svckit-netsim` discrete-event core — and emits machine-readable medians
-//! so the repo's perf trajectory is trackable across PRs.
+//! Hot-path benchmark binary, the workspace's one micro-benchmark
+//! harness: times the two engines every experiment funnels through — the
+//! `svckit-lts` constraint-automaton explorer and the `svckit-netsim`
+//! discrete-event core — plus the building blocks above them (PDU codec
+//! round-trips, LTS composition and trace refinement, a full conformance
+//! check of a solution trace), and emits machine-readable medians so the
+//! repo's perf trajectory is trackable across PRs.
 //!
 //! Usage:
 //!
@@ -16,68 +19,46 @@
 //! `obs_disabled_overhead` (percent cost of an installed-but-idle
 //! recorder, measured A/B in-process so it is machine-independent) and
 //! `obs_sites_enabled` (1 when built with `--features obs`, else 0).
-//! A sidecar `<out>.por.json` carries the full-vs-reduced exploration
-//! statistics in the shared [`PorStats`] schema, `<out>.sym.json` the
-//! symmetry-quotient statistics in the shared [`SymStats`] schema, and
-//! `<out>.ldd.json` the symbolic-backend statistics in the shared
-//! [`LddStats`] schema.
+//! One sidecar, `<out>.stats.json`, holds the exact exploration counts
+//! as three blocks nested the way `ANALYZE_report.json` nests them per
+//! target: `"por"` (full-vs-reduced, the shared [`PorStats`] schema),
+//! `"sym"` (the symmetry quotient, [`SymStats`]) and `"ldd"` (the
+//! symbolic backend, [`LddStats`]). It carries counts only, no timings,
+//! so it is byte-identical on every host.
 //! `--threads` sets the worker count of the sweep-harness bench entry
 //! (default: all cores). Every output path is checked for writability
 //! before the first bench runs: an unwritable one prints `error: …` and
 //! exits 1.
 
-use std::fs::OpenOptions;
-use std::path::Path;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Instant as WallInstant;
 
+use svckit::codec::{PduRegistry, PduSchema};
 use svckit::floorctl::{
     floor_control_service, floor_event_universe, run_solution, AdmissionGate, RunParams, Solution,
 };
 use svckit::lts::explorer::{ExploreOptions, Reduction, ServiceExplorer};
-use svckit::lts::{Backend, Symmetry};
+use svckit::lts::{Backend, Lts, LtsBuilder, Symmetry};
 use svckit::middleware::{Compiled, Engine, ADMISSION_BOUND};
-use svckit::model::{Duration, PartId};
+use svckit::model::conformance::{check_trace, CheckOptions};
+use svckit::model::{Duration, PartId, Value, ValueType};
 use svckit::netsim::{Context, LinkConfig, Process, QueueBackend, SimConfig, Simulator, TimerId};
 use svckit::obs::with_recorder;
 use svckit_bench::scale::{run_scale_soak, ScaleConfig};
 use svckit_sweep::{
-    chrome_trace, default_threads, flag_usize, flag_value, obs_flags, run_sweep, verbosity,
-    JsonWriter, LddStats, ObsFormat, PorStats, Recorder, SweepSpec, SymStats,
+    chrome_trace, default_threads, ensure_writable, fail, flag_usize, output_flags, run_sweep,
+    verbosity, write_file, JsonWriter, LddStats, ObsFormat, PorStats, Recorder, SweepSpec,
+    SymStats,
 };
 
 use std::hint::black_box;
 
-fn fail(message: &str) -> ! {
-    eprintln!("error: {message}");
-    std::process::exit(1);
-}
-
-/// Exits with an `error:` line, before any bench runs, when `path` cannot
-/// be written. The probe opens for appending, so an existing file keeps
-/// its contents, and removes a file it had to create.
-fn ensure_writable(path: &str) {
-    let existed = Path::new(path).exists();
-    match OpenOptions::new().append(true).create(true).open(path) {
-        Ok(_) if !existed => {
-            let _ = std::fs::remove_file(path);
-        }
-        Ok(_) => {}
-        Err(e) => fail(&format!("cannot write {path}: {e}")),
-    }
-}
-
-fn write_or_exit(path: &str, contents: String) {
-    if let Err(e) = std::fs::write(path, contents) {
-        fail(&format!("cannot write {path}: {e}"));
-    }
-}
-
-/// The path of the `<kind>` statistics sidecar next to `out_path`.
-fn sidecar(out_path: &str, kind: &str) -> String {
+/// The path of the statistics sidecar next to `out_path`.
+fn stats_path(out_path: &str) -> String {
     match out_path.strip_suffix(".json") {
-        Some(stem) => format!("{stem}.{kind}.json"),
-        None => format!("{out_path}.{kind}.json"),
+        Some(stem) => format!("{stem}.stats.json"),
+        None => format!("{out_path}.stats.json"),
     }
 }
 
@@ -132,6 +113,16 @@ fn median_ns<F: FnMut()>(warmup: usize, samples: usize, mut f: F) -> f64 {
         .collect();
     times.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     times[times.len() / 2]
+}
+
+/// [`median_ns`] for a routine too short to time alone: each of the
+/// `samples` runs calls `f` `batch` times; returns median ns per call.
+fn median_ns_batched<F: FnMut()>(batch: usize, samples: usize, mut f: F) -> f64 {
+    median_ns(1, samples, || {
+        for _ in 0..batch {
+            f();
+        }
+    }) / batch as f64
 }
 
 fn fmt_ns(ns: f64) -> String {
@@ -335,22 +326,23 @@ fn netsim_sliced_report() {
     }
 }
 
+/// A `n`-state cycle whose transitions cycle through four labels
+/// `<label>0` … `<label>3`.
+fn lts_cycle(n: usize, label: &str) -> Lts<String> {
+    let mut b = LtsBuilder::new();
+    let states: Vec<_> = (0..n).map(|i| b.add_state(format!("s{i}"))).collect();
+    for i in 0..n {
+        b.add_transition(states[i], format!("{label}{}", i % 4), states[(i + 1) % n]);
+    }
+    b.build(states[0])
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let out_path = flag_value(&args, "out").unwrap_or_else(|| "BENCH_hotpath.json".to_owned());
-    let (por_path, sym_path, ldd_path) = (
-        sidecar(&out_path, "por"),
-        sidecar(&out_path, "sym"),
-        sidecar(&out_path, "ldd"),
-    );
-    let obs = obs_flags(&args);
-    for path in [&out_path, &por_path, &sym_path, &ldd_path]
-        .into_iter()
-        .chain(obs.as_ref().map(|(path, _)| path))
-    {
-        ensure_writable(path);
-    }
-    let threads = flag_usize(&args, "threads", default_threads());
+    let (out_path, obs) = output_flags(&args, "BENCH_hotpath.json").unwrap_or_else(|e| fail(&e));
+    let stats_path = stats_path(&out_path);
+    ensure_writable(&stats_path).unwrap_or_else(|e| fail(&e));
+    let threads = flag_usize(&args, "threads", default_threads()).unwrap_or_else(|e| fail(&e));
     let verbose = verbosity(&args);
     let mut results: Vec<(&str, f64)> = Vec::new();
     let mut record = |name: &'static str, ns: f64| {
@@ -576,6 +568,80 @@ fn main() {
         median_ns(1, 9, netsim_sliced_report),
     );
 
+    // --- Building blocks: codec, LTS algebra, conformance check. --------
+    // Batch sizes keep each sample at roughly 0.1–1 ms, far above the
+    // clock's resolution.
+    // PDU encode + decode round-trips: a two-id `request` and a `pass`
+    // carrying a 32-id set.
+    let mut registry = PduRegistry::new();
+    for schema in [
+        PduSchema::new(1, "request")
+            .field("subid", ValueType::Id)
+            .field("resid", ValueType::Id),
+        PduSchema::new(2, "pass").field("avail", ValueType::Set(Box::new(ValueType::Id))),
+    ] {
+        registry
+            .register(schema)
+            .expect("distinct PDU ids and names");
+    }
+    let request_args = [Value::Id(42), Value::Id(7)];
+    let pass_args = [Value::id_set(1..=32)];
+    for (name, pdu, args, batch) in [
+        (
+            "codec/request_roundtrip",
+            "request",
+            &request_args[..],
+            2_000,
+        ),
+        ("codec/pass32_roundtrip", "pass", &pass_args[..], 200),
+    ] {
+        record(
+            name,
+            median_ns_batched(batch, 21, || {
+                let bytes = registry
+                    .encode(pdu, black_box(args))
+                    .expect("the arguments match the schema");
+                black_box(registry.decode(&bytes).expect("encoded bytes decode"));
+            }),
+        );
+    }
+
+    // Interleaving composition of two 20-state cycles (400 product
+    // states), and trace refinement of a 40-state cycle by its twin.
+    let (left, right) = (lts_cycle(20, "a"), lts_cycle(20, "b"));
+    let no_sync = BTreeSet::new();
+    record(
+        "lts/compose_interleave_20x20",
+        median_ns_batched(4, 21, || {
+            black_box(left.compose(&right, &no_sync));
+        }),
+    );
+    let (spec, imp) = (lts_cycle(40, "a"), lts_cycle(40, "a"));
+    record(
+        "lts/trace_refines_cycle40",
+        median_ns_batched(16, 21, || {
+            black_box(imp.trace_refines(&spec).is_ok());
+        }),
+    );
+
+    // Every constraint of the floor-control service checked over a
+    // proto-callback trace (8 × 2 × 5).
+    let conformance_run = run_solution(
+        Solution::ProtoCallback,
+        &RunParams::default().subscribers(8).resources(2).rounds(5),
+    );
+    assert!(conformance_run.conformant);
+    record(
+        "conformance/check_240_event_trace",
+        median_ns_batched(16, 21, || {
+            black_box(check_trace(
+                &service,
+                black_box(&conformance_run.trace),
+                &CheckOptions::default(),
+            ));
+        }),
+    );
+
     // --- End-to-end experiment proxy (exp_fig4 middleware path). --------
     let params = RunParams::default().subscribers(8).resources(2).rounds(4);
     record(
@@ -741,26 +807,22 @@ fn main() {
         json.key(name).float(*ns, 1);
     }
     json.end_object();
-    write_or_exit(&out_path, json.finish());
+    write_file(&out_path, json.finish()).unwrap_or_else(|e| fail(&e));
     println!("\nwrote {out_path}");
 
-    // POR statistics sidecar, in the schema `svckit-analyze` shares.
-    let mut por_json = JsonWriter::pretty();
-    por_stats.write(&mut por_json);
-    write_or_exit(&por_path, por_json.finish());
-    println!("wrote {por_path}");
-
-    // Symmetry statistics sidecar, in the schema `svckit-analyze` shares.
-    let mut sym_json = JsonWriter::pretty();
-    sym_stats.write(&mut sym_json);
-    write_or_exit(&sym_path, sym_json.finish());
-    println!("wrote {sym_path}");
-
-    // Symbolic-backend statistics sidecar, same shared schema.
-    let mut ldd_json = JsonWriter::pretty();
-    ldd_stats.write(&mut ldd_json);
-    write_or_exit(&ldd_path, ldd_json.finish());
-    println!("wrote {ldd_path}");
+    // The statistics sidecar: the schemas `svckit-analyze` shares, nested
+    // as its report nests them per target.
+    let mut stats_json = JsonWriter::pretty();
+    stats_json.begin_object();
+    stats_json.key("por");
+    por_stats.write(&mut stats_json);
+    stats_json.key("sym");
+    sym_stats.write(&mut stats_json);
+    stats_json.key("ldd");
+    ldd_stats.write(&mut stats_json);
+    stats_json.end_object();
+    write_file(&stats_path, stats_json.finish()).unwrap_or_else(|e| fail(&e));
+    println!("wrote {stats_path}");
 
     // Optional obs capture: one instrumented pingpong + POR exploration.
     if let Some((obs_path, format)) = obs {
@@ -772,7 +834,7 @@ fn main() {
             ObsFormat::Jsonl => recorder.jsonl("hotpath"),
             ObsFormat::Chrome => chrome_trace([(0u64, "hotpath", &recorder)]),
         };
-        write_or_exit(&obs_path, text);
+        write_file(&obs_path, text).unwrap_or_else(|e| fail(&e));
         verbose.info(&format!("wrote obs {obs_path} ({format:?})"));
         if svckit::obs::sites_enabled() {
             verbose.sink_summary("hotpath", &recorder);

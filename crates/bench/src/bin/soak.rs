@@ -50,7 +50,7 @@ use svckit::netsim::{DeterministicRng, LinkConfig};
 use svckit::protocol::ReliabilityConfig;
 use svckit_bench::scale::{run_scale_soak, ScaleConfig};
 use svckit_sweep::{
-    default_threads, flag_usize, flag_value, obs_flags, run_sweep, shards_flag, verbosity,
+    default_threads, fail, flag_usize, flag_value, output_flags, run_sweep, shards_flag, verbosity,
     SweepReport, SweepSpec,
 };
 
@@ -104,12 +104,6 @@ fn audit(report: &SweepReport) -> (usize, usize) {
         completed += usize::from(r.outcome.completed);
     }
     (violations, completed)
-}
-
-/// Prints one `error:` line and exits with code 1.
-fn fail(message: &str) -> ! {
-    eprintln!("error: {message}");
-    std::process::exit(1);
 }
 
 /// `--<name>` as an integer of at least `min`, or `default` when absent.
@@ -177,9 +171,9 @@ fn main() {
     if flag_value(&args, "clients").is_some() {
         run_scale_mode(&args);
     }
-    let seeds = flag_usize(&args, "seeds", 8) as u64;
-    let threads = flag_usize(&args, "threads", default_threads());
-    let out = flag_value(&args, "out").unwrap_or_else(|| "SWEEP_soak.json".to_owned());
+    let seeds = flag_usize(&args, "seeds", 8).unwrap_or_else(|e| fail(&e)) as u64;
+    let threads = flag_usize(&args, "threads", default_threads()).unwrap_or_else(|e| fail(&e));
+    let (out, obs) = output_flags(&args, "SWEEP_soak.json").unwrap_or_else(|e| fail(&e));
     let verbose = verbosity(&args);
 
     let subscribers = 4u64;
@@ -253,20 +247,26 @@ fn main() {
         reliable.results.len() - rel_violations,
         rel_completed
     );
-    report.write_json(&out);
+    report.write_json(&out).unwrap_or_else(|e| fail(&e));
     let reliable_out = match out.strip_suffix(".json") {
         Some(stem) => format!("{stem}_reliable.json"),
         None => format!("{out}.reliable"),
     };
-    reliable.write_json(&reliable_out);
+    reliable
+        .write_json(&reliable_out)
+        .unwrap_or_else(|e| fail(&e));
 
-    if let Some((obs_path, format)) = obs_flags(&args) {
-        report.write_obs(&obs_path, format);
+    if let Some((obs_path, format)) = obs {
+        report
+            .write_obs(&obs_path, format)
+            .unwrap_or_else(|e| fail(&e));
         let reliable_obs = match obs_path.rsplit_once('.') {
             Some((stem, ext)) => format!("{stem}_reliable.{ext}"),
             None => format!("{obs_path}_reliable"),
         };
-        reliable.write_obs(&reliable_obs, format);
+        reliable
+            .write_obs(&reliable_obs, format)
+            .unwrap_or_else(|e| fail(&e));
         verbose.info(&format!(
             "wrote obs {obs_path} + {reliable_obs} ({format:?})"
         ));

@@ -1,6 +1,6 @@
 //! Experiment harness for svckit: the per-figure experiment binaries
 //! (`src/bin/exp_*.rs`), the `soak` fault-campaign binary, and the
-//! Criterion microbenches.
+//! `hotpath` micro-benchmark harness with its `perfgate` gate.
 //!
 //! The sweep/table/JSON machinery lives in `svckit-sweep`; the helpers the
 //! binaries use are re-exported here so existing imports keep working.

@@ -41,14 +41,13 @@ fn unwritable_out_is_an_error_before_any_bench() {
 #[test]
 fn unwritable_sidecar_is_an_error_before_any_bench() {
     let dir = std::env::temp_dir().join(format!("hotpath_flags_{}", std::process::id()));
-    // A directory squatting on the symmetry sidecar's name makes that one
-    // path unwritable while `--out` itself is fine.
-    let squatter = dir.join("BENCH.sym.json");
+    // A directory squatting on the statistics sidecar's name makes that
+    // one path unwritable while `--out` itself is fine.
+    let squatter = dir.join("BENCH.stats.json");
     std::fs::create_dir_all(&squatter).unwrap();
     let out = dir.join("BENCH.json");
     assert_rejected_early(&out, &squatter);
-    // The probe leaves no empty files behind for the paths it could open.
+    // The probe leaves no empty file behind for the path it could open.
     assert!(!out.exists(), "probe left {} behind", out.display());
-    assert!(!dir.join("BENCH.por.json").exists());
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -75,7 +75,6 @@ fn monitor_over(svc: &ServiceDefinition, trace: &Trace, shared: bool) -> Monitor
 fn check(svc: &ServiceDefinition, trace: &Trace, complete: bool) -> usize {
     let options = CheckOptions {
         allow_pending_liveness: !complete,
-        ..CheckOptions::default()
     };
     check_trace(svc, trace, &options).violations().len()
 }
@@ -117,7 +116,6 @@ proptest! {
             &trace,
             &CheckOptions {
                 allow_pending_liveness: true,
-                ..CheckOptions::default()
             },
         );
         let earliest = safety.violations().iter().filter_map(|v| v.event_index()).min();

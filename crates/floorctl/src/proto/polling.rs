@@ -244,7 +244,6 @@ mod tests {
         // run_solution gives incomplete runs).
         let options = CheckOptions {
             allow_pending_liveness: true,
-            ..CheckOptions::default()
         };
         let check = check_trace(
             &crate::service::floor_control_service(),

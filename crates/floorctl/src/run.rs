@@ -345,7 +345,6 @@ fn verdict(monitor: &Monitor, trace: &Trace, completed: bool) -> (bool, usize) {
         // Incomplete runs were cut off mid-flight; outstanding requests are
         // pending, not wrong.
         allow_pending_liveness: !completed,
-        ..CheckOptions::default()
     };
     let report = check_trace(floor_compiled().service(), trace, &options);
     debug_assert!(!clean || report.is_conformant(), "clean monitor, {report}");
@@ -554,7 +553,6 @@ mod tests {
             for completed in [false, true] {
                 let options = CheckOptions {
                     allow_pending_liveness: !completed,
-                    ..CheckOptions::default()
                 };
                 let report = check_trace(&service, trace, &options);
                 assert_eq!(report.is_conformant(), conformant);

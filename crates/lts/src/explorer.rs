@@ -912,6 +912,10 @@ impl FromStr for Reduction {
     }
 }
 
+/// How many deadlock witness traces [`ServiceExplorer::explore`]
+/// materialises (all deadlock states are still *counted*).
+pub(crate) const MAX_DEADLOCK_WITNESSES: usize = 4;
+
 /// Options for [`ServiceExplorer::explore`].
 #[derive(Debug, Clone)]
 pub struct ExploreOptions {
@@ -924,9 +928,6 @@ pub struct ExploreOptions {
     /// cycle through non-quiescent states that uses none of these
     /// primitives is reported as a livelock.
     pub progress: Vec<String>,
-    /// How many deadlock witness traces to materialise (all deadlock
-    /// states are still *counted*).
-    pub max_deadlock_witnesses: usize,
     /// Whether to canonicalize product states under the user-permutation
     /// symmetry group ([`SymmetryGroups::detect`]) before hashing, so the
     /// search explores one representative per orbit. Witness traces are
@@ -956,7 +957,6 @@ impl Default for ExploreOptions {
             max_states: 100_000,
             reduction: Reduction::AmpleSets,
             progress: Vec::new(),
-            max_deadlock_witnesses: 4,
             symmetry: Symmetry::Off,
             backend: Backend::Explicit,
             ldd_node_limit: 4_194_304,
@@ -986,8 +986,9 @@ pub struct ExploreReport {
     pub truncated: bool,
     /// Total number of reachable deadlock states (no enabled event).
     pub deadlock_states: usize,
-    /// Witness traces to the first deadlock states found (breadth-first,
-    /// so each trace is shortest within the explored graph). An empty
+    /// Witness traces to the first deadlock states found, at most four
+    /// (breadth-first, so each trace is shortest within the explored
+    /// graph). An empty
     /// trace means the *initial* state is dead: the constraint set is
     /// contradictory over this universe.
     pub deadlocks: Vec<Vec<AbstractEvent>>,
@@ -1210,7 +1211,7 @@ impl<'a> ServiceExplorer<'a> {
             }
             if enabled.is_empty() {
                 deadlock_states += 1;
-                if deadlock_sids.len() < options.max_deadlock_witnesses {
+                if deadlock_sids.len() < MAX_DEADLOCK_WITNESSES {
                     deadlock_sids.push(sid);
                 }
                 continue;

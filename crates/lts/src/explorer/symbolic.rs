@@ -40,6 +40,7 @@ use svckit_model::hash::FastMap;
 
 use super::{
     AbstractEvent, ExploreOptions, ExploreReport, LivelockWitness, ServiceExplorer, StepEngine,
+    MAX_DEADLOCK_WITNESSES,
 };
 
 /// Reserved relational-product token for the quiescence filter. Real
@@ -399,7 +400,7 @@ impl<'a> ServiceExplorer<'a> {
         'plies: for d in 0..layers.len() {
             let mut dd = store.intersect(layers[d], dead);
             while dd != EMPTY {
-                if deadlocks.len() >= options.max_deadlock_witnesses {
+                if deadlocks.len() >= MAX_DEADLOCK_WITNESSES {
                     break 'plies;
                 }
                 let (steps, endpoint) = self.lex_min_trace(

@@ -18,7 +18,7 @@ use crate::trace::{PrimitiveEvent, Trace};
 use crate::value::Value;
 
 /// Options controlling a conformance check.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CheckOptions {
     /// When `true`, obligations created by liveness constraints
     /// ([`ConstraintKind::EventuallyFollows`]) that are still outstanding at
@@ -26,18 +26,6 @@ pub struct CheckOptions {
     /// violations. Use this for traces cut off mid-run; leave `false`
     /// (the default) for workloads that drain fully.
     pub allow_pending_liveness: bool,
-    /// When `true` (the default), every event is validated against its
-    /// primitive schema (known primitive, declared role, arity and types).
-    pub validate_schema: bool,
-}
-
-impl Default for CheckOptions {
-    fn default() -> Self {
-        CheckOptions {
-            allow_pending_liveness: false,
-            validate_schema: true,
-        }
-    }
 }
 
 /// A single conformance violation.
@@ -145,7 +133,9 @@ fn instance(scope: ConstraintScope, event: &PrimitiveEvent, key: &[usize]) -> In
     (sap, event.key(key))
 }
 
-/// Checks `trace` against `service`.
+/// Checks `trace` against `service`: every event against its primitive
+/// schema (known primitive, declared role, arity and types), then every
+/// constraint.
 ///
 /// The check is linear in the trace length for each constraint. Violations
 /// carry the index of the offending event when one exists; liveness
@@ -161,9 +151,7 @@ pub fn check_trace(
         ..ConformanceReport::default()
     };
 
-    if options.validate_schema {
-        check_schema(service, trace, &mut report);
-    }
+    check_schema(service, trace, &mut report);
     for constraint in service.constraints() {
         check_constraint(constraint, trace, options, &mut report);
     }
@@ -490,7 +478,6 @@ mod tests {
         let trace: Trace = [ev(1, 1, "request", 7)].into_iter().collect();
         let options = CheckOptions {
             allow_pending_liveness: true,
-            ..CheckOptions::default()
         };
         let report = check_trace(&floor_control(), &trace, &options);
         assert!(report.is_conformant());
@@ -705,7 +692,6 @@ mod tests {
         // Under pending-liveness both stay open rather than violating.
         let options = CheckOptions {
             allow_pending_liveness: true,
-            ..CheckOptions::default()
         };
         let report = check_trace(&svc, &trace, &options);
         assert!(report.is_conformant());

@@ -63,7 +63,7 @@ proptest! {
         let _ = check_trace(
             &service,
             &trace,
-            &CheckOptions { allow_pending_liveness: true, ..CheckOptions::default() },
+            &CheckOptions { allow_pending_liveness: true },
         );
     }
 

@@ -1,7 +1,7 @@
 //! The shared state-space-reduction statistics schemas.
 //!
 //! Both `svckit-analyze` (in `ANALYZE_report.json`) and the explorer
-//! benchmarks (in `BENCH_hotpath.json`'s sidecar) report partial-order
+//! benchmarks (in `BENCH_hotpath.stats.json`) report partial-order
 //! ([`PorStats`]) and symmetry-quotient ([`SymStats`]) work through these
 //! structs, so the two artifacts stay field-compatible and a single
 //! reader can compare analyzer runs against benchmark runs.
@@ -149,7 +149,7 @@ impl SymStats {
 /// carried them. Shares the artifact conventions of [`PorStats`] and
 /// [`SymStats`] — `svckit-analyze` reports one block per target under
 /// `--backend symbolic` and the explorer benchmarks reuse the same schema
-/// (`BENCH_hotpath.ldd.json`).
+/// (the `ldd` block of `BENCH_hotpath.stats.json`).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LddStats {
     /// Concrete states the symbolic search reached (never truncated).

@@ -164,23 +164,23 @@ impl SweepReport {
     /// ([`SweepReport::timing_json`]) next to it, and logs the execution
     /// metadata (cells, threads, wall-clock) to stdout.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when either file cannot be written.
-    pub fn write_json(&self, path: &str) {
-        std::fs::write(path, self.to_json()).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+    /// `cannot write <path>: <reason>` when either file cannot be written.
+    pub fn write_json(&self, path: &str) -> Result<(), String> {
+        write_file(path, self.to_json())?;
         let timing_path = match path.strip_suffix(".json") {
             Some(stem) => format!("{stem}.timing.json"),
             None => format!("{path}.timing.json"),
         };
-        std::fs::write(&timing_path, self.timing_json())
-            .unwrap_or_else(|e| panic!("cannot write {timing_path}: {e}"));
+        write_file(&timing_path, self.timing_json())?;
         println!(
             "wrote {path} + {timing_path} ({} cells, {} threads, {:.2}s wall)",
             self.results.len(),
             self.threads,
             self.wall.as_secs_f64()
         );
+        Ok(())
     }
 }
 
@@ -265,15 +265,15 @@ impl SweepReport {
 
     /// Writes the selected obs sink to `path`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when the file cannot be written.
-    pub fn write_obs(&self, path: &str, format: ObsFormat) {
+    /// `cannot write <path>: <reason>` when the file cannot be written.
+    pub fn write_obs(&self, path: &str, format: ObsFormat) -> Result<(), String> {
         let text = match format {
             ObsFormat::Jsonl => self.obs_jsonl(),
             ObsFormat::Chrome => self.obs_chrome(),
         };
-        std::fs::write(path, text).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+        write_file(path, text)
     }
 }
 
@@ -411,37 +411,42 @@ impl SweepReport {
 
     /// Writes the requested trace sinks ([`trace_flags`]).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when a file cannot be written.
-    pub fn write_trace(&self, flags: &TraceFlags) {
+    /// `cannot write <path>: <reason>` when a file cannot be written.
+    pub fn write_trace(&self, flags: &TraceFlags) -> Result<(), String> {
         if let Some(path) = &flags.out {
-            std::fs::write(path, self.trace_chrome())
-                .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+            write_file(path, self.trace_chrome())?;
             println!("wrote {path} (chrome trace, canonical order)");
         }
         if let Some(path) = &flags.summary {
-            std::fs::write(path, self.trace_summary_json())
-                .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+            write_file(path, self.trace_summary_json())?;
             println!("wrote {path} (critical-path summary)");
         }
+        Ok(())
     }
 }
 
-/// Parses `--obs-out <path>` / `--obs-format {jsonl,chrome}`; `None`
+/// Parses `--obs-out <path>` / `--obs-format {jsonl,chrome}`; `Ok(None)`
 /// when no obs output was requested. The format defaults to `jsonl`.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics (with a usage message) on an unknown format.
-pub fn obs_flags(args: &[String]) -> Option<(String, ObsFormat)> {
-    let path = flag_value(args, "obs-out")?;
+/// A usage message on an unknown format.
+pub fn obs_flags(args: &[String]) -> Result<Option<(String, ObsFormat)>, String> {
+    let Some(path) = flag_value(args, "obs-out") else {
+        return Ok(None);
+    };
     let format = match flag_value(args, "obs-format").as_deref() {
         None | Some("jsonl") => ObsFormat::Jsonl,
         Some("chrome") => ObsFormat::Chrome,
-        Some(other) => panic!("--obs-format expects `jsonl` or `chrome`, got {other:?}"),
+        Some(other) => {
+            return Err(format!(
+                "--obs-format expects `jsonl` or `chrome`, got {other:?}"
+            ))
+        }
     };
-    Some((path, format))
+    Ok(Some((path, format)))
 }
 
 /// Stderr verbosity, shared by every experiment binary: `--quiet`
@@ -524,16 +529,15 @@ pub fn flag_value(args: &[String], name: &str) -> Option<String> {
 
 /// [`flag_value`] parsed as a number, with a default.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics (with a usage message) when the value is present but not a
-/// number.
-pub fn flag_usize(args: &[String], name: &str, default: usize) -> usize {
+/// A usage message when the value is present but not a number.
+pub fn flag_usize(args: &[String], name: &str, default: usize) -> Result<usize, String> {
     match flag_value(args, name) {
-        None => default,
+        None => Ok(default),
         Some(v) => v
             .parse()
-            .unwrap_or_else(|_| panic!("--{name} expects a number, got {v:?}")),
+            .map_err(|_| format!("--{name} expects a number, got {v:?}")),
     }
 }
 
@@ -551,6 +555,65 @@ pub fn shards_flag(args: &[String]) -> Result<Option<u32>, String> {
         Ok(shards) if shards >= 1 => Ok(Some(shards)),
         _ => Err(format!("--shards expects an integer >= 1, got {value:?}")),
     }
+}
+
+/// Writes `contents` to `path`.
+///
+/// # Errors
+///
+/// `cannot write <path>: <reason>`.
+pub fn write_file(path: &str, contents: String) -> Result<(), String> {
+    std::fs::write(path, contents).map_err(|e| format!("cannot write {path}: {e}"))
+}
+
+/// Checks that `path` can be written, so a binary can refuse an
+/// unwritable output before it does any work. The probe opens for
+/// appending, so an existing file keeps its contents, and removes a file
+/// it had to create.
+///
+/// # Errors
+///
+/// `cannot write <path>: <reason>`, the message the final write would
+/// give.
+pub fn ensure_writable(path: &str) -> Result<(), String> {
+    let existed = std::path::Path::new(path).exists();
+    std::fs::OpenOptions::new()
+        .append(true)
+        .create(true)
+        .open(path)
+        .map_err(|e| format!("cannot write {path}: {e}"))?;
+    if !existed {
+        let _ = std::fs::remove_file(path);
+    }
+    Ok(())
+}
+
+/// Parses the outputs every sweep binary (and `hotpath`) writes,
+/// `--out <path>` (default `default_out`) and the optional obs sink
+/// ([`obs_flags`]), and checks each with [`ensure_writable`], so a bad
+/// flag or path fails before any work runs.
+///
+/// # Errors
+///
+/// The first usage or `cannot write` message.
+pub fn output_flags(
+    args: &[String],
+    default_out: &str,
+) -> Result<(String, Option<(String, ObsFormat)>), String> {
+    let out = flag_value(args, "out").unwrap_or_else(|| default_out.to_owned());
+    let obs = obs_flags(args)?;
+    ensure_writable(&out)?;
+    if let Some((path, _)) = &obs {
+        ensure_writable(path)?;
+    }
+    Ok((out, obs))
+}
+
+/// Prints one `error:` line and exits with code 1: how every bench
+/// binary ends on a bad flag or an unwritable output.
+pub fn fail(message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(1);
 }
 
 #[cfg(test)]
@@ -573,8 +636,8 @@ mod tests {
             .map(|s| s.to_string())
             .collect();
         assert_eq!(flag_value(&args, "out").as_deref(), Some("x.json"));
-        assert_eq!(flag_usize(&args, "threads", 1), 4);
-        assert_eq!(flag_usize(&args, "seeds", 8), 8);
+        assert_eq!(flag_usize(&args, "threads", 1), Ok(4));
+        assert_eq!(flag_usize(&args, "seeds", 8), Ok(8));
         assert_eq!(flag_value(&args, "missing"), None);
     }
 

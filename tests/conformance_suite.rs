@@ -202,7 +202,7 @@ proptest! {
                 event.args.clone(),
             ));
         }
-        let options = CheckOptions { allow_pending_liveness: true, ..CheckOptions::default() };
+        let options = CheckOptions { allow_pending_liveness: true };
         let report = check_trace(&service, &trace, &options);
         prop_assert!(report.is_conformant(), "{report}");
     }
@@ -217,7 +217,7 @@ proptest! {
         ]
         .into_iter()
         .collect();
-        let options = CheckOptions { allow_pending_liveness: true, ..CheckOptions::default() };
+        let options = CheckOptions { allow_pending_liveness: true };
         let report = check_trace(&service, &trace, &options);
         prop_assert!(!report.is_conformant());
     }

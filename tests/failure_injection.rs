@@ -93,7 +93,6 @@ fn without_reliability_a_partition_loses_work() {
     // just stalled. Only liveness is pending.
     let options = CheckOptions {
         allow_pending_liveness: true,
-        ..CheckOptions::default()
     };
     let check = check_trace(&floor_control_service(), report.trace(), &options);
     assert!(check.is_conformant(), "{check}");
