@@ -29,9 +29,13 @@
 //! legacy alias).
 //!
 //! Exit status is 1 when any error-severity diagnostic is reported, or when
-//! warnings are reported under `--deny warnings`. A malformed flag value
-//! prints one `error:` line and also exits with 1.
+//! warnings are reported under `--deny warnings`. A malformed flag value,
+//! a `--filter` that matches no target, an unwritable `--out`/`--diag-out`
+//! path (checked before the analysis runs) and a failed write to stdout (a
+//! full device, a closed pipe) each print one `error:` line and also exit
+//! with 1.
 
+use std::io::Write;
 use std::process::ExitCode;
 use std::str::FromStr;
 
@@ -39,7 +43,7 @@ use svckit_analyze::{
     all_targets, fixtures, scale_floor_targets, AnalysisReport, Reduction, ServicePassOptions,
     Symmetry,
 };
-use svckit_sweep::flag_value;
+use svckit_sweep::{ensure_writable, flag_value};
 
 /// Parses `--<name> N` as a positive integer (`default` when absent).
 fn positive_flag(args: &[String], name: &str, default: usize) -> Result<usize, String> {
@@ -80,14 +84,27 @@ fn parse_options(args: &[String]) -> Result<(ServicePassOptions, usize), String>
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let deny_warnings = flag_value(&args, "deny").is_some_and(|v| v == "warnings");
-    let (options, users) = match parse_options(&args) {
-        Ok(parsed) => parsed,
+    match run(&args) {
+        Ok(code) => code,
         Err(err) => {
             eprintln!("error: {err}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
+    }
+}
+
+/// Runs the analysis the flags select. Every failure — a malformed flag,
+/// a `--filter` that matches nothing, an unwritable output path (probed
+/// before the analysis runs) or a failed write to stdout — comes back as
+/// the one message `main` prints.
+fn run(args: &[String]) -> Result<ExitCode, String> {
+    let deny_warnings = flag_value(args, "deny").is_some_and(|v| v == "warnings");
+    let (options, users) = parse_options(args)?;
+    let out = flag_value(args, "out");
+    let diag_out = flag_value(args, "diag-out");
+    for path in out.iter().chain(&diag_out) {
+        ensure_writable(path)?;
+    }
 
     let mut targets = all_targets();
     if args.iter().any(|a| a == "--fixtures") {
@@ -96,35 +113,34 @@ fn main() -> ExitCode {
     if users != 3 {
         scale_floor_targets(&mut targets, users as u64);
     }
-    if let Some(filter) = flag_value(&args, "filter").or_else(|| flag_value(&args, "target")) {
+    if let Some(filter) = flag_value(args, "filter").or_else(|| flag_value(args, "target")) {
         targets.retain(|t| t.name.contains(&filter));
         if targets.is_empty() {
-            eprintln!("--filter {filter:?} matches no target");
-            return ExitCode::FAILURE;
+            return Err(format!("--filter {filter:?} matches no target"));
         }
     }
 
     let report = AnalysisReport::run(&targets, &options);
-    print!("{}", report.render_text());
-
-    if let Some(path) = flag_value(&args, "out") {
-        if let Err(err) = std::fs::write(&path, report.to_json()) {
-            eprintln!("cannot write {path}: {err}");
-            return ExitCode::FAILURE;
+    let mut stdout = std::io::stdout().lock();
+    let mut print = |text: &str| {
+        stdout
+            .write_all(text.as_bytes())
+            .and_then(|()| stdout.flush())
+            .map_err(|err| format!("cannot write to stdout: {err}"))
+    };
+    print(&report.render_text())?;
+    for (path, json) in [(out, report.to_json()), (diag_out, report.to_diag_json())] {
+        if let Some(path) = path {
+            std::fs::write(&path, json).map_err(|err| format!("cannot write {path}: {err}"))?;
+            print(&format!("wrote {path}\n"))?;
         }
-        println!("wrote {path}");
-    }
-    if let Some(path) = flag_value(&args, "diag-out") {
-        if let Err(err) = std::fs::write(&path, report.to_diag_json()) {
-            eprintln!("cannot write {path}: {err}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {path}");
     }
 
-    if report.errors() > 0 || (deny_warnings && report.warnings() > 0) {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    Ok(
+        if report.errors() > 0 || (deny_warnings && report.warnings() > 0) {
+            ExitCode::FAILURE
+        } else {
+            ExitCode::SUCCESS
+        },
+    )
 }

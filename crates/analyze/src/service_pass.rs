@@ -6,6 +6,16 @@
 //! which (by default) applies the ample-set partial-order reduction — the
 //! diagnostics are reduction-invariant, only the visited state count
 //! changes.
+//!
+//! Up to three counterpart searches fill the report's statistics blocks:
+//! the flipped symmetry setting ([`ServiceAnalysis::sym`]), the flipped
+//! reduction ([`ServiceAnalysis::por`]) and, under [`Backend::Symbolic`],
+//! the LDD fixpoint ([`ServiceAnalysis::ldd`]). They run count-only
+//! ([`ServiceExplorer::explore_counts`]): the same search without witness
+//! trees, edge lists, livelock searches or (symbolic) witness relations.
+//! Two of them run in full when their findings can be reported: the
+//! unquotiented counterpart of a quotient run that found a defect, and
+//! the symbolic run when the configured search truncated.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -53,7 +63,9 @@ pub struct ServicePassOptions {
     /// only when every explicit source hit the state bound while the
     /// symbolic search completed, which is how universes past the
     /// explicit ceiling (the `--users 8` floor) stay analyzable with
-    /// complete, replayable witnesses instead of an `SA009` stub.
+    /// complete, replayable witnesses instead of an `SA009` stub. That
+    /// LDD exploration runs count-only unless the configured search
+    /// truncated.
     pub backend: Backend,
 }
 
@@ -81,16 +93,23 @@ pub struct ServiceAnalysis {
     pub transitions: usize,
     /// Full-vs-reduced exploration statistics, in the schema the explorer
     /// benchmarks share (`BENCH_hotpath.stats.json`). Both halves run at the
-    /// configured symmetry setting.
+    /// configured symmetry setting; the counterpart half comes from a
+    /// count-only search, equal in every field to a full one.
     pub por: PorStats,
     /// Unquotiented-vs-quotient exploration statistics, in the schema the
     /// explorer benchmarks share (`BENCH_hotpath.stats.json`). Both halves
     /// run at the configured reduction setting, so the block is identical
-    /// whichever symmetry setting the caller picked.
+    /// whichever symmetry setting the caller picked. The counterpart half
+    /// comes from a count-only search unless it supplies the diagnostics.
     pub sym: SymStats,
     /// Symbolic-backend statistics, filled only under
     /// [`Backend::Symbolic`] (all zeros otherwise — the explicit backend
-    /// builds no diagrams).
+    /// builds no diagrams). `states`, `transitions` and `ldd_nodes` equal
+    /// a full symbolic search's. `peak_nodes` and `cache_hits` describe
+    /// the store of the count-only search that fills the block, which
+    /// builds no witness relations and so interns about half the nodes —
+    /// except when the configured search truncated, where the full
+    /// (rescue) search fills it.
     pub ldd: LddStats,
 }
 
@@ -148,34 +167,49 @@ pub fn analyze_service(
     // pick a different same-length witness than the concrete search; for
     // clean targets the quotient report is used directly, which is what
     // makes universes that only the quotient can finish analyzable at
-    // all.)
-    let sym_counterpart = explorer.explore(&ExploreOptions {
+    // all.) Only that case needs the counterpart's findings; otherwise it
+    // runs count-only.
+    let sym_options = ExploreOptions {
         symmetry: match options.symmetry {
             Symmetry::On => Symmetry::Off,
             Symmetry::Off => Symmetry::On,
         },
         ..explore_options.clone()
-    });
+    };
+    let sym_witness = (options.symmetry == Symmetry::On && has_defect(&report))
+        .then(|| explorer.explore(&sym_options));
+    let sym_counterpart = match &sym_witness {
+        Some(full) => full.counts(),
+        None => explorer.explore_counts(&sym_options),
+    };
     // Under the symbolic backend one extra exploration runs the LDD
     // fixpoint engine on the same explorer. It feeds the `ldd` statistics
     // block, and — because the diagram never truncates — rescues the
-    // diagnostics when both explicit sources stopped at the state bound:
+    // diagnostics when the configured run stopped at the state bound and
+    // the symmetry counterpart offers no complete witnesses either:
     // witnesses are then re-extracted concrete minimal traces instead of
-    // an SA009 stub. (`peak_nodes > 0` distinguishes a completed symbolic
-    // run from the node-budget fallback, which re-reports explicitly.)
-    let symbolic = (options.backend == Backend::Symbolic).then(|| {
-        explorer.explore(&ExploreOptions {
-            backend: Backend::Symbolic,
-            ..explore_options.clone()
-        })
-    });
-    let mut diag_report =
-        if options.symmetry == Symmetry::On && has_defect(&report) && !sym_counterpart.truncated {
-            &sym_counterpart
-        } else {
-            &report
-        };
-    if let Some(symbolic) = &symbolic {
+    // an SA009 stub. Only a truncated configured run can need that rescue,
+    // so otherwise the symbolic run is count-only. (`peak_nodes > 0`
+    // distinguishes a completed symbolic run from the node-budget
+    // fallback, which re-reports explicitly.)
+    let symbolic_options = ExploreOptions {
+        backend: Backend::Symbolic,
+        ..explore_options.clone()
+    };
+    let symbolic_witness = (options.backend == Backend::Symbolic && report.truncated)
+        .then(|| explorer.explore(&symbolic_options));
+    let symbolic = match &symbolic_witness {
+        Some(full) => Some(full.counts()),
+        None if options.backend == Backend::Symbolic => {
+            Some(explorer.explore_counts(&symbolic_options))
+        }
+        None => None,
+    };
+    let mut diag_report = match &sym_witness {
+        Some(full) if !full.truncated => full,
+        _ => &report,
+    };
+    if let Some(symbolic) = &symbolic_witness {
         if diag_report.truncated && !symbolic.truncated && symbolic.peak_nodes > 0 {
             diag_report = symbolic;
         }
@@ -203,20 +237,21 @@ pub fn analyze_service(
         }
     }
 
-    // A third exploration under the counterpart reduction fills in the
-    // other half of the shared POR statistics block. Diagnostics always
-    // come from the runs above; the extra run only feeds the report, and
-    // shares the same state bound and symmetry setting.
-    let counterpart = explorer.explore(&ExploreOptions {
+    // A count-only exploration under the counterpart reduction fills in
+    // the other half of the shared POR statistics block. Diagnostics
+    // always come from the runs above; the extra run only feeds the
+    // report, and shares the same state bound and symmetry setting.
+    let configured = report.counts();
+    let counterpart = explorer.explore_counts(&ExploreOptions {
         reduction: match options.reduction {
             Reduction::Full => Reduction::AmpleSets,
             Reduction::AmpleSets => Reduction::Full,
         },
-        ..explore_options.clone()
+        ..explore_options
     });
     let (full, reduced) = match options.reduction {
-        Reduction::Full => (&report, &counterpart),
-        Reduction::AmpleSets => (&counterpart, &report),
+        Reduction::Full => (&configured, &counterpart),
+        Reduction::AmpleSets => (&counterpart, &configured),
     };
     let por = PorStats {
         full_states: full.states as u64,
@@ -227,8 +262,8 @@ pub fn analyze_service(
     };
 
     let (sym_on, sym_off) = match options.symmetry {
-        Symmetry::On => (&report, &sym_counterpart),
-        Symmetry::Off => (&sym_counterpart, &report),
+        Symmetry::On => (&configured, &sym_counterpart),
+        Symmetry::Off => (&sym_counterpart, &configured),
     };
     let sym = SymStats {
         full_states: sym_off.states as u64,

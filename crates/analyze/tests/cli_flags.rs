@@ -1,8 +1,11 @@
 //! The analyzer binary rejects malformed flags with a one-line
 //! `error:` and exit code 1 — no panic, no backtrace, and no silent run
-//! over an empty universe.
+//! over an empty universe. So does a bad environment: a `--filter` that
+//! matches nothing, an unwritable `--out`/`--diag-out` (caught before the
+//! analysis runs), a full stdout device and a closed stdout pipe.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 fn analyze(args: &[&str]) -> (Option<i32>, String) {
     let output = Command::new(env!("CARGO_BIN_EXE_svckit-analyze"))
@@ -70,5 +73,75 @@ fn unknown_por_and_symmetry_settings_carry_the_error_prefix() {
     assert_rejected(
         &["--symmetry", "maybe"],
         "error: --symmetry: unknown symmetry setting `maybe` (on|off)",
+    );
+}
+
+#[test]
+fn a_filter_matching_nothing_carries_the_error_prefix() {
+    assert_rejected(
+        &["--filter", "no-such-target"],
+        r#"error: --filter "no-such-target" matches no target"#,
+    );
+}
+
+#[test]
+fn unwritable_outputs_are_errors_before_the_analysis() {
+    let missing = "/nonexistent-dir/ANALYZE.json";
+    for flag in ["--out", "--diag-out"] {
+        let start = Instant::now();
+        // `--users 6` makes the analysis itself take far longer than the
+        // bound below, so passing it shows the probe came first.
+        let (code, stderr) = analyze(&[flag, missing, "--users", "6"]);
+        let wall = start.elapsed();
+        assert_eq!(code, Some(1), "{flag}: exit code (stderr: {stderr})");
+        let lines: Vec<&str> = stderr.lines().collect();
+        assert_eq!(lines.len(), 1, "{flag}: stderr: {stderr}");
+        let prefix = format!("error: cannot write {missing}: ");
+        assert!(lines[0].starts_with(&prefix), "{flag}: stderr: {stderr}");
+        assert!(wall < Duration::from_secs(2), "{flag}: took {wall:?}");
+    }
+}
+
+/// Runs the analyzer on one target with stdout set to `stdout`; returns
+/// its exit code and stderr.
+fn analyze_into(stdout: Stdio, close_pipe: bool) -> (Option<i32>, String) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_svckit-analyze"))
+        .args(["--filter", "mw-callback"])
+        .stdout(stdout)
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("the analyzer binary runs");
+    if close_pipe {
+        drop(child.stdout.take());
+    }
+    let output = child.wait_with_output().expect("the analyzer exits");
+    (
+        output.status.code(),
+        String::from_utf8_lossy(&output.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn a_full_stdout_device_is_an_error_not_a_panic() {
+    let Ok(full) = std::fs::OpenOptions::new().write(true).open("/dev/full") else {
+        return; // no /dev/full on this platform
+    };
+    let (code, stderr) = analyze_into(Stdio::from(full), false);
+    assert_eq!(code, Some(1), "stderr: {stderr}");
+    assert_eq!(
+        stderr.trim_end(),
+        "error: cannot write to stdout: No space left on device (os error 28)"
+    );
+}
+
+#[test]
+fn a_closed_stdout_pipe_is_an_error_not_a_panic() {
+    let (code, stderr) = analyze_into(Stdio::piped(), true);
+    assert_eq!(code, Some(1), "stderr: {stderr}");
+    let lines: Vec<&str> = stderr.lines().collect();
+    assert_eq!(lines.len(), 1, "stderr: {stderr}");
+    assert!(
+        lines[0].starts_with("error: cannot write to stdout: "),
+        "stderr: {stderr}"
     );
 }

@@ -5,12 +5,14 @@
 //! counts, report **byte-identical** diagnostic sets and `verify_lts`
 //! verdicts, and produce witness traces that replay concretely — plus a
 //! regression test that a truncated explicit pass is rescued by a
-//! completed symbolic fixpoint without changing the diagnosis.
+//! completed (full, not count-only) symbolic fixpoint without changing
+//! the diagnosis.
 
 use proptest::prelude::*;
 
 use svckit_analyze::{
-    analyze_service, fixtures, verify_implementation, AnalysisReport, ServicePassOptions,
+    analyze_service, fixtures, progress_primitives, verify_implementation, AnalysisReport,
+    ServicePassOptions,
 };
 use svckit_lts::explorer::{ExploreOptions, Reduction, ServiceExplorer};
 use svckit_lts::LtsBuilder;
@@ -285,6 +287,29 @@ fn a_completed_symbolic_fixpoint_rescues_a_truncated_explicit_pass() {
         rescued.diagnostics.iter().all(|d| d.code != "SA009"),
         "the completed fixpoint must clear the truncation warning"
     );
+    // The rescue reads the findings of a full symbolic run, not of the
+    // count-only one the untruncated case uses: the `ldd` block carries
+    // the full run's store statistics, which the count-only run (no
+    // witness chains, no livelock fixpoint) stays below.
+    let options = tight(Backend::Symbolic);
+    let explorer = ServiceExplorer::with_engine(
+        &svc,
+        universe.clone(),
+        options.max_outstanding,
+        options.engine,
+    );
+    let symbolic = ExploreOptions {
+        max_states: options.max_states,
+        reduction: options.reduction,
+        progress: progress_primitives(&svc),
+        symmetry: options.symmetry,
+        backend: Backend::Symbolic,
+        ..ExploreOptions::default()
+    };
+    let full = explorer.explore(&symbolic);
+    assert_eq!(rescued.ldd.peak_nodes, full.peak_nodes as u64);
+    assert_eq!(rescued.ldd.cache_hits, full.cache_hits);
+    assert!(explorer.explore_counts(&symbolic).peak_nodes < full.peak_nodes);
     let unbounded = analyze_service(
         &svc,
         universe,

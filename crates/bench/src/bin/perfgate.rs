@@ -16,6 +16,10 @@
 //! benchmarks can land before their baseline is committed. Improvements
 //! beyond the band are flagged as a reminder to re-baseline.
 //!
+//! A missing `--fresh`, an unreadable file or a `--tolerance` that is not
+//! a finite non-negative number prints one `error:` line and exits 1
+//! before anything is compared.
+//!
 //! The obs keys are special-cased: `obs_disabled_overhead` is an
 //! in-process A/B *percentage* (machine-independent), so instead of the
 //! ratio band it is held to an absolute bound — at most 3% when
@@ -43,7 +47,7 @@
 //! `baseline × (1 − tolerance)` is the regression and one above
 //! `baseline × (1 + tolerance)` the re-baselining reminder.
 
-use svckit_sweep::{flag_value, parse_flat_numbers};
+use svckit_sweep::{fail, flag_value, parse_flat_numbers};
 
 /// Keys that are not nanosecond medians and must skip the ratio band.
 /// The two `sym_states` keys are exact state counts gated by the
@@ -92,23 +96,32 @@ const MIN_SYM_REDUCTION: f64 = 5.0;
 /// so this gate carries no machine noise.
 const MAX_LDD_PEAK_NODES: f64 = 2_000_000.0;
 
+const USAGE: &str = "usage: perfgate --baseline <json> --fresh <json> [--tolerance 0.30]";
+
+/// Parses `--tolerance` (default 0.30): a finite, non-negative fraction.
+fn tolerance_flag(args: &[String]) -> Result<f64, String> {
+    let Some(value) = flag_value(args, "tolerance") else {
+        return Ok(0.30);
+    };
+    match value.parse::<f64>() {
+        Ok(t) if t.is_finite() && t >= 0.0 => Ok(t),
+        _ => Err(format!(
+            "--tolerance expects a non-negative number, got {value:?}"
+        )),
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let baseline_path =
         flag_value(&args, "baseline").unwrap_or_else(|| "BENCH_hotpath.json".to_owned());
-    let fresh_path = flag_value(&args, "fresh").unwrap_or_else(|| {
-        eprintln!("usage: perfgate --baseline <json> --fresh <json> [--tolerance 0.30]");
-        std::process::exit(2);
-    });
-    let tolerance: f64 = flag_value(&args, "tolerance")
-        .map(|v| v.parse().expect("--tolerance expects a number"))
-        .unwrap_or(0.30);
+    let fresh_path = flag_value(&args, "fresh")
+        .unwrap_or_else(|| fail(&format!("--fresh is required ({USAGE})")));
+    let tolerance = tolerance_flag(&args).unwrap_or_else(|err| fail(&err));
 
     let read = |path: &str| -> Vec<(String, f64)> {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("perfgate: cannot read {path}: {e}");
-            std::process::exit(2);
-        });
+        let text = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
         parse_flat_numbers(&text)
     };
     let baseline = read(&baseline_path);

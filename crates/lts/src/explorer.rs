@@ -1029,6 +1029,73 @@ pub struct ExploreReport {
     pub cache_hits: u64,
 }
 
+impl ExploreReport {
+    /// The report's count fields, in the shape
+    /// [`ServiceExplorer::explore_counts`] returns.
+    pub fn counts(&self) -> ExploreCounts {
+        ExploreCounts {
+            states: self.states,
+            transitions: self.transitions,
+            truncated: self.truncated,
+            ample_hist: self.ample_hist.clone(),
+            orbit_count: self.orbit_count,
+            canon_hits: self.canon_hits,
+            sym_states_saved: self.sym_states_saved,
+            ldd_nodes: self.ldd_nodes,
+            peak_nodes: self.peak_nodes,
+            cache_hits: self.cache_hits,
+        }
+    }
+}
+
+/// What [`ServiceExplorer::explore_counts`] found: the search-size fields
+/// of an [`ExploreReport`], each with the same meaning, and no findings.
+///
+/// Under the explicit backend every field equals the one
+/// [`ServiceExplorer::explore`] reports for the same options. Under
+/// [`Backend::Symbolic`] `states`, `transitions`, `truncated` and
+/// `ldd_nodes` are equal; `ample_hist` is empty (the histogram is not
+/// refined), and `peak_nodes`/`cache_hits` describe the smaller store of a
+/// search that builds no witness relations. That smaller store can fit
+/// [`ExploreOptions::ldd_node_limit`] where the full search overruns it
+/// and falls back to the explicit engine; the counts then describe the
+/// completed fixpoint instead of the fallback.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ExploreCounts {
+    /// See [`ExploreReport::states`].
+    pub states: usize,
+    /// See [`ExploreReport::transitions`].
+    pub transitions: usize,
+    /// See [`ExploreReport::truncated`].
+    pub truncated: bool,
+    /// See [`ExploreReport::ample_hist`].
+    pub ample_hist: Vec<u64>,
+    /// See [`ExploreReport::orbit_count`].
+    pub orbit_count: usize,
+    /// See [`ExploreReport::canon_hits`].
+    pub canon_hits: u64,
+    /// See [`ExploreReport::sym_states_saved`].
+    pub sym_states_saved: u64,
+    /// See [`ExploreReport::ldd_nodes`].
+    pub ldd_nodes: usize,
+    /// See [`ExploreReport::peak_nodes`].
+    pub peak_nodes: usize,
+    /// See [`ExploreReport::cache_hits`].
+    pub cache_hits: u64,
+}
+
+/// How much a search records: everything [`ServiceExplorer::explore`]
+/// reports, or only what [`ServiceExplorer::explore_counts`] returns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Detail {
+    /// Deadlock and livelock witnesses and the never-enabled census too.
+    Findings,
+    /// Counts only: no search tree, edge list, quiescence marks or
+    /// witness replay (explicit), no histogram, inverse relations or
+    /// livelock fixpoint (symbolic).
+    Counts,
+}
+
 impl<'a> ServiceExplorer<'a> {
     /// Per-universe-event dependence closures, as bitsets over universe
     /// indices.
@@ -1123,8 +1190,27 @@ impl<'a> ServiceExplorer<'a> {
     /// potentially missed; reduced/full diagnostic agreement is enforced by
     /// golden tests rather than by a cycle proviso.
     pub fn explore(&self, options: &ExploreOptions) -> ExploreReport {
+        self.search(options, Detail::Findings)
+    }
+
+    /// The same search as [`ServiceExplorer::explore`] — same options,
+    /// same loop, same counts — without what only the findings need: the
+    /// search tree, the edge list, the cycle search and witness replay
+    /// (explicit), or the histogram, inverse step maps, witness chains
+    /// and livelock fixpoint (symbolic). For callers that read only how
+    /// big the search was. See [`ExploreCounts`] for which fields match.
+    pub fn explore_counts(&self, options: &ExploreOptions) -> ExploreCounts {
+        self.search(options, Detail::Counts).counts()
+    }
+
+    /// The one search behind [`ServiceExplorer::explore`] and
+    /// [`ServiceExplorer::explore_counts`]. Under [`Detail::Counts`] the
+    /// report's findings (`deadlocks`, `never_enabled`, `livelock`) stay
+    /// empty.
+    fn search(&self, options: &ExploreOptions, detail: Detail) -> ExploreReport {
+        let findings = detail == Detail::Findings;
         if options.backend == Backend::Symbolic {
-            match self.explore_symbolic(options) {
+            match self.explore_symbolic(options, detail) {
                 Some(report) => return report,
                 None => eprintln!(
                     "svckit-lts: symbolic backend exceeded the LDD node budget \
@@ -1148,10 +1234,13 @@ impl<'a> ServiceExplorer<'a> {
         };
         let n = self.universe.len();
 
-        // Breadth-first tree: state id → (parent state, universe index).
+        // Breadth-first tree: state id → (parent state, universe index),
+        // with each state's quiescence and every taken edge — the inputs of
+        // witness extraction, recorded only when findings are wanted.
         let mut parents: Vec<Option<(u32, u32)>> = Vec::new();
         let mut quiescent: Vec<bool> = Vec::new();
         let mut edges: Vec<(u32, u32, u32)> = Vec::new();
+        let mut transitions = 0usize;
         let mut enabled_ever = vec![false; n];
         let mut deadlock_states = 0usize;
         let mut deadlock_sids: Vec<u32> = Vec::new();
@@ -1168,8 +1257,10 @@ impl<'a> ServiceExplorer<'a> {
         states_saved += init_orbit - 1;
         let mut store = StateStore::new(width);
         store.insert(&key);
-        parents.push(None);
-        quiescent.push(engine.is_quiescent(&key));
+        if findings {
+            parents.push(None);
+            quiescent.push(engine.is_quiescent(&key));
+        }
         let mut queue: VecDeque<u32> = VecDeque::from([0]);
 
         let steps_to = |sid: u32, parents: &[Option<(u32, u32)>]| -> Vec<u32> {
@@ -1265,8 +1356,8 @@ impl<'a> ServiceExplorer<'a> {
             svckit_obs::obs_record!("lts.ample_size", expand.len());
             for &i in expand {
                 let next = successor(i);
-                match store.find(next) {
-                    Some(to) => edges.push((sid, i as u32, to)),
+                let to = match store.find(next) {
+                    Some(to) => to,
                     None => {
                         if store.len() >= options.max_states {
                             truncated = true;
@@ -1274,13 +1365,54 @@ impl<'a> ServiceExplorer<'a> {
                         }
                         let to = store.insert(next);
                         states_saved += orbits[i] - 1;
-                        quiescent.push(engine.is_quiescent(next));
-                        parents.push(Some((sid, i as u32)));
-                        edges.push((sid, i as u32, to));
+                        if findings {
+                            quiescent.push(engine.is_quiescent(next));
+                            parents.push(Some((sid, i as u32)));
+                        }
                         queue.push_back(to);
+                        to
                     }
+                };
+                transitions += 1;
+                if findings {
+                    edges.push((sid, i as u32, to));
                 }
             }
+        }
+
+        // Snapshot the search's canonicalization count before witness
+        // expansion replays paths (replays canonicalize too, but those
+        // hits are bookkeeping, not search work).
+        let canon_hits = sym.as_ref().map_or(0, |sym| sym.canon_hits);
+        let orbit_count = match options.symmetry {
+            Symmetry::On => store.len(),
+            Symmetry::Off => 0,
+        };
+        svckit_obs::obs_count!("lts.states", store.len());
+        svckit_obs::obs_count!("lts.transitions", transitions);
+        if options.symmetry == Symmetry::On {
+            svckit_obs::obs_count!("lts.sym_orbits", orbit_count);
+            svckit_obs::obs_count!("lts.sym_canon_hits", canon_hits as usize);
+            svckit_obs::obs_count!("lts.sym_states_saved", states_saved as usize);
+        }
+        let mut report = ExploreReport {
+            states: store.len(),
+            transitions,
+            truncated,
+            deadlock_states,
+            deadlocks: Vec::new(),
+            never_enabled: Vec::new(),
+            livelock: None,
+            ample_hist,
+            orbit_count,
+            canon_hits,
+            sym_states_saved: states_saved,
+            ldd_nodes: 0,
+            peak_nodes: 0,
+            cache_hits: 0,
+        };
+        if !findings {
+            return report;
         }
 
         // Orbit-close the enabled marks: an event enabled at any state of
@@ -1306,24 +1438,20 @@ impl<'a> ServiceExplorer<'a> {
                 }
             }
         }
-        let never_enabled = self
+        report.never_enabled = self
             .universe
             .iter()
             .zip(&enabled_ever)
             .filter(|(_, &seen)| !seen)
             .map(|(e, _)| e.clone())
             .collect();
-
-        // Snapshot the search's canonicalization count before witness
-        // expansion replays paths (replays canonicalize too, but those
-        // hits are bookkeeping, not search work).
-        let canon_hits = sym.as_ref().map_or(0, |sym| sym.canon_hits);
-        let mut deadlocks: Vec<Vec<AbstractEvent>> = Vec::with_capacity(deadlock_sids.len());
         for &sid in &deadlock_sids {
             let steps = steps_to(sid, &parents);
-            deadlocks.push(self.expand_steps(&mut engine, sym.as_mut(), &steps, &event_ids));
+            report
+                .deadlocks
+                .push(self.expand_steps(&mut engine, sym.as_mut(), &steps, &event_ids));
         }
-        let livelock = self
+        report.livelock = self
             .find_non_progress_cycle(&edges, &quiescent, &options.progress)
             .map(|(entry, cycle)| {
                 let mut steps = steps_to(entry, &parents);
@@ -1336,33 +1464,7 @@ impl<'a> ServiceExplorer<'a> {
                     cycle,
                 }
             });
-        svckit_obs::obs_count!("lts.states", store.len());
-        svckit_obs::obs_count!("lts.transitions", edges.len());
-        let orbit_count = match options.symmetry {
-            Symmetry::On => store.len(),
-            Symmetry::Off => 0,
-        };
-        if options.symmetry == Symmetry::On {
-            svckit_obs::obs_count!("lts.sym_orbits", orbit_count);
-            svckit_obs::obs_count!("lts.sym_canon_hits", canon_hits as usize);
-            svckit_obs::obs_count!("lts.sym_states_saved", states_saved as usize);
-        }
-        ExploreReport {
-            states: store.len(),
-            transitions: edges.len(),
-            truncated,
-            deadlock_states,
-            deadlocks,
-            never_enabled,
-            livelock,
-            ample_hist,
-            orbit_count,
-            canon_hits,
-            sym_states_saved: states_saved,
-            ldd_nodes: 0,
-            peak_nodes: 0,
-            cache_hits: 0,
-        }
+        report
     }
 
     /// Materialises a path of universe indices recorded on the (possibly

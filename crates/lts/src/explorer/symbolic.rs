@@ -39,8 +39,8 @@ use svckit_ldd::{Ldd, LddStore, LevelStep, PreStep, EMPTY};
 use svckit_model::hash::FastMap;
 
 use super::{
-    AbstractEvent, ExploreOptions, ExploreReport, LivelockWitness, ServiceExplorer, StepEngine,
-    MAX_DEADLOCK_WITNESSES,
+    AbstractEvent, Detail, ExploreOptions, ExploreReport, LivelockWitness, ServiceExplorer,
+    StepEngine, MAX_DEADLOCK_WITNESSES,
 };
 
 /// Reserved relational-product token for the quiescence filter. Real
@@ -282,8 +282,15 @@ impl<'a> ServiceExplorer<'a> {
     /// field-for-field (states, transitions, deadlock counts and
     /// *byte-identical* lexicographically-minimal deadlock witnesses, the
     /// never-enabled census, livelock existence, the expansion
-    /// histogram), plus the LDD statistics.
-    pub(super) fn explore_symbolic(&self, options: &ExploreOptions) -> Option<ExploreReport> {
+    /// histogram), plus the LDD statistics. Under [`Detail::Counts`] the
+    /// search stops after the forward fixpoint and the per-event enabled
+    /// sets: states, transitions and the LDD statistics are reported,
+    /// the findings and the histogram stay empty.
+    pub(super) fn explore_symbolic(
+        &self,
+        options: &ExploreOptions,
+        detail: Detail,
+    ) -> Option<ExploreReport> {
         let mut store = LddStore::with_node_limit(options.ldd_node_limit);
         let mut engine = StepEngine::new(self);
         // Intern every universe event up front: under the DFA engine this
@@ -344,20 +351,41 @@ impl<'a> ServiceExplorer<'a> {
         if store.over_limit() {
             return None;
         }
-        let mut any_enabled = EMPTY;
-        for &e in &enb {
-            any_enabled = store.union(any_enabled, e);
-        }
-        let dead = store.minus(reached, any_enabled);
-
         let states = usize::try_from(store.satcount(reached)).expect("state count fits usize");
         let transitions = enb
             .iter()
             .map(|&e| usize::try_from(store.satcount(e)).expect("transition count fits usize"))
             .sum();
-        let deadlock_states =
+        let mut report = ExploreReport {
+            states,
+            transitions,
+            truncated: false,
+            deadlock_states: 0,
+            deadlocks: Vec::new(),
+            never_enabled: Vec::new(),
+            livelock: None,
+            ample_hist: Vec::new(),
+            orbit_count: 0,
+            canon_hits: 0,
+            sym_states_saved: 0,
+            ldd_nodes: store.ldd_size(reached),
+            peak_nodes: 0,
+            cache_hits: 0,
+        };
+        if detail == Detail::Counts {
+            report.peak_nodes = store.inner_nodes();
+            report.cache_hits = store.cache_hits();
+            return Some(report);
+        }
+
+        let mut any_enabled = EMPTY;
+        for &e in &enb {
+            any_enabled = store.union(any_enabled, e);
+        }
+        let dead = store.minus(reached, any_enabled);
+        report.deadlock_states =
             usize::try_from(store.satcount(dead)).expect("deadlock count fits usize");
-        let never_enabled: Vec<AbstractEvent> = self
+        report.never_enabled = self
             .universe
             .iter()
             .zip(&enb)
@@ -383,7 +411,7 @@ impl<'a> ServiceExplorer<'a> {
             }
         }
         let top = (1..parts.len()).rev().find(|&k| parts[k] != EMPTY);
-        let ample_hist: Vec<u64> = match top {
+        report.ample_hist = match top {
             // Deadlock states are counted, never expanded: index 0 stays 0.
             Some(top) => (0..=top)
                 .map(|k| if k == 0 { 0 } else { store.satcount(parts[k]) })
@@ -396,11 +424,10 @@ impl<'a> ServiceExplorer<'a> {
         // Deadlock witnesses in explicit BFS discovery order: plies
         // ascending, and within a ply by lexicographic trace order —
         // extract the lex-min member, remove it, repeat up to the quota.
-        let mut deadlocks: Vec<Vec<AbstractEvent>> = Vec::new();
         'plies: for d in 0..layers.len() {
             let mut dd = store.intersect(layers[d], dead);
             while dd != EMPTY {
-                if deadlocks.len() >= MAX_DEADLOCK_WITNESSES {
+                if report.deadlocks.len() >= MAX_DEADLOCK_WITNESSES {
                     break 'plies;
                 }
                 let (steps, endpoint) = self.lex_min_trace(
@@ -414,7 +441,7 @@ impl<'a> ServiceExplorer<'a> {
                     dd,
                     &init_key,
                 );
-                deadlocks.push(
+                report.deadlocks.push(
                     steps
                         .iter()
                         .map(|&ei| self.universe[ei as usize].clone())
@@ -458,7 +485,7 @@ impl<'a> ServiceExplorer<'a> {
         if store.over_limit() {
             return None;
         }
-        let livelock = (core != EMPTY).then(|| {
+        report.livelock = (core != EMPTY).then(|| {
             let (d, entry_set) = layers
                 .iter()
                 .enumerate()
@@ -517,23 +544,9 @@ impl<'a> ServiceExplorer<'a> {
         if store.over_limit() {
             return None;
         }
-
-        Some(ExploreReport {
-            states,
-            transitions,
-            truncated: false,
-            deadlock_states,
-            deadlocks,
-            never_enabled,
-            livelock,
-            ample_hist,
-            orbit_count: 0,
-            canon_hits: 0,
-            sym_states_saved: 0,
-            ldd_nodes: store.ldd_size(reached),
-            peak_nodes: store.inner_nodes(),
-            cache_hits: store.cache_hits(),
-        })
+        report.peak_nodes = store.inner_nodes();
+        report.cache_hits = store.cache_hits();
+        Some(report)
     }
 
     /// The lexicographically minimal trace of length `d` from the initial

@@ -8,9 +8,14 @@
 //! ample-set choice and the canonicalizer all feed these numbers, so any
 //! change to the kernel that is not a pure speed-up shows up as a
 //! mismatch.
+//!
+//! The count-only search (`ServiceExplorer::explore_counts`) is locked
+//! against the full search here too: over the 2–4-user floor universes,
+//! complete and truncated, it must report exactly the full report's
+//! counts.
 
 use svckit_lts::explorer::{AbstractEvent, ExploreOptions, Reduction, ServiceExplorer};
-use svckit_lts::{Engine, Symmetry};
+use svckit_lts::{Backend, Engine, Symmetry};
 use svckit_model::{
     Constraint, ConstraintScope, Direction, PartId, PrimitiveSpec, Sap, ServiceDefinition, Value,
 };
@@ -18,7 +23,14 @@ use svckit_model::{
 /// The paper's floor-control service (Figure 5), constraint for
 /// constraint as the floor-control solutions define it.
 fn floor_control() -> ServiceDefinition {
-    ServiceDefinition::builder("floor-control")
+    floor_control_service(false)
+}
+
+/// [`floor_control`], optionally with a constraint-free `status`
+/// primitive: its events step every state to itself, so the search
+/// meets self-loops.
+fn floor_control_service(status: bool) -> ServiceDefinition {
+    let builder = ServiceDefinition::builder("floor-control")
         .role("subscriber", 2, usize::MAX)
         .primitive(PrimitiveSpec::new("request", Direction::FromUser).param_id("resid"))
         .primitive(PrimitiveSpec::new("granted", Direction::ToUser).param_id("resid"))
@@ -34,7 +46,13 @@ fn floor_control() -> ServiceDefinition {
             Constraint::precedes("request", "granted", ConstraintScope::SameSap).keyed(&[0]),
         )
         .constraint(Constraint::precedes("granted", "free", ConstraintScope::SameSap).keyed(&[0]))
-        .constraint(Constraint::mutual_exclusion("granted", "free").keyed(&[0]))
+        .constraint(Constraint::mutual_exclusion("granted", "free").keyed(&[0]));
+    let builder = if status {
+        builder.primitive(PrimitiveSpec::new("status", Direction::ToUser))
+    } else {
+        builder
+    };
+    builder
         .build()
         .expect("the floor-control service is well-formed")
 }
@@ -161,4 +179,92 @@ fn floor_control_4x2_counts_are_pinned_under_the_dfa_engine() {
 #[test]
 fn floor_control_4x2_counts_are_pinned_under_the_interpreter() {
     check_engine(Engine::Interp);
+}
+
+/// [`universe`] plus one `status` event per user.
+fn universe_with_status(users: u64, resources: u64) -> Vec<AbstractEvent> {
+    let mut events = universe(users, resources);
+    for s in 1..=users {
+        let sap = Sap::new("subscriber", PartId::new(s));
+        events.push(AbstractEvent::new(sap, "status", Vec::new()));
+    }
+    events
+}
+
+/// `explore_counts` returns exactly the count fields of `explore` for
+/// every reduction × symmetry combination on the 2–4-user floor
+/// universes (with `status` self-loops), under a bound that lets the small universes finish and one
+/// that truncates every universe. Under the symbolic backend (on the
+/// one-resource universes, which the interpreter's diagrams handle in
+/// milliseconds) the state, transition and final-diagram counts match,
+/// from a store no larger than the full search's.
+fn check_count_only(engine: Engine) {
+    let service = floor_control_service(true);
+    let progress = vec!["granted".to_owned(), "free".to_owned()];
+    let (mut complete, mut truncated) = (0, 0);
+    for users in 2..=4 {
+        let explorer =
+            ServiceExplorer::with_engine(&service, universe_with_status(users, 2), 2, engine);
+        for reduction in [Reduction::AmpleSets, Reduction::Full] {
+            for symmetry in [Symmetry::On, Symmetry::Off] {
+                for max_states in [20_000, 300] {
+                    let options = ExploreOptions {
+                        max_states,
+                        reduction,
+                        symmetry,
+                        progress: progress.clone(),
+                        ..ExploreOptions::default()
+                    };
+                    let full = explorer.explore(&options);
+                    assert_eq!(
+                        explorer.explore_counts(&options),
+                        full.counts(),
+                        "{engine:?} engine, {users} users, {reduction:?}, symmetry {symmetry}, \
+                         bound {max_states}"
+                    );
+                    if full.truncated {
+                        truncated += 1;
+                    } else {
+                        complete += 1;
+                    }
+                }
+            }
+        }
+
+        let explorer =
+            ServiceExplorer::with_engine(&service, universe_with_status(users, 1), 2, engine);
+        let symbolic = ExploreOptions {
+            backend: Backend::Symbolic,
+            progress: progress.clone(),
+            ..ExploreOptions::default()
+        };
+        let full = explorer.explore(&symbolic);
+        let counts = explorer.explore_counts(&symbolic);
+        let what = format!("{engine:?} engine, {users} users, symbolic");
+        assert!(full.peak_nodes > 0, "{what}: the full search fell back");
+        assert!(!counts.truncated, "{what}: truncated");
+        assert_eq!(counts.states, full.states, "{what}: states");
+        assert_eq!(counts.transitions, full.transitions, "{what}: transitions");
+        assert_eq!(counts.ldd_nodes, full.ldd_nodes, "{what}: ldd_nodes");
+        assert!(
+            counts.peak_nodes > 0 && counts.peak_nodes <= full.peak_nodes,
+            "{what}: peak_nodes {} vs {}",
+            counts.peak_nodes,
+            full.peak_nodes
+        );
+    }
+    assert!(
+        complete > 0 && truncated > 0,
+        "{complete} complete, {truncated} truncated"
+    );
+}
+
+#[test]
+fn count_only_search_matches_the_full_search_under_the_dfa_engine() {
+    check_count_only(Engine::Dfa);
+}
+
+#[test]
+fn count_only_search_matches_the_full_search_under_the_interpreter() {
+    check_count_only(Engine::Interp);
 }

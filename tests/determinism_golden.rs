@@ -293,8 +293,10 @@ const GOLDEN_PROTO_CALLBACK_SEED7: u64 = 16_702_283_514_672_870_395;
 // backend (full report gained the `backend` key, symbolic runs a
 // per-target `ldd` block). The diag digest is shared by all four
 // backend × engine cells; the full-report digests are per cell. See
-// CHANGELOG 0.11.0.
+// CHANGELOG 0.11.0. The two symbolic full-report digests were
+// re-captured in 0.19.0, when the `ldd` block began to come from a
+// count-only search: only its `peak_nodes` and `cache_hits` changed.
 const GOLDEN_ANALYZE_DIAG: u64 = 2_698_182_463_670_502_418;
 const GOLDEN_ANALYZE_FULL_EXPLICIT: u64 = 5_519_753_541_190_147_950;
-const GOLDEN_ANALYZE_FULL_SYMBOLIC_DFA: u64 = 12_271_147_205_866_525_074;
-const GOLDEN_ANALYZE_FULL_SYMBOLIC_INTERP: u64 = 18_432_330_835_466_162_988;
+const GOLDEN_ANALYZE_FULL_SYMBOLIC_DFA: u64 = 11_185_152_493_822_541_798;
+const GOLDEN_ANALYZE_FULL_SYMBOLIC_INTERP: u64 = 11_297_457_209_341_654_940;
