@@ -109,7 +109,10 @@ pub struct ServiceAnalysis {
     /// the store of the count-only search that fills the block, which
     /// builds no witness relations and so interns about half the nodes —
     /// except when the configured search truncated, where the full
-    /// (rescue) search fills it.
+    /// (rescue) search fills it. Under [`Engine::Interp`] the symbolic
+    /// backend falls back to the explicit search (diagrams run on the DFA
+    /// slot layout only), so the block holds the configured search's
+    /// `states` and `transitions` and zero diagram statistics.
     pub ldd: LddStats,
 }
 
@@ -190,8 +193,8 @@ pub fn analyze_service(
     // witnesses are then re-extracted concrete minimal traces instead of
     // an SA009 stub. Only a truncated configured run can need that rescue,
     // so otherwise the symbolic run is count-only. (`peak_nodes > 0`
-    // distinguishes a completed symbolic run from the node-budget
-    // fallback, which re-reports explicitly.)
+    // distinguishes a completed symbolic run from the explicit fallback
+    // taken past the node budget or under the interpreter engine.)
     let symbolic_options = ExploreOptions {
         backend: Backend::Symbolic,
         ..explore_options.clone()

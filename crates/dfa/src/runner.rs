@@ -99,7 +99,7 @@ struct OccKey {
 
 /// Values interned to dense ids in first-seen order, so keys that repeat
 /// them (an access point, a primitive name) store a `u32`.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Interner<T> {
     items: Vec<T>,
     ids: FastMap<T, u32>,
@@ -170,7 +170,8 @@ struct MutexRt {
 }
 
 /// Binds concrete occurrences to DFA slots for one compiled service.
-#[derive(Debug)]
+/// A clone carries every slot and occurrence interned so far.
+#[derive(Debug, Clone)]
 pub struct Binder {
     compiled: Arc<Compiled>,
     /// The access points and primitive names occurrence and slot keys

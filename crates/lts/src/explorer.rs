@@ -88,33 +88,20 @@ enum CState {
     Holders(BTreeMap<Vec<Value>, Sap>),
 }
 
-/// Engine-specific payload of an [`ExplorerState`]. Both representations
-/// denote exactly the same abstract constraint state (the dual-engine
-/// equivalence tests pin this); they are never mixed within one explorer.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-enum Repr {
-    /// Interpreter: one map-backed state per constraint.
-    Interp(Vec<Arc<CState>>),
-    /// Compiled tables: the searches' `u32` product key, one DFA state
-    /// per interned slot, trailing zeros trimmed (slot automata all start
-    /// at 0, and the binder interns slots on demand — trimming keeps state
-    /// equality independent of how many slots happen to exist when a state
-    /// is formed).
-    Dfa(Vec<u32>),
-}
-
 /// A state of the constraint automaton. Opaque; obtain the initial state
 /// from [`ServiceExplorer::initial_state`] and evolve it with
 /// [`ServiceExplorer::step`].
 ///
-/// Under the interpreter engine, per-constraint states sit behind [`Arc`]s:
-/// stepping a state only deep-copies the constraints the event is relevant
-/// to, and every untouched constraint is shared with the predecessor state
-/// (copy-on-write). `Arc` delegates `Hash`/`Eq`/`Ord` to the inner value,
-/// so sharing is invisible to state comparison and interning. Under the
-/// DFA engine, a state is a plain vector of table states.
+/// A state is the searches' `u32` product key with trailing zeros
+/// trimmed: one interned per-constraint state id under the interpreter,
+/// one DFA state per interned slot under the compiled engine. Every
+/// component starts at 0 and both engines intern on demand, so trimming
+/// keeps state equality independent of how many components happen to
+/// exist when a state is formed. Ids are the explorer's own: a state
+/// means the same in the explorer that made it and in its clones (which
+/// copy the interned tables), not in an explorer built separately.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ExplorerState(Repr);
+pub struct ExplorerState(Vec<u32>);
 
 impl ExplorerState {
     /// Whether no obligations are outstanding and nothing is held — the
@@ -122,21 +109,7 @@ impl ExplorerState {
     /// Enablement markers of [`ConstraintKind::After`] constraints do not
     /// count: having joined is not an obligation.
     pub fn is_quiescent(&self, explorer: &ServiceExplorer<'_>) -> bool {
-        match &self.0 {
-            Repr::Interp(cstates) => {
-                cstates
-                    .iter()
-                    .zip(explorer.service.constraints())
-                    .all(|(cs, constraint)| match cs.as_ref() {
-                        CState::Counters(m) => {
-                            matches!(constraint.kind(), ConstraintKind::After { .. })
-                                || m.values().all(|v| *v == 0)
-                        }
-                        CState::Holders(h) => h.is_empty(),
-                    })
-            }
-            Repr::Dfa(key) => explorer.dfa_rt().binder.is_quiescent_wide(key),
-        }
+        StepEngine::new(explorer).is_quiescent(&self.0)
     }
 }
 
@@ -217,50 +190,208 @@ fn constraint_primitives(kind: &ConstraintKind) -> [&str; 2] {
     }
 }
 
-/// Memoization behind [`ServiceExplorer::allowed`]: per-constraint interned
-/// states and per-(state, universe event) pass/fail verdicts.
-///
-/// A verdict depends only on one constraint's own state and the event, so it
-/// is sound to reuse it whenever the same `CState` recurs — and constraint
-/// states recur heavily, because most events leave most constraints
-/// untouched (the same `Arc` is shared across successive explorer states).
-#[derive(Debug, Default)]
-struct AllowedCache {
-    /// Per-constraint content-based state interning.
-    ids: Vec<HashMap<Arc<CState>, u32>>,
-    /// Per-constraint `(state id, universe event index) → allowed`.
-    verdicts: Vec<HashMap<(u32, u32), bool>>,
+/// The constraint instance `event` touches under `scope` and `key`.
+fn instance(scope: ConstraintScope, event: &AbstractEvent, key: &[usize]) -> Instance {
+    let sap = match scope {
+        ConstraintScope::SameSap => Some(event.sap.clone()),
+        ConstraintScope::Global => None,
+    };
+    let k = key
+        .iter()
+        .map(|&i| event.args.get(i).cloned().unwrap_or(Value::Unit))
+        .collect();
+    (sap, k)
 }
 
-impl AllowedCache {
-    fn new(constraints: usize) -> Self {
-        AllowedCache {
-            ids: vec![HashMap::new(); constraints],
-            verdicts: vec![HashMap::new(); constraints],
+/// Steps one constraint's state by one event — the one definition of
+/// constraint semantics, which the compiled tables reproduce. `bound` is
+/// the explorer's `max_outstanding`.
+fn step_constraint(
+    constraint: &Constraint,
+    cstate: &CState,
+    event: &AbstractEvent,
+    bound: u32,
+) -> Result<CState, StepViolation> {
+    let key = constraint.key();
+    let violation = |message: String| StepViolation {
+        constraint: constraint.to_string(),
+        message,
+    };
+    match (constraint.kind(), cstate) {
+        (
+            ConstraintKind::Precedes {
+                earlier,
+                later,
+                scope,
+            },
+            CState::Counters(map),
+        ) => {
+            let mut map = map.clone();
+            if event.primitive == *earlier {
+                let inst = instance(*scope, event, key);
+                let e = map.entry(inst).or_insert(0);
+                if *e >= bound {
+                    return Err(violation(format!(
+                        "more than {} unmatched `{earlier}` (state-space bound)",
+                        bound
+                    )));
+                }
+                *e += 1;
+            } else if event.primitive == *later {
+                let inst = instance(*scope, event, key);
+                match map.get_mut(&inst) {
+                    Some(e) if *e > 0 => {
+                        *e -= 1;
+                        if *e == 0 {
+                            map.remove(&inst);
+                        }
+                    }
+                    _ => {
+                        return Err(violation(format!(
+                            "`{later}` without a preceding unmatched `{earlier}`"
+                        )))
+                    }
+                }
+            }
+            Ok(CState::Counters(map))
         }
-    }
-
-    /// Interns one constraint's state by content; equal states (shared or
-    /// re-derived) map to the same id.
-    fn intern(&mut self, constraint: usize, cstate: &Arc<CState>) -> u32 {
-        let ids = &mut self.ids[constraint];
-        if let Some(&id) = ids.get(cstate) {
-            return id;
+        (
+            ConstraintKind::After {
+                enabler,
+                then,
+                scope,
+            },
+            CState::Counters(map),
+        ) => {
+            let mut map = map.clone();
+            if event.primitive == *enabler {
+                // A saturated counter marks "enabled forever".
+                map.insert(instance(*scope, event, key), 1);
+            } else if event.primitive == *then && !map.contains_key(&instance(*scope, event, key)) {
+                return Err(violation(format!("`{then}` before any `{enabler}`")));
+            }
+            Ok(CState::Counters(map))
         }
-        let id = u32::try_from(ids.len()).expect("fewer than 2^32 constraint states");
-        ids.insert(Arc::clone(cstate), id);
-        id
+        (
+            ConstraintKind::EventuallyFollows {
+                trigger,
+                response,
+                scope,
+            },
+            CState::Counters(map),
+        ) => {
+            let mut map = map.clone();
+            if event.primitive == *trigger {
+                let inst = instance(*scope, event, key);
+                let e = map.entry(inst).or_insert(0);
+                if *e >= bound {
+                    return Err(violation(format!(
+                        "more than {} outstanding `{trigger}` (state-space bound)",
+                        bound
+                    )));
+                }
+                *e += 1;
+            } else if event.primitive == *response {
+                let inst = instance(*scope, event, key);
+                if let Some(e) = map.get_mut(&inst) {
+                    *e = e.saturating_sub(1);
+                    if *e == 0 {
+                        map.remove(&inst);
+                    }
+                }
+            }
+            Ok(CState::Counters(map))
+        }
+        (
+            ConstraintKind::AtMostOutstanding {
+                trigger,
+                response,
+                limit,
+                scope,
+            },
+            CState::Counters(map),
+        ) => {
+            let mut map = map.clone();
+            if event.primitive == *trigger {
+                let inst = instance(*scope, event, key);
+                let e = map.entry(inst).or_insert(0);
+                if (*e as usize) >= *limit {
+                    return Err(violation(format!(
+                        "more than {limit} outstanding `{trigger}`"
+                    )));
+                }
+                *e += 1;
+            } else if event.primitive == *response {
+                let inst = instance(*scope, event, key);
+                if let Some(e) = map.get_mut(&inst) {
+                    *e = e.saturating_sub(1);
+                    if *e == 0 {
+                        map.remove(&inst);
+                    }
+                }
+            }
+            Ok(CState::Counters(map))
+        }
+        (ConstraintKind::MutualExclusion { acquire, release }, CState::Holders(map)) => {
+            let mut map = map.clone();
+            let k: Vec<Value> = key
+                .iter()
+                .map(|&i| event.args.get(i).cloned().unwrap_or(Value::Unit))
+                .collect();
+            if event.primitive == *acquire {
+                if let Some(holder) = map.get(&k) {
+                    return Err(violation(format!(
+                        "`{acquire}` at {} while held by {holder}",
+                        event.sap
+                    )));
+                }
+                map.insert(k, event.sap.clone());
+            } else if event.primitive == *release {
+                match map.get(&k) {
+                    Some(holder) if *holder == event.sap => {
+                        map.remove(&k);
+                    }
+                    Some(holder) => {
+                        return Err(violation(format!(
+                            "`{release}` at {} but holder is {holder}",
+                            event.sap
+                        )))
+                    }
+                    None => {
+                        return Err(violation(format!(
+                            "`{release}` at {} but nothing is held",
+                            event.sap
+                        )))
+                    }
+                }
+            }
+            Ok(CState::Holders(map))
+        }
+        // State shape always matches the constraint it was built for.
+        _ => unreachable!("constraint state shape mismatch"),
     }
 }
 
 /// Mutable runtime of the DFA engine: the slot binder and the universe's
-/// pre-resolved edge lists (index-aligned with the universe). Behind a
-/// `Mutex` so the explorer stays `Sync`; [`ServiceExplorer::allowed`] under
-/// the DFA engine is one lock plus dense-table loads.
-#[derive(Debug)]
+/// pre-resolved edge lists (index-aligned with the universe).
+#[derive(Debug, Clone)]
 struct DfaRt {
     binder: Binder,
     universe_edges: Vec<Vec<Edge>>,
+}
+
+/// The explorer's step runtime: what its engine has interned so far.
+/// Behind one `Mutex` so the explorer stays `Sync`; every query and every
+/// search runs on it through a [`StepEngine`].
+// One per explorer, so its size does not matter; boxing the binder would
+// add a pointer hop to every step.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug, Clone)]
+enum Runtime {
+    /// The interpreter's per-constraint state tables.
+    Interp(ProductEngine),
+    /// The compiled engine's slot binder.
+    Dfa(DfaRt),
 }
 
 /// The constraint automaton of a service over a finite event universe.
@@ -272,34 +403,29 @@ pub struct ServiceExplorer<'a> {
     /// The *effective* engine: [`Engine::Dfa`] only when the constraint
     /// set compiled (absurd bounds fall back).
     engine: Engine,
-    /// Present exactly when `engine == Engine::Dfa`.
-    dfa: Option<Mutex<DfaRt>>,
+    /// The engine's runtime, matching `engine`.
+    rt: Mutex<Runtime>,
     /// Primitive name → (ascending) indices of the constraints that react
     /// to it. Every current constraint kind mentions exactly two primitive
-    /// names and leaves its state untouched on any other event, so
-    /// [`ServiceExplorer::step`] only has to run (and deep-copy) the
-    /// constraints listed here.
+    /// names and leaves its state untouched on any other event, so a step
+    /// only has to run the constraints listed here.
     relevance: HashMap<String, Vec<usize>>,
-    /// The relevance index resolved per universe event: `universe[i]` only
-    /// has to satisfy the constraints in `universe_relevance[i]` (empty =
-    /// always allowed).
-    universe_relevance: Vec<Vec<usize>>,
-    /// Verdict memo for [`ServiceExplorer::allowed`]; a `Mutex` (not
-    /// `RefCell`) so the explorer stays `Sync`.
-    allowed_cache: Mutex<AllowedCache>,
 }
 
 impl Clone for ServiceExplorer<'_> {
-    /// Clones the automaton; the memoized [`ServiceExplorer::allowed`]
-    /// verdicts (and, under the DFA engine, the interned slots) start
-    /// empty in the clone.
+    /// Clones the automaton together with everything its engine has
+    /// interned, so every [`ExplorerState`] of the original means the
+    /// same in the clone.
     fn clone(&self) -> Self {
-        ServiceExplorer::with_engine(
-            self.service,
-            self.universe.clone(),
-            self.max_outstanding,
-            self.engine,
-        )
+        let rt = self.rt.lock().expect("explorer runtime poisoned").clone();
+        ServiceExplorer {
+            service: self.service,
+            universe: self.universe.clone(),
+            max_outstanding: self.max_outstanding,
+            engine: self.engine,
+            rt: Mutex::new(rt),
+            relevance: self.relevance.clone(),
+        }
     }
 }
 
@@ -343,40 +469,37 @@ impl<'a> ServiceExplorer<'a> {
                 }
             }
         }
-        let universe_relevance: Vec<Vec<usize>> = universe
-            .iter()
-            .map(|e| relevance.get(&e.primitive).cloned().unwrap_or_default())
-            .collect();
-        let allowed_cache = Mutex::new(AllowedCache::new(service.constraints().len()));
-        let (engine, dfa) = match engine {
-            Engine::Dfa => match Compiled::compile(service, max_outstanding) {
-                Some(compiled) => {
-                    let mut binder = Binder::new(Arc::new(compiled));
-                    let universe_edges = universe
-                        .iter()
-                        .map(|e| binder.resolve(&e.sap, &e.primitive, &e.args))
-                        .collect();
-                    (
-                        Engine::Dfa,
-                        Some(Mutex::new(DfaRt {
-                            binder,
-                            universe_edges,
-                        })),
-                    )
-                }
-                None => (Engine::Interp, None),
-            },
-            Engine::Interp => (Engine::Interp, None),
+        let compiled = match engine {
+            Engine::Dfa => Compiled::compile(service, max_outstanding),
+            Engine::Interp => None,
+        };
+        let (engine, rt) = match compiled {
+            Some(compiled) => {
+                let mut binder = Binder::new(Arc::new(compiled));
+                let universe_edges = universe
+                    .iter()
+                    .map(|e| binder.resolve(&e.sap, &e.primitive, &e.args))
+                    .collect();
+                (
+                    Engine::Dfa,
+                    Runtime::Dfa(DfaRt {
+                        binder,
+                        universe_edges,
+                    }),
+                )
+            }
+            None => (
+                Engine::Interp,
+                Runtime::Interp(ProductEngine::new(service, &universe)),
+            ),
         };
         ServiceExplorer {
             service,
             universe,
             max_outstanding,
             engine,
-            dfa,
+            rt: Mutex::new(rt),
             relevance,
-            universe_relevance,
-            allowed_cache,
         }
     }
 
@@ -392,216 +515,15 @@ impl<'a> ServiceExplorer<'a> {
         self.engine
     }
 
-    /// The DFA runtime; panics when the engine is the interpreter.
-    fn dfa_rt(&self) -> MutexGuard<'_, DfaRt> {
-        self.dfa
-            .as_ref()
-            .expect("DFA state implies a DFA runtime")
-            .lock()
-            .expect("dfa runtime poisoned")
+    /// The ascending indices of the constraints that react to `primitive`.
+    fn relevant(&self, primitive: &str) -> &[usize] {
+        self.relevance.get(primitive).map_or(&[], Vec::as_slice)
     }
 
-    /// The initial (empty) constraint state.
+    /// The initial (empty) constraint state: every component at 0, which
+    /// the trimmed key leaves empty.
     pub fn initial_state(&self) -> ExplorerState {
-        match self.engine {
-            // All slot automata start at state 0; the canonical trimmed
-            // vector of the initial product state is empty.
-            Engine::Dfa => ExplorerState(Repr::Dfa(Vec::new())),
-            Engine::Interp => ExplorerState(Repr::Interp(
-                self.service
-                    .constraints()
-                    .iter()
-                    .map(|c| {
-                        Arc::new(match c.kind() {
-                            ConstraintKind::MutualExclusion { .. } => {
-                                CState::Holders(BTreeMap::new())
-                            }
-                            _ => CState::Counters(BTreeMap::new()),
-                        })
-                    })
-                    .collect(),
-            )),
-        }
-    }
-
-    fn instance(scope: ConstraintScope, event: &AbstractEvent, key: &[usize]) -> Instance {
-        let sap = match scope {
-            ConstraintScope::SameSap => Some(event.sap.clone()),
-            ConstraintScope::Global => None,
-        };
-        let k = key
-            .iter()
-            .map(|&i| event.args.get(i).cloned().unwrap_or(Value::Unit))
-            .collect();
-        (sap, k)
-    }
-
-    fn step_constraint(
-        &self,
-        constraint: &Constraint,
-        cstate: &CState,
-        event: &AbstractEvent,
-    ) -> Result<CState, StepViolation> {
-        let key = constraint.key();
-        let violation = |message: String| StepViolation {
-            constraint: constraint.to_string(),
-            message,
-        };
-        match (constraint.kind(), cstate) {
-            (
-                ConstraintKind::Precedes {
-                    earlier,
-                    later,
-                    scope,
-                },
-                CState::Counters(map),
-            ) => {
-                let mut map = map.clone();
-                if event.primitive == *earlier {
-                    let inst = Self::instance(*scope, event, key);
-                    let e = map.entry(inst).or_insert(0);
-                    if *e >= self.max_outstanding {
-                        return Err(violation(format!(
-                            "more than {} unmatched `{earlier}` (state-space bound)",
-                            self.max_outstanding
-                        )));
-                    }
-                    *e += 1;
-                } else if event.primitive == *later {
-                    let inst = Self::instance(*scope, event, key);
-                    match map.get_mut(&inst) {
-                        Some(e) if *e > 0 => {
-                            *e -= 1;
-                            if *e == 0 {
-                                map.remove(&inst);
-                            }
-                        }
-                        _ => {
-                            return Err(violation(format!(
-                                "`{later}` without a preceding unmatched `{earlier}`"
-                            )))
-                        }
-                    }
-                }
-                Ok(CState::Counters(map))
-            }
-            (
-                ConstraintKind::After {
-                    enabler,
-                    then,
-                    scope,
-                },
-                CState::Counters(map),
-            ) => {
-                let mut map = map.clone();
-                if event.primitive == *enabler {
-                    // A saturated counter marks "enabled forever".
-                    map.insert(Self::instance(*scope, event, key), 1);
-                } else if event.primitive == *then
-                    && !map.contains_key(&Self::instance(*scope, event, key))
-                {
-                    return Err(violation(format!("`{then}` before any `{enabler}`")));
-                }
-                Ok(CState::Counters(map))
-            }
-            (
-                ConstraintKind::EventuallyFollows {
-                    trigger,
-                    response,
-                    scope,
-                },
-                CState::Counters(map),
-            ) => {
-                let mut map = map.clone();
-                if event.primitive == *trigger {
-                    let inst = Self::instance(*scope, event, key);
-                    let e = map.entry(inst).or_insert(0);
-                    if *e >= self.max_outstanding {
-                        return Err(violation(format!(
-                            "more than {} outstanding `{trigger}` (state-space bound)",
-                            self.max_outstanding
-                        )));
-                    }
-                    *e += 1;
-                } else if event.primitive == *response {
-                    let inst = Self::instance(*scope, event, key);
-                    if let Some(e) = map.get_mut(&inst) {
-                        *e = e.saturating_sub(1);
-                        if *e == 0 {
-                            map.remove(&inst);
-                        }
-                    }
-                }
-                Ok(CState::Counters(map))
-            }
-            (
-                ConstraintKind::AtMostOutstanding {
-                    trigger,
-                    response,
-                    limit,
-                    scope,
-                },
-                CState::Counters(map),
-            ) => {
-                let mut map = map.clone();
-                if event.primitive == *trigger {
-                    let inst = Self::instance(*scope, event, key);
-                    let e = map.entry(inst).or_insert(0);
-                    if (*e as usize) >= *limit {
-                        return Err(violation(format!(
-                            "more than {limit} outstanding `{trigger}`"
-                        )));
-                    }
-                    *e += 1;
-                } else if event.primitive == *response {
-                    let inst = Self::instance(*scope, event, key);
-                    if let Some(e) = map.get_mut(&inst) {
-                        *e = e.saturating_sub(1);
-                        if *e == 0 {
-                            map.remove(&inst);
-                        }
-                    }
-                }
-                Ok(CState::Counters(map))
-            }
-            (ConstraintKind::MutualExclusion { acquire, release }, CState::Holders(map)) => {
-                let mut map = map.clone();
-                let k: Vec<Value> = key
-                    .iter()
-                    .map(|&i| event.args.get(i).cloned().unwrap_or(Value::Unit))
-                    .collect();
-                if event.primitive == *acquire {
-                    if let Some(holder) = map.get(&k) {
-                        return Err(violation(format!(
-                            "`{acquire}` at {} while held by {holder}",
-                            event.sap
-                        )));
-                    }
-                    map.insert(k, event.sap.clone());
-                } else if event.primitive == *release {
-                    match map.get(&k) {
-                        Some(holder) if *holder == event.sap => {
-                            map.remove(&k);
-                        }
-                        Some(holder) => {
-                            return Err(violation(format!(
-                                "`{release}` at {} but holder is {holder}",
-                                event.sap
-                            )))
-                        }
-                        None => {
-                            return Err(violation(format!(
-                                "`{release}` at {} but nothing is held",
-                                event.sap
-                            )))
-                        }
-                    }
-                }
-                Ok(CState::Holders(map))
-            }
-            // State shape always matches the constraint it was built for.
-            _ => unreachable!("constraint state shape mismatch"),
-        }
+        ExplorerState(Vec::new())
     }
 
     /// Advances the state by one event.
@@ -615,137 +537,19 @@ impl<'a> ServiceExplorer<'a> {
         state: &ExplorerState,
         event: &AbstractEvent,
     ) -> Result<ExplorerState, StepViolation> {
-        let cstates = match &state.0 {
-            Repr::Dfa(key) => {
-                let mut rt = self.dfa_rt();
-                let id = rt
-                    .binder
-                    .resolve_cached(&event.sap, &event.primitive, &event.args);
-                let edges = rt.binder.edges(id);
-                let width = edges
-                    .iter()
-                    .map(|e| e.slot as usize + 1)
-                    .max()
-                    .unwrap_or(0)
-                    .max(key.len());
-                // One plain allocation grown from the key: a zeroed one
-                // (`vec![0; width]`) costs more per step.
-                let mut next = Vec::with_capacity(width);
-                next.extend_from_slice(key);
-                next.resize(width, 0);
-                return match rt.binder.step_wide_into(key, edges, &mut next) {
-                    Ok(()) => {
-                        while next.last() == Some(&0) {
-                            next.pop();
-                        }
-                        Ok(ExplorerState(Repr::Dfa(next)))
-                    }
-                    Err(rejection) => {
-                        let edge = edges[rejection.edge];
-                        Err(StepViolation {
-                            constraint: rt.binder.constraint_display(edge.ci as usize).to_owned(),
-                            message: rt.binder.violation_message(
-                                &edge,
-                                rejection.state,
-                                &event.sap,
-                            ),
-                        })
-                    }
-                };
-            }
-            Repr::Interp(cstates) => cstates,
-        };
-        let constraints = self.service.constraints();
-        // Start from a shallow copy (refcount bumps) and replace only the
-        // constraints the event is relevant to; constraints that step to an
-        // unchanged state keep sharing the predecessor's allocation.
-        let mut next = cstates.clone();
-        if let Some(relevant) = self.relevance.get(&event.primitive) {
-            for &i in relevant {
-                let stepped = self.step_constraint(&constraints[i], &cstates[i], event)?;
-                if *cstates[i] != stepped {
-                    next[i] = Arc::new(stepped);
-                }
-            }
-        }
-        Ok(ExplorerState(Repr::Interp(next)))
+        StepEngine::new(self)
+            .step(&state.0, event)
+            .map(ExplorerState)
     }
 
     /// The events of the universe allowed in `state`.
     ///
     /// Under the DFA engine this is a dense-table sweep: per universe
     /// event, one pre-resolved edge list and one table load per relevant
-    /// constraint. Under the interpreter it is memoized: each constraint's
-    /// pass/fail verdict for a (constraint state, universe event) pair is
-    /// computed once per explorer and reused — repeated calls over a run's
-    /// states degenerate to interning the (heavily shared) per-constraint
-    /// states and integer-keyed lookups. Events whose primitive no
-    /// constraint reacts to skip stepping entirely.
-    ///
-    /// Per query and universe event, exactly one of three obs counters
-    /// fires (interpreter engine only): `lts.allowed_prefilter` (no
-    /// relevant constraint — the verdict costs nothing),
-    /// `lts.allowed_cache_hits` (every relevant verdict was already
-    /// memoized), or `lts.allowed_cache_misses` (at least one verdict had
-    /// to be computed).
+    /// constraint. Under the interpreter each relevant constraint's step
+    /// is one lookup in the engine's memoized per-constraint transitions.
     pub fn allowed(&self, state: &ExplorerState) -> Vec<&AbstractEvent> {
-        let cstates = match &state.0 {
-            Repr::Dfa(key) => {
-                let rt = self.dfa_rt();
-                return self
-                    .universe
-                    .iter()
-                    .zip(&rt.universe_edges)
-                    .filter(|(_, edges)| rt.binder.allowed(key, edges))
-                    .map(|(event, _)| event)
-                    .collect();
-            }
-            Repr::Interp(cstates) => cstates,
-        };
-        let constraints = self.service.constraints();
-        let mut cache = self.allowed_cache.lock().expect("allowed cache poisoned");
-        let sids: Vec<u32> = cstates
-            .iter()
-            .enumerate()
-            .map(|(i, cs)| cache.intern(i, cs))
-            .collect();
-        let mut allowed = Vec::new();
-        for (ei, event) in self.universe.iter().enumerate() {
-            if self.universe_relevance[ei].is_empty() {
-                svckit_obs::obs_count!("lts.allowed_prefilter");
-                allowed.push(event);
-                continue;
-            }
-            let mut ok = true;
-            let mut computed = false;
-            for &ci in &self.universe_relevance[ei] {
-                let key = (sids[ci], ei as u32);
-                let verdict = match cache.verdicts[ci].get(&key) {
-                    Some(&v) => v,
-                    None => {
-                        computed = true;
-                        let v = self
-                            .step_constraint(&constraints[ci], &cstates[ci], event)
-                            .is_ok();
-                        cache.verdicts[ci].insert(key, v);
-                        v
-                    }
-                };
-                if !verdict {
-                    ok = false;
-                    break;
-                }
-            }
-            if computed {
-                svckit_obs::obs_count!("lts.allowed_cache_misses");
-            } else {
-                svckit_obs::obs_count!("lts.allowed_cache_hits");
-            }
-            if ok {
-                allowed.push(event);
-            }
-        }
-        allowed
+        StepEngine::new(self).allowed(&state.0)
     }
 
     /// Unfolds the automaton into an explicit LTS over the universe.
@@ -823,7 +627,7 @@ impl<'a> ServiceExplorer<'a> {
         // first sight of an event, and product keys must keep one width
         // for the whole search. The implementation alphabet is resolved in
         // `BTreeSet` order, which is deterministic.
-        if matches!(engine, StepEngine::Dfa(_)) {
+        if matches!(*engine.rt, Runtime::Dfa(_)) {
             for event in implementation.alphabet() {
                 engine.event_id(&event);
             }
@@ -1118,9 +922,8 @@ impl<'a> ServiceExplorer<'a> {
         let footprints: Vec<Vec<(usize, Instance)>> = self
             .universe
             .iter()
-            .enumerate()
-            .map(|(i, event)| {
-                self.universe_relevance[i]
+            .map(|event| {
+                self.relevant(&event.primitive)
                     .iter()
                     .map(|&ci| {
                         let constraint = &constraints[ci];
@@ -1132,7 +935,7 @@ impl<'a> ServiceExplorer<'a> {
                             // Mutual exclusion keeps one global holder map.
                             ConstraintKind::MutualExclusion { .. } => ConstraintScope::Global,
                         };
-                        (ci, Self::instance(scope, event, constraint.key()))
+                        (ci, instance(scope, event, constraint.key()))
                     })
                     .collect()
             })
@@ -1211,12 +1014,10 @@ impl<'a> ServiceExplorer<'a> {
         let findings = detail == Detail::Findings;
         if options.backend == Backend::Symbolic {
             match self.explore_symbolic(options, detail) {
-                Some(report) => return report,
-                None => eprintln!(
-                    "svckit-lts: symbolic backend exceeded the LDD node budget \
-                     ({} nodes); falling back to the explicit engine",
-                    options.ldd_node_limit
-                ),
+                Ok(report) => return report,
+                Err(reason) => {
+                    eprintln!("svckit-lts: {reason}; falling back to the explicit engine");
+                }
             }
         }
         let mut engine = StepEngine::new(self);
@@ -1228,8 +1029,8 @@ impl<'a> ServiceExplorer<'a> {
             Symmetry::On => SymCanon::build(self, &engine),
             Symmetry::Off => None,
         };
-        let closures = match options.reduction {
-            Reduction::AmpleSets => Some(self.dependence_closures()),
+        let mut ample_sets = match options.reduction {
+            Reduction::AmpleSets => Some(AmpleSets::new(self.dependence_closures())),
             Reduction::Full => None,
         };
         let n = self.universe.len();
@@ -1280,8 +1081,6 @@ impl<'a> ServiceExplorer<'a> {
         let mut succ = vec![0u32; n * width];
         let mut orbits = vec![1u64; n];
         let mut enabled: Vec<usize> = Vec::with_capacity(n);
-        let mut enabled_bits = vec![0u64; n.div_ceil(64)];
-        let mut ample: Vec<usize> = Vec::with_capacity(n);
 
         while let Some(sid) = queue.pop_front() {
             key.copy_from_slice(store.get(sid));
@@ -1308,46 +1107,10 @@ impl<'a> ServiceExplorer<'a> {
                 continue;
             }
             let successor = |i: usize| &succ[i * width..(i + 1) * width];
-            let mut expand: &[usize] = &enabled;
-            if let Some(closures) = &closures {
-                // Candidate minimising |closure ∩ enabled| (ties: lowest
-                // universe index, for determinism); only the winner's set
-                // is materialised.
-                enabled_bits.fill(0);
-                for &i in &enabled {
-                    enabled_bits[i / 64] |= 1 << (i % 64);
-                }
-                let (mut best, mut best_len) = (enabled[0], usize::MAX);
-                for &i in &enabled {
-                    let len: u32 = closures[i]
-                        .iter()
-                        .zip(&enabled_bits)
-                        .map(|(c, e)| (c & e).count_ones())
-                        .sum();
-                    if (len as usize) < best_len {
-                        (best, best_len) = (i, len as usize);
-                    }
-                }
-                // Guard against trivial starvation: an ample set whose
-                // every transition loops back to this very state would let
-                // the search idle forever and ignore the rest of the
-                // enabled events (constraint-irrelevant events self-loop;
-                // under symmetry, orbit-internal moves count as self-loops
-                // too, which only ever forces *more* expansion).
-                if best_len < enabled.len() {
-                    let closure = &closures[best];
-                    ample.clear();
-                    ample.extend(
-                        enabled
-                            .iter()
-                            .copied()
-                            .filter(|&j| closure[j / 64] >> (j % 64) & 1 == 1),
-                    );
-                    if !ample.iter().all(|&i| successor(i) == key.as_slice()) {
-                        expand = &ample;
-                    }
-                }
-            }
+            let expand: &[usize] = match ample_sets.as_mut() {
+                Some(ample_sets) => ample_sets.expand(&enabled, |i| successor(i) == key.as_slice()),
+                None => &enabled,
+            };
             if ample_hist.len() <= expand.len() {
                 ample_hist.resize(expand.len() + 1, 0);
             }
@@ -1595,9 +1358,81 @@ impl<'a> ServiceExplorer<'a> {
     }
 }
 
+/// Ample-set selection for [`Reduction::AmpleSets`]: the static
+/// dependence closures and the per-expansion scratch buffers.
+struct AmpleSets {
+    /// Per universe event, its dependence closure as a bitset
+    /// ([`ServiceExplorer::dependence_closures`]).
+    closures: Vec<Vec<u64>>,
+    /// Scratch: the enabled set as a bitset, and the chosen ample set.
+    enabled_bits: Vec<u64>,
+    ample: Vec<usize>,
+}
+
+impl AmpleSets {
+    fn new(closures: Vec<Vec<u64>>) -> Self {
+        let n = closures.len();
+        AmpleSets {
+            closures,
+            enabled_bits: vec![0; n.div_ceil(64)],
+            ample: Vec::with_capacity(n),
+        }
+    }
+
+    /// The events to expand in a state whose enabled events are `enabled`
+    /// (ascending, non-empty): the smallest `closure ∩ enabled` over the
+    /// enabled events, or all of `enabled` when that set is no smaller or
+    /// every one of its members is a self-loop (`self_loop(i)`).
+    fn expand<'s>(
+        &'s mut self,
+        enabled: &'s [usize],
+        self_loop: impl Fn(usize) -> bool,
+    ) -> &'s [usize] {
+        // Candidate minimising |closure ∩ enabled| (ties: lowest universe
+        // index, for determinism); only the winner's set is materialised.
+        self.enabled_bits.fill(0);
+        for &i in enabled {
+            self.enabled_bits[i / 64] |= 1 << (i % 64);
+        }
+        let (mut best, mut best_len) = (enabled[0], usize::MAX);
+        for &i in enabled {
+            let len: u32 = self.closures[i]
+                .iter()
+                .zip(&self.enabled_bits)
+                .map(|(c, e)| (c & e).count_ones())
+                .sum();
+            if (len as usize) < best_len {
+                (best, best_len) = (i, len as usize);
+            }
+        }
+        if best_len >= enabled.len() {
+            return enabled;
+        }
+        let closure = &self.closures[best];
+        self.ample.clear();
+        self.ample.extend(
+            enabled
+                .iter()
+                .copied()
+                .filter(|&j| closure[j / 64] >> (j % 64) & 1 == 1),
+        );
+        // Guard against trivial starvation: an ample set whose every
+        // transition loops back to this very state would let the search
+        // idle forever and ignore the rest of the enabled events
+        // (constraint-irrelevant events self-loop; under symmetry,
+        // orbit-internal moves count as self-loops too, which only ever
+        // forces *more* expansion).
+        if self.ample.iter().all(|&i| self_loop(i)) {
+            return enabled;
+        }
+        &self.ample
+    }
+}
+
 /// Per-constraint bookkeeping of a [`ProductEngine`]: the constraint's
 /// reachable states interned as integers, their quiescence, and memoized
 /// transitions per (state, event) pair.
+#[derive(Debug, Clone)]
 struct ConstraintTable {
     /// Interned per-constraint states, id → state.
     states: Vec<Arc<CState>>,
@@ -1623,8 +1458,9 @@ impl ConstraintTable {
     }
 }
 
-/// Whether `cs` is quiescent with respect to its constraint, mirroring
-/// [`ExplorerState::is_quiescent`] for one factor of the product.
+/// Whether `cs` is quiescent with respect to its constraint: no
+/// obligation outstanding and nothing held. Enablement markers of
+/// [`ConstraintKind::After`] constraints do not count.
 fn cstate_quiescent(constraint: &Constraint, cs: &CState) -> bool {
     match cs {
         CState::Counters(m) => {
@@ -1634,8 +1470,7 @@ fn cstate_quiescent(constraint: &Constraint, cs: &CState) -> bool {
     }
 }
 
-/// The incremental exploration engine behind [`ServiceExplorer::to_lts`] and
-/// [`ServiceExplorer::verify_lts`].
+/// The interpreter engine.
 ///
 /// The constraint automaton is a synchronous product of one small automaton
 /// per constraint. The engine interns each constraint's reachable states and
@@ -1643,19 +1478,23 @@ fn cstate_quiescent(constraint: &Constraint, cs: &CState) -> bool {
 /// so the surrounding search works on integer tuples: stepping a product
 /// state is a handful of hash-map probes on integer keys, and deep
 /// `BTreeMap` states are only cloned/hashed the first time a
-/// (constraint-state, event) pair is encountered.
-struct ProductEngine<'x, 'a> {
-    explorer: &'x ServiceExplorer<'a>,
-    /// Interned events (covers universe events and, during verification,
-    /// whatever alphabet the implementation uses).
+/// (constraint-state, event) pair is encountered. It lives as long as its
+/// explorer, so queries and searches share one memo.
+#[derive(Debug, Clone)]
+struct ProductEngine {
+    /// Interned events: the universe first (so `universe_ids` is fixed at
+    /// construction), then whatever else is stepped — during verification,
+    /// the implementation's alphabet.
     event_ids: HashMap<AbstractEvent, u32>,
+    /// The event id of each universe event.
+    universe_ids: Vec<u32>,
     tables: Vec<ConstraintTable>,
 }
 
-impl<'x, 'a> ProductEngine<'x, 'a> {
-    fn new(explorer: &'x ServiceExplorer<'a>) -> Self {
-        let constraints = explorer.service.constraints();
-        let tables = constraints
+impl ProductEngine {
+    fn new(service: &ServiceDefinition, universe: &[AbstractEvent]) -> Self {
+        let tables = service
+            .constraints()
             .iter()
             .map(|c| {
                 let mut table = ConstraintTable {
@@ -1674,17 +1513,13 @@ impl<'x, 'a> ProductEngine<'x, 'a> {
                 table
             })
             .collect();
-        ProductEngine {
-            explorer,
+        let mut engine = ProductEngine {
             event_ids: HashMap::new(),
+            universe_ids: Vec::new(),
             tables,
-        }
-    }
-
-    /// The product key of the initial state (every constraint in its
-    /// interned initial state, id 0).
-    fn initial_key(&self) -> Vec<u32> {
-        vec![0; self.tables.len()]
+        };
+        engine.universe_ids = universe.iter().map(|e| engine.event_id(e)).collect();
+        engine
     }
 
     fn event_id(&mut self, event: &AbstractEvent) -> u32 {
@@ -1696,6 +1531,8 @@ impl<'x, 'a> ProductEngine<'x, 'a> {
         id
     }
 
+    /// Whether every constraint state in `key` is quiescent; components
+    /// past a trimmed key are at their quiescent initial state.
     fn is_quiescent(&self, key: &[u32]) -> bool {
         key.iter()
             .zip(&self.tables)
@@ -1711,39 +1548,58 @@ impl<'x, 'a> ProductEngine<'x, 'a> {
     }
 
     /// One constraint's memoized step — the per-level factor of
-    /// [`ProductEngine::step_into`], also tabulated level by level by the
-    /// symbolic backend. `None` means the constraint rejects the event in
-    /// this state.
-    fn level_step(&mut self, ci: usize, sid: u32, event: &AbstractEvent, eid: u32) -> Option<u32> {
+    /// [`ProductEngine::step_into`]. `None` means the constraint rejects
+    /// the event in this state.
+    fn level_step(
+        &mut self,
+        explorer: &ServiceExplorer<'_>,
+        ci: usize,
+        sid: u32,
+        event: &AbstractEvent,
+        eid: u32,
+    ) -> Option<u32> {
         if let Some(memo) = self.tables[ci].trans.get(&(sid, eid)) {
             return memo.as_ref().ok().copied();
         }
-        let explorer = self.explorer;
         let constraint = &explorer.service.constraints()[ci];
         let current = Arc::clone(&self.tables[ci].states[sid as usize]);
-        let computed = explorer
-            .step_constraint(constraint, &current, event)
+        let computed = step_constraint(constraint, &current, event, explorer.max_outstanding)
             .map(|stepped| self.tables[ci].intern(constraint, stepped));
         let next = computed.as_ref().ok().copied();
         self.tables[ci].trans.insert((sid, eid), computed);
         next
     }
 
-    /// Steps a product key by one event into `out` (same width).
-    /// `Err((constraint index, state id))` identifies the first violated
-    /// constraint; fetch the violation with [`ProductEngine::violation`].
+    /// Whether universe event `ui` is allowed in `key`, which may be
+    /// trimmed. Reads the key without copying it.
+    fn allows(&mut self, explorer: &ServiceExplorer<'_>, key: &[u32], ui: usize) -> bool {
+        let event = &explorer.universe[ui];
+        let eid = self.universe_ids[ui];
+        explorer.relevant(&event.primitive).iter().all(|&ci| {
+            let sid = key.get(ci).copied().unwrap_or(0);
+            self.level_step(explorer, ci, sid, event, eid).is_some()
+        })
+    }
+
+    /// Steps a product key by one event into `out`, which may be wider
+    /// than `key` (components past `key` start at 0) and must cover every
+    /// constraint relevant to the event. `Err((constraint index, state
+    /// id))` identifies the first violated constraint; fetch the violation
+    /// with [`ProductEngine::violation`].
     fn step_into(
         &mut self,
+        explorer: &ServiceExplorer<'_>,
         key: &[u32],
         event: &AbstractEvent,
         eid: u32,
         out: &mut [u32],
     ) -> Result<(), (usize, u32)> {
-        let relevant = self.explorer.relevance.get(&event.primitive);
-        out.copy_from_slice(key);
-        for &i in relevant.map_or(&[][..], Vec::as_slice) {
-            let sid = key[i];
-            match self.level_step(i, sid, event, eid) {
+        let (head, tail) = out.split_at_mut(key.len());
+        head.copy_from_slice(key);
+        tail.fill(0);
+        for &i in explorer.relevant(&event.primitive) {
+            let sid = out[i];
+            match self.level_step(explorer, i, sid, event, eid) {
                 Some(next) => out[i] = next,
                 None => return Err((i, sid)),
             }
@@ -1755,8 +1611,14 @@ impl<'x, 'a> ProductEngine<'x, 'a> {
     /// through the member permutation `orders` (see [`renamed_member`]).
     /// Constraints whose state mentions no renamed SAP keep their interned
     /// id — no allocation, no rebuild.
-    fn rename_key(&mut self, key: &mut [u32], groups: &[Vec<Sap>], orders: &[Vec<usize>]) {
-        let constraints = self.explorer.service.constraints();
+    fn rename_key(
+        &mut self,
+        explorer: &ServiceExplorer<'_>,
+        key: &mut [u32],
+        groups: &[Vec<Sap>],
+        orders: &[Vec<usize>],
+    ) {
+        let constraints = explorer.service.constraints();
         let rename = |sap: &Sap| renamed_member(groups, orders, sap);
         for (ci, slot) in key.iter_mut().enumerate() {
             let current = Arc::clone(&self.tables[ci].states[*slot as usize]);
@@ -1818,36 +1680,35 @@ enum StepErr {
     Dfa { edge: Edge, state: u16 },
 }
 
-/// The engine behind [`ServiceExplorer::to_lts`],
-/// [`ServiceExplorer::verify_lts`] and [`ServiceExplorer::explore`]: the
-/// memoizing [`ProductEngine`] under the interpreter, dense-table slot
-/// stepping under the DFA engine. Both expose the same integer-keyed
-/// search interface, and — because slot states and interned constraint
-/// states have exactly the same distinguishing power — the searches visit
-/// identical state graphs in identical order under either engine.
-enum StepEngine<'x, 'a> {
-    Interp(ProductEngine<'x, 'a>),
-    /// Holds the explorer's DFA runtime lock for the whole search.
-    Dfa(MutexGuard<'x, DfaRt>),
+/// The one step interface behind every query and search of a
+/// [`ServiceExplorer`]: the memoizing [`ProductEngine`] under the
+/// interpreter, dense-table slot stepping under the DFA engine. It holds
+/// the explorer's runtime lock for as long as it lives. Both engines
+/// expose the same integer-keyed interface, and — because slot states and
+/// interned constraint states have exactly the same distinguishing power —
+/// the searches visit identical state graphs in identical order under
+/// either engine.
+struct StepEngine<'x, 'a> {
+    explorer: &'x ServiceExplorer<'a>,
+    rt: MutexGuard<'x, Runtime>,
 }
 
 impl<'x, 'a> StepEngine<'x, 'a> {
     fn new(explorer: &'x ServiceExplorer<'a>) -> Self {
-        match &explorer.dfa {
-            Some(_) => StepEngine::Dfa(explorer.dfa_rt()),
-            None => StepEngine::Interp(ProductEngine::new(explorer)),
+        StepEngine {
+            explorer,
+            rt: explorer.rt.lock().expect("explorer runtime poisoned"),
         }
     }
 
     /// Interns `event`; under the DFA engine this resolves (and caches)
     /// its edge list, interning any new slots.
     fn event_id(&mut self, event: &AbstractEvent) -> u32 {
-        match self {
-            StepEngine::Interp(engine) => engine.event_id(event),
-            StepEngine::Dfa(rt) => {
-                rt.binder
-                    .resolve_cached(&event.sap, &event.primitive, &event.args)
-            }
+        match &mut *self.rt {
+            Runtime::Interp(engine) => engine.event_id(event),
+            Runtime::Dfa(rt) => rt
+                .binder
+                .resolve_cached(&event.sap, &event.primitive, &event.args),
         }
     }
 
@@ -1855,21 +1716,41 @@ impl<'x, 'a> StepEngine<'x, 'a> {
     /// event the search will step has been interned ([`StepEngine::event_id`]),
     /// so the width covers every slot.
     fn initial_key(&self) -> Vec<u32> {
-        match self {
-            StepEngine::Interp(engine) => engine.initial_key(),
-            StepEngine::Dfa(rt) => vec![0; rt.binder.slot_count()],
+        match &*self.rt {
+            Runtime::Interp(engine) => vec![0; engine.tables.len()],
+            Runtime::Dfa(rt) => vec![0; rt.binder.slot_count()],
         }
     }
 
+    /// Whether `key` (possibly trimmed) is quiescent.
     fn is_quiescent(&self, key: &[u32]) -> bool {
-        match self {
-            StepEngine::Interp(engine) => engine.is_quiescent(key),
-            StepEngine::Dfa(rt) => rt.binder.is_quiescent_wide(key),
+        match &*self.rt {
+            Runtime::Interp(engine) => engine.is_quiescent(key),
+            Runtime::Dfa(rt) => rt.binder.is_quiescent_wide(key),
         }
     }
 
-    /// Steps `key` by one event into `out` (same width); on `Err` the
-    /// contents of `out` are unspecified.
+    /// The universe events allowed in `key` (possibly trimmed).
+    fn allowed(&mut self, key: &[u32]) -> Vec<&'x AbstractEvent> {
+        let explorer = self.explorer;
+        let universe = explorer.universe.iter();
+        match &mut *self.rt {
+            Runtime::Interp(engine) => universe
+                .enumerate()
+                .filter(|&(ui, _)| engine.allows(explorer, key, ui))
+                .map(|(_, event)| event)
+                .collect(),
+            Runtime::Dfa(rt) => universe
+                .zip(&rt.universe_edges)
+                .filter(|(_, edges)| rt.binder.allowed(key, edges))
+                .map(|(event, _)| event)
+                .collect(),
+        }
+    }
+
+    /// Steps `key` by one event into `out`, which may be wider than `key`
+    /// (components past `key` start at 0) and must cover every component
+    /// the event touches; on `Err` the contents of `out` are unspecified.
     fn step_into(
         &mut self,
         key: &[u32],
@@ -1877,11 +1758,11 @@ impl<'x, 'a> StepEngine<'x, 'a> {
         eid: u32,
         out: &mut [u32],
     ) -> Result<(), StepErr> {
-        match self {
-            StepEngine::Interp(engine) => engine
-                .step_into(key, event, eid, out)
+        match &mut *self.rt {
+            Runtime::Interp(engine) => engine
+                .step_into(self.explorer, key, event, eid, out)
                 .map_err(|(ci, sid)| StepErr::Interp { ci, sid, eid }),
-            StepEngine::Dfa(rt) => rt
+            Runtime::Dfa(rt) => rt
                 .binder
                 .step_wide_into(key, rt.binder.edges(eid), out)
                 .map_err(|rejection| StepErr::Dfa {
@@ -1891,14 +1772,63 @@ impl<'x, 'a> StepEngine<'x, 'a> {
         }
     }
 
+    /// Steps the trimmed key `key` by one event into a new trimmed key.
+    fn step(&mut self, key: &[u32], event: &AbstractEvent) -> Result<Vec<u32>, StepViolation> {
+        // One plain allocation grown from the key to cover every component
+        // the event touches: a zeroed one (`vec![0; width]`) costs more
+        // per step.
+        let grown = |touched: usize| {
+            let width = touched.max(key.len());
+            let mut next = Vec::with_capacity(width);
+            next.extend_from_slice(key);
+            next.resize(width, 0);
+            next
+        };
+        let trimmed = |mut next: Vec<u32>| {
+            while next.last() == Some(&0) {
+                next.pop();
+            }
+            next
+        };
+        let explorer = self.explorer;
+        let stepped = match &mut *self.rt {
+            Runtime::Interp(engine) => {
+                let eid = engine.event_id(event);
+                let relevant = explorer.relevant(&event.primitive);
+                let mut next = grown(relevant.last().map_or(0, |&ci| ci + 1));
+                engine
+                    .step_into(explorer, key, event, eid, &mut next)
+                    .map(|()| next)
+                    .map_err(|(ci, sid)| StepErr::Interp { ci, sid, eid })
+            }
+            Runtime::Dfa(rt) => {
+                let eid = rt
+                    .binder
+                    .resolve_cached(&event.sap, &event.primitive, &event.args);
+                let edges = rt.binder.edges(eid);
+                let mut next = grown(edges.iter().map(|e| e.slot as usize + 1).max().unwrap_or(0));
+                rt.binder
+                    .step_wide_into(key, edges, &mut next)
+                    .map(|()| next)
+                    .map_err(|rejection| StepErr::Dfa {
+                        edge: edges[rejection.edge],
+                        state: rejection.state,
+                    })
+            }
+        };
+        stepped
+            .map(trimmed)
+            .map_err(|err| self.violation(&err, &event.sap))
+    }
+
     /// Renders the violation behind a [`StepErr`] — byte-identical across
     /// engines.
     fn violation(&self, err: &StepErr, sap: &Sap) -> StepViolation {
-        match (self, err) {
-            (StepEngine::Interp(engine), StepErr::Interp { ci, sid, eid }) => {
+        match (&*self.rt, err) {
+            (Runtime::Interp(engine), StepErr::Interp { ci, sid, eid }) => {
                 engine.violation(*ci, *sid, *eid)
             }
-            (StepEngine::Dfa(rt), StepErr::Dfa { edge, state }) => StepViolation {
+            (Runtime::Dfa(rt), StepErr::Dfa { edge, state }) => StepViolation {
                 constraint: rt.binder.constraint_display(edge.ci as usize).to_owned(),
                 message: rt.binder.violation_message(edge, *state, sap),
             },
@@ -2002,8 +1932,8 @@ impl SymCanon {
                 member_index.insert(sap.clone(), (g, j));
             }
         }
-        let (dfa_families, dfa_mutex) = match engine {
-            StepEngine::Dfa(rt) => {
+        let (dfa_families, dfa_mutex) = match &*engine.rt {
+            Runtime::Dfa(rt) => {
                 // Per group: (constraint, key) family → the member-indexed
                 // slots, `None` until that member's slot interns.
                 type Families = BTreeMap<(usize, Vec<Value>), Vec<Option<u32>>>;
@@ -2064,7 +1994,7 @@ impl SymCanon {
                     .collect();
                 (families, mutexes)
             }
-            StepEngine::Interp(_) => (Vec::new(), Vec::new()),
+            Runtime::Interp(_) => (Vec::new(), Vec::new()),
         };
         let orders = vec![Vec::new(); groups.len()];
         Some(SymCanon {
@@ -2135,9 +2065,12 @@ impl SymCanon {
             return (orbit, false);
         }
         self.canon_hits += 1;
-        match engine {
-            StepEngine::Interp(product) => product.rename_key(key, &self.groups, &self.orders),
-            StepEngine::Dfa(_) => {
+        let explorer = engine.explorer;
+        match &mut *engine.rt {
+            Runtime::Interp(product) => {
+                product.rename_key(explorer, key, &self.groups, &self.orders);
+            }
+            Runtime::Dfa(_) => {
                 self.source.clear();
                 self.source.extend_from_slice(key);
                 permute_slots(
@@ -2169,8 +2102,8 @@ fn member_frag(
     frag: &mut Vec<FragAtom>,
 ) {
     frag.clear();
-    match engine {
-        StepEngine::Interp(product) => {
+    match &*engine.rt {
+        Runtime::Interp(product) => {
             let sap = &groups[g][j];
             for (ci, &sid) in key.iter().enumerate() {
                 match product.tables[ci].states[sid as usize].as_ref() {
@@ -2198,7 +2131,7 @@ fn member_frag(
                 }
             }
         }
-        StepEngine::Dfa(_) => {
+        Runtime::Dfa(_) => {
             for (f, family) in dfa_families[g].iter().enumerate() {
                 let state = key[family[j] as usize];
                 if state != 0 {
@@ -2358,14 +2291,40 @@ mod tests {
         assert!(visited >= 100, "walk covered only {visited} states");
     }
 
+    /// A clone copies what its original interned, so a state several
+    /// steps deep — built from ids the original interned on demand — means
+    /// the same in the clone, under both engines; the clone's own steps
+    /// then agree with the original's.
     #[test]
     fn cloned_explorer_answers_identically() {
         let svc = floor_control();
-        let explorer = ServiceExplorer::new(&svc, universe(2, 1), 1);
-        let state = explorer.initial_state();
-        let warm = explorer.allowed(&state); // populate the cache
-        let clone = explorer.clone();
-        assert_eq!(clone.allowed(&state), warm);
+        for engine in [Engine::Dfa, Engine::Interp] {
+            let explorer = ServiceExplorer::with_engine(&svc, universe(3, 2), 2, engine);
+            let mut state = explorer.initial_state();
+            for k in 0..6 {
+                let allowed = explorer.allowed(&state);
+                let event = allowed[k % allowed.len()].clone();
+                state = explorer.step(&state, &event).unwrap();
+            }
+            let clone = explorer.clone();
+            assert_eq!(clone.engine(), engine);
+            assert_eq!(clone.allowed(&state), explorer.allowed(&state));
+            assert_eq!(
+                state.is_quiescent(&clone),
+                state.is_quiescent(&explorer),
+                "{engine:?}"
+            );
+            for event in explorer.universe() {
+                match (clone.step(&state, event), explorer.step(&state, event)) {
+                    (Ok(c), Ok(o)) => {
+                        assert_eq!(c, o, "{engine:?} at {event}");
+                        assert_eq!(clone.allowed(&c), explorer.allowed(&o));
+                    }
+                    (Err(c), Err(o)) => assert_eq!(c, o, "{engine:?} at {event}"),
+                    (c, o) => panic!("clone disagrees at {event}: {c:?} vs {o:?}"),
+                }
+            }
+        }
     }
 
     #[test]
@@ -2661,37 +2620,6 @@ mod tests {
         // The fallback still answers (and its clone keeps the fallback).
         assert_eq!(explorer.allowed(&explorer.initial_state()).len(), 1);
         assert_eq!(explorer.clone().engine(), Engine::Interp);
-    }
-
-    /// Regression test for the `allowed()` counter accounting: exactly one
-    /// of prefilter/hit/miss fires per (query, universe event) — events no
-    /// constraint reacts to must count as prefilter passes, not as cache
-    /// hits. Runs in both feature modes: with obs sites disabled every
-    /// counter reads zero.
-    #[test]
-    fn allowed_counters_fire_once_per_event_and_query() {
-        let svc = floor_control();
-        let mut events = universe(1, 1); // request/granted/free: constrained
-        events.push(AbstractEvent::new(
-            Sap::new("subscriber", PartId::new(1)),
-            "ping",
-            vec![],
-        ));
-        let explorer = ServiceExplorer::with_engine(&svc, events, 1, Engine::Interp);
-        let state = explorer.initial_state();
-        let on = u64::from(svckit_obs::sites_enabled());
-        let ((), cold) = svckit_obs::with_recorder(svckit_obs::Recorder::new(), || {
-            explorer.allowed(&state);
-        });
-        assert_eq!(cold.counter("lts.allowed_prefilter"), on);
-        assert_eq!(cold.counter("lts.allowed_cache_misses"), 3 * on);
-        assert_eq!(cold.counter("lts.allowed_cache_hits"), 0);
-        let ((), warm) = svckit_obs::with_recorder(svckit_obs::Recorder::new(), || {
-            explorer.allowed(&state);
-        });
-        assert_eq!(warm.counter("lts.allowed_prefilter"), on);
-        assert_eq!(warm.counter("lts.allowed_cache_hits"), 3 * on);
-        assert_eq!(warm.counter("lts.allowed_cache_misses"), 0);
     }
 
     #[test]

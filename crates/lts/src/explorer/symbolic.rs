@@ -1,15 +1,15 @@
 //! The symbolic LDD reachability backend behind
 //! [`ServiceExplorer::explore`].
 //!
-//! Product states are fixed-width vectors of small interned integers —
-//! per-constraint state ids under the interpreter, per-slot DFA states
-//! under the compiled engine — so reachable *sets* of them live naturally
-//! in list decision diagrams ([`svckit_ldd`]). The variable ordering is
-//! the interned product-state layout itself: level `i` of the diagram is
-//! component `i` of the product key, which under the DFA engine groups a
-//! user's slots contiguously (slots intern in universe order) and keeps
-//! symmetric users' sub-vectors shape-identical — exactly the structure
-//! hash-consing collapses.
+//! It runs on the DFA engine's layout only. Product states are
+//! fixed-width vectors of per-slot DFA states, so reachable *sets* of
+//! them live naturally in list decision diagrams ([`svckit_ldd`]). The
+//! variable ordering is the slot layout itself: level `i` of the diagram
+//! is slot `i`, which groups a user's slots contiguously (slots intern in
+//! universe order) and keeps symmetric users' sub-vectors shape-identical
+//! — exactly the structure hash-consing collapses. An interpreter
+//! explorer has no such layout (its per-constraint levels mix every
+//! user's instances into one value), so it explores explicitly.
 //!
 //! The search is a breadth-first fixpoint over per-ply frontiers. Every
 //! event's step relation factorizes into independent deterministic
@@ -34,73 +34,42 @@
 //! Everything is oracle-locked against the explicit engine by the
 //! `ldd_oracle` proptests and the backend-matrix goldens.
 
-use svckit_dfa::DEAD;
+use svckit_dfa::{Binder, DEAD};
 use svckit_ldd::{Ldd, LddStore, LevelStep, PreStep, EMPTY};
 use svckit_model::hash::FastMap;
 
 use super::{
-    AbstractEvent, Detail, ExploreOptions, ExploreReport, LivelockWitness, ServiceExplorer,
-    StepEngine, MAX_DEADLOCK_WITNESSES,
+    AbstractEvent, Detail, ExploreOptions, ExploreReport, LivelockWitness, Runtime,
+    ServiceExplorer, StepEngine, MAX_DEADLOCK_WITNESSES,
 };
 
 /// Reserved relational-product token for the quiescence filter. Real
 /// events intern dense ids from 0, so the top of the range is free.
 const QUIESCENCE_TOKEN: u32 = u32::MAX;
 
-/// How one event touches one level, resolved per engine.
-enum Touch {
-    /// DFA: the occurrence classes stepped on this slot, in edge order
-    /// (an event rarely steps a slot twice, but composition is sequential
-    /// exactly like `Binder::step_wide_into`).
-    Classes(Vec<u16>),
-    /// Interpreter: step through the constraint table's lazy memo.
-    Constraint,
-}
-
-/// One event's per-level footprint: which levels it touches (everything
+/// One event's per-level footprint: which slots it touches (everything
 /// else is identity) and how deep the diagram walk must descend.
 struct EventRel {
-    touched: FastMap<u32, Touch>,
+    /// Slot → the occurrence classes stepped on it, in edge order (an
+    /// event rarely steps a slot twice, but composition is sequential
+    /// exactly like `Binder::step_wide_into`).
+    touched: FastMap<u32, Vec<u16>>,
     /// 1 + the deepest touched level; 0 for footprint-free events (their
     /// image and enabled-filter are the identity).
     max_depth: u32,
 }
 
 /// Per-event inverse step maps for preimages: level → target → ascending
-/// source values. Built once, after the forward fixpoint has interned
-/// every reachable per-level state.
+/// source values. Built once, after the forward fixpoint.
 type EventInverse = FastMap<u32, FastMap<u32, Vec<u32>>>;
 
-fn build_rels(
-    explorer: &ServiceExplorer<'_>,
-    engine: &StepEngine<'_, '_>,
-    event_ids: &[u32],
-) -> Vec<EventRel> {
-    explorer
-        .universe
+fn build_rels(binder: &Binder, event_ids: &[u32]) -> Vec<EventRel> {
+    event_ids
         .iter()
-        .zip(event_ids)
-        .map(|(event, &eid)| {
-            let mut touched: FastMap<u32, Touch> = FastMap::default();
-            match engine {
-                StepEngine::Dfa(rt) => {
-                    for edge in rt.binder.edges(eid) {
-                        match touched
-                            .entry(edge.slot)
-                            .or_insert_with(|| Touch::Classes(Vec::new()))
-                        {
-                            Touch::Classes(classes) => classes.push(edge.class),
-                            Touch::Constraint => unreachable!("DFA footprints are slots"),
-                        }
-                    }
-                }
-                StepEngine::Interp(_) => {
-                    let relevant = explorer.relevance.get(&event.primitive);
-                    for &ci in relevant.map_or(&[][..], Vec::as_slice) {
-                        let ci = u32::try_from(ci).expect("constraint count fits u32");
-                        touched.insert(ci, Touch::Constraint);
-                    }
-                }
+        .map(|&eid| {
+            let mut touched: FastMap<u32, Vec<u16>> = FastMap::default();
+            for edge in binder.edges(eid) {
+                touched.entry(edge.slot).or_default().push(edge.class);
             }
             let max_depth = touched.keys().max().map_or(0, |&level| level + 1);
             EventRel { touched, max_depth }
@@ -108,66 +77,43 @@ fn build_rels(
         .collect()
 }
 
-/// The per-level forward step of `event` at `(level, value)` — identity
-/// on untouched levels, the engine's deterministic partial map elsewhere.
-fn forward_step(
-    engine: &mut StepEngine<'_, '_>,
-    rel: &EventRel,
-    event: &AbstractEvent,
-    eid: u32,
-    level: u32,
-    value: u32,
-) -> LevelStep {
+/// Slot `level`'s state after stepping `classes` from `state`, or `None`
+/// when a class hits [`DEAD`].
+fn slot_step(binder: &Binder, level: u32, mut state: u16, classes: &[u16]) -> Option<u16> {
+    for &class in classes {
+        state = binder.slot_next(level, state, class);
+        if state == DEAD {
+            return None;
+        }
+    }
+    Some(state)
+}
+
+/// The per-level forward step of an event at `(level, value)` — identity
+/// on untouched levels, the slot table's deterministic partial map
+/// elsewhere.
+fn forward_step(binder: &Binder, rel: &EventRel, level: u32, value: u32) -> LevelStep {
     match rel.touched.get(&level) {
         None => LevelStep::Identity,
-        Some(Touch::Classes(classes)) => {
-            let StepEngine::Dfa(rt) = engine else {
-                unreachable!("slot footprints only arise under the DFA engine")
-            };
-            let mut state = u16::try_from(value).expect("slot states fit u16");
-            for &class in classes {
-                state = rt.binder.slot_next(level, state, class);
-                if state == DEAD {
-                    return LevelStep::Blocked;
-                }
-            }
-            LevelStep::To(u32::from(state))
-        }
-        Some(Touch::Constraint) => {
-            let StepEngine::Interp(product) = engine else {
-                unreachable!("constraint footprints only arise under the interpreter")
-            };
-            match product.level_step(level as usize, value, event, eid) {
-                Some(next) => LevelStep::To(next),
+        Some(classes) => {
+            let state = u16::try_from(value).expect("slot states fit u16");
+            match slot_step(binder, level, state, classes) {
+                Some(next) => LevelStep::To(u32::from(next)),
                 None => LevelStep::Blocked,
             }
         }
     }
 }
 
-fn image(
-    store: &mut LddStore,
-    engine: &mut StepEngine<'_, '_>,
-    rel: &EventRel,
-    event: &AbstractEvent,
-    eid: u32,
-    set: Ldd,
-) -> Ldd {
+fn image(store: &mut LddStore, binder: &Binder, rel: &EventRel, eid: u32, set: Ldd) -> Ldd {
     store.image(set, eid, rel.max_depth, &mut |level, value| {
-        forward_step(engine, rel, event, eid, level, value)
+        forward_step(binder, rel, level, value)
     })
 }
 
-fn enabled(
-    store: &mut LddStore,
-    engine: &mut StepEngine<'_, '_>,
-    rel: &EventRel,
-    event: &AbstractEvent,
-    eid: u32,
-    set: Ldd,
-) -> Ldd {
+fn enabled(store: &mut LddStore, binder: &Binder, rel: &EventRel, eid: u32, set: Ldd) -> Ldd {
     store.filter_enabled(set, eid, rel.max_depth, &mut |level, value| {
-        forward_step(engine, rel, event, eid, level, value)
+        forward_step(binder, rel, level, value)
     })
 }
 
@@ -185,62 +131,20 @@ fn preimage(store: &mut LddStore, inv: &EventInverse, eid: u32, max_depth: u32, 
     )
 }
 
-/// Tabulates every event's inverse per-level step map. Under the
-/// interpreter the enumeration may intern a few never-reached successor
-/// states (harmless); every *source* that can matter was interned by the
-/// forward fixpoint, so the maps are complete for backward chaining
-/// within the reached set.
-fn build_inverse(
-    engine: &mut StepEngine<'_, '_>,
-    rels: &[EventRel],
-    universe: &[AbstractEvent],
-    event_ids: &[u32],
-) -> Vec<EventInverse> {
+/// Tabulates every event's inverse per-level step map over each touched
+/// slot's whole state domain.
+fn build_inverse(binder: &Binder, rels: &[EventRel]) -> Vec<EventInverse> {
     rels.iter()
-        .enumerate()
-        .map(|(ei, rel)| {
+        .map(|rel| {
             let mut inv: EventInverse = FastMap::default();
-            for (&level, touch) in &rel.touched {
+            for (&level, classes) in &rel.touched {
                 let per_level = inv.entry(level).or_default();
-                match touch {
-                    Touch::Classes(classes) => {
-                        let StepEngine::Dfa(rt) = engine else {
-                            unreachable!("slot footprints only arise under the DFA engine")
-                        };
-                        for source in 0..rt.binder.slot_nstates(level) {
-                            let mut target = source;
-                            let mut alive = true;
-                            for &class in classes {
-                                target = rt.binder.slot_next(level, target, class);
-                                if target == DEAD {
-                                    alive = false;
-                                    break;
-                                }
-                            }
-                            if alive {
-                                per_level
-                                    .entry(u32::from(target))
-                                    .or_default()
-                                    .push(u32::from(source));
-                            }
-                        }
-                    }
-                    Touch::Constraint => {
-                        let StepEngine::Interp(product) = engine else {
-                            unreachable!("constraint footprints only arise under the interpreter")
-                        };
-                        let known = u32::try_from(product.tables[level as usize].states.len())
-                            .expect("fewer than 2^32 constraint states");
-                        for source in 0..known {
-                            if let Some(target) = product.level_step(
-                                level as usize,
-                                source,
-                                &universe[ei],
-                                event_ids[ei],
-                            ) {
-                                per_level.entry(target).or_default().push(source);
-                            }
-                        }
+                for source in 0..binder.slot_nstates(level) {
+                    if let Some(target) = slot_step(binder, level, source, classes) {
+                        per_level
+                            .entry(u32::from(target))
+                            .or_default()
+                            .push(u32::from(source));
                     }
                 }
             }
@@ -250,20 +154,10 @@ fn build_inverse(
 }
 
 /// The subset of `set` whose every level is quiescent.
-fn quiescent_subset(
-    store: &mut LddStore,
-    engine: &StepEngine<'_, '_>,
-    width: u32,
-    set: Ldd,
-) -> Ldd {
+fn quiescent_subset(store: &mut LddStore, binder: &Binder, width: u32, set: Ldd) -> Ldd {
     store.filter_enabled(set, QUIESCENCE_TOKEN, width, &mut |level, value| {
-        let quiet = match engine {
-            StepEngine::Interp(product) => product.tables[level as usize].quiescent[value as usize],
-            StepEngine::Dfa(rt) => rt
-                .binder
-                .slot_state_quiescent(level, u16::try_from(value).expect("slot states fit u16")),
-        };
-        if quiet {
+        let state = u16::try_from(value).expect("slot states fit u16");
+        if binder.slot_state_quiescent(level, state) {
             LevelStep::Identity
         } else {
             LevelStep::Blocked
@@ -273,9 +167,11 @@ fn quiescent_subset(
 
 impl<'a> ServiceExplorer<'a> {
     /// The symbolic counterpart of the explicit breadth-first search in
-    /// [`ServiceExplorer::explore`]. Returns `None` when the LDD store
-    /// outgrows [`ExploreOptions::ldd_node_limit`] — the caller then
-    /// falls back to the explicit engine.
+    /// [`ServiceExplorer::explore`]. Returns why it cannot report — the
+    /// LDD store outgrew [`ExploreOptions::ldd_node_limit`], or the
+    /// explorer interprets its constraints and so has no slot layout to
+    /// order the diagram by — and the caller then falls back to the
+    /// explicit engine.
     ///
     /// The report matches an untruncated explicit
     /// [`super::Reduction::Full`] / [`crate::Symmetry::Off`] search
@@ -290,15 +186,32 @@ impl<'a> ServiceExplorer<'a> {
         &self,
         options: &ExploreOptions,
         detail: Detail,
-    ) -> Option<ExploreReport> {
-        let mut store = LddStore::with_node_limit(options.ldd_node_limit);
+    ) -> Result<ExploreReport, String> {
         let mut engine = StepEngine::new(self);
-        // Intern every universe event up front: under the DFA engine this
-        // freezes the slot set and mutex holder alphabets, fixing the
-        // diagram's width and per-level domains for the whole search.
-        let event_ids: Vec<u32> = self.universe.iter().map(|e| engine.event_id(e)).collect();
-        let rels = build_rels(self, &engine, &event_ids);
-        let init_key = engine.initial_key();
+        let Runtime::Dfa(rt) = &mut *engine.rt else {
+            return Err("symbolic backend needs the DFA engine's slot layout \
+                        (this explorer interprets its constraints)"
+                .to_owned());
+        };
+        let binder = &mut rt.binder;
+        let over_budget = || {
+            format!(
+                "symbolic backend exceeded the LDD node budget ({} nodes)",
+                options.ldd_node_limit
+            )
+        };
+        let mut store = LddStore::with_node_limit(options.ldd_node_limit);
+        // Intern every universe event up front: this freezes the slot set
+        // and mutex holder alphabets, fixing the diagram's width and
+        // per-level domains for the whole search.
+        let event_ids: Vec<u32> = self
+            .universe
+            .iter()
+            .map(|e| binder.resolve_cached(&e.sap, &e.primitive, &e.args))
+            .collect();
+        let binder: &Binder = binder;
+        let rels = build_rels(binder, &event_ids);
+        let init_key = vec![0; binder.slot_count()];
         let width = u32::try_from(init_key.len()).expect("product width fits u32");
         let n = self.universe.len();
 
@@ -311,20 +224,13 @@ impl<'a> ServiceExplorer<'a> {
         let mut frontier = init;
         while frontier != EMPTY {
             let mut next = EMPTY;
-            for (ei, event) in self.universe.iter().enumerate() {
-                let img = image(
-                    &mut store,
-                    &mut engine,
-                    &rels[ei],
-                    event,
-                    event_ids[ei],
-                    frontier,
-                );
+            for (rel, &eid) in rels.iter().zip(&event_ids) {
+                let img = image(&mut store, binder, rel, eid, frontier);
                 next = store.union(next, img);
             }
             let fresh = store.minus(next, reached);
             if store.over_limit() {
-                return None;
+                return Err(over_budget());
             }
             if fresh == EMPTY {
                 break;
@@ -336,20 +242,13 @@ impl<'a> ServiceExplorer<'a> {
 
         // Per-event enabled sets over the whole reached set: the census
         // behind transitions, never-enabled events and deadlocks.
-        let enb: Vec<Ldd> = (0..n)
-            .map(|ei| {
-                enabled(
-                    &mut store,
-                    &mut engine,
-                    &rels[ei],
-                    &self.universe[ei],
-                    event_ids[ei],
-                    reached,
-                )
-            })
+        let enb: Vec<Ldd> = rels
+            .iter()
+            .zip(&event_ids)
+            .map(|(rel, &eid)| enabled(&mut store, binder, rel, eid, reached))
             .collect();
         if store.over_limit() {
-            return None;
+            return Err(over_budget());
         }
         let states = usize::try_from(store.satcount(reached)).expect("state count fits usize");
         let transitions = enb
@@ -375,7 +274,7 @@ impl<'a> ServiceExplorer<'a> {
         if detail == Detail::Counts {
             report.peak_nodes = store.inner_nodes();
             report.cache_hits = store.cache_hits();
-            return Some(report);
+            return Ok(report);
         }
 
         let mut any_enabled = EMPTY;
@@ -419,7 +318,7 @@ impl<'a> ServiceExplorer<'a> {
             None => Vec::new(),
         };
 
-        let inverse = build_inverse(&mut engine, &rels, &self.universe, &event_ids);
+        let inverse = build_inverse(binder, &rels);
 
         // Deadlock witnesses in explicit BFS discovery order: plies
         // ascending, and within a ply by lexicographic trace order —
@@ -431,15 +330,7 @@ impl<'a> ServiceExplorer<'a> {
                     break 'plies;
                 }
                 let (steps, endpoint) = self.lex_min_trace(
-                    &mut store,
-                    &mut engine,
-                    &inverse,
-                    &rels,
-                    &event_ids,
-                    &layers,
-                    d,
-                    dd,
-                    &init_key,
+                    &mut store, binder, &inverse, &rels, &event_ids, &layers, d, dd, &init_key,
                 );
                 report.deadlocks.push(
                     steps
@@ -462,7 +353,7 @@ impl<'a> ServiceExplorer<'a> {
                 !options.progress.iter().any(|p| p == primitive)
             })
             .collect();
-        let quiet = quiescent_subset(&mut store, &engine, width, reached);
+        let quiet = quiescent_subset(&mut store, binder, width, reached);
         let mut core = store.minus(reached, quiet);
         while core != EMPTY {
             let mut pre_any = EMPTY;
@@ -483,7 +374,7 @@ impl<'a> ServiceExplorer<'a> {
             core = refined;
         }
         if store.over_limit() {
-            return None;
+            return Err(over_budget());
         }
         report.livelock = (core != EMPTY).then(|| {
             let (d, entry_set) = layers
@@ -495,15 +386,7 @@ impl<'a> ServiceExplorer<'a> {
                 })
                 .expect("the livelock core is reachable");
             let (prefix_steps, entry) = self.lex_min_trace(
-                &mut store,
-                &mut engine,
-                &inverse,
-                &rels,
-                &event_ids,
-                &layers,
-                d,
-                entry_set,
-                &init_key,
+                &mut store, binder, &inverse, &rels, &event_ids, &layers, d, entry_set, &init_key,
             );
             // Greedy concrete lasso inside the core: every core state has
             // a non-progress successor in the core, so walking smallest
@@ -514,8 +397,8 @@ impl<'a> ServiceExplorer<'a> {
             let mut key = entry;
             let split = loop {
                 let landed = non_progress.iter().any(|&ei| {
-                    let stepped = engine
-                        .step_into(&key, &self.universe[ei], event_ids[ei], &mut next)
+                    let stepped = binder
+                        .step_wide_into(&key, binder.edges(event_ids[ei]), &mut next)
                         .is_ok();
                     if stepped && store.contains(core, &next) {
                         walk.push(u32::try_from(ei).expect("universe index fits u32"));
@@ -542,11 +425,11 @@ impl<'a> ServiceExplorer<'a> {
             LivelockWitness { prefix, cycle }
         });
         if store.over_limit() {
-            return None;
+            return Err(over_budget());
         }
         report.peak_nodes = store.inner_nodes();
         report.cache_hits = store.cache_hits();
-        Some(report)
+        Ok(report)
     }
 
     /// The lexicographically minimal trace of length `d` from the initial
@@ -560,7 +443,7 @@ impl<'a> ServiceExplorer<'a> {
     fn lex_min_trace(
         &self,
         store: &mut LddStore,
-        engine: &mut StepEngine<'_, 'a>,
+        binder: &Binder,
         inverse: &[EventInverse],
         rels: &[EventRel],
         event_ids: &[u32],
@@ -595,8 +478,8 @@ impl<'a> ServiceExplorer<'a> {
         for &next_set in chain.iter().skip(1) {
             let ei = (0..self.universe.len())
                 .find(|&ei| {
-                    engine
-                        .step_into(&key, &self.universe[ei], event_ids[ei], &mut next)
+                    binder
+                        .step_wide_into(&key, binder.edges(event_ids[ei]), &mut next)
                         .is_ok()
                         && store.contains(next_set, &next)
                 })
