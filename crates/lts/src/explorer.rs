@@ -9,7 +9,7 @@
 //! * stepping a constraint state by one event ([`ServiceExplorer::step`]),
 //! * enumerating which events of the universe are allowed next
 //!   ([`ServiceExplorer::allowed`]),
-//! * unfolding the automaton into an explicit [`Lts`]
+//! * unfolding the automaton into an explicit [`Lts`](crate::Lts)
 //!   ([`ServiceExplorer::to_lts`]), and
 //! * verifying an implementation LTS against the service
 //!   ([`ServiceExplorer::verify_lts`]) — the state-space generalisation of
@@ -21,22 +21,24 @@
 //! `svckit-model` reports unanswered obligations on finite executions
 //! instead.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::str::FromStr;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
-use svckit_dfa::{Binder, Compiled, Edge, Engine};
+use svckit_dfa::{Binder, Compiled, Engine};
 use svckit_ldd::Backend;
-use svckit_model::hash::FastMap;
-use svckit_model::{Constraint, ConstraintKind, ConstraintScope, Sap, ServiceDefinition, Value};
+use svckit_model::{Sap, ServiceDefinition, Value};
 
-use crate::lts::{Lts, LtsBuilder, StateId};
-use crate::symmetry::{orbit_factor, Symmetry, SymmetryGroups};
+use crate::symmetry::Symmetry;
 
-use store::StateStore;
+use engine::{constraint_primitives, DfaRt, ProductEngine, Runtime, StepEngine};
 
+mod canon;
+mod engine;
+mod por;
+mod search;
 mod store;
 mod symbolic;
 
@@ -76,18 +78,6 @@ impl fmt::Display for AbstractEvent {
     }
 }
 
-type Instance = (Option<Sap>, Vec<Value>);
-
-/// Per-constraint bookkeeping.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-enum CState {
-    /// Balance counters per instance (Precedes, EventuallyFollows,
-    /// AtMostOutstanding).
-    Counters(BTreeMap<Instance, u32>),
-    /// Current holder per key (MutualExclusion).
-    Holders(BTreeMap<Vec<Value>, Sap>),
-}
-
 /// A state of the constraint automaton. Opaque; obtain the initial state
 /// from [`ServiceExplorer::initial_state`] and evolve it with
 /// [`ServiceExplorer::step`].
@@ -106,7 +96,7 @@ pub struct ExplorerState(Vec<u32>);
 impl ExplorerState {
     /// Whether no obligations are outstanding and nothing is held — the
     /// quiescent states, marked terminal in [`ServiceExplorer::to_lts`].
-    /// Enablement markers of [`ConstraintKind::After`] constraints do not
+    /// Enablement markers of `After` constraints do not
     /// count: having joined is not an obligation.
     pub fn is_quiescent(&self, explorer: &ServiceExplorer<'_>) -> bool {
         StepEngine::new(explorer).is_quiescent(&self.0)
@@ -174,225 +164,6 @@ impl fmt::Display for SafetyCounterexample {
 }
 
 impl Error for SafetyCounterexample {}
-
-/// The two primitive names a constraint kind reacts to.
-fn constraint_primitives(kind: &ConstraintKind) -> [&str; 2] {
-    match kind {
-        ConstraintKind::Precedes { earlier, later, .. } => [earlier, later],
-        ConstraintKind::After { enabler, then, .. } => [enabler, then],
-        ConstraintKind::EventuallyFollows {
-            trigger, response, ..
-        }
-        | ConstraintKind::AtMostOutstanding {
-            trigger, response, ..
-        } => [trigger, response],
-        ConstraintKind::MutualExclusion { acquire, release } => [acquire, release],
-    }
-}
-
-/// The constraint instance `event` touches under `scope` and `key`.
-fn instance(scope: ConstraintScope, event: &AbstractEvent, key: &[usize]) -> Instance {
-    let sap = match scope {
-        ConstraintScope::SameSap => Some(event.sap.clone()),
-        ConstraintScope::Global => None,
-    };
-    let k = key
-        .iter()
-        .map(|&i| event.args.get(i).cloned().unwrap_or(Value::Unit))
-        .collect();
-    (sap, k)
-}
-
-/// Steps one constraint's state by one event — the one definition of
-/// constraint semantics, which the compiled tables reproduce. `bound` is
-/// the explorer's `max_outstanding`.
-fn step_constraint(
-    constraint: &Constraint,
-    cstate: &CState,
-    event: &AbstractEvent,
-    bound: u32,
-) -> Result<CState, StepViolation> {
-    let key = constraint.key();
-    let violation = |message: String| StepViolation {
-        constraint: constraint.to_string(),
-        message,
-    };
-    match (constraint.kind(), cstate) {
-        (
-            ConstraintKind::Precedes {
-                earlier,
-                later,
-                scope,
-            },
-            CState::Counters(map),
-        ) => {
-            let mut map = map.clone();
-            if event.primitive == *earlier {
-                let inst = instance(*scope, event, key);
-                let e = map.entry(inst).or_insert(0);
-                if *e >= bound {
-                    return Err(violation(format!(
-                        "more than {} unmatched `{earlier}` (state-space bound)",
-                        bound
-                    )));
-                }
-                *e += 1;
-            } else if event.primitive == *later {
-                let inst = instance(*scope, event, key);
-                match map.get_mut(&inst) {
-                    Some(e) if *e > 0 => {
-                        *e -= 1;
-                        if *e == 0 {
-                            map.remove(&inst);
-                        }
-                    }
-                    _ => {
-                        return Err(violation(format!(
-                            "`{later}` without a preceding unmatched `{earlier}`"
-                        )))
-                    }
-                }
-            }
-            Ok(CState::Counters(map))
-        }
-        (
-            ConstraintKind::After {
-                enabler,
-                then,
-                scope,
-            },
-            CState::Counters(map),
-        ) => {
-            let mut map = map.clone();
-            if event.primitive == *enabler {
-                // A saturated counter marks "enabled forever".
-                map.insert(instance(*scope, event, key), 1);
-            } else if event.primitive == *then && !map.contains_key(&instance(*scope, event, key)) {
-                return Err(violation(format!("`{then}` before any `{enabler}`")));
-            }
-            Ok(CState::Counters(map))
-        }
-        (
-            ConstraintKind::EventuallyFollows {
-                trigger,
-                response,
-                scope,
-            },
-            CState::Counters(map),
-        ) => {
-            let mut map = map.clone();
-            if event.primitive == *trigger {
-                let inst = instance(*scope, event, key);
-                let e = map.entry(inst).or_insert(0);
-                if *e >= bound {
-                    return Err(violation(format!(
-                        "more than {} outstanding `{trigger}` (state-space bound)",
-                        bound
-                    )));
-                }
-                *e += 1;
-            } else if event.primitive == *response {
-                let inst = instance(*scope, event, key);
-                if let Some(e) = map.get_mut(&inst) {
-                    *e = e.saturating_sub(1);
-                    if *e == 0 {
-                        map.remove(&inst);
-                    }
-                }
-            }
-            Ok(CState::Counters(map))
-        }
-        (
-            ConstraintKind::AtMostOutstanding {
-                trigger,
-                response,
-                limit,
-                scope,
-            },
-            CState::Counters(map),
-        ) => {
-            let mut map = map.clone();
-            if event.primitive == *trigger {
-                let inst = instance(*scope, event, key);
-                let e = map.entry(inst).or_insert(0);
-                if (*e as usize) >= *limit {
-                    return Err(violation(format!(
-                        "more than {limit} outstanding `{trigger}`"
-                    )));
-                }
-                *e += 1;
-            } else if event.primitive == *response {
-                let inst = instance(*scope, event, key);
-                if let Some(e) = map.get_mut(&inst) {
-                    *e = e.saturating_sub(1);
-                    if *e == 0 {
-                        map.remove(&inst);
-                    }
-                }
-            }
-            Ok(CState::Counters(map))
-        }
-        (ConstraintKind::MutualExclusion { acquire, release }, CState::Holders(map)) => {
-            let mut map = map.clone();
-            let k: Vec<Value> = key
-                .iter()
-                .map(|&i| event.args.get(i).cloned().unwrap_or(Value::Unit))
-                .collect();
-            if event.primitive == *acquire {
-                if let Some(holder) = map.get(&k) {
-                    return Err(violation(format!(
-                        "`{acquire}` at {} while held by {holder}",
-                        event.sap
-                    )));
-                }
-                map.insert(k, event.sap.clone());
-            } else if event.primitive == *release {
-                match map.get(&k) {
-                    Some(holder) if *holder == event.sap => {
-                        map.remove(&k);
-                    }
-                    Some(holder) => {
-                        return Err(violation(format!(
-                            "`{release}` at {} but holder is {holder}",
-                            event.sap
-                        )))
-                    }
-                    None => {
-                        return Err(violation(format!(
-                            "`{release}` at {} but nothing is held",
-                            event.sap
-                        )))
-                    }
-                }
-            }
-            Ok(CState::Holders(map))
-        }
-        // State shape always matches the constraint it was built for.
-        _ => unreachable!("constraint state shape mismatch"),
-    }
-}
-
-/// Mutable runtime of the DFA engine: the slot binder and the universe's
-/// pre-resolved edge lists (index-aligned with the universe).
-#[derive(Debug, Clone)]
-struct DfaRt {
-    binder: Binder,
-    universe_edges: Vec<Vec<Edge>>,
-}
-
-/// The explorer's step runtime: what its engine has interned so far.
-/// Behind one `Mutex` so the explorer stays `Sync`; every query and every
-/// search runs on it through a [`StepEngine`].
-// One per explorer, so its size does not matter; boxing the binder would
-// add a pointer hop to every step.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
-enum Runtime {
-    /// The interpreter's per-constraint state tables.
-    Interp(ProductEngine),
-    /// The compiled engine's slot binder.
-    Dfa(DfaRt),
-}
 
 /// The constraint automaton of a service over a finite event universe.
 #[derive(Debug)]
@@ -551,143 +322,6 @@ impl<'a> ServiceExplorer<'a> {
     pub fn allowed(&self, state: &ExplorerState) -> Vec<&AbstractEvent> {
         StepEngine::new(self).allowed(&state.0)
     }
-
-    /// Unfolds the automaton into an explicit LTS over the universe.
-    ///
-    /// Quiescent states (no outstanding obligations, nothing held) are
-    /// marked terminal. The construction is bounded by `max_states`; when the
-    /// bound is hit, the LTS is truncated (remaining frontier states keep
-    /// their discovered transitions only).
-    pub fn to_lts(&self, max_states: usize) -> Lts<AbstractEvent> {
-        // The automaton is a product of small per-constraint automata, so
-        // the unfolding runs on a `StepEngine`: per-constraint states and
-        // events are interned as integers (interpreter) or dense slot
-        // states (DFA), and the BFS works on integer tuples instead of
-        // cloning and hashing `BTreeMap`-backed states per edge.
-        let mut engine = StepEngine::new(self);
-        let event_ids: Vec<u32> = self.universe.iter().map(|e| engine.event_id(e)).collect();
-        let mut builder = LtsBuilder::new();
-        let init = engine.initial_key();
-        let mut store = StateStore::new(init.len());
-        // Store id → builder state.
-        let mut lts_ids: Vec<StateId> = Vec::new();
-        let id0 = builder.add_state("init");
-        if engine.is_quiescent(&init) {
-            builder.mark_terminal(id0);
-        }
-        store.insert(&init);
-        lts_ids.push(id0);
-        let mut queue = VecDeque::from([0u32]);
-        let mut key = init;
-        let mut next = vec![0; key.len()];
-        while let Some(sid) = queue.pop_front() {
-            key.copy_from_slice(store.get(sid));
-            let from = lts_ids[sid as usize];
-            for (event, &eid) in self.universe.iter().zip(&event_ids) {
-                if engine.step_into(&key, event, eid, &mut next).is_err() {
-                    continue;
-                }
-                match store.find(&next) {
-                    Some(to) => builder.add_transition(from, event.clone(), lts_ids[to as usize]),
-                    None => {
-                        if store.len() >= max_states {
-                            continue;
-                        }
-                        let to = builder.add_state(format!("q{}", store.len()));
-                        if engine.is_quiescent(&next) {
-                            builder.mark_terminal(to);
-                        }
-                        queue.push_back(store.insert(&next));
-                        lts_ids.push(to);
-                        builder.add_transition(from, event.clone(), to);
-                    }
-                }
-            }
-        }
-        builder.build(id0)
-    }
-
-    /// Verifies that every event sequence the implementation LTS can perform
-    /// is allowed by the service (safety).
-    ///
-    /// # Errors
-    ///
-    /// Returns the shortest [`SafetyCounterexample`] on failure.
-    pub fn verify_lts(
-        &self,
-        implementation: &Lts<AbstractEvent>,
-    ) -> Result<(), SafetyCounterexample> {
-        // Service states are product keys (integer tuples) interned behind
-        // integer ids, so the `seen` set keys are two integers instead of
-        // deep state clones, and the trace to each frontier node is a parent
-        // pointer into `nodes` instead of a cloned event vector — the
-        // counterexample is only materialised when a violation is found.
-        let mut engine = StepEngine::new(self);
-        // Fix the slot alphabet up-front: the DFA engine interns slots on
-        // first sight of an event, and product keys must keep one width
-        // for the whole search. The implementation alphabet is resolved in
-        // `BTreeSet` order, which is deterministic.
-        if matches!(*engine.rt, Runtime::Dfa(_)) {
-            for event in implementation.alphabet() {
-                engine.event_id(&event);
-            }
-        }
-        let init = engine.initial_key();
-        let mut store = StateStore::new(init.len());
-        let cs0 = store.insert(&init);
-        // BFS search-tree nodes: (parent node, event taken to get here).
-        let mut nodes: Vec<(Option<usize>, Option<AbstractEvent>)> = vec![(None, None)];
-        let mut seen: HashSet<(StateId, u32)> = HashSet::new();
-        seen.insert((implementation.initial(), cs0));
-        let mut queue: VecDeque<(StateId, u32, usize)> =
-            VecDeque::from([(implementation.initial(), cs0, 0)]);
-        let mut key = init;
-        let mut next = vec![0; key.len()];
-        while let Some((is, csid, node)) = queue.pop_front() {
-            key.copy_from_slice(store.get(csid));
-            for (act, t) in implementation.outgoing(is) {
-                match act.visible() {
-                    None => {
-                        // Internal move: constraint state and trace are
-                        // unchanged.
-                        if seen.insert((*t, csid)) {
-                            queue.push_back((*t, csid, node));
-                        }
-                    }
-                    Some(event) => {
-                        let eid = engine.event_id(event);
-                        match engine.step_into(&key, event, eid, &mut next) {
-                            Ok(()) => {
-                                let nid = store.intern(&next);
-                                if seen.insert((*t, nid)) {
-                                    nodes.push((Some(node), Some(event.clone())));
-                                    queue.push_back((*t, nid, nodes.len() - 1));
-                                }
-                            }
-                            Err(err) => {
-                                let violation = engine.violation(&err, &event.sap);
-                                let mut trace = vec![event.clone()];
-                                let mut cursor = node;
-                                loop {
-                                    let (parent, taken) = &nodes[cursor];
-                                    if let Some(taken) = taken {
-                                        trace.push(taken.clone());
-                                    }
-                                    match parent {
-                                        Some(p) => cursor = *p,
-                                        None => break,
-                                    }
-                                }
-                                trace.reverse();
-                                return Err(SafetyCounterexample { trace, violation });
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
 }
 
 /// State-space strategy for [`ServiceExplorer::explore`].
@@ -733,7 +367,7 @@ pub struct ExploreOptions {
     /// primitives is reported as a livelock.
     pub progress: Vec<String>,
     /// Whether to canonicalize product states under the user-permutation
-    /// symmetry group ([`SymmetryGroups::detect`]) before hashing, so the
+    /// symmetry group ([`crate::SymmetryGroups::detect`]) before hashing, so the
     /// search explores one representative per orbit. Witness traces are
     /// expanded back to concrete access points; state and deadlock counts
     /// are then quotient-level.
@@ -900,1297 +534,11 @@ pub(crate) enum Detail {
     Counts,
 }
 
-impl<'a> ServiceExplorer<'a> {
-    /// Per-universe-event dependence closures, as bitsets over universe
-    /// indices.
-    ///
-    /// Two events are *dependent* when some constraint is relevant to both
-    /// **at the same constraint instance** (same scope-SAP and key values):
-    /// every current constraint kind reads and writes only the map entry of
-    /// the event's own instance, so events touching disjoint instances
-    /// commute and cannot affect each other's enabledness. The returned
-    /// sets are transitive closures of that relation, so for any event `e`
-    /// the set contains every event that can (transitively) interact with
-    /// it — which makes `closure(e) ∩ enabled` a stubborn set: enabled
-    /// members have all their dependents inside, and disabled members can
-    /// only be enabled from inside.
-    fn dependence_closures(&self) -> Vec<Vec<u64>> {
-        let constraints = self.service.constraints();
-        let n = self.universe.len();
-        // Footprint of each event: the (constraint, instance) entries it
-        // reads/writes.
-        let footprints: Vec<Vec<(usize, Instance)>> = self
-            .universe
-            .iter()
-            .map(|event| {
-                self.relevant(&event.primitive)
-                    .iter()
-                    .map(|&ci| {
-                        let constraint = &constraints[ci];
-                        let scope = match constraint.kind() {
-                            ConstraintKind::Precedes { scope, .. }
-                            | ConstraintKind::After { scope, .. }
-                            | ConstraintKind::EventuallyFollows { scope, .. }
-                            | ConstraintKind::AtMostOutstanding { scope, .. } => *scope,
-                            // Mutual exclusion keeps one global holder map.
-                            ConstraintKind::MutualExclusion { .. } => ConstraintScope::Global,
-                        };
-                        (ci, instance(scope, event, constraint.key()))
-                    })
-                    .collect()
-            })
-            .collect();
-        let words = n.div_ceil(64);
-        let mut dep = vec![vec![0u64; words]; n];
-        for i in 0..n {
-            dep[i][i / 64] |= 1 << (i % 64);
-            for j in i + 1..n {
-                let hit = footprints[i]
-                    .iter()
-                    .any(|a| footprints[j].iter().any(|b| a == b));
-                if hit {
-                    dep[i][j / 64] |= 1 << (j % 64);
-                    dep[j][i / 64] |= 1 << (i % 64);
-                }
-            }
-        }
-        // Transitive closure (the universe is small; O(n·n²/64) is fine).
-        let mut closures = dep.clone();
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for i in 0..n {
-                let mut acc = closures[i].clone();
-                for j in 0..n {
-                    if acc[j / 64] >> (j % 64) & 1 == 1 {
-                        for w in 0..words {
-                            acc[w] |= closures[j][w];
-                        }
-                    }
-                }
-                if acc != closures[i] {
-                    closures[i] = acc;
-                    changed = true;
-                }
-            }
-        }
-        closures
-    }
-
-    /// Exhaustively explores the reachable product states, reporting
-    /// deadlocks (with shortest witness traces), universe events that are
-    /// never enabled, and non-progress cycles (livelocks).
-    ///
-    /// With [`Reduction::AmpleSets`] the search expands, per state, only a
-    /// persistent subset of the enabled events (a dependence-closed ample
-    /// set computed from the static closure over constraint instances).
-    /// Persistent-set reduction preserves **every reachable deadlock** —
-    /// events outside the set commute with it and cannot disable it — while
-    /// visiting far fewer interleavings. The enabledness census
-    /// ([`ExploreReport::never_enabled`]) is taken over the *full* enabled
-    /// set of every visited state, and reduced edges are a subset of the
-    /// full graph's, so livelock witnesses are never invented, only
-    /// potentially missed; reduced/full diagnostic agreement is enforced by
-    /// golden tests rather than by a cycle proviso.
-    pub fn explore(&self, options: &ExploreOptions) -> ExploreReport {
-        self.search(options, Detail::Findings)
-    }
-
-    /// The same search as [`ServiceExplorer::explore`] — same options,
-    /// same loop, same counts — without what only the findings need: the
-    /// search tree, the edge list, the cycle search and witness replay
-    /// (explicit), or the histogram, inverse step maps, witness chains
-    /// and livelock fixpoint (symbolic). For callers that read only how
-    /// big the search was. See [`ExploreCounts`] for which fields match.
-    pub fn explore_counts(&self, options: &ExploreOptions) -> ExploreCounts {
-        self.search(options, Detail::Counts).counts()
-    }
-
-    /// The one search behind [`ServiceExplorer::explore`] and
-    /// [`ServiceExplorer::explore_counts`]. Under [`Detail::Counts`] the
-    /// report's findings (`deadlocks`, `never_enabled`, `livelock`) stay
-    /// empty.
-    fn search(&self, options: &ExploreOptions, detail: Detail) -> ExploreReport {
-        let findings = detail == Detail::Findings;
-        if options.backend == Backend::Symbolic {
-            match self.explore_symbolic(options, detail) {
-                Ok(report) => return report,
-                Err(reason) => {
-                    eprintln!("svckit-lts: {reason}; falling back to the explicit engine");
-                }
-            }
-        }
-        let mut engine = StepEngine::new(self);
-        let event_ids: Vec<u32> = self.universe.iter().map(|e| engine.event_id(e)).collect();
-        // Build the canonicalizer only after every universe event has been
-        // interned: the DFA slot set (and mutex holder alphabet) is fixed
-        // from here on, so the slot families are complete.
-        let mut sym = match options.symmetry {
-            Symmetry::On => SymCanon::build(self, &engine),
-            Symmetry::Off => None,
-        };
-        let mut ample_sets = match options.reduction {
-            Reduction::AmpleSets => Some(AmpleSets::new(self.dependence_closures())),
-            Reduction::Full => None,
-        };
-        let n = self.universe.len();
-
-        // Breadth-first tree: state id → (parent state, universe index),
-        // with each state's quiescence and every taken edge — the inputs of
-        // witness extraction, recorded only when findings are wanted.
-        let mut parents: Vec<Option<(u32, u32)>> = Vec::new();
-        let mut quiescent: Vec<bool> = Vec::new();
-        let mut edges: Vec<(u32, u32, u32)> = Vec::new();
-        let mut transitions = 0usize;
-        let mut enabled_ever = vec![false; n];
-        let mut deadlock_states = 0usize;
-        let mut deadlock_sids: Vec<u32> = Vec::new();
-        let mut truncated = false;
-        let mut ample_hist: Vec<u64> = Vec::new();
-        let mut states_saved = 0u64;
-
-        let mut key = engine.initial_key();
-        let width = key.len();
-        let init_orbit = match sym.as_mut() {
-            Some(sym) => sym.canonical(&mut engine, &mut key).0,
-            None => 1,
-        };
-        states_saved += init_orbit - 1;
-        let mut store = StateStore::new(width);
-        store.insert(&key);
-        if findings {
-            parents.push(None);
-            quiescent.push(engine.is_quiescent(&key));
-        }
-        let mut queue: VecDeque<u32> = VecDeque::from([0]);
-
-        let steps_to = |sid: u32, parents: &[Option<(u32, u32)>]| -> Vec<u32> {
-            let mut steps = Vec::new();
-            let mut cursor = sid;
-            while let Some((parent, ei)) = parents[cursor as usize] {
-                steps.push(ei);
-                cursor = parent;
-            }
-            steps.reverse();
-            steps
-        };
-
-        // Per-expansion buffers, reused across states: universe event `i`'s
-        // (canonical) successor lives at `succ[i * width..(i + 1) * width]`
-        // and its orbit size (1 without symmetry) at `orbits[i]`.
-        let mut succ = vec![0u32; n * width];
-        let mut orbits = vec![1u64; n];
-        let mut enabled: Vec<usize> = Vec::with_capacity(n);
-
-        while let Some(sid) = queue.pop_front() {
-            key.copy_from_slice(store.get(sid));
-            enabled.clear();
-            for i in 0..n {
-                let next = &mut succ[i * width..(i + 1) * width];
-                if engine
-                    .step_into(&key, &self.universe[i], event_ids[i], next)
-                    .is_ok()
-                {
-                    enabled.push(i);
-                    enabled_ever[i] = true;
-                    orbits[i] = match sym.as_mut() {
-                        Some(sym) => sym.canonical(&mut engine, next).0,
-                        None => 1,
-                    };
-                }
-            }
-            if enabled.is_empty() {
-                deadlock_states += 1;
-                if deadlock_sids.len() < MAX_DEADLOCK_WITNESSES {
-                    deadlock_sids.push(sid);
-                }
-                continue;
-            }
-            let successor = |i: usize| &succ[i * width..(i + 1) * width];
-            let expand: &[usize] = match ample_sets.as_mut() {
-                Some(ample_sets) => ample_sets.expand(&enabled, |i| successor(i) == key.as_slice()),
-                None => &enabled,
-            };
-            if ample_hist.len() <= expand.len() {
-                ample_hist.resize(expand.len() + 1, 0);
-            }
-            ample_hist[expand.len()] += 1;
-            svckit_obs::obs_count!("lts.states_expanded");
-            svckit_obs::obs_record!("lts.ample_size", expand.len());
-            for &i in expand {
-                let next = successor(i);
-                let to = match store.find(next) {
-                    Some(to) => to,
-                    None => {
-                        if store.len() >= options.max_states {
-                            truncated = true;
-                            continue;
-                        }
-                        let to = store.insert(next);
-                        states_saved += orbits[i] - 1;
-                        if findings {
-                            quiescent.push(engine.is_quiescent(next));
-                            parents.push(Some((sid, i as u32)));
-                        }
-                        queue.push_back(to);
-                        to
-                    }
-                };
-                transitions += 1;
-                if findings {
-                    edges.push((sid, i as u32, to));
-                }
-            }
-        }
-
-        // Snapshot the search's canonicalization count before witness
-        // expansion replays paths (replays canonicalize too, but those
-        // hits are bookkeeping, not search work).
-        let canon_hits = sym.as_ref().map_or(0, |sym| sym.canon_hits);
-        let orbit_count = match options.symmetry {
-            Symmetry::On => store.len(),
-            Symmetry::Off => 0,
-        };
-        svckit_obs::obs_count!("lts.states", store.len());
-        svckit_obs::obs_count!("lts.transitions", transitions);
-        if options.symmetry == Symmetry::On {
-            svckit_obs::obs_count!("lts.sym_orbits", orbit_count);
-            svckit_obs::obs_count!("lts.sym_canon_hits", canon_hits as usize);
-            svckit_obs::obs_count!("lts.sym_states_saved", states_saved as usize);
-        }
-        let mut report = ExploreReport {
-            states: store.len(),
-            transitions,
-            truncated,
-            deadlock_states,
-            deadlocks: Vec::new(),
-            never_enabled: Vec::new(),
-            livelock: None,
-            ample_hist,
-            orbit_count,
-            canon_hits,
-            sym_states_saved: states_saved,
-            ldd_nodes: 0,
-            peak_nodes: 0,
-            cache_hits: 0,
-        };
-        if !findings {
-            return report;
-        }
-
-        // Orbit-close the enabled marks: an event enabled at any state of
-        // an orbit is enabled — under the right renaming — at its
-        // representative, so the quotient search only ever observes one
-        // image per orbit. Mark the whole event orbit before reporting
-        // never-enabled events.
-        if let Some(sym) = &sym {
-            let mut classes: HashMap<(usize, &String, &Vec<Value>), Vec<usize>> = HashMap::new();
-            for (i, event) in self.universe.iter().enumerate() {
-                if let Some(&(g, _)) = sym.member_index.get(&event.sap) {
-                    classes
-                        .entry((g, &event.primitive, &event.args))
-                        .or_default()
-                        .push(i);
-                }
-            }
-            for indices in classes.values() {
-                if indices.iter().any(|&i| enabled_ever[i]) {
-                    for &i in indices {
-                        enabled_ever[i] = true;
-                    }
-                }
-            }
-        }
-        report.never_enabled = self
-            .universe
-            .iter()
-            .zip(&enabled_ever)
-            .filter(|(_, &seen)| !seen)
-            .map(|(e, _)| e.clone())
-            .collect();
-        for &sid in &deadlock_sids {
-            let steps = steps_to(sid, &parents);
-            report
-                .deadlocks
-                .push(self.expand_steps(&mut engine, sym.as_mut(), &steps, &event_ids));
-        }
-        report.livelock = self
-            .find_non_progress_cycle(&edges, &quiescent, &options.progress)
-            .map(|(entry, cycle)| {
-                let mut steps = steps_to(entry, &parents);
-                let prefix_len = steps.len();
-                steps.extend(cycle.iter().copied());
-                let mut events = self.expand_steps(&mut engine, sym.as_mut(), &steps, &event_ids);
-                let cycle = events.split_off(prefix_len);
-                LivelockWitness {
-                    prefix: events,
-                    cycle,
-                }
-            });
-        report
-    }
-
-    /// Materialises a path of universe indices recorded on the (possibly
-    /// quotient) search tree as a concrete event trace. Without symmetry
-    /// this is a plain index lookup. With symmetry the recorded events are
-    /// in *canonical* coordinates, so the path is replayed, composing the
-    /// renaming each canonicalization applied; every emitted event then
-    /// carries the access point of one real execution — the trace replays
-    /// verbatim against the unreduced automaton. (A livelock cycle
-    /// expanded this way closes modulo symmetry: iterating it keeps
-    /// permuting users, which by finiteness still yields an infinite
-    /// non-progress behaviour.)
-    fn expand_steps(
-        &self,
-        engine: &mut StepEngine<'_, 'a>,
-        sym: Option<&mut SymCanon>,
-        steps: &[u32],
-        event_ids: &[u32],
-    ) -> Vec<AbstractEvent> {
-        let Some(sym) = sym else {
-            return steps
-                .iter()
-                .map(|&ei| self.universe[ei as usize].clone())
-                .collect();
-        };
-        // sigma[g][q] = which concrete member of group g the canonical
-        // member q currently denotes. The initial canonicalization is the
-        // identity (all fragments are empty), so sigma starts there.
-        let mut sigma: Vec<Vec<usize>> =
-            sym.groups.iter().map(|g| (0..g.len()).collect()).collect();
-        let mut key = engine.initial_key();
-        sym.canonical(engine, &mut key);
-        let mut next = vec![0; key.len()];
-        let mut out = Vec::with_capacity(steps.len());
-        for &ei in steps {
-            let event = &self.universe[ei as usize];
-            out.push(match sym.member_index.get(&event.sap) {
-                Some(&(g, q)) => AbstractEvent::new(
-                    sym.groups[g][sigma[g][q]].clone(),
-                    event.primitive.clone(),
-                    event.args.clone(),
-                ),
-                None => event.clone(),
-            });
-            if engine
-                .step_into(&key, event, event_ids[ei as usize], &mut next)
-                .is_err()
-            {
-                unreachable!("recorded search edges step successfully");
-            }
-            if sym.canonical(engine, &mut next).1 {
-                // Canonical member p of the successor is the stepped
-                // state's member orders[g][p]: compose the renamings.
-                for (g, order) in sym.orders.iter().enumerate() {
-                    sigma[g] = order.iter().map(|&src| sigma[g][src]).collect();
-                }
-            }
-            std::mem::swap(&mut key, &mut next);
-        }
-        out
-    }
-
-    /// Finds a cycle in the subgraph of non-quiescent states restricted to
-    /// non-progress events. Returns the cycle's entry state and its event
-    /// sequence. Deterministic: starts are tried in state order, edges in
-    /// insertion (BFS) order.
-    fn find_non_progress_cycle(
-        &self,
-        edges: &[(u32, u32, u32)],
-        quiescent: &[bool],
-        progress: &[String],
-    ) -> Option<(u32, Vec<u32>)> {
-        let states = quiescent.len();
-        let mut adj: Vec<Vec<(u32, u32)>> = vec![Vec::new(); states];
-        for &(from, ei, to) in edges {
-            let f = from as usize;
-            let t = to as usize;
-            if quiescent[f] || quiescent[t] {
-                continue;
-            }
-            let primitive = &self.universe[ei as usize].primitive;
-            if progress.iter().any(|p| p == primitive) {
-                continue;
-            }
-            adj[f].push((ei, to));
-        }
-        // Iterative DFS, colouring states white (0) / on-stack (1) / done
-        // (2); a back edge to an on-stack state closes a witness cycle.
-        let mut colour = vec![0u8; states];
-        for start in 0..states {
-            if colour[start] != 0 || adj[start].is_empty() {
-                continue;
-            }
-            // Stack frames: (state, next edge index, event that entered it).
-            let mut stack: Vec<(usize, usize, Option<u32>)> = vec![(start, 0, None)];
-            colour[start] = 1;
-            while let Some(&(node, cursor, _)) = stack.last() {
-                if let Some(&(ei, to)) = adj[node].get(cursor) {
-                    stack.last_mut().expect("stack is non-empty").1 += 1;
-                    let t = to as usize;
-                    match colour[t] {
-                        0 => {
-                            colour[t] = 1;
-                            stack.push((t, 0, Some(ei)));
-                        }
-                        1 => {
-                            // Cycle: from t's frame up to `node`, then back.
-                            let pos = stack
-                                .iter()
-                                .position(|&(s, _, _)| s == t)
-                                .expect("on-stack state is on the stack");
-                            let mut cycle: Vec<u32> = stack[pos + 1..]
-                                .iter()
-                                .map(|&(_, _, entered)| entered.expect("non-root frame"))
-                                .collect();
-                            cycle.push(ei);
-                            return Some((to, cycle));
-                        }
-                        _ => {}
-                    }
-                } else {
-                    colour[node] = 2;
-                    stack.pop();
-                }
-            }
-        }
-        None
-    }
-}
-
-/// Ample-set selection for [`Reduction::AmpleSets`]: the static
-/// dependence closures and the per-expansion scratch buffers.
-struct AmpleSets {
-    /// Per universe event, its dependence closure as a bitset
-    /// ([`ServiceExplorer::dependence_closures`]).
-    closures: Vec<Vec<u64>>,
-    /// Scratch: the enabled set as a bitset, and the chosen ample set.
-    enabled_bits: Vec<u64>,
-    ample: Vec<usize>,
-}
-
-impl AmpleSets {
-    fn new(closures: Vec<Vec<u64>>) -> Self {
-        let n = closures.len();
-        AmpleSets {
-            closures,
-            enabled_bits: vec![0; n.div_ceil(64)],
-            ample: Vec::with_capacity(n),
-        }
-    }
-
-    /// The events to expand in a state whose enabled events are `enabled`
-    /// (ascending, non-empty): the smallest `closure ∩ enabled` over the
-    /// enabled events, or all of `enabled` when that set is no smaller or
-    /// every one of its members is a self-loop (`self_loop(i)`).
-    fn expand<'s>(
-        &'s mut self,
-        enabled: &'s [usize],
-        self_loop: impl Fn(usize) -> bool,
-    ) -> &'s [usize] {
-        // Candidate minimising |closure ∩ enabled| (ties: lowest universe
-        // index, for determinism); only the winner's set is materialised.
-        self.enabled_bits.fill(0);
-        for &i in enabled {
-            self.enabled_bits[i / 64] |= 1 << (i % 64);
-        }
-        let (mut best, mut best_len) = (enabled[0], usize::MAX);
-        for &i in enabled {
-            let len: u32 = self.closures[i]
-                .iter()
-                .zip(&self.enabled_bits)
-                .map(|(c, e)| (c & e).count_ones())
-                .sum();
-            if (len as usize) < best_len {
-                (best, best_len) = (i, len as usize);
-            }
-        }
-        if best_len >= enabled.len() {
-            return enabled;
-        }
-        let closure = &self.closures[best];
-        self.ample.clear();
-        self.ample.extend(
-            enabled
-                .iter()
-                .copied()
-                .filter(|&j| closure[j / 64] >> (j % 64) & 1 == 1),
-        );
-        // Guard against trivial starvation: an ample set whose every
-        // transition loops back to this very state would let the search
-        // idle forever and ignore the rest of the enabled events
-        // (constraint-irrelevant events self-loop; under symmetry,
-        // orbit-internal moves count as self-loops too, which only ever
-        // forces *more* expansion).
-        if self.ample.iter().all(|&i| self_loop(i)) {
-            return enabled;
-        }
-        &self.ample
-    }
-}
-
-/// Per-constraint bookkeeping of a [`ProductEngine`]: the constraint's
-/// reachable states interned as integers, their quiescence, and memoized
-/// transitions per (state, event) pair.
-#[derive(Debug, Clone)]
-struct ConstraintTable {
-    /// Interned per-constraint states, id → state.
-    states: Vec<Arc<CState>>,
-    /// Content-based reverse index of `states`.
-    ids: HashMap<Arc<CState>, u32>,
-    /// Whether `states[i]` is quiescent for this constraint.
-    quiescent: Vec<bool>,
-    /// Memoized `(state id, event id) → step result`.
-    trans: FastMap<(u32, u32), Result<u32, StepViolation>>,
-}
-
-impl ConstraintTable {
-    fn intern(&mut self, constraint: &Constraint, state: CState) -> u32 {
-        if let Some(&id) = self.ids.get(&state) {
-            return id;
-        }
-        let id = u32::try_from(self.states.len()).expect("fewer than 2^32 constraint states");
-        let state = Arc::new(state);
-        self.quiescent.push(cstate_quiescent(constraint, &state));
-        self.states.push(Arc::clone(&state));
-        self.ids.insert(state, id);
-        id
-    }
-}
-
-/// Whether `cs` is quiescent with respect to its constraint: no
-/// obligation outstanding and nothing held. Enablement markers of
-/// [`ConstraintKind::After`] constraints do not count.
-fn cstate_quiescent(constraint: &Constraint, cs: &CState) -> bool {
-    match cs {
-        CState::Counters(m) => {
-            matches!(constraint.kind(), ConstraintKind::After { .. }) || m.values().all(|v| *v == 0)
-        }
-        CState::Holders(h) => h.is_empty(),
-    }
-}
-
-/// The interpreter engine.
-///
-/// The constraint automaton is a synchronous product of one small automaton
-/// per constraint. The engine interns each constraint's reachable states and
-/// the events it sees as integers and memoizes per-constraint transitions,
-/// so the surrounding search works on integer tuples: stepping a product
-/// state is a handful of hash-map probes on integer keys, and deep
-/// `BTreeMap` states are only cloned/hashed the first time a
-/// (constraint-state, event) pair is encountered. It lives as long as its
-/// explorer, so queries and searches share one memo.
-#[derive(Debug, Clone)]
-struct ProductEngine {
-    /// Interned events: the universe first (so `universe_ids` is fixed at
-    /// construction), then whatever else is stepped — during verification,
-    /// the implementation's alphabet.
-    event_ids: HashMap<AbstractEvent, u32>,
-    /// The event id of each universe event.
-    universe_ids: Vec<u32>,
-    tables: Vec<ConstraintTable>,
-}
-
-impl ProductEngine {
-    fn new(service: &ServiceDefinition, universe: &[AbstractEvent]) -> Self {
-        let tables = service
-            .constraints()
-            .iter()
-            .map(|c| {
-                let mut table = ConstraintTable {
-                    states: Vec::new(),
-                    ids: HashMap::new(),
-                    quiescent: Vec::new(),
-                    trans: FastMap::default(),
-                };
-                table.intern(
-                    c,
-                    match c.kind() {
-                        ConstraintKind::MutualExclusion { .. } => CState::Holders(BTreeMap::new()),
-                        _ => CState::Counters(BTreeMap::new()),
-                    },
-                );
-                table
-            })
-            .collect();
-        let mut engine = ProductEngine {
-            event_ids: HashMap::new(),
-            universe_ids: Vec::new(),
-            tables,
-        };
-        engine.universe_ids = universe.iter().map(|e| engine.event_id(e)).collect();
-        engine
-    }
-
-    fn event_id(&mut self, event: &AbstractEvent) -> u32 {
-        if let Some(&id) = self.event_ids.get(event) {
-            return id;
-        }
-        let id = u32::try_from(self.event_ids.len()).expect("fewer than 2^32 events");
-        self.event_ids.insert(event.clone(), id);
-        id
-    }
-
-    /// Whether every constraint state in `key` is quiescent; components
-    /// past a trimmed key are at their quiescent initial state.
-    fn is_quiescent(&self, key: &[u32]) -> bool {
-        key.iter()
-            .zip(&self.tables)
-            .all(|(&sid, table)| table.quiescent[sid as usize])
-    }
-
-    /// The memoized violation behind an `Err` from [`ProductEngine::step_into`].
-    fn violation(&self, constraint: usize, sid: u32, eid: u32) -> StepViolation {
-        match &self.tables[constraint].trans[&(sid, eid)] {
-            Err(violation) => violation.clone(),
-            Ok(_) => unreachable!("step_into reported a violation"),
-        }
-    }
-
-    /// One constraint's memoized step — the per-level factor of
-    /// [`ProductEngine::step_into`]. `None` means the constraint rejects
-    /// the event in this state.
-    fn level_step(
-        &mut self,
-        explorer: &ServiceExplorer<'_>,
-        ci: usize,
-        sid: u32,
-        event: &AbstractEvent,
-        eid: u32,
-    ) -> Option<u32> {
-        if let Some(memo) = self.tables[ci].trans.get(&(sid, eid)) {
-            return memo.as_ref().ok().copied();
-        }
-        let constraint = &explorer.service.constraints()[ci];
-        let current = Arc::clone(&self.tables[ci].states[sid as usize]);
-        let computed = step_constraint(constraint, &current, event, explorer.max_outstanding)
-            .map(|stepped| self.tables[ci].intern(constraint, stepped));
-        let next = computed.as_ref().ok().copied();
-        self.tables[ci].trans.insert((sid, eid), computed);
-        next
-    }
-
-    /// Whether universe event `ui` is allowed in `key`, which may be
-    /// trimmed. Reads the key without copying it.
-    fn allows(&mut self, explorer: &ServiceExplorer<'_>, key: &[u32], ui: usize) -> bool {
-        let event = &explorer.universe[ui];
-        let eid = self.universe_ids[ui];
-        explorer.relevant(&event.primitive).iter().all(|&ci| {
-            let sid = key.get(ci).copied().unwrap_or(0);
-            self.level_step(explorer, ci, sid, event, eid).is_some()
-        })
-    }
-
-    /// Steps a product key by one event into `out`, which may be wider
-    /// than `key` (components past `key` start at 0) and must cover every
-    /// constraint relevant to the event. `Err((constraint index, state
-    /// id))` identifies the first violated constraint; fetch the violation
-    /// with [`ProductEngine::violation`].
-    fn step_into(
-        &mut self,
-        explorer: &ServiceExplorer<'_>,
-        key: &[u32],
-        event: &AbstractEvent,
-        eid: u32,
-        out: &mut [u32],
-    ) -> Result<(), (usize, u32)> {
-        let (head, tail) = out.split_at_mut(key.len());
-        head.copy_from_slice(key);
-        tail.fill(0);
-        for &i in explorer.relevant(&event.primitive) {
-            let sid = out[i];
-            match self.level_step(explorer, i, sid, event, eid) {
-                Some(next) => out[i] = next,
-                None => return Err((i, sid)),
-            }
-        }
-        Ok(())
-    }
-
-    /// Re-interns `key` in place with every group member's SAP renamed
-    /// through the member permutation `orders` (see [`renamed_member`]).
-    /// Constraints whose state mentions no renamed SAP keep their interned
-    /// id — no allocation, no rebuild.
-    fn rename_key(
-        &mut self,
-        explorer: &ServiceExplorer<'_>,
-        key: &mut [u32],
-        groups: &[Vec<Sap>],
-        orders: &[Vec<usize>],
-    ) {
-        let constraints = explorer.service.constraints();
-        let rename = |sap: &Sap| renamed_member(groups, orders, sap);
-        for (ci, slot) in key.iter_mut().enumerate() {
-            let current = Arc::clone(&self.tables[ci].states[*slot as usize]);
-            let renamed = match current.as_ref() {
-                CState::Counters(map) => {
-                    if map
-                        .keys()
-                        .all(|(owner, _)| owner.as_ref().is_none_or(|sap| rename(sap).is_none()))
-                    {
-                        continue;
-                    }
-                    CState::Counters(
-                        map.iter()
-                            .map(|((owner, k), &count)| {
-                                let owner =
-                                    owner.as_ref().map(|sap| rename(sap).unwrap_or(sap).clone());
-                                ((owner, k.clone()), count)
-                            })
-                            .collect(),
-                    )
-                }
-                CState::Holders(held) => {
-                    if held.values().all(|sap| rename(sap).is_none()) {
-                        continue;
-                    }
-                    CState::Holders(
-                        held.iter()
-                            .map(|(k, sap)| (k.clone(), rename(sap).unwrap_or(sap).clone()))
-                            .collect(),
-                    )
-                }
-            };
-            *slot = self.tables[ci].intern(&constraints[ci], renamed);
-        }
-    }
-}
-
-/// The SAP group member `sap` becomes under the member permutation
-/// `orders` (canonical position `p` ← member `orders[g][p]`), or `None`
-/// when `sap` is no group member or stays put.
-fn renamed_member<'g>(groups: &'g [Vec<Sap>], orders: &[Vec<usize>], sap: &Sap) -> Option<&'g Sap> {
-    groups.iter().zip(orders).find_map(|(members, order)| {
-        let j = members.iter().position(|m| m == sap)?;
-        let pos = order
-            .iter()
-            .position(|&src| src == j)
-            .expect("orders permute the whole group");
-        (pos != j).then(|| &members[pos])
-    })
-}
-
-/// Why a [`StepEngine::step_into`] rejected, with enough context to render
-/// the [`StepViolation`] lazily (searches only materialise violations for
-/// the one counterexample they report).
-enum StepErr {
-    /// Interpreter: constraint index, its state id, the event id.
-    Interp { ci: usize, sid: u32, eid: u32 },
-    /// DFA: the rejecting edge and the slot state it was taken from.
-    Dfa { edge: Edge, state: u16 },
-}
-
-/// The one step interface behind every query and search of a
-/// [`ServiceExplorer`]: the memoizing [`ProductEngine`] under the
-/// interpreter, dense-table slot stepping under the DFA engine. It holds
-/// the explorer's runtime lock for as long as it lives. Both engines
-/// expose the same integer-keyed interface, and — because slot states and
-/// interned constraint states have exactly the same distinguishing power —
-/// the searches visit identical state graphs in identical order under
-/// either engine.
-struct StepEngine<'x, 'a> {
-    explorer: &'x ServiceExplorer<'a>,
-    rt: MutexGuard<'x, Runtime>,
-}
-
-impl<'x, 'a> StepEngine<'x, 'a> {
-    fn new(explorer: &'x ServiceExplorer<'a>) -> Self {
-        StepEngine {
-            explorer,
-            rt: explorer.rt.lock().expect("explorer runtime poisoned"),
-        }
-    }
-
-    /// Interns `event`; under the DFA engine this resolves (and caches)
-    /// its edge list, interning any new slots.
-    fn event_id(&mut self, event: &AbstractEvent) -> u32 {
-        match &mut *self.rt {
-            Runtime::Interp(engine) => engine.event_id(event),
-            Runtime::Dfa(rt) => rt
-                .binder
-                .resolve_cached(&event.sap, &event.primitive, &event.args),
-        }
-    }
-
-    /// The fixed-width product key of the initial state. Call after every
-    /// event the search will step has been interned ([`StepEngine::event_id`]),
-    /// so the width covers every slot.
-    fn initial_key(&self) -> Vec<u32> {
-        match &*self.rt {
-            Runtime::Interp(engine) => vec![0; engine.tables.len()],
-            Runtime::Dfa(rt) => vec![0; rt.binder.slot_count()],
-        }
-    }
-
-    /// Whether `key` (possibly trimmed) is quiescent.
-    fn is_quiescent(&self, key: &[u32]) -> bool {
-        match &*self.rt {
-            Runtime::Interp(engine) => engine.is_quiescent(key),
-            Runtime::Dfa(rt) => rt.binder.is_quiescent_wide(key),
-        }
-    }
-
-    /// The universe events allowed in `key` (possibly trimmed).
-    fn allowed(&mut self, key: &[u32]) -> Vec<&'x AbstractEvent> {
-        let explorer = self.explorer;
-        let universe = explorer.universe.iter();
-        match &mut *self.rt {
-            Runtime::Interp(engine) => universe
-                .enumerate()
-                .filter(|&(ui, _)| engine.allows(explorer, key, ui))
-                .map(|(_, event)| event)
-                .collect(),
-            Runtime::Dfa(rt) => universe
-                .zip(&rt.universe_edges)
-                .filter(|(_, edges)| rt.binder.allowed(key, edges))
-                .map(|(event, _)| event)
-                .collect(),
-        }
-    }
-
-    /// Steps `key` by one event into `out`, which may be wider than `key`
-    /// (components past `key` start at 0) and must cover every component
-    /// the event touches; on `Err` the contents of `out` are unspecified.
-    fn step_into(
-        &mut self,
-        key: &[u32],
-        event: &AbstractEvent,
-        eid: u32,
-        out: &mut [u32],
-    ) -> Result<(), StepErr> {
-        match &mut *self.rt {
-            Runtime::Interp(engine) => engine
-                .step_into(self.explorer, key, event, eid, out)
-                .map_err(|(ci, sid)| StepErr::Interp { ci, sid, eid }),
-            Runtime::Dfa(rt) => rt
-                .binder
-                .step_wide_into(key, rt.binder.edges(eid), out)
-                .map_err(|rejection| StepErr::Dfa {
-                    edge: rt.binder.edges(eid)[rejection.edge],
-                    state: rejection.state,
-                }),
-        }
-    }
-
-    /// Steps the trimmed key `key` by one event into a new trimmed key.
-    fn step(&mut self, key: &[u32], event: &AbstractEvent) -> Result<Vec<u32>, StepViolation> {
-        // One plain allocation grown from the key to cover every component
-        // the event touches: a zeroed one (`vec![0; width]`) costs more
-        // per step.
-        let grown = |touched: usize| {
-            let width = touched.max(key.len());
-            let mut next = Vec::with_capacity(width);
-            next.extend_from_slice(key);
-            next.resize(width, 0);
-            next
-        };
-        let trimmed = |mut next: Vec<u32>| {
-            while next.last() == Some(&0) {
-                next.pop();
-            }
-            next
-        };
-        let explorer = self.explorer;
-        let stepped = match &mut *self.rt {
-            Runtime::Interp(engine) => {
-                let eid = engine.event_id(event);
-                let relevant = explorer.relevant(&event.primitive);
-                let mut next = grown(relevant.last().map_or(0, |&ci| ci + 1));
-                engine
-                    .step_into(explorer, key, event, eid, &mut next)
-                    .map(|()| next)
-                    .map_err(|(ci, sid)| StepErr::Interp { ci, sid, eid })
-            }
-            Runtime::Dfa(rt) => {
-                let eid = rt
-                    .binder
-                    .resolve_cached(&event.sap, &event.primitive, &event.args);
-                let edges = rt.binder.edges(eid);
-                let mut next = grown(edges.iter().map(|e| e.slot as usize + 1).max().unwrap_or(0));
-                rt.binder
-                    .step_wide_into(key, edges, &mut next)
-                    .map(|()| next)
-                    .map_err(|rejection| StepErr::Dfa {
-                        edge: edges[rejection.edge],
-                        state: rejection.state,
-                    })
-            }
-        };
-        stepped
-            .map(trimmed)
-            .map_err(|err| self.violation(&err, &event.sap))
-    }
-
-    /// Renders the violation behind a [`StepErr`] — byte-identical across
-    /// engines.
-    fn violation(&self, err: &StepErr, sap: &Sap) -> StepViolation {
-        match (&*self.rt, err) {
-            (Runtime::Interp(engine), StepErr::Interp { ci, sid, eid }) => {
-                engine.violation(*ci, *sid, *eid)
-            }
-            (Runtime::Dfa(rt), StepErr::Dfa { edge, state }) => StepViolation {
-                constraint: rt.binder.constraint_display(edge.ci as usize).to_owned(),
-                message: rt.binder.violation_message(edge, *state, sap),
-            },
-            _ => unreachable!("step error from a different engine"),
-        }
-    }
-}
-
-/// One constraint-instance entry owned by a symmetric-group member — the
-/// atom of a member's *state fragment*. A product state over a symmetric
-/// group decomposes into one fragment per member plus a renaming-invariant
-/// residue (global counters, non-member entries), so permuting members
-/// permutes fragments and canonicalization is "sort the fragments".
-///
-/// The interpreter and DFA variants carry different payloads, but their
-/// equality relations coincide (slot states and interned constraint states
-/// have the same distinguishing power — the dual-engine equivalence tests
-/// pin this), and fragment *ids* are assigned in first-encounter order
-/// along identical searches, so both engines sort members identically and
-/// pick identical orbit representatives.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum FragAtom {
-    /// Interpreter: the member's counter for `(constraint, key)` is at
-    /// `count` (zero counters are dropped, so absence means zero).
-    Count {
-        ci: u32,
-        key: Vec<Value>,
-        count: u32,
-    },
-    /// Interpreter: the member holds mutex `ci`'s instance `key`.
-    Held { ci: u32, key: Vec<Value> },
-    /// DFA: slot family `family` of the member's group (families sorted by
-    /// `(constraint, key)`) is at `state` (state 0 entries are dropped,
-    /// mirroring the interpreter's dropped zero counters).
-    Slot { family: u32, state: u16 },
-    /// DFA: the member holds the mutex instance behind `slot`.
-    HeldSlot { slot: u32 },
-}
-
-/// DFA only: one mutex slot's holder states tabulated against group
-/// members at [`SymCanon::build`], so canonicalization reads and rewrites
-/// holders with integer lookups alone.
-struct MutexSlot {
-    slot: u32,
-    /// Slot state → the (group, member) it names as holder, `None` for the
-    /// free state and for holders outside every group.
-    holder: Vec<Option<(usize, usize)>>,
-    /// `state_of[g][j]` = the slot state "held by group `g`'s member `j`",
-    /// `None` when that member never interned as a holder.
-    state_of: Vec<Vec<Option<u16>>>,
-}
-
-/// The canonicalizer behind [`ExploreOptions::symmetry`]: detected
-/// symmetric groups, the fragment-id interner, (under the DFA engine) the
-/// slot families that tie each member's slots together, and the scratch
-/// buffers [`SymCanon::canonical`] reuses from call to call.
-struct SymCanon {
-    /// The detected groups, each sorted by SAP order.
-    groups: Vec<Vec<Sap>>,
-    /// SAP → (group index, member index within the group).
-    member_index: FastMap<Sap, (usize, usize)>,
-    /// Fragment → dense id, assigned in first-encounter order. Sorting
-    /// members by these ids is the canonical form; discovery order makes
-    /// it engine-independent (see [`FragAtom`]).
-    frag_ids: FastMap<Vec<FragAtom>, u32>,
-    /// DFA only: `dfa_families[g][f][j]` = the slot of group `g`'s member
-    /// `j` in family `f` (one family per non-mutex `(constraint, key)`
-    /// instance bound to a member, sorted by that pair).
-    dfa_families: Vec<Vec<Vec<u32>>>,
-    /// DFA only: every mutex slot, ascending.
-    dfa_mutex: Vec<MutexSlot>,
-    /// Non-identity canonicalizations performed so far.
-    canon_hits: u64,
-    /// The per-group member orders the last [`SymCanon::canonical`] call
-    /// applied: canonical position `p` took the fragment of member
-    /// `orders[g][p]`.
-    orders: Vec<Vec<usize>>,
-    /// Scratch: the fragment being built, the current group's fragment
-    /// ids, those ids in canonical order, and a copy of the key being
-    /// permuted.
-    frag: Vec<FragAtom>,
-    frags: Vec<u32>,
-    sorted: Vec<u32>,
-    source: Vec<u32>,
-}
-
-impl SymCanon {
-    /// Builds the canonicalizer, or `None` when the detected groups are
-    /// trivial. Call only after every universe event has been interned
-    /// into `engine` — the DFA slot set and mutex holder alphabet must be
-    /// complete.
-    fn build(explorer: &ServiceExplorer<'_>, engine: &StepEngine<'_, '_>) -> Option<SymCanon> {
-        let detected = SymmetryGroups::detect(&explorer.universe);
-        if detected.is_trivial() {
-            return None;
-        }
-        let groups: Vec<Vec<Sap>> = detected.groups().to_vec();
-        let mut member_index: FastMap<Sap, (usize, usize)> = FastMap::default();
-        for (g, members) in groups.iter().enumerate() {
-            for (j, sap) in members.iter().enumerate() {
-                member_index.insert(sap.clone(), (g, j));
-            }
-        }
-        let (dfa_families, dfa_mutex) = match &*engine.rt {
-            Runtime::Dfa(rt) => {
-                // Per group: (constraint, key) family → the member-indexed
-                // slots, `None` until that member's slot interns.
-                type Families = BTreeMap<(usize, Vec<Value>), Vec<Option<u32>>>;
-                let mut families: Vec<Families> = vec![BTreeMap::new(); groups.len()];
-                let mut mutexes: Vec<MutexSlot> = Vec::new();
-                for (slot, (ci, (owner, key))) in rt.binder.slot_instances().into_iter().enumerate()
-                {
-                    let slot = u32::try_from(slot).expect("slot count fits u32");
-                    if rt.binder.is_mutex(ci) {
-                        let holder = (0..rt.binder.slot_nstates(slot))
-                            .map(|state| {
-                                let sap = rt.binder.mutex_holder_of(ci, state)?;
-                                member_index.get(&sap).copied()
-                            })
-                            .collect();
-                        let state_of = groups
-                            .iter()
-                            .map(|members| {
-                                members
-                                    .iter()
-                                    .map(|sap| rt.binder.mutex_holder_state(ci, sap))
-                                    .collect()
-                            })
-                            .collect();
-                        mutexes.push(MutexSlot {
-                            slot,
-                            holder,
-                            state_of,
-                        });
-                    } else if let Some(&(g, j)) =
-                        owner.as_ref().and_then(|sap| member_index.get(sap))
-                    {
-                        let width = groups[g].len();
-                        families[g]
-                            .entry((ci, key))
-                            .or_insert_with(|| vec![None; width])[j] = Some(slot);
-                    }
-                }
-                let families: Vec<Vec<Vec<u32>>> = families
-                    .into_iter()
-                    .map(|group_families| {
-                        group_families
-                            .into_values()
-                            .map(|members| {
-                                members
-                                    .into_iter()
-                                    .map(|slot| {
-                                        // Group members have identical event
-                                        // sets, so resolving the universe
-                                        // interned the analogous slot at
-                                        // every member.
-                                        slot.expect("symmetric members intern symmetric slots")
-                                    })
-                                    .collect()
-                            })
-                            .collect()
-                    })
-                    .collect();
-                (families, mutexes)
-            }
-            Runtime::Interp(_) => (Vec::new(), Vec::new()),
-        };
-        let orders = vec![Vec::new(); groups.len()];
-        Some(SymCanon {
-            groups,
-            member_index,
-            frag_ids: FastMap::default(),
-            dfa_families,
-            dfa_mutex,
-            canon_hits: 0,
-            orders,
-            frag: Vec::new(),
-            frags: Vec::new(),
-            sorted: Vec::new(),
-            source: Vec::new(),
-        })
-    }
-
-    /// Rewrites `key` in place to its orbit representative. Returns the
-    /// orbit's size and whether the canonicalization was not the identity
-    /// — in which case [`SymCanon::orders`] holds the member orders
-    /// applied.
-    ///
-    /// The representative is well-defined on orbits: permuting members
-    /// permutes the fragment multiset, and "position `p` gets the `p`-th
-    /// smallest fragment" lands every orbit member on the same state. Ties
-    /// (equal fragments) are broken stably by member index, which cannot
-    /// change the resulting state — tied fragments are identical. Applying
-    /// the form twice is the identity, since sorted fragments stay sorted.
-    fn canonical(&mut self, engine: &mut StepEngine<'_, '_>, key: &mut [u32]) -> (u64, bool) {
-        let mut orbit = 1u64;
-        let mut identity = true;
-        for g in 0..self.groups.len() {
-            let members = self.groups[g].len();
-            self.frags.clear();
-            for j in 0..members {
-                member_frag(
-                    engine,
-                    &self.groups,
-                    &self.dfa_families,
-                    &self.dfa_mutex,
-                    g,
-                    j,
-                    key,
-                    &mut self.frag,
-                );
-                let id = match self.frag_ids.get(self.frag.as_slice()) {
-                    Some(&id) => id,
-                    None => {
-                        let id =
-                            u32::try_from(self.frag_ids.len()).expect("fewer than 2^32 fragments");
-                        self.frag_ids.insert(self.frag.clone(), id);
-                        id
-                    }
-                };
-                self.frags.push(id);
-            }
-            let frags = &self.frags;
-            let order = &mut self.orders[g];
-            order.clear();
-            order.extend(0..members);
-            order.sort_by_key(|&j| frags[j]);
-            identity &= order.iter().enumerate().all(|(pos, &src)| pos == src);
-            self.sorted.clear();
-            self.sorted.extend(order.iter().map(|&j| frags[j]));
-            orbit = orbit.saturating_mul(orbit_factor(&self.sorted));
-        }
-        if identity {
-            return (orbit, false);
-        }
-        self.canon_hits += 1;
-        let explorer = engine.explorer;
-        match &mut *engine.rt {
-            Runtime::Interp(product) => {
-                product.rename_key(explorer, key, &self.groups, &self.orders);
-            }
-            Runtime::Dfa(_) => {
-                self.source.clear();
-                self.source.extend_from_slice(key);
-                permute_slots(
-                    &self.dfa_families,
-                    &self.dfa_mutex,
-                    &self.orders,
-                    &self.source,
-                    key,
-                );
-            }
-        }
-        (orbit, true)
-    }
-}
-
-/// Writes the state fragment of group `g`'s member `j` in product state
-/// `key` into `frag`. Deterministic within each engine (constraint order,
-/// then `BTreeMap` / family order), so equal fragments produce equal
-/// vectors.
-#[allow(clippy::too_many_arguments)]
-fn member_frag(
-    engine: &StepEngine<'_, '_>,
-    groups: &[Vec<Sap>],
-    dfa_families: &[Vec<Vec<u32>>],
-    dfa_mutex: &[MutexSlot],
-    g: usize,
-    j: usize,
-    key: &[u32],
-    frag: &mut Vec<FragAtom>,
-) {
-    frag.clear();
-    match &*engine.rt {
-        Runtime::Interp(product) => {
-            let sap = &groups[g][j];
-            for (ci, &sid) in key.iter().enumerate() {
-                match product.tables[ci].states[sid as usize].as_ref() {
-                    CState::Counters(map) => {
-                        for ((owner, k), &count) in map {
-                            if owner.as_ref() == Some(sap) {
-                                frag.push(FragAtom::Count {
-                                    ci: ci as u32,
-                                    key: k.clone(),
-                                    count,
-                                });
-                            }
-                        }
-                    }
-                    CState::Holders(held) => {
-                        for (k, holder) in held {
-                            if holder == sap {
-                                frag.push(FragAtom::Held {
-                                    ci: ci as u32,
-                                    key: k.clone(),
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        Runtime::Dfa(_) => {
-            for (f, family) in dfa_families[g].iter().enumerate() {
-                let state = key[family[j] as usize];
-                if state != 0 {
-                    frag.push(FragAtom::Slot {
-                        family: f as u32,
-                        state: state as u16,
-                    });
-                }
-            }
-            for mutex in dfa_mutex {
-                let state = key[mutex.slot as usize] as usize;
-                if mutex.holder.get(state).copied().flatten() == Some((g, j)) {
-                    frag.push(FragAtom::HeldSlot { slot: mutex.slot });
-                }
-            }
-        }
-    }
-}
-
-/// DFA engine: writes `source` with the member permutation `orders`
-/// (canonical position `p` ← member `orders[g][p]`) applied into `key` —
-/// slot states move along each family, and held mutex slots are rewritten
-/// to the renamed holder's state. Slots outside every family and mutex
-/// keep their value, so `key` must start as a copy of `source`.
-fn permute_slots(
-    dfa_families: &[Vec<Vec<u32>>],
-    dfa_mutex: &[MutexSlot],
-    orders: &[Vec<usize>],
-    source: &[u32],
-    key: &mut [u32],
-) {
-    for (families, order) in dfa_families.iter().zip(orders) {
-        for family in families {
-            for (pos, &src) in order.iter().enumerate() {
-                key[family[pos] as usize] = source[family[src] as usize];
-            }
-        }
-    }
-    for mutex in dfa_mutex {
-        let state = source[mutex.slot as usize] as usize;
-        let Some((g, j)) = mutex.holder.get(state).copied().flatten() else {
-            continue;
-        };
-        let pos = orders[g]
-            .iter()
-            .position(|&src| src == j)
-            .expect("orders permute the whole group");
-        if pos != j {
-            let renamed =
-                mutex.state_of[g][pos].expect("group members share the mutex holder alphabet");
-            key[mutex.slot as usize] = u32::from(renamed);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use svckit_model::{Direction, PartId, PrimitiveSpec};
+    use crate::lts::LtsBuilder;
+    use svckit_model::{Constraint, ConstraintScope, Direction, PartId, PrimitiveSpec};
 
     fn floor_control() -> ServiceDefinition {
         ServiceDefinition::builder("floor-control")

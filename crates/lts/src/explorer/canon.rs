@@ -1,0 +1,372 @@
+//! The symmetry canonicalizer behind
+//! [`ExploreOptions::symmetry`](super::ExploreOptions::symmetry): state
+//! fragments per group member, the orbit representative, and the slot
+//! permutation that rewrites a DFA key to it.
+
+use std::collections::BTreeMap;
+
+use svckit_model::hash::FastMap;
+use svckit_model::{Sap, Value};
+
+use crate::symmetry::{orbit_factor, SymmetryGroups};
+
+use super::engine::{CState, Runtime, StepEngine};
+use super::ServiceExplorer;
+
+/// One constraint-instance entry owned by a symmetric-group member — the
+/// atom of a member's *state fragment*. A product state over a symmetric
+/// group decomposes into one fragment per member plus a renaming-invariant
+/// residue (global counters, non-member entries), so permuting members
+/// permutes fragments and canonicalization is "sort the fragments".
+///
+/// The interpreter and DFA variants carry different payloads, but their
+/// equality relations coincide (slot states and interned constraint states
+/// have the same distinguishing power — the dual-engine equivalence tests
+/// pin this), and fragment *ids* are assigned in first-encounter order
+/// along identical searches, so both engines sort members identically and
+/// pick identical orbit representatives.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum FragAtom {
+    /// Interpreter: the member's counter for `(constraint, key)` is at
+    /// `count` (zero counters are dropped, so absence means zero).
+    Count {
+        ci: u32,
+        key: Vec<Value>,
+        count: u32,
+    },
+    /// Interpreter: the member holds mutex `ci`'s instance `key`.
+    Held { ci: u32, key: Vec<Value> },
+    /// DFA: slot family `family` of the member's group (families sorted by
+    /// `(constraint, key)`) is at `state` (state 0 entries are dropped,
+    /// mirroring the interpreter's dropped zero counters).
+    Slot { family: u32, state: u16 },
+    /// DFA: the member holds the mutex instance behind `slot`.
+    HeldSlot { slot: u32 },
+}
+
+/// DFA only: one mutex slot's holder states tabulated against group
+/// members at [`SymCanon::build`], so canonicalization reads and rewrites
+/// holders with integer lookups alone.
+struct MutexSlot {
+    slot: u32,
+    /// Slot state → the (group, member) it names as holder, `None` for the
+    /// free state and for holders outside every group.
+    holder: Vec<Option<(usize, usize)>>,
+    /// `state_of[g][j]` = the slot state "held by group `g`'s member `j`",
+    /// `None` when that member never interned as a holder.
+    state_of: Vec<Vec<Option<u16>>>,
+}
+
+/// The canonicalizer behind
+/// [`ExploreOptions::symmetry`](super::ExploreOptions::symmetry): detected
+/// symmetric groups, the fragment-id interner, (under the DFA engine) the
+/// slot families that tie each member's slots together, and the scratch
+/// buffers [`SymCanon::canonical`] reuses from call to call.
+pub(super) struct SymCanon {
+    /// The detected groups, each sorted by SAP order.
+    pub(super) groups: Vec<Vec<Sap>>,
+    /// SAP → (group index, member index within the group).
+    pub(super) member_index: FastMap<Sap, (usize, usize)>,
+    /// Fragment → dense id, assigned in first-encounter order. Sorting
+    /// members by these ids is the canonical form; discovery order makes
+    /// it engine-independent (see [`FragAtom`]).
+    frag_ids: FastMap<Vec<FragAtom>, u32>,
+    /// DFA only: `dfa_families[g][f][j]` = the slot of group `g`'s member
+    /// `j` in family `f` (one family per non-mutex `(constraint, key)`
+    /// instance bound to a member, sorted by that pair).
+    dfa_families: Vec<Vec<Vec<u32>>>,
+    /// DFA only: every mutex slot, ascending.
+    dfa_mutex: Vec<MutexSlot>,
+    /// Non-identity canonicalizations performed so far.
+    pub(super) canon_hits: u64,
+    /// The per-group member orders the last [`SymCanon::canonical`] call
+    /// applied: canonical position `p` took the fragment of member
+    /// `orders[g][p]`.
+    pub(super) orders: Vec<Vec<usize>>,
+    /// Scratch: the fragment being built, the current group's fragment
+    /// ids, those ids in canonical order, and a copy of the key being
+    /// permuted.
+    frag: Vec<FragAtom>,
+    frags: Vec<u32>,
+    sorted: Vec<u32>,
+    source: Vec<u32>,
+}
+
+impl SymCanon {
+    /// Builds the canonicalizer, or `None` when the detected groups are
+    /// trivial. Call only after every universe event has been interned
+    /// into `engine` — the DFA slot set and mutex holder alphabet must be
+    /// complete.
+    pub(super) fn build(
+        explorer: &ServiceExplorer<'_>,
+        engine: &StepEngine<'_, '_>,
+    ) -> Option<SymCanon> {
+        let detected = SymmetryGroups::detect(&explorer.universe);
+        if detected.is_trivial() {
+            return None;
+        }
+        let groups: Vec<Vec<Sap>> = detected.groups().to_vec();
+        let mut member_index: FastMap<Sap, (usize, usize)> = FastMap::default();
+        for (g, members) in groups.iter().enumerate() {
+            for (j, sap) in members.iter().enumerate() {
+                member_index.insert(sap.clone(), (g, j));
+            }
+        }
+        let (dfa_families, dfa_mutex) = match &*engine.rt {
+            Runtime::Dfa(rt) => {
+                // Per group: (constraint, key) family → the member-indexed
+                // slots, `None` until that member's slot interns.
+                type Families = BTreeMap<(usize, Vec<Value>), Vec<Option<u32>>>;
+                let mut families: Vec<Families> = vec![BTreeMap::new(); groups.len()];
+                let mut mutexes: Vec<MutexSlot> = Vec::new();
+                for (slot, (ci, (owner, key))) in rt.binder.slot_instances().into_iter().enumerate()
+                {
+                    let slot = u32::try_from(slot).expect("slot count fits u32");
+                    if rt.binder.is_mutex(ci) {
+                        let holder = (0..rt.binder.slot_nstates(slot))
+                            .map(|state| {
+                                let sap = rt.binder.mutex_holder_of(ci, state)?;
+                                member_index.get(&sap).copied()
+                            })
+                            .collect();
+                        let state_of = groups
+                            .iter()
+                            .map(|members| {
+                                members
+                                    .iter()
+                                    .map(|sap| rt.binder.mutex_holder_state(ci, sap))
+                                    .collect()
+                            })
+                            .collect();
+                        mutexes.push(MutexSlot {
+                            slot,
+                            holder,
+                            state_of,
+                        });
+                    } else if let Some(&(g, j)) =
+                        owner.as_ref().and_then(|sap| member_index.get(sap))
+                    {
+                        let width = groups[g].len();
+                        families[g]
+                            .entry((ci, key))
+                            .or_insert_with(|| vec![None; width])[j] = Some(slot);
+                    }
+                }
+                let families: Vec<Vec<Vec<u32>>> = families
+                    .into_iter()
+                    .map(|group_families| {
+                        group_families
+                            .into_values()
+                            .map(|members| {
+                                members
+                                    .into_iter()
+                                    .map(|slot| {
+                                        // Group members have identical event
+                                        // sets, so resolving the universe
+                                        // interned the analogous slot at
+                                        // every member.
+                                        slot.expect("symmetric members intern symmetric slots")
+                                    })
+                                    .collect()
+                            })
+                            .collect()
+                    })
+                    .collect();
+                (families, mutexes)
+            }
+            Runtime::Interp(_) => (Vec::new(), Vec::new()),
+        };
+        let orders = vec![Vec::new(); groups.len()];
+        Some(SymCanon {
+            groups,
+            member_index,
+            frag_ids: FastMap::default(),
+            dfa_families,
+            dfa_mutex,
+            canon_hits: 0,
+            orders,
+            frag: Vec::new(),
+            frags: Vec::new(),
+            sorted: Vec::new(),
+            source: Vec::new(),
+        })
+    }
+
+    /// Rewrites `key` in place to its orbit representative. Returns the
+    /// orbit's size and whether the canonicalization was not the identity
+    /// — in which case [`SymCanon::orders`] holds the member orders
+    /// applied.
+    ///
+    /// The representative is well-defined on orbits: permuting members
+    /// permutes the fragment multiset, and "position `p` gets the `p`-th
+    /// smallest fragment" lands every orbit member on the same state. Ties
+    /// (equal fragments) are broken stably by member index, which cannot
+    /// change the resulting state — tied fragments are identical. Applying
+    /// the form twice is the identity, since sorted fragments stay sorted.
+    pub(super) fn canonical(
+        &mut self,
+        engine: &mut StepEngine<'_, '_>,
+        key: &mut [u32],
+    ) -> (u64, bool) {
+        let mut orbit = 1u64;
+        let mut identity = true;
+        for g in 0..self.groups.len() {
+            let members = self.groups[g].len();
+            self.frags.clear();
+            for j in 0..members {
+                member_frag(
+                    engine,
+                    &self.groups,
+                    &self.dfa_families,
+                    &self.dfa_mutex,
+                    g,
+                    j,
+                    key,
+                    &mut self.frag,
+                );
+                let id = match self.frag_ids.get(self.frag.as_slice()) {
+                    Some(&id) => id,
+                    None => {
+                        let id =
+                            u32::try_from(self.frag_ids.len()).expect("fewer than 2^32 fragments");
+                        self.frag_ids.insert(self.frag.clone(), id);
+                        id
+                    }
+                };
+                self.frags.push(id);
+            }
+            let frags = &self.frags;
+            let order = &mut self.orders[g];
+            order.clear();
+            order.extend(0..members);
+            order.sort_by_key(|&j| frags[j]);
+            identity &= order.iter().enumerate().all(|(pos, &src)| pos == src);
+            self.sorted.clear();
+            self.sorted.extend(order.iter().map(|&j| frags[j]));
+            orbit = orbit.saturating_mul(orbit_factor(&self.sorted));
+        }
+        if identity {
+            return (orbit, false);
+        }
+        self.canon_hits += 1;
+        let explorer = engine.explorer;
+        match &mut *engine.rt {
+            Runtime::Interp(product) => {
+                product.rename_key(explorer, key, &self.groups, &self.orders);
+            }
+            Runtime::Dfa(_) => {
+                self.source.clear();
+                self.source.extend_from_slice(key);
+                permute_slots(
+                    &self.dfa_families,
+                    &self.dfa_mutex,
+                    &self.orders,
+                    &self.source,
+                    key,
+                );
+            }
+        }
+        (orbit, true)
+    }
+}
+
+/// Writes the state fragment of group `g`'s member `j` in product state
+/// `key` into `frag`. Deterministic within each engine (constraint order,
+/// then `BTreeMap` / family order), so equal fragments produce equal
+/// vectors.
+#[allow(clippy::too_many_arguments)]
+fn member_frag(
+    engine: &StepEngine<'_, '_>,
+    groups: &[Vec<Sap>],
+    dfa_families: &[Vec<Vec<u32>>],
+    dfa_mutex: &[MutexSlot],
+    g: usize,
+    j: usize,
+    key: &[u32],
+    frag: &mut Vec<FragAtom>,
+) {
+    frag.clear();
+    match &*engine.rt {
+        Runtime::Interp(product) => {
+            let sap = &groups[g][j];
+            for (ci, &sid) in key.iter().enumerate() {
+                match product.tables[ci].states[sid as usize].as_ref() {
+                    CState::Counters(map) => {
+                        for ((owner, k), &count) in map {
+                            if owner.as_ref() == Some(sap) {
+                                frag.push(FragAtom::Count {
+                                    ci: ci as u32,
+                                    key: k.clone(),
+                                    count,
+                                });
+                            }
+                        }
+                    }
+                    CState::Holders(held) => {
+                        for (k, holder) in held {
+                            if holder == sap {
+                                frag.push(FragAtom::Held {
+                                    ci: ci as u32,
+                                    key: k.clone(),
+                                });
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        Runtime::Dfa(_) => {
+            for (f, family) in dfa_families[g].iter().enumerate() {
+                let state = key[family[j] as usize];
+                if state != 0 {
+                    frag.push(FragAtom::Slot {
+                        family: f as u32,
+                        state: state as u16,
+                    });
+                }
+            }
+            for mutex in dfa_mutex {
+                let state = key[mutex.slot as usize] as usize;
+                if mutex.holder.get(state).copied().flatten() == Some((g, j)) {
+                    frag.push(FragAtom::HeldSlot { slot: mutex.slot });
+                }
+            }
+        }
+    }
+}
+
+/// DFA engine: writes `source` with the member permutation `orders`
+/// (canonical position `p` ← member `orders[g][p]`) applied into `key` —
+/// slot states move along each family, and held mutex slots are rewritten
+/// to the renamed holder's state. Slots outside every family and mutex
+/// keep their value, so `key` must start as a copy of `source`.
+fn permute_slots(
+    dfa_families: &[Vec<Vec<u32>>],
+    dfa_mutex: &[MutexSlot],
+    orders: &[Vec<usize>],
+    source: &[u32],
+    key: &mut [u32],
+) {
+    for (families, order) in dfa_families.iter().zip(orders) {
+        for family in families {
+            for (pos, &src) in order.iter().enumerate() {
+                key[family[pos] as usize] = source[family[src] as usize];
+            }
+        }
+    }
+    for mutex in dfa_mutex {
+        let state = source[mutex.slot as usize] as usize;
+        let Some((g, j)) = mutex.holder.get(state).copied().flatten() else {
+            continue;
+        };
+        let pos = orders[g]
+            .iter()
+            .position(|&src| src == j)
+            .expect("orders permute the whole group");
+        if pos != j {
+            let renamed =
+                mutex.state_of[g][pos].expect("group members share the mutex holder alphabet");
+            key[mutex.slot as usize] = u32::from(renamed);
+        }
+    }
+}
