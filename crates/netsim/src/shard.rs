@@ -35,8 +35,8 @@
 //!    them up.
 //!
 //! A worker whose handler panics raises a flag and stands in for itself at
-//! the barrier once, so the other workers stop at their next wait instead
-//! of blocking forever, and the run re-raises the handler's own panic on
+//! the barrier once, so the other workers stop at the next exchange wait
+//! instead of blocking forever, and the run re-raises the handler's own panic on
 //! the caller's thread.
 //!
 //! # Why the lookahead bound is safe
@@ -700,9 +700,10 @@ impl Shard {
                 Ordering::SeqCst,
             );
             // Agree: all published; every shard computes the same minimum.
-            if !lockstep.wait() {
-                return;
-            }
+            // No flag check here (see `Lockstep`): a worker that panics in
+            // the coming window raises the flag, and a survivor reading it
+            // now would leave the others waiting at the next exchange.
+            lockstep.barrier.wait();
             let t = next_at
                 .iter()
                 .map(|a| a.load(Ordering::SeqCst))
@@ -728,13 +729,23 @@ fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 }
 
 /// The lock-step barrier and the flag a panicking worker raises.
+///
+/// Invariant: a worker raises the flag only inside a window — handlers
+/// run nowhere else — and every survivor of that window reaches the next
+/// exchange wait. All workers left the same agree wait with the same
+/// global minimum, so none of them stops before the window, and the flag
+/// is read only after the exchange wait ([`Lockstep::wait`]), never after
+/// the agree wait. So the panicking worker's one stand-in arrival
+/// completes exactly that exchange wait, and every worker reads the flag
+/// after it and returns together.
 struct Lockstep {
     barrier: Barrier,
     broken: AtomicBool,
 }
 
 impl Lockstep {
-    /// Waits for every worker; `false` once some worker has panicked.
+    /// The exchange wait: waits for every worker; `false` once some
+    /// worker has panicked.
     fn wait(&self) -> bool {
         self.barrier.wait();
         !self.broken.load(Ordering::SeqCst)
@@ -742,9 +753,10 @@ impl Lockstep {
 }
 
 /// Stands in for its worker at the barrier once if the worker unwinds out
-/// of a handler. Every panic falls between two waits, so this one wait
-/// releases every other worker at its next wait; they see the flag and
-/// return instead of waiting forever for the worker that is gone.
+/// of a handler. Every panic falls inside a window, between an agree wait
+/// and the next exchange wait, so this one wait completes that exchange
+/// wait for the survivors (see [`Lockstep`]'s invariant); they see the
+/// flag and return instead of waiting forever for the worker that is gone.
 struct StandInOnUnwind<'a>(&'a Lockstep);
 
 impl Drop for StandInOnUnwind<'_> {

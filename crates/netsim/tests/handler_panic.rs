@@ -1,7 +1,9 @@
 //! A panicking handler ends the run with its own panic payload, at any
 //! shard count. With two or more shards the other workers must not wait
 //! forever at the lock-step barrier for the worker that unwound; a 10 s
-//! watchdog turns such a hang into a test failure.
+//! watchdog turns such a hang into a test failure. Whether a race hangs
+//! depends on thread timing, so the four-shard case also runs many times
+//! over in release builds.
 
 use std::sync::mpsc;
 use std::time::Duration as WallDuration;
@@ -94,4 +96,21 @@ fn a_handler_panic_surfaces_its_own_message_at_four_shards() {
         panic_message(4),
         format!("node {} refuses message 3", PartId::new(BOMB))
     );
+}
+
+/// The four-shard case, 200 times over, one run at a time: the hang this
+/// guards against needed a slow worker at one particular barrier, which a
+/// single run hits only now and then. Release builds only, where the
+/// workers are fast enough for the race to show (debug runs are slow and
+/// would add little).
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "the timing race needs release-speed workers"
+)]
+fn four_shard_handler_panics_never_hang_under_repetition() {
+    let expected = format!("node {} refuses message 3", PartId::new(BOMB));
+    for run in 0..200 {
+        assert_eq!(panic_message(4), expected, "run {run}");
+    }
 }
