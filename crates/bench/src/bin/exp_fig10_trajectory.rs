@@ -5,11 +5,14 @@
 use svckit::floorctl::RunParams;
 use svckit::mda::{catalog, realize, transform, TransformPolicy};
 use svckit_bench::{print_header, print_row};
+use svckit_sweep::{check_flags, fail, outln};
 
 fn main() {
-    println!("E7 — the MDA design trajectory (Figure 10)\n");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    check_flags(&args, &[]).unwrap_or_else(|e| fail(&e));
+    outln!("E7 — the MDA design trajectory (Figure 10)\n");
     let pim = catalog::floor_control_pim();
-    println!("PIM `{}` over {}\n", pim.name(), pim.abstract_platform());
+    outln!("PIM `{}` over {}\n", pim.name(), pim.abstract_platform());
 
     let params = RunParams::default()
         .subscribers(4)
@@ -50,13 +53,13 @@ fn main() {
         );
         assert!(outcome.completed && outcome.conformant);
     }
-    println!();
-    println!("All four platform-specific implementations execute the same workload");
-    println!("and pass conformance against the single service definition — the");
-    println!("trajectory's 'stable reference point' claim, demonstrated.");
-    println!();
+    outln!();
+    outln!("All four platform-specific implementations execute the same workload");
+    outln!("and pass conformance against the single service definition — the");
+    outln!("trajectory's 'stable reference point' claim, demonstrated.");
+    outln!();
 
-    println!("deployment descriptor for the mqseries-like PSM:");
+    outln!("deployment descriptor for the mqseries-like PSM:");
     let psm = transform(
         &pim,
         &catalog::mq_series_like(),
@@ -64,6 +67,6 @@ fn main() {
     )
     .unwrap();
     for line in psm.emit_descriptor().lines() {
-        println!("  {line}");
+        outln!("  {line}");
     }
 }

@@ -3,9 +3,12 @@
 
 use svckit::floorctl::floor_control_service;
 use svckit::mda::{catalog, MdaError, Trajectory, TransformPolicy};
+use svckit_sweep::{check_flags, fail, outln};
 
 fn main() {
-    println!("E8 — milestones in the design trajectory (Figure 11)\n");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    check_flags(&args, &[]).unwrap_or_else(|e| fail(&e));
+    outln!("E8 — milestones in the design trajectory (Figure 11)\n");
 
     let designed = Trajectory::start(floor_control_service())
         .with_design(catalog::floor_control_pim())
@@ -15,14 +18,14 @@ fn main() {
         let outcome = designed
             .realize(&platform, TransformPolicy::RecursiveServiceDesign)
             .expect("realization succeeds on all catalogued platforms");
-        println!("target {platform}:");
+        outln!("target {platform}:");
         for record in outcome.records() {
-            println!("  {record}");
+            outln!("  {record}");
         }
-        println!();
+        outln!();
     }
 
-    println!("milestone validation also *rejects* inconsistent designs:");
+    outln!("milestone validation also *rejects* inconsistent designs:");
 
     // A PIM whose logic relies on a concept its abstract platform does not
     // declare is caught at milestone 2.
@@ -44,7 +47,7 @@ fn main() {
         AbstractPlatform::new("ap-rr-only", [InteractionPattern::RequestResponse]),
     )
     .unwrap_err();
-    println!("  PIM using undeclared concept      -> {err}");
+    outln!("  PIM using undeclared concept      -> {err}");
     assert!(matches!(err, MdaError::ConceptNotInAbstractPlatform { .. }));
 
     // A design for the wrong service is caught when attached to the
@@ -56,6 +59,6 @@ fn main() {
     let err = Trajectory::start(other_service)
         .with_design(catalog::floor_control_pim())
         .unwrap_err();
-    println!("  design for a different service    -> {err}");
+    outln!("  design for a different service    -> {err}");
     assert!(matches!(err, MdaError::InvalidDesign { .. }));
 }

@@ -5,14 +5,17 @@
 use svckit::floorctl::RunParams;
 use svckit::mda::{catalog, realize, transform, TransformPolicy};
 use svckit_bench::{fmt_f, print_header, print_row};
+use svckit_sweep::{check_flags, fail, outln};
 
 fn main() {
-    println!("E9 — recursive abstract-platform realization (Figure 12)\n");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    check_flags(&args, &[]).unwrap_or_else(|e| fail(&e));
+    outln!("E9 — recursive abstract-platform realization (Figure 12)\n");
 
     // Part 1: executable adapter overhead. The token ring needs a oneway
     // `pass`; a JavaRMI-like platform offers only request/response, so the
     // recursion synthesizes oneway-over-rr — each hop gains a reply.
-    println!("executable recursion cost (token ring, N sweep):\n");
+    outln!("executable recursion cost (token ring, N sweep):\n");
     let widths = [5, 14, 14, 10, 12];
     print_header(
         &["N", "native-msgs", "adapted-msgs", "factor", "conformant"],
@@ -39,13 +42,13 @@ fn main() {
         assert!(overhead.both_conformant);
         assert!(overhead.adapted_messages > overhead.native_messages);
     }
-    println!();
-    println!("Modelled adapter cost: oneway-over-rr = +1 message per interaction,");
-    println!("i.e. a factor approaching 2x — matching the measured rows above.\n");
+    outln!();
+    outln!("Modelled adapter cost: oneway-over-rr = +1 message per interaction,");
+    outln!("i.e. a factor approaching 2x — matching the measured rows above.\n");
 
     // Part 2 (A4): recursion vs direct transformation — the portability
     // ledger.
-    println!("A4 — recursion versus direct transformation (portability ledger):\n");
+    outln!("A4 — recursion versus direct transformation (portability ledger):\n");
     let pim = catalog::floor_control_pim();
     let widths = [15, 22, 9, 10, 10, 10];
     print_header(
@@ -73,11 +76,11 @@ fn main() {
             );
         }
     }
-    println!();
-    println!(
+    outln!();
+    outln!(
         "scattering note: the adapter factor {} is paid at run time; the direct",
         fmt_f(2.0)
     );
-    println!("policy avoids it but strands the whole service logic on the platform");
-    println!("(portable artifacts drop to zero wherever a rewrite occurred).");
+    outln!("policy avoids it but strands the whole service logic on the platform");
+    outln!("(portable artifacts drop to zero wherever a rewrite occurred).");
 }

@@ -17,7 +17,7 @@ use svckit::model::Duration;
 use svckit::netsim::LinkConfig;
 use svckit_bench::{fmt_f, print_header, print_row};
 use svckit_sweep::{
-    default_threads, fail, flag_usize, flag_value, output_flags, run_sweep, shards_flag,
+    default_threads, fail, flag_usize, flag_value, outln, output_flags, run_sweep, shards_flag,
     trace_flags, verbosity, SweepSpec,
 };
 
@@ -27,7 +27,7 @@ fn main() {
     let threads = flag_usize(&args, "threads", default_threads()).unwrap_or_else(|e| fail(&e));
     let (out, obs) = output_flags(&args, "SWEEP_fig4_middleware.json").unwrap_or_else(|e| fail(&e));
 
-    println!("E2 — middleware-centred solutions (Figure 4)\n");
+    outln!("E2 — middleware-centred solutions (Figure 4)\n");
     let mut spec = SweepSpec::new("fig4_middleware").solutions([
         Solution::MwCallback,
         Solution::MwPolling,
@@ -85,7 +85,7 @@ fn main() {
             r.target_label, r.variation_label
         );
         if !current_variation.is_empty() && current_variation != r.variation_label {
-            println!();
+            outln!();
         }
         current_variation = r.variation_label.clone();
         print_row(
@@ -102,9 +102,9 @@ fn main() {
             &widths,
         );
     }
-    println!();
+    outln!();
 
-    println!("A1 — polling-interval ablation (N=8, one contended resource)\n");
+    outln!("A1 — polling-interval ablation (N=8, one contended resource)\n");
     let mut ablation = SweepSpec::new("fig4_poll_interval").solutions([Solution::MwPolling]);
     for interval_ms in [1u64, 2, 5, 10, 20] {
         ablation = ablation.variation(
@@ -137,9 +137,9 @@ fn main() {
             &widths,
         );
     }
-    println!();
+    outln!();
 
-    println!("A5 — grant-policy ablation (callback controller, N=8, one resource)\n");
+    outln!("A5 — grant-policy ablation (callback controller, N=8, one resource)\n");
     use svckit::floorctl::mw::callback::deploy_with_policy;
     use svckit::floorctl::{FloorMetrics, GrantPolicy};
     use svckit::model::conformance::{check_trace, CheckOptions};
@@ -182,11 +182,11 @@ fn main() {
             &widths,
         );
     }
-    println!();
-    println!("Shape: shorter polling intervals buy latency with messages; the token");
-    println!("solution's cost grows with ring size even at fixed contention; grant");
-    println!("policy never affects safety (all conformant) but LIFO wrecks the tail.");
-    println!();
+    outln!();
+    outln!("Shape: shorter polling intervals buy latency with messages; the token");
+    outln!("solution's cost grows with ring size even at fixed contention; grant");
+    outln!("policy never affects safety (all conformant) but LIFO wrecks the tail.");
+    outln!();
     report.write_json(&out).unwrap_or_else(|e| fail(&e));
 
     let verbose = verbosity(&args);
@@ -207,7 +207,7 @@ fn main() {
     // the jitter-free envelope is, and CI `cmp`s shards 1 vs 4 on both
     // files this block writes.
     if let Some(flags) = trace_flags(&args) {
-        println!("T — request traces, four Figure-4 deployments (N=8, deterministic links)\n");
+        outln!("T — request traces, four Figure-4 deployments (N=8, deterministic links)\n");
         let mut trace_spec = SweepSpec::new("fig4_trace")
             .solutions([
                 Solution::MwCallback,

@@ -8,18 +8,21 @@ use svckit::floorctl::{floor_control_service, run_solution, RunParams, Solution}
 use svckit::model::conformance::{check_trace, CheckOptions};
 use svckit::model::{Instant, PartId, PrimitiveEvent, Sap, Trace, Value};
 use svckit_bench::{print_header, print_row};
+use svckit_sweep::{check_flags, fail, outln};
 
 fn main() {
-    println!("E3 — service definition and conformance (Figure 5)\n");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    check_flags(&args, &[]).unwrap_or_else(|e| fail(&e));
+    outln!("E3 — service definition and conformance (Figure 5)\n");
     let service = floor_control_service();
-    println!("service `{}`:", service.name());
+    outln!("service `{}`:", service.name());
     for p in service.primitives() {
-        println!("  {p}");
+        outln!("  {p}");
     }
     for c in service.constraints() {
-        println!("  {c}");
+        outln!("  {c}");
     }
-    println!();
+    outln!();
 
     let params = RunParams::default()
         .subscribers(6)
@@ -49,7 +52,7 @@ fn main() {
         assert!(report.is_conformant(), "{solution}");
     }
 
-    println!("\nnegative controls:");
+    outln!("\nnegative controls:");
     let sap = |k| Sap::new("subscriber", PartId::new(k));
     let ev = |t, k, p: &str, r| {
         PrimitiveEvent::new(Instant::from_micros(t), sap(k), p, vec![Value::Id(r)])
@@ -81,7 +84,7 @@ fn main() {
     ];
     for (name, trace) in cases {
         let report = check_trace(&service, &trace, &CheckOptions::default());
-        println!(
+        outln!(
             "  {name:<22} -> {} violation(s): {}",
             report.violations().len(),
             report

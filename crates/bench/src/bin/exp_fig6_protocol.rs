@@ -12,7 +12,8 @@ use svckit::model::Duration;
 use svckit::netsim::LinkConfig;
 use svckit_bench::{fmt_f, print_header, print_row};
 use svckit_sweep::{
-    default_threads, fail, flag_usize, flag_value, output_flags, run_sweep, verbosity, SweepSpec,
+    default_threads, fail, flag_usize, flag_value, outln, output_flags, run_sweep, verbosity,
+    SweepSpec,
 };
 
 fn main() {
@@ -20,7 +21,7 @@ fn main() {
     let threads = flag_usize(&args, "threads", default_threads()).unwrap_or_else(|e| fail(&e));
     let (out, obs) = output_flags(&args, "SWEEP_fig6_protocol.json").unwrap_or_else(|e| fail(&e));
 
-    println!("E4 — protocol-centred solutions (Figure 6)\n");
+    outln!("E4 — protocol-centred solutions (Figure 6)\n");
     let mut spec = SweepSpec::new("fig6_protocol").solutions([
         Solution::ProtoCallback,
         Solution::ProtoPolling,
@@ -69,7 +70,7 @@ fn main() {
             r.target_label, r.variation_label
         );
         if !current_variation.is_empty() && current_variation != r.variation_label {
-            println!();
+            outln!();
         }
         current_variation = r.variation_label.clone();
         let bytes_per_grant = outcome.transport_bytes as f64 / outcome.floor.grants() as f64;
@@ -86,12 +87,12 @@ fn main() {
             &widths,
         );
     }
-    println!();
+    outln!();
 
-    println!("A3 — lower-level service reliability ablation (callback protocol, N=4)\n");
-    println!("The same protocol entities run over progressively worse datagram");
-    println!("services; a reliability sub-layer (stop-and-wait) is layered in between");
-    println!("for the lossy rows — the layering principle, executably.\n");
+    outln!("A3 — lower-level service reliability ablation (callback protocol, N=4)\n");
+    outln!("The same protocol entities run over progressively worse datagram");
+    outln!("services; a reliability sub-layer (stop-and-wait) is layered in between");
+    outln!("for the lossy rows — the layering principle, executably.\n");
     let widths = [26, 7, 11, 10, 14];
     print_header(
         &[
@@ -159,10 +160,10 @@ fn main() {
         );
         assert_eq!(metrics.grants(), 16, "{label}");
     }
-    println!();
-    println!("Shape: identical user-visible service; loss is absorbed below the");
-    println!("service boundary at the price of retransmissions and latency.");
-    println!();
+    outln!();
+    outln!("Shape: identical user-visible service; loss is absorbed below the");
+    outln!("service boundary at the price of retransmissions and latency.");
+    outln!();
     report.write_json(&out).unwrap_or_else(|e| fail(&e));
 
     let verbose = verbosity(&args);

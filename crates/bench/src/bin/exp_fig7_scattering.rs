@@ -12,7 +12,8 @@
 use svckit::floorctl::{RunParams, Solution};
 use svckit_bench::{fmt_f, print_header, print_row};
 use svckit_sweep::{
-    default_threads, fail, flag_usize, flag_value, output_flags, run_sweep, verbosity, SweepSpec,
+    default_threads, fail, flag_usize, flag_value, outln, output_flags, run_sweep, verbosity,
+    SweepSpec,
 };
 
 fn main() {
@@ -20,7 +21,7 @@ fn main() {
     let threads = flag_usize(&args, "threads", default_threads()).unwrap_or_else(|e| fail(&e));
     let (out, obs) = output_flags(&args, "SWEEP_fig7_scattering.json").unwrap_or_else(|e| fail(&e));
 
-    println!("E5 — interaction-functionality scattering (Figure 7)\n");
+    outln!("E5 — interaction-functionality scattering (Figure 7)\n");
     let spec = SweepSpec::new("fig7_scattering")
         .solutions(Solution::ALL)
         .variation(
@@ -71,12 +72,12 @@ fn main() {
             &widths,
         );
     }
-    println!();
-    println!("Shape (paper, Section 5): in the middleware solutions essentially all");
-    println!("coordination lands in application components (scattering ~1.0, except");
-    println!("where a broker absorbs routing); in the protocol solutions the service");
-    println!("provider absorbs it and the user parts see only service primitives.");
-    println!();
+    outln!();
+    outln!("Shape (paper, Section 5): in the middleware solutions essentially all");
+    outln!("coordination lands in application components (scattering ~1.0, except");
+    outln!("where a broker absorbs routing); in the protocol solutions the service");
+    outln!("provider absorbs it and the user parts see only service primitives.");
+    outln!();
     report.write_json(&out).unwrap_or_else(|e| fail(&e));
 
     let verbose = verbosity(&args);

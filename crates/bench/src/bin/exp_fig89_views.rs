@@ -3,40 +3,43 @@
 //! versus application-dependent interaction systems as the design object.
 
 use svckit::mda::views::{floor_control_description, view_of, ViewKind};
+use svckit_sweep::{check_flags, fail, outln};
 
 fn main() {
-    println!("E6 — two views on one distributed system (Figures 8-9)\n");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    check_flags(&args, &[]).unwrap_or_else(|e| fail(&e));
+    outln!("E6 — two views on one distributed system (Figures 8-9)\n");
     let description = floor_control_description(4);
-    println!(
+    outln!(
         "system `{}` with {} element(s):",
         description.name(),
         description.elements().len()
     );
     for element in description.elements() {
-        println!("  {:<22} {:?}", element.name(), element.kind());
+        outln!("  {:<22} {:?}", element.name(), element.kind());
     }
-    println!();
+    outln!();
 
     for (kind, figure) in [
         (ViewKind::MiddlewareInteractionSystems, "Figure 8"),
         (ViewKind::ApplicationInteractionSystems, "Figure 9"),
     ] {
         let view = view_of(&description, kind);
-        println!("{figure} — {kind:?}");
-        println!("  application parts:   {:?}", view.application_parts());
-        println!("  interaction system:  {:?}", view.interaction_system());
+        outln!("{figure} — {kind:?}");
+        outln!("  application parts:   {:?}", view.application_parts());
+        outln!("  interaction system:  {:?}", view.interaction_system());
         assert_eq!(
             view.application_parts().len() + view.interaction_system().len(),
             description.elements().len(),
             "views must partition the element set exactly"
         );
-        println!();
+        outln!();
     }
 
     let fig8 = view_of(&description, ViewKind::MiddlewareInteractionSystems);
     let fig9 = view_of(&description, ViewKind::ApplicationInteractionSystems);
     assert!(fig9.interaction_system().len() > fig8.interaction_system().len());
-    println!("Invariants verified: both views partition the same elements; the");
-    println!("Figure 9 boundary strictly contains the Figure 8 boundary (the");
-    println!("controller moves from 'application part' to 'interaction system').");
+    outln!("Invariants verified: both views partition the same elements; the");
+    outln!("Figure 9 boundary strictly contains the Figure 8 boundary (the");
+    outln!("controller moves from 'application part' to 'interaction system').");
 }

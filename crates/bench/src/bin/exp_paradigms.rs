@@ -15,7 +15,8 @@
 use svckit::floorctl::{RunParams, Solution};
 use svckit_bench::{fmt_f, print_header, print_row};
 use svckit_sweep::{
-    default_threads, fail, flag_usize, flag_value, output_flags, run_sweep, verbosity, SweepSpec,
+    default_threads, fail, flag_usize, flag_value, outln, output_flags, run_sweep, verbosity,
+    SweepSpec,
 };
 
 fn main() {
@@ -23,7 +24,7 @@ fn main() {
     let threads = flag_usize(&args, "threads", default_threads()).unwrap_or_else(|e| fail(&e));
     let (out, obs) = output_flags(&args, "SWEEP_paradigms.json").unwrap_or_else(|e| fail(&e));
 
-    println!("E1 — paradigm structures (Figures 1-3)\n");
+    outln!("E1 — paradigm structures (Figures 1-3)\n");
     let spec = SweepSpec::new("paradigms")
         .solutions([Solution::MwCallback, Solution::ProtoCallback])
         .variation(
@@ -68,11 +69,11 @@ fn main() {
         );
     }
 
-    println!();
-    println!("Both structures provide the floor-control service (conformance = true).");
-    println!("The middleware structure places coordination in components (scattering ~1);");
-    println!("the protocol structure places it in the service provider (scattering << 1).");
-    println!();
+    outln!();
+    outln!("Both structures provide the floor-control service (conformance = true).");
+    outln!("The middleware structure places coordination in components (scattering ~1);");
+    outln!("the protocol structure places it in the service provider (scattering << 1).");
+    outln!();
     report.write_json(&out).unwrap_or_else(|e| fail(&e));
 
     let verbose = verbosity(&args);

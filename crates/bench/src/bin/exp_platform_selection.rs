@@ -17,12 +17,12 @@ use svckit::mda::{catalog, transform, QosSpec, TransformPolicy};
 use svckit::model::Duration;
 use svckit_bench::{fmt_f, print_header, print_row};
 use svckit_sweep::{
-    default_threads, fail, flag_usize, flag_value, output_flags, run_sweep, verbosity, CellResult,
-    SweepSpec,
+    default_threads, fail, flag_usize, flag_value, outln, output_flags, run_sweep, verbosity,
+    CellResult, SweepSpec,
 };
 
 fn run_selection(label: &str, qos: &QosSpec, measured: &[(&CellResult, usize)]) {
-    println!("{label}: {qos}");
+    outln!("{label}: {qos}");
     let widths = [15, 9, 11, 11, 10, 7];
     print_header(
         &[
@@ -67,10 +67,10 @@ fn run_selection(label: &str, qos: &QosSpec, measured: &[(&CellResult, usize)]) 
         );
     }
     match winner {
-        Some((platform, _, _)) => println!("  -> selected: {platform}\n"),
+        Some((platform, _, _)) => outln!("  -> selected: {platform}\n"),
         None => {
             assert!(any_failed);
-            println!("  -> no platform qualifies: every candidate misses the spec\n");
+            outln!("  -> no platform qualifies: every candidate misses the spec\n");
         }
     }
 }
@@ -81,7 +81,7 @@ fn main() {
     let (out, obs) =
         output_flags(&args, "SWEEP_platform_selection.json").unwrap_or_else(|e| fail(&e));
 
-    println!("E10 — QoS-driven platform selection (Figure 10, selection step)\n");
+    outln!("E10 — QoS-driven platform selection (Figure 10, selection step)\n");
     let params = RunParams::default()
         .subscribers(4)
         .resources(2)
@@ -133,10 +133,10 @@ fn main() {
         &measured,
     );
 
-    println!("Shape: message counts tie across platform classes (the broker hop");
-    println!("replaces the RPC reply), but broker indirection costs latency — a");
-    println!("latency budget therefore selects the RPC branch of the trajectory.");
-    println!();
+    outln!("Shape: message counts tie across platform classes (the broker hop");
+    outln!("replaces the RPC reply), but broker indirection costs latency — a");
+    outln!("latency budget therefore selects the RPC branch of the trajectory.");
+    outln!();
     report.write_json(&out).unwrap_or_else(|e| fail(&e));
 
     let verbose = verbosity(&args);

@@ -12,9 +12,12 @@ use svckit::floorctl::{floor_control_service, FloorMetrics, RunParams};
 use svckit::model::conformance::{check_trace, CheckOptions};
 use svckit::model::Duration;
 use svckit_bench::{print_header, print_row};
+use svckit_sweep::{check_flags, fail, outln};
 
 fn main() {
-    println!("E11 — token-ring membership management (extension of Figure 6 (c))\n");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    check_flags(&args, &[]).unwrap_or_else(|e| fail(&e));
+    outln!("E11 — token-ring membership management (extension of Figure 6 (c))\n");
     let widths = [9, 8, 8, 8, 11, 11];
     print_header(
         &[
@@ -78,8 +81,8 @@ fn main() {
             &widths,
         );
     }
-    println!();
-    println!("Every configuration serves all founders and joiners and conforms to");
-    println!("the unchanged service definition: membership churn is absorbed by");
-    println!("the interaction system, invisible at the access points.");
+    outln!();
+    outln!("Every configuration serves all founders and joiners and conforms to");
+    outln!("the unchanged service definition: membership churn is absorbed by");
+    outln!("the interaction system, invisible at the access points.");
 }

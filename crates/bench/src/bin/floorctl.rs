@@ -27,6 +27,7 @@ use svckit::lts::Symmetry;
 use svckit::model::conformance::{check_trace, CheckOptions};
 use svckit::model::Duration;
 use svckit::netsim::LinkConfig;
+use svckit_sweep::{out, outln};
 
 struct Options {
     solution: Solution,
@@ -191,14 +192,19 @@ fn verify_run(params: &RunParams, explore: &ExploreOptions) -> bool {
     let universe = floor_event_universe(params.subscriber_count(), params.resource_count());
     let explorer = ServiceExplorer::new(&service, universe, 2);
     let report = explorer.explore(explore);
-    println!(
+    outln!(
         "model check:  {} state(s), {} transition(s) [symmetry {}, {} concrete state(s) saved]",
-        report.states, report.transitions, explore.symmetry, report.sym_states_saved,
+        report.states,
+        report.transitions,
+        explore.symmetry,
+        report.sym_states_saved,
     );
     if report.peak_nodes > 0 {
-        println!(
+        outln!(
             "ldd:          {} node(s) final, {} node(s) peak, {} cache hit(s)",
-            report.ldd_nodes, report.peak_nodes, report.cache_hits,
+            report.ldd_nodes,
+            report.peak_nodes,
+            report.cache_hits,
         );
     }
     let healthy = !report.truncated
@@ -222,7 +228,7 @@ fn main() -> ExitCode {
     let options = match parse_args(&args) {
         Ok(Some(options)) => options,
         Ok(None) => {
-            println!("{}", usage());
+            outln!("{}", usage());
             return ExitCode::SUCCESS;
         }
         Err(error) => {
@@ -236,7 +242,7 @@ fn main() -> ExitCode {
     }
 
     let outcome = run_solution(options.solution, &options.params);
-    println!(
+    outln!(
         "solution:     {}\nworkload:     {} subscribers × {} rounds over {} resources (seed {})",
         outcome.solution,
         options.params.subscriber_count(),
@@ -244,40 +250,42 @@ fn main() -> ExitCode {
         options.params.resource_count(),
         options.params.seed_value(),
     );
-    println!(
+    outln!(
         "completed:    {}\nconformant:   {} ({} violation(s))",
-        outcome.completed, outcome.conformant, outcome.violations
+        outcome.completed,
+        outcome.conformant,
+        outcome.violations
     );
-    println!(
+    outln!(
         "grants:       {} (requests {}, frees {})",
         outcome.floor.grants(),
         outcome.floor.requests(),
         outcome.floor.frees()
     );
-    println!(
+    outln!(
         "latency:      mean {}  p50 {}  p99 {}",
         outcome.floor.mean_latency(),
         outcome.floor.median_latency(),
         outcome.floor.p99_latency()
     );
-    println!(
+    outln!(
         "fairness:     {:.3}\ntransport:    {} messages, {} bytes ({:.1} msgs/grant)",
         outcome.floor.fairness(),
         outcome.transport_messages,
         outcome.transport_bytes,
         outcome.messages_per_grant()
     );
-    println!(
+    outln!(
         "scattering:   {:.3} ({} app events / {} interaction-system events)",
         outcome.scattering(),
         outcome.app_events,
         outcome.infra_events
     );
-    println!("sim time:     {}", outcome.end_time);
+    outln!("sim time:     {}", outcome.end_time);
 
     if options.show_trace {
-        println!("\ntrace ({} events):", outcome.trace.len());
-        print!("{}", outcome.trace);
+        outln!("\ntrace ({} events):", outcome.trace.len());
+        out!("{}", outcome.trace);
     }
     if options.show_check {
         let report = check_trace(
@@ -287,7 +295,7 @@ fn main() -> ExitCode {
                 allow_pending_liveness: !outcome.completed,
             },
         );
-        println!("\nconformance report: {report}");
+        outln!("\nconformance report: {report}");
     }
 
     if outcome.completed && outcome.conformant {

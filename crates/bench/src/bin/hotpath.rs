@@ -47,9 +47,9 @@ use svckit::netsim::{Context, LinkConfig, Process, QueueBackend, SimConfig, Simu
 use svckit::obs::with_recorder;
 use svckit_bench::scale::{run_scale_soak, ScaleConfig};
 use svckit_sweep::{
-    chrome_trace, default_threads, ensure_writable, fail, flag_usize, output_flags, run_sweep,
-    verbosity, write_file, JsonWriter, LddStats, ObsFormat, PorStats, Recorder, SweepSpec,
-    SymStats,
+    chrome_trace, default_threads, ensure_writable, fail, flag_usize, outln, output_flags,
+    run_sweep, verbosity, write_file, JsonWriter, LddStats, ObsFormat, PorStats, Recorder,
+    SweepSpec, SymStats,
 };
 
 use std::hint::black_box;
@@ -344,9 +344,10 @@ fn main() {
     ensure_writable(&stats_path).unwrap_or_else(|e| fail(&e));
     let threads = flag_usize(&args, "threads", default_threads()).unwrap_or_else(|e| fail(&e));
     let verbose = verbosity(&args);
+    outln!("hotpath: medians to {out_path}, exact counts to {stats_path}");
     let mut results: Vec<(&str, f64)> = Vec::new();
     let mut record = |name: &'static str, ns: f64| {
-        println!("{name:<36} median {}", fmt_ns(ns));
+        outln!("{name:<36} median {}", fmt_ns(ns));
         results.push((name, ns));
     };
 
@@ -366,7 +367,7 @@ fn main() {
     );
 
     let service_lts = explorer.to_lts(10_000);
-    println!(
+    outln!(
         "    (service LTS: {} states, {} transitions)",
         service_lts.state_count(),
         service_lts.transition_count()
@@ -432,9 +433,12 @@ fn main() {
         reduction: Reduction::Full,
         ..por_options.clone()
     });
-    println!(
+    outln!(
         "    (POR: {} states / {} transitions vs full {} / {})",
-        por_report.states, por_report.transitions, full_report.states, full_report.transitions
+        por_report.states,
+        por_report.transitions,
+        full_report.states,
+        full_report.transitions
     );
     let por_stats = PorStats {
         full_states: full_report.states as u64,
@@ -469,7 +473,7 @@ fn main() {
         symmetry: Symmetry::Off,
         ..sym_options.clone()
     });
-    println!(
+    outln!(
         "    (symmetry: {} states / {} transitions vs unreduced {} / {}; \
          {} orbit group(s), {} canon hit(s), {} state(s) saved)",
         sym_report.states,
@@ -517,7 +521,7 @@ fn main() {
         ldd_report.peak_nodes > 0,
         "the symbolic fixpoint must complete within the default node budget"
     );
-    println!(
+    outln!(
         "    (ldd: {} states / {} transitions in {} node(s), peak {}, {} cache hit(s))",
         ldd_report.states,
         ldd_report.transitions,
@@ -689,14 +693,14 @@ fn main() {
         // Long enough (~10^5 admits per sample) that scheduler noise on
         // the 1-vCPU reference box stays well inside the perfgate band.
         let median = admission_evps(replay.trace.events(), 1000, false);
-        println!("{:<36} median {median:.0} events/sec", "mw_admission_evps");
+        outln!("{:<36} median {median:.0} events/sec", "mw_admission_evps");
         results.push(("mw_admission_evps", median));
 
         let large = RunParams::default().subscribers(96).resources(8).rounds(50);
         let replay = run_solution(Solution::MwCallback, &large);
         // 14 400 occurrences a pass.
         let median = admission_evps(replay.trace.events(), 8, true);
-        println!(
+        outln!(
             "{:<36} median {median:.0} events/sec",
             "mw_admission_evps_96x8"
         );
@@ -722,7 +726,7 @@ fn main() {
             .collect();
         evps.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
         let median = evps[evps.len() / 2];
-        println!(
+        outln!(
             "{:<36} median {median:.0} events/sec",
             "netsim/soak_100k_evps"
         );
@@ -768,7 +772,7 @@ fn main() {
     let (control_best, wrapped_best) = (best(control), best(wrapped));
     let overhead_pct = (wrapped_best - control_best) / control_best * 100.0;
     let sites = f64::from(u8::from(svckit::obs::sites_enabled()));
-    println!(
+    outln!(
         "{:<36} {overhead_pct:+.2}% (recorder installed vs not; sites {})",
         "obs_disabled_overhead",
         if sites > 0.0 {
@@ -783,21 +787,23 @@ fn main() {
     // The symmetry state counts as data keys (counts, not nanoseconds):
     // perfgate holds full/quotient as a cross-key reduction floor, which —
     // unlike the timing keys — is exact and machine-independent.
-    println!(
+    outln!(
         "{:<36} {} states",
-        "explorer/sym_states_full", nosym_report.states
+        "explorer/sym_states_full",
+        nosym_report.states
     );
     results.push(("explorer/sym_states_full", nosym_report.states as f64));
-    println!(
+    outln!(
         "{:<36} {} states",
-        "explorer/sym_states_quotient", sym_report.states
+        "explorer/sym_states_quotient",
+        sym_report.states
     );
     results.push(("explorer/sym_states_quotient", sym_report.states as f64));
 
     // The symbolic node high-water mark as a data key (a count, not a
     // latency): perfgate holds it as an absolute bounded-nodes floor for
     // the 6×2 fixpoint above.
-    println!("{:<36} {} nodes", "ldd_nodes_peak", ldd_report.peak_nodes);
+    outln!("{:<36} {} nodes", "ldd_nodes_peak", ldd_report.peak_nodes);
     results.push(("ldd_nodes_peak", ldd_report.peak_nodes as f64));
 
     // --- Machine-readable output. ---------------------------------------
@@ -808,7 +814,7 @@ fn main() {
     }
     json.end_object();
     write_file(&out_path, json.finish()).unwrap_or_else(|e| fail(&e));
-    println!("\nwrote {out_path}");
+    outln!("\nwrote {out_path}");
 
     // The statistics sidecar: the schemas `svckit-analyze` shares, nested
     // as its report nests them per target.
@@ -822,7 +828,7 @@ fn main() {
     ldd_stats.write(&mut stats_json);
     stats_json.end_object();
     write_file(&stats_path, stats_json.finish()).unwrap_or_else(|e| fail(&e));
-    println!("wrote {stats_path}");
+    outln!("wrote {stats_path}");
 
     // Optional obs capture: one instrumented pingpong + POR exploration.
     if let Some((obs_path, format)) = obs {

@@ -47,7 +47,7 @@
 //! `baseline × (1 − tolerance)` is the regression and one above
 //! `baseline × (1 + tolerance)` the re-baselining reminder.
 
-use svckit_sweep::{fail, flag_value, parse_flat_numbers};
+use svckit_sweep::{check_flags, fail, flag_value, outln, parse_flat_numbers};
 
 /// Keys that are not nanosecond medians and must skip the ratio band.
 /// The two `sym_states` keys are exact state counts gated by the
@@ -113,6 +113,7 @@ fn tolerance_flag(args: &[String]) -> Result<f64, String> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    check_flags(&args, &["baseline", "fresh", "tolerance"]).unwrap_or_else(|e| fail(&e));
     let baseline_path =
         flag_value(&args, "baseline").unwrap_or_else(|| "BENCH_hotpath.json".to_owned());
     let fresh_path = flag_value(&args, "fresh")
@@ -128,7 +129,7 @@ fn main() {
     let fresh = read(&fresh_path);
 
     let band = tolerance * 100.0;
-    println!("perfgate: {fresh_path} vs {baseline_path} (tolerance +/-{band:.0}%)\n");
+    outln!("perfgate: {fresh_path} vs {baseline_path} (tolerance +/-{band:.0}%)\n");
     let mut regressions = 0usize;
     for (name, base_ns) in &baseline {
         if SPECIAL_KEYS.contains(&name.as_str()) {
@@ -136,7 +137,7 @@ fn main() {
         }
         match fresh.iter().find(|(n, _)| n == name) {
             None => {
-                println!("MISSING     {name:<36} baseline {base_ns:>14.0} ns, no fresh result");
+                outln!("MISSING     {name:<36} baseline {base_ns:>14.0} ns, no fresh result");
                 regressions += 1;
             }
             Some((_, fresh_ns)) => {
@@ -162,7 +163,7 @@ fn main() {
                     "ok"
                 };
                 let unit = if floor { "ev/s" } else { "ns" };
-                println!(
+                outln!(
                     "{verdict:<11} {name:<36} {base_ns:>14.0} -> {fresh_ns:>14.0} {unit} ({ratio:>5.2}x)"
                 );
             }
@@ -173,7 +174,7 @@ fn main() {
             continue;
         }
         if !baseline.iter().any(|(n, _)| n == name) {
-            println!("NEW         {name:<36} (no baseline yet)");
+            outln!("NEW         {name:<36} (no baseline yet)");
         }
     }
 
@@ -182,18 +183,18 @@ fn main() {
     if let Some(overhead) = fresh_key("obs_disabled_overhead") {
         let sites_enabled = fresh_key("obs_sites_enabled").unwrap_or(0.0) != 0.0;
         if sites_enabled {
-            println!(
+            outln!(
                 "skipped     {:<36} {overhead:>+13.2}% (obs sites enabled)",
                 "obs_disabled_overhead"
             );
         } else if overhead > MAX_DISABLED_OVERHEAD_PCT {
             regressions += 1;
-            println!(
+            outln!(
                 "REGRESSION  {:<36} {overhead:>+13.2}% (bound {MAX_DISABLED_OVERHEAD_PCT:.1}%)",
                 "obs_disabled_overhead"
             );
         } else {
-            println!(
+            outln!(
                 "ok          {:<36} {overhead:>+13.2}% (bound {MAX_DISABLED_OVERHEAD_PCT:.1}%)",
                 "obs_disabled_overhead"
             );
@@ -213,12 +214,12 @@ fn main() {
         };
         if speedup < MIN_CHURN_SPEEDUP {
             regressions += 1;
-            println!(
+            outln!(
                 "REGRESSION  {:<36} {speedup:>13.2}x (floor {MIN_CHURN_SPEEDUP:.1}x vs heap)",
                 "timer_churn speedup"
             );
         } else {
-            println!(
+            outln!(
                 "ok          {:<36} {speedup:>13.2}x (floor {MIN_CHURN_SPEEDUP:.1}x vs heap)",
                 "timer_churn speedup"
             );
@@ -238,12 +239,12 @@ fn main() {
         };
         if speedup < MIN_DFA_SPEEDUP {
             regressions += 1;
-            println!(
+            outln!(
                 "REGRESSION  {:<36} {speedup:>13.2}x (floor {MIN_DFA_SPEEDUP:.1}x vs interp)",
                 "dfa_allowed speedup"
             );
         } else {
-            println!(
+            outln!(
                 "ok          {:<36} {speedup:>13.2}x (floor {MIN_DFA_SPEEDUP:.1}x vs interp)",
                 "dfa_allowed speedup"
             );
@@ -264,12 +265,12 @@ fn main() {
         };
         if reduction < MIN_SYM_REDUCTION {
             regressions += 1;
-            println!(
+            outln!(
                 "REGRESSION  {:<36} {reduction:>13.2}x (floor {MIN_SYM_REDUCTION:.1}x vs unreduced)",
                 "sym_states reduction"
             );
         } else {
-            println!(
+            outln!(
                 "ok          {:<36} {reduction:>13.2}x (floor {MIN_SYM_REDUCTION:.1}x vs unreduced)",
                 "sym_states reduction"
             );
@@ -283,12 +284,12 @@ fn main() {
     if let Some(peak) = fresh_key("ldd_nodes_peak") {
         if peak > MAX_LDD_PEAK_NODES {
             regressions += 1;
-            println!(
+            outln!(
                 "REGRESSION  {:<36} {peak:>13.0} nodes (bound {MAX_LDD_PEAK_NODES:.0})",
                 "ldd_nodes_peak"
             );
         } else {
-            println!(
+            outln!(
                 "ok          {:<36} {peak:>13.0} nodes (bound {MAX_LDD_PEAK_NODES:.0})",
                 "ldd_nodes_peak"
             );
@@ -296,12 +297,12 @@ fn main() {
     }
 
     if regressions > 0 {
-        println!("\nperfgate: {regressions} regression(s) beyond the +/-{band:.0}% band");
+        outln!("\nperfgate: {regressions} regression(s) beyond the +/-{band:.0}% band");
         std::process::exit(1);
     }
     let banded = baseline
         .iter()
         .filter(|(n, _)| !SPECIAL_KEYS.contains(&n.as_str()))
         .count();
-    println!("\nperfgate: all {banded} benchmarks within band");
+    outln!("\nperfgate: all {banded} benchmarks within band");
 }

@@ -50,8 +50,8 @@ use svckit::netsim::{DeterministicRng, LinkConfig};
 use svckit::protocol::ReliabilityConfig;
 use svckit_bench::scale::{run_scale_soak, ScaleConfig};
 use svckit_sweep::{
-    default_threads, fail, flag_usize, flag_value, output_flags, run_sweep, shards_flag, verbosity,
-    SweepReport, SweepSpec,
+    default_threads, fail, flag_usize, flag_value, outln, output_flags, run_sweep, shards_flag,
+    verbosity, SweepReport, SweepSpec,
 };
 
 /// Derives one fault campaign from a seed: a partition of a random node
@@ -138,23 +138,28 @@ fn run_scale_mode(args: &[String]) -> ! {
     let path = flag_value(args, "out").unwrap_or_else(|| "SOAK_scale.json".to_owned());
     let mut file =
         std::fs::File::create(&path).unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
-    println!(
+    outln!(
         "scale soak: {} clients x {} rounds over {} servers, {} shard(s)",
-        cfg.clients, cfg.rounds, cfg.servers, cfg.shards
+        cfg.clients,
+        cfg.rounds,
+        cfg.servers,
+        cfg.shards
     );
     let out = run_scale_soak(&cfg);
     if !out.quiescent {
         fail("scale soak did not finish inside the virtual-time cap");
     }
-    println!(
+    outln!(
         "  {} events in {:.2}s wall = {:.0} events/sec",
-        out.events, out.wall_secs, out.events_per_sec
+        out.events,
+        out.wall_secs,
+        out.events_per_sec
     );
-    println!(
+    outln!(
         "  peak pending events (live timers + in-flight messages): {}",
         out.peak_pending
     );
-    println!(
+    outln!(
         "  virtual end {:.3}s, {} messages delivered",
         out.end_us as f64 / 1e6,
         out.messages_delivered
@@ -162,7 +167,7 @@ fn run_scale_mode(args: &[String]) -> ! {
     if let Err(e) = std::io::Write::write_all(&mut file, out.to_canonical_json().as_bytes()) {
         fail(&format!("cannot write {path}: {e}"));
     }
-    println!("wrote {path} (canonical: byte-identical across --shards)");
+    outln!("wrote {path} (canonical: byte-identical across --shards)");
     std::process::exit(0);
 }
 
@@ -215,7 +220,7 @@ fn main() {
         reliable_spec = reliable_spec.shards(shards);
     }
 
-    println!(
+    outln!(
         "soak: {} solutions x 2 links x {} campaigns x {} seeds = {} cells (+{} reliable), {} threads\n",
         Solution::PAPER.len(),
         seeds,
@@ -231,17 +236,17 @@ fn main() {
     let (rel_violations, rel_completed) = audit(&reliable);
 
     report.print_table();
-    println!();
+    outln!();
     reliable.print_table();
-    println!();
-    println!(
+    outln!();
+    outln!(
         "{} cells: {} conformant, {} completed ({} stalled under faults, by design)",
         report.results.len(),
         report.results.len() - violations,
         completed,
         report.results.len() - completed
     );
-    println!(
+    outln!(
         "{} reliable cells: {} conformant, {} completed",
         reliable.results.len(),
         reliable.results.len() - rel_violations,
@@ -295,5 +300,5 @@ fn main() {
         );
         std::process::exit(1);
     }
-    println!("soak: every cell conformant");
+    outln!("soak: every cell conformant");
 }

@@ -9,13 +9,42 @@ use svckit_obs::{
 use crate::exec::{CellResult, SweepReport};
 use crate::json::{write_outcome, JsonWriter};
 
+/// Writes formatted text to stdout like `print!`, but ends the binary
+/// through [`fail`] when stdout is closed or full, where `print!` would
+/// panic. Every bench binary prints through it.
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::report::write_stdout(::std::format_args!($($arg)*))
+    };
+}
+
+/// [`out!`] with a trailing newline: the bench binaries' `println!`.
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::out!("\n")
+    };
+    ($($arg:tt)*) => {
+        $crate::out!("{}\n", ::std::format_args!($($arg)*))
+    };
+}
+
+/// The writer behind [`out!`] and [`outln!`].
+pub fn write_stdout(text: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().write_fmt(text) {
+        fail(&format!("cannot write to stdout: {e}"));
+    }
+}
+
 /// Prints a row of fixed-width columns.
 pub fn print_row(cells: &[String], widths: &[usize]) {
     let mut line = String::new();
     for (cell, width) in cells.iter().zip(widths) {
         line.push_str(&format!("{cell:>width$}  "));
     }
-    println!("{}", line.trim_end());
+    outln!("{}", line.trim_end());
 }
 
 /// Prints a header row followed by a rule.
@@ -25,7 +54,7 @@ pub fn print_header(cells: &[&str], widths: &[usize]) {
         widths,
     );
     let total: usize = widths.iter().sum::<usize>() + 2 * widths.len();
-    println!("{}", "-".repeat(total));
+    outln!("{}", "-".repeat(total));
 }
 
 /// Formats a `f64` with three decimals.
@@ -174,7 +203,7 @@ impl SweepReport {
             None => format!("{path}.timing.json"),
         };
         write_file(&timing_path, self.timing_json())?;
-        println!(
+        outln!(
             "wrote {path} + {timing_path} ({} cells, {} threads, {:.2}s wall)",
             self.results.len(),
             self.threads,
@@ -417,11 +446,11 @@ impl SweepReport {
     pub fn write_trace(&self, flags: &TraceFlags) -> Result<(), String> {
         if let Some(path) = &flags.out {
             write_file(path, self.trace_chrome())?;
-            println!("wrote {path} (chrome trace, canonical order)");
+            outln!("wrote {path} (chrome trace, canonical order)");
         }
         if let Some(path) = &flags.summary {
             write_file(path, self.trace_summary_json())?;
-            println!("wrote {path} (critical-path summary)");
+            outln!("wrote {path} (critical-path summary)");
         }
         Ok(())
     }
@@ -539,6 +568,27 @@ pub fn flag_usize(args: &[String], name: &str, default: usize) -> Result<usize, 
             .parse()
             .map_err(|_| format!("--{name} expects a number, got {v:?}")),
     }
+}
+
+/// Refuses any flag outside `known` (names without the leading `--`,
+/// each taking one value), for binaries whose flags are few enough to
+/// list: a mistyped flag then fails instead of being ignored.
+///
+/// # Errors
+///
+/// `unexpected argument <arg>` for the first argument that is not a
+/// known flag or its value.
+pub fn check_flags(args: &[String], known: &[&str]) -> Result<(), String> {
+    let mut iter = args.iter();
+    while let Some(arg) = iter.next() {
+        match arg.strip_prefix("--") {
+            Some(name) if known.contains(&name) => {
+                iter.next();
+            }
+            _ => return Err(format!("unexpected argument `{arg}`")),
+        }
+    }
+    Ok(())
 }
 
 /// Parses the shared `--shards N` flag; `Ok(None)` when absent, leaving
