@@ -354,7 +354,9 @@ fn main() {
     // --- Explorer hot paths: floor control, 4 SAPs × 2 resources. -------
     // Pinned to the interpreter so the pre-0.8.0 keys keep their meaning;
     // `explorer/dfa_allowed` below runs the same walk on the compiled
-    // engine, and perfgate holds the ratio between the two.
+    // engine, and perfgate holds the ratio between the two. The
+    // interpreter's memo lives as long as the explorer, so every timed
+    // call after the warm-up runs on warm tables.
     let service = floor_control_service();
     let universe = floor_event_universe(4, 2);
     let explorer = ServiceExplorer::with_engine(&service, universe, 1, Engine::Interp);

@@ -660,7 +660,7 @@ pub fn output_flags(
 }
 
 /// Prints one `error:` line and exits with code 1: how every bench
-/// binary ends on a bad flag or an unwritable output.
+/// binary ends on a bad flag, an unwritable output or a closed stdout.
 pub fn fail(message: &str) -> ! {
     eprintln!("error: {message}");
     std::process::exit(1);
