@@ -9,7 +9,7 @@ use svckit_sweep::{check_flags, fail, outln};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    check_flags(&args, &[]).unwrap_or_else(|e| fail(&e));
+    check_flags(&args, &[], &[]).unwrap_or_else(|e| fail(&e));
     outln!("E7 — the MDA design trajectory (Figure 10)\n");
     let pim = catalog::floor_control_pim();
     outln!("PIM `{}` over {}\n", pim.name(), pim.abstract_platform());

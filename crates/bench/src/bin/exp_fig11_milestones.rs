@@ -7,7 +7,7 @@ use svckit_sweep::{check_flags, fail, outln};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    check_flags(&args, &[]).unwrap_or_else(|e| fail(&e));
+    check_flags(&args, &[], &[]).unwrap_or_else(|e| fail(&e));
     outln!("E8 — milestones in the design trajectory (Figure 11)\n");
 
     let designed = Trajectory::start(floor_control_service())

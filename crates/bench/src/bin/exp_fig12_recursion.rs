@@ -9,7 +9,7 @@ use svckit_sweep::{check_flags, fail, outln};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    check_flags(&args, &[]).unwrap_or_else(|e| fail(&e));
+    check_flags(&args, &[], &[]).unwrap_or_else(|e| fail(&e));
     outln!("E9 — recursive abstract-platform realization (Figure 12)\n");
 
     // Part 1: executable adapter overhead. The token ring needs a oneway

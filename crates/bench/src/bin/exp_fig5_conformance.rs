@@ -12,7 +12,7 @@ use svckit_sweep::{check_flags, fail, outln};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    check_flags(&args, &[]).unwrap_or_else(|e| fail(&e));
+    check_flags(&args, &[], &[]).unwrap_or_else(|e| fail(&e));
     outln!("E3 — service definition and conformance (Figure 5)\n");
     let service = floor_control_service();
     outln!("service `{}`:", service.name());

@@ -15,12 +15,18 @@
 use svckit::floorctl::{RunParams, Solution};
 use svckit_bench::{fmt_f, print_header, print_row};
 use svckit_sweep::{
-    default_threads, fail, flag_usize, flag_value, outln, output_flags, run_sweep, verbosity,
-    SweepSpec,
+    check_flags, default_threads, fail, flag_usize, flag_value, outln, output_flags, run_sweep,
+    verbosity, SweepSpec, VERBOSITY_SWITCHES,
 };
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    check_flags(
+        &args,
+        &["threads", "out", "obs-out", "obs-format", "filter"],
+        VERBOSITY_SWITCHES,
+    )
+    .unwrap_or_else(|e| fail(&e));
     let threads = flag_usize(&args, "threads", default_threads()).unwrap_or_else(|e| fail(&e));
     let (out, obs) = output_flags(&args, "SWEEP_paradigms.json").unwrap_or_else(|e| fail(&e));
 

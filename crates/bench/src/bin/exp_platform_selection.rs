@@ -17,8 +17,8 @@ use svckit::mda::{catalog, transform, QosSpec, TransformPolicy};
 use svckit::model::Duration;
 use svckit_bench::{fmt_f, print_header, print_row};
 use svckit_sweep::{
-    default_threads, fail, flag_usize, flag_value, outln, output_flags, run_sweep, verbosity,
-    CellResult, SweepSpec,
+    check_flags, default_threads, fail, flag_usize, flag_value, outln, output_flags, run_sweep,
+    verbosity, CellResult, SweepSpec, VERBOSITY_SWITCHES,
 };
 
 fn run_selection(label: &str, qos: &QosSpec, measured: &[(&CellResult, usize)]) {
@@ -77,6 +77,12 @@ fn run_selection(label: &str, qos: &QosSpec, measured: &[(&CellResult, usize)]) 
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    check_flags(
+        &args,
+        &["threads", "out", "obs-out", "obs-format", "filter"],
+        VERBOSITY_SWITCHES,
+    )
+    .unwrap_or_else(|e| fail(&e));
     let threads = flag_usize(&args, "threads", default_threads()).unwrap_or_else(|e| fail(&e));
     let (out, obs) =
         output_flags(&args, "SWEEP_platform_selection.json").unwrap_or_else(|e| fail(&e));

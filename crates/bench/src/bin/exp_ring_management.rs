@@ -16,7 +16,7 @@ use svckit_sweep::{check_flags, fail, outln};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    check_flags(&args, &[]).unwrap_or_else(|e| fail(&e));
+    check_flags(&args, &[], &[]).unwrap_or_else(|e| fail(&e));
     outln!("E11 — token-ring membership management (extension of Figure 6 (c))\n");
     let widths = [9, 8, 8, 8, 11, 11];
     print_header(

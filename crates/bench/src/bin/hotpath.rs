@@ -47,9 +47,9 @@ use svckit::netsim::{Context, LinkConfig, Process, QueueBackend, SimConfig, Simu
 use svckit::obs::with_recorder;
 use svckit_bench::scale::{run_scale_soak, ScaleConfig};
 use svckit_sweep::{
-    chrome_trace, default_threads, ensure_writable, fail, flag_usize, outln, output_flags,
-    run_sweep, verbosity, write_file, JsonWriter, LddStats, ObsFormat, PorStats, Recorder,
-    SweepSpec, SymStats,
+    check_flags, chrome_trace, default_threads, ensure_writable, fail, flag_usize, outln,
+    output_flags, run_sweep, verbosity, write_file, JsonWriter, LddStats, ObsFormat, PorStats,
+    Recorder, SweepSpec, SymStats, VERBOSITY_SWITCHES,
 };
 
 use std::hint::black_box;
@@ -339,6 +339,12 @@ fn lts_cycle(n: usize, label: &str) -> Lts<String> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    check_flags(
+        &args,
+        &["out", "obs-out", "obs-format", "threads"],
+        VERBOSITY_SWITCHES,
+    )
+    .unwrap_or_else(|e| fail(&e));
     let (out_path, obs) = output_flags(&args, "BENCH_hotpath.json").unwrap_or_else(|e| fail(&e));
     let stats_path = stats_path(&out_path);
     ensure_writable(&stats_path).unwrap_or_else(|e| fail(&e));

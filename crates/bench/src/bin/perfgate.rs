@@ -118,7 +118,7 @@ fn tolerance_flag(args: &[String]) -> Result<f64, String> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    check_flags(&args, &["baseline", "fresh", "tolerance"]).unwrap_or_else(|e| fail(&e));
+    check_flags(&args, &["baseline", "fresh", "tolerance"], &[]).unwrap_or_else(|e| fail(&e));
     let baseline_path =
         flag_value(&args, "baseline").unwrap_or_else(|| "BENCH_hotpath.json".to_owned());
     let fresh_path = flag_value(&args, "fresh")

@@ -50,8 +50,8 @@ use svckit::netsim::{DeterministicRng, LinkConfig};
 use svckit::protocol::ReliabilityConfig;
 use svckit_bench::scale::{run_scale_soak, ScaleConfig};
 use svckit_sweep::{
-    default_threads, fail, flag_usize, flag_value, outln, output_flags, run_sweep, shards_flag,
-    verbosity, SweepReport, SweepSpec,
+    check_flags, default_threads, fail, flag_usize, flag_value, outln, output_flags, run_sweep,
+    shards_flag, verbosity, SweepReport, SweepSpec, VERBOSITY_SWITCHES,
 };
 
 /// Derives one fault campaign from a seed: a partition of a random node
@@ -123,6 +123,12 @@ fn count_flag(args: &[String], name: &str, default: u64, min: u64) -> u64 {
 /// The `--clients N` mode: one big raw-netsim cell instead of the
 /// campaign grid. Exits the process when done.
 fn run_scale_mode(args: &[String]) -> ! {
+    check_flags(
+        args,
+        &["clients", "servers", "rounds", "shards", "seed", "out"],
+        &[],
+    )
+    .unwrap_or_else(|e| fail(&e));
     let rounds = count_flag(args, "rounds", 2, 0);
     let shards = count_flag(args, "shards", 1, 0);
     let cfg = ScaleConfig {
@@ -176,6 +182,20 @@ fn main() {
     if flag_value(&args, "clients").is_some() {
         run_scale_mode(&args);
     }
+    check_flags(
+        &args,
+        &[
+            "seeds",
+            "threads",
+            "out",
+            "obs-out",
+            "obs-format",
+            "filter",
+            "shards",
+        ],
+        VERBOSITY_SWITCHES,
+    )
+    .unwrap_or_else(|e| fail(&e));
     let seeds = flag_usize(&args, "seeds", 8).unwrap_or_else(|e| fail(&e)) as u64;
     let threads = flag_usize(&args, "threads", default_threads()).unwrap_or_else(|e| fail(&e));
     let (out, obs) = output_flags(&args, "SWEEP_soak.json").unwrap_or_else(|e| fail(&e));

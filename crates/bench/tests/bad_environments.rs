@@ -133,8 +133,12 @@ fn every_bench_binary_fails_with_one_error_line() {
             .collect();
     on_disk.sort_unstable();
     assert_eq!(listed, on_disk, "one entry per binary in src/bin");
+    // Every binary lists the flags it reads: an unknown one (with a
+    // value, as a mistyped flag usually has) fails before any work.
+    let unknown = args(&["--no-such-flag", "1"]);
     for bin in &bins {
         assert_fails_cleanly(bin, &bin.bad, false, "bad flag");
+        assert_fails_cleanly(bin, &unknown, false, "unknown flag");
         let out = vec!["--out".to_owned(), unwritable.to_owned()];
         assert_fails_cleanly(bin, &out, false, "unwritable --out");
         assert_fails_cleanly(bin, &bin.quiet, true, "closed stdout");

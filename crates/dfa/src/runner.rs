@@ -510,8 +510,11 @@ impl Binder {
     /// Steps the `u32` product key `key` of a search, writing the
     /// successor into `out` instead of allocating it. `out` may be wider
     /// than `key`: the slots past `key` start at their initial state 0.
-    /// Every edge slot must be below `out.len()`. On rejection `out` holds
-    /// a partially stepped copy and must be ignored. Slot states always
+    /// Every edge slot must be below `out.len()`. Every edge is checked
+    /// against `key` before anything is copied, so a rejection costs no
+    /// copy and leaves `out` untouched. An occurrence's edges drive
+    /// distinct slots (see [`Binder::step_dense`]), so the rejection is
+    /// the one stepping the edges in turn would report. Slot states always
     /// fit `u16` (they come from the tables); the wide layout is the
     /// caller's.
     pub fn step_wide_into(
@@ -520,16 +523,28 @@ impl Binder {
         edges: &[Edge],
         out: &mut [u32],
     ) -> Result<(), Rejection> {
+        debug_assert!(
+            edges
+                .iter()
+                .enumerate()
+                .all(|(i, e)| edges[..i].iter().all(|d| d.slot != e.slot)),
+            "an occurrence's edges drive distinct slots"
+        );
+        for (i, e) in edges.iter().enumerate() {
+            let state = key.get(e.slot as usize).map_or(0, |&s| wide_state(s));
+            if self.slot_info[e.slot as usize].dfa.next(state, e.class) == DEAD {
+                return Err(Rejection { edge: i, state });
+            }
+        }
         let (head, tail) = out.split_at_mut(key.len());
         head.copy_from_slice(key);
         tail.fill(0);
-        for (i, e) in edges.iter().enumerate() {
-            let state = wide_state(out[e.slot as usize]);
-            let successor = self.slot_info[e.slot as usize].dfa.next(state, e.class);
-            if successor == DEAD {
-                return Err(Rejection { edge: i, state });
-            }
-            out[e.slot as usize] = u32::from(successor);
+        for e in edges {
+            let slot = &mut out[e.slot as usize];
+            let successor = self.slot_info[e.slot as usize]
+                .dfa
+                .next(wide_state(*slot), e.class);
+            *slot = u32::from(successor);
         }
         Ok(())
     }
@@ -663,6 +678,48 @@ mod tests {
             Err(Rejection { edge: 0, state: 0 }),
             "b before a violates"
         );
+    }
+
+    #[test]
+    fn wide_stepping_rejects_like_stepping_the_edges_in_turn() {
+        // `b` raises the first constraint's counter and discharges the
+        // second's, so in a fresh instance its second edge rejects.
+        let mut b = binder(
+            vec![
+                Constraint::precedes("b", "a", ConstraintScope::SameSap),
+                Constraint::precedes("a", "b", ConstraintScope::SameSap),
+            ],
+            2,
+        );
+        let down = b.resolve(&sap(1), "b", &[]);
+        assert_eq!(down.len(), 2, "one edge per constraint");
+        for key in [&[][..], &[1][..], &[1, 0][..]] {
+            let mut dense: Vec<u16> = key.iter().map(|&s| s as u16).collect();
+            let in_turn = down
+                .iter()
+                .enumerate()
+                .find_map(|(i, e)| {
+                    b.step_dense(&mut dense, std::slice::from_ref(e))
+                        .err()
+                        .map(|r| Rejection {
+                            edge: i,
+                            state: r.state,
+                        })
+                })
+                .expect("the second edge rejects");
+            assert_eq!(in_turn.edge, 1, "key {key:?}");
+            let mut out = [7u32, 7];
+            assert_eq!(
+                b.step_wide_into(key, &down, &mut out),
+                Err(in_turn),
+                "key {key:?}"
+            );
+            assert_eq!(
+                out,
+                [7, 7],
+                "key {key:?}: a rejection leaves `out` as it was"
+            );
+        }
     }
 
     #[test]

@@ -67,6 +67,12 @@ pub(super) struct SymCanon {
     pub(super) groups: Vec<Vec<Sap>>,
     /// SAP → (group index, member index within the group).
     pub(super) member_index: FastMap<Sap, (usize, usize)>,
+    /// Universe index → the (group, member) at the event's SAP, `None`
+    /// for events outside every group.
+    event_member: Vec<Option<(usize, usize)>>,
+    /// `parent[g][j]` = the fragment id of group `g`'s member `j` in the
+    /// state last passed to [`SymCanon::expand_from`].
+    parent: Vec<Vec<u32>>,
     /// Fragment → dense id, assigned in first-encounter order. Sorting
     /// members by these ids is the canonical form; discovery order makes
     /// it engine-independent (see [`FragAtom`]).
@@ -176,10 +182,21 @@ impl SymCanon {
             }
             Runtime::Interp(_) => (Vec::new(), Vec::new()),
         };
+        let event_member = explorer
+            .universe
+            .iter()
+            .map(|event| member_index.get(&event.sap).copied())
+            .collect();
+        let parent = groups
+            .iter()
+            .map(|members| vec![0; members.len()])
+            .collect();
         let orders = vec![Vec::new(); groups.len()];
         Some(SymCanon {
             groups,
             member_index,
+            event_member,
+            parent,
             frag_ids: FastMap::default(),
             dfa_families,
             dfa_mutex,
@@ -192,10 +209,35 @@ impl SymCanon {
         })
     }
 
+    /// Records the fragment ids of `key`, a stored (so canonical) state
+    /// about to be expanded, for [`SymCanon::canonical`] to reuse on its
+    /// successors. Every fragment of a stored state is already interned.
+    pub(super) fn expand_from(&mut self, engine: &StepEngine<'_, '_>, key: &[u32]) {
+        for g in 0..self.groups.len() {
+            for j in 0..self.groups[g].len() {
+                self.fragment(engine, g, j, key);
+                debug_assert!(self.frag_ids.contains_key(self.frag.as_slice()));
+                self.parent[g][j] = self.intern();
+            }
+        }
+    }
+
     /// Rewrites `key` in place to its orbit representative. Returns the
     /// orbit's size and whether the canonicalization was not the identity
     /// — in which case [`SymCanon::orders`] holds the member orders
     /// applied.
+    ///
+    /// With `step = Some(i)`, `key` is the successor by universe event `i`
+    /// of the state last passed to [`SymCanon::expand_from`]. An event at
+    /// access point `s` writes only instances owned by `s` or global ones
+    /// (which belong to no fragment), and moves a mutex holder only
+    /// between "free" and `s`, so only `s`'s fragment is recomputed; every
+    /// other member reuses its parent's id. The reused fragments are
+    /// interned already and the recomputed one is looked up where the
+    /// full computation would look it up, so fragment ids — and with them
+    /// the member orders and representatives — are those of computing
+    /// every fragment. Debug builds check each reused id against that
+    /// computation. `step = None` computes every fragment.
     ///
     /// The representative is well-defined on orbits: permuting members
     /// permutes the fragment multiset, and "position `p` gets the `p`-th
@@ -207,30 +249,31 @@ impl SymCanon {
         &mut self,
         engine: &mut StepEngine<'_, '_>,
         key: &mut [u32],
+        step: Option<usize>,
     ) -> (u64, bool) {
+        let moved = step.map(|i| self.event_member[i]);
         let mut orbit = 1u64;
         let mut identity = true;
         for g in 0..self.groups.len() {
             let members = self.groups[g].len();
             self.frags.clear();
             for j in 0..members {
-                member_frag(
-                    engine,
-                    &self.groups,
-                    &self.dfa_families,
-                    &self.dfa_mutex,
-                    g,
-                    j,
-                    key,
-                    &mut self.frag,
-                );
-                let id = match self.frag_ids.get(self.frag.as_slice()) {
-                    Some(&id) => id,
-                    None => {
-                        let id =
-                            u32::try_from(self.frag_ids.len()).expect("fewer than 2^32 fragments");
-                        self.frag_ids.insert(self.frag.clone(), id);
+                let id = match moved {
+                    Some(moved) if moved != Some((g, j)) => {
+                        let id = self.parent[g][j];
+                        if cfg!(debug_assertions) {
+                            self.fragment(engine, g, j, key);
+                            assert_eq!(
+                                self.frag_ids.get(self.frag.as_slice()),
+                                Some(&id),
+                                "an event moved the fragment of a member at another access point"
+                            );
+                        }
                         id
+                    }
+                    _ => {
+                        self.fragment(engine, g, j, key);
+                        self.intern()
                     }
                 };
                 self.frags.push(id);
@@ -267,6 +310,32 @@ impl SymCanon {
             }
         }
         (orbit, true)
+    }
+
+    /// Writes the fragment of group `g`'s member `j` in `key` into the
+    /// `frag` scratch buffer.
+    fn fragment(&mut self, engine: &StepEngine<'_, '_>, g: usize, j: usize, key: &[u32]) {
+        member_frag(
+            engine,
+            &self.groups,
+            &self.dfa_families,
+            &self.dfa_mutex,
+            g,
+            j,
+            key,
+            &mut self.frag,
+        );
+    }
+
+    /// The id of the fragment in the `frag` scratch buffer, interning it
+    /// on first sight.
+    fn intern(&mut self) -> u32 {
+        if let Some(&id) = self.frag_ids.get(self.frag.as_slice()) {
+            return id;
+        }
+        let id = u32::try_from(self.frag_ids.len()).expect("fewer than 2^32 fragments");
+        self.frag_ids.insert(self.frag.clone(), id);
+        id
     }
 }
 

@@ -235,7 +235,7 @@ impl<'a> ServiceExplorer<'a> {
         let mut key = engine.initial_key();
         let width = key.len();
         let init_orbit = match sym.as_mut() {
-            Some(sym) => sym.canonical(&mut engine, &mut key).0,
+            Some(sym) => sym.canonical(&mut engine, &mut key, None).0,
             None => 1,
         };
         states_saved += init_orbit - 1;
@@ -267,6 +267,9 @@ impl<'a> ServiceExplorer<'a> {
 
         while let Some(sid) = queue.pop_front() {
             key.copy_from_slice(store.get(sid));
+            if let Some(sym) = sym.as_mut() {
+                sym.expand_from(&engine, &key);
+            }
             enabled.clear();
             for i in 0..n {
                 let next = &mut succ[i * width..(i + 1) * width];
@@ -277,7 +280,7 @@ impl<'a> ServiceExplorer<'a> {
                     enabled.push(i);
                     enabled_ever[i] = true;
                     orbits[i] = match sym.as_mut() {
-                        Some(sym) => sym.canonical(&mut engine, next).0,
+                        Some(sym) => sym.canonical(&mut engine, next, Some(i)).0,
                         None => 1,
                     };
                 }
@@ -442,7 +445,7 @@ impl<'a> ServiceExplorer<'a> {
         let mut sigma: Vec<Vec<usize>> =
             sym.groups.iter().map(|g| (0..g.len()).collect()).collect();
         let mut key = engine.initial_key();
-        sym.canonical(engine, &mut key);
+        sym.canonical(engine, &mut key, None);
         let mut next = vec![0; key.len()];
         let mut out = Vec::with_capacity(steps.len());
         for &ei in steps {
@@ -461,7 +464,7 @@ impl<'a> ServiceExplorer<'a> {
             {
                 unreachable!("recorded search edges step successfully");
             }
-            if sym.canonical(engine, &mut next).1 {
+            if sym.canonical(engine, &mut next, None).1 {
                 // Canonical member p of the successor is the stepped
                 // state's member orders[g][p]: compose the renamings.
                 for (g, order) in sym.orders.iter().enumerate() {

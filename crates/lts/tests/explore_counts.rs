@@ -181,6 +181,55 @@ fn floor_control_4x2_counts_are_pinned_under_the_interpreter() {
     check_engine(Engine::Interp);
 }
 
+/// Six interchangeable users on one resource, symmetry on: every
+/// successor reuses five of its parent's six fragments, so this pins the
+/// incremental canonicalizer on a group wider than the 4-user one. One
+/// resource makes every event dependent on the mutex, so the ample sets
+/// are the enabled sets; 91 representatives plus the 5 012 states they
+/// stand for are the 5 103 states of the unreduced search.
+fn check_six_members(engine: Engine) {
+    let service = floor_control();
+    let explorer = ServiceExplorer::with_engine(&service, universe(6, 1), 2, engine);
+    for reduction in [Reduction::AmpleSets, Reduction::Full] {
+        let report = explorer.explore(&ExploreOptions {
+            max_states: 200_000,
+            reduction,
+            symmetry: Symmetry::On,
+            ..ExploreOptions::default()
+        });
+        let what = format!("{engine:?} engine, {reduction:?}");
+        assert!(!report.truncated, "{what}: truncated");
+        assert_eq!(report.states, 91, "{what}: states");
+        assert_eq!(report.transitions, 539, "{what}: transitions");
+        assert_eq!(
+            report.ample_hist,
+            [0, 1, 4, 7, 10, 13, 23, 18, 5, 4, 3, 2, 1],
+            "{what}: ample_hist"
+        );
+        assert_eq!(report.canon_hits, 310, "{what}: canon_hits");
+        assert_eq!(report.orbit_count, 91, "{what}: orbit_count");
+        assert_eq!(report.sym_states_saved, 5012, "{what}: sym_states_saved");
+        assert_eq!(report.deadlock_states, 0, "{what}: deadlocks");
+    }
+    let unreduced = explorer.explore(&ExploreOptions {
+        max_states: 200_000,
+        reduction: Reduction::Full,
+        symmetry: Symmetry::Off,
+        ..ExploreOptions::default()
+    });
+    assert_eq!(unreduced.states, 91 + 5012);
+}
+
+#[test]
+fn floor_control_6x1_symmetric_counts_are_pinned_under_the_dfa_engine() {
+    check_six_members(Engine::Dfa);
+}
+
+#[test]
+fn floor_control_6x1_symmetric_counts_are_pinned_under_the_interpreter() {
+    check_six_members(Engine::Interp);
+}
+
 /// [`universe`] plus one `status` event per user.
 fn universe_with_status(users: u64, resources: u64) -> Vec<AbstractEvent> {
     let mut events = universe(users, resources);

@@ -247,11 +247,9 @@ impl TimerWheel {
         let key = (event.at, event.key);
         match self.ready.back() {
             Some(last) if (last.at, last.key) > key => {
-                let pos = self
-                    .ready
-                    .iter()
-                    .position(|e| (e.at, e.key) > key)
-                    .unwrap_or(self.ready.len());
+                // `ready` is sorted and `(at, key)` is unique, so the
+                // first entry after `key` is found by bisection.
+                let pos = self.ready.partition_point(|e| (e.at, e.key) <= key);
                 self.ready.insert(pos, event);
             }
             _ => self.ready.push_back(event),

@@ -50,7 +50,7 @@ pub use json::{parse_flat_numbers, write_outcome, JsonWriter};
 pub use report::{
     check_flags, ensure_writable, fail, flag_usize, flag_value, fmt_f, obs_flags, output_flags,
     print_header, print_row, shards_flag, trace_flags, verbosity, write_file, ObsFormat,
-    TraceFlags, Verbosity,
+    TraceFlags, Verbosity, VERBOSITY_SWITCHES,
 };
 pub use spec::{Cell, CellTarget, FaultCampaign, SweepSpec, Variation};
 pub use svckit_obs::{chrome_trace, LddStats, PorStats, Recorder, SymStats};

@@ -533,6 +533,9 @@ impl Verbosity {
     }
 }
 
+/// The switches [`verbosity`] reads, for [`check_flags`].
+pub const VERBOSITY_SWITCHES: &[&str] = &["--quiet", "-v", "--verbose"];
+
 /// Parses the shared `--quiet` / `-v` / `--verbose` flags.
 pub fn verbosity(args: &[String]) -> Verbosity {
     if args.iter().any(|a| a == "--quiet") {
@@ -570,17 +573,21 @@ pub fn flag_usize(args: &[String], name: &str, default: usize) -> Result<usize, 
     }
 }
 
-/// Refuses any flag outside `known` (names without the leading `--`,
-/// each taking one value), for binaries whose flags are few enough to
-/// list: a mistyped flag then fails instead of being ignored.
+/// Refuses any argument that is neither a flag in `known` (names without
+/// the leading `--`, each taking one value) nor a switch in `switches`
+/// (whole arguments that take no value, such as [`VERBOSITY_SWITCHES`]),
+/// so a mistyped flag fails instead of being ignored.
 ///
 /// # Errors
 ///
 /// `unexpected argument <arg>` for the first argument that is not a
-/// known flag or its value.
-pub fn check_flags(args: &[String], known: &[&str]) -> Result<(), String> {
+/// known flag, its value or a known switch.
+pub fn check_flags(args: &[String], known: &[&str], switches: &[&str]) -> Result<(), String> {
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
+        if switches.contains(&arg.as_str()) {
+            continue;
+        }
         match arg.strip_prefix("--") {
             Some(name) if known.contains(&name) => {
                 iter.next();
@@ -689,6 +696,15 @@ mod tests {
         assert_eq!(flag_usize(&args, "threads", 1), Ok(4));
         assert_eq!(flag_usize(&args, "seeds", 8), Ok(8));
         assert_eq!(flag_value(&args, "missing"), None);
+        assert_eq!(check_flags(&args, &["out", "threads"], &[]), Ok(()));
+        assert!(check_flags(&args, &["out"], &[]).is_err());
+        let switched: Vec<String> = ["-v", "--out", "--quiet", "--quiet"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        // A switch takes no value; a flag's value is never read as one.
+        assert_eq!(check_flags(&switched, &["out"], VERBOSITY_SWITCHES), Ok(()));
+        assert!(check_flags(&switched, &["out"], &[]).is_err());
     }
 
     #[test]
