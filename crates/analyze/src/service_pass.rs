@@ -16,6 +16,14 @@
 //! Two of them run in full when their findings can be reported: the
 //! unquotiented counterpart of a quotient run that found a defect, and
 //! the symbolic run when the configured search truncated.
+//!
+//! The searches are independent, so a pass runs them on two threads: a
+//! worker runs the count-only LDD fixpoint and the reduction counterpart
+//! on a clone of the explorer, while the calling thread runs the
+//! configured search and the symmetry counterpart. The symbolic rescue,
+//! when needed, runs on the calling thread after the join. Every search
+//! is deterministic and reads only its own explorer, so the report does
+//! not depend on the schedule.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -107,9 +115,11 @@ pub struct ServiceAnalysis {
     /// builds no diagrams). `states`, `transitions` and `ldd_nodes` equal
     /// a full symbolic search's. `peak_nodes` and `cache_hits` describe
     /// the store of the count-only search that fills the block, which
-    /// builds no witness relations and so interns about half the nodes —
-    /// except when the configured search truncated, where the full
-    /// (rescue) search fills it. Under [`Engine::Interp`] the symbolic
+    /// chains event images into one reached set instead of building BFS
+    /// plies and builds no witness relations (15 392 nodes on the 4-user
+    /// floor, against 91 636 for the full search) — except when the
+    /// configured search truncated, where the full (rescue) search fills
+    /// it. Under [`Engine::Interp`] the symbolic
     /// backend falls back to the explicit search (diagrams run on the DFA
     /// slot layout only), so the block holds the configured search's
     /// `states` and `transitions` and zero diagram statistics.
@@ -160,8 +170,6 @@ pub fn analyze_service(
         symmetry: options.symmetry,
         ..ExploreOptions::default()
     };
-    let report = explorer.explore(&explore_options);
-
     // The symmetry counterpart: same reduction, flipped quotient knob. It
     // fills the shared `SymStats` block, and — when the quotient run found
     // a defect — supplies the diagnostics, so witness traces are
@@ -179,34 +187,79 @@ pub fn analyze_service(
         },
         ..explore_options.clone()
     };
-    let sym_witness = (options.symmetry == Symmetry::On && has_defect(&report))
-        .then(|| explorer.explore(&sym_options));
-    let sym_counterpart = match &sym_witness {
-        Some(full) => full.counts(),
-        None => explorer.explore_counts(&sym_options),
-    };
     // Under the symbolic backend one extra exploration runs the LDD
-    // fixpoint engine on the same explorer. It feeds the `ldd` statistics
-    // block, and — because the diagram never truncates — rescues the
-    // diagnostics when the configured run stopped at the state bound and
-    // the symmetry counterpart offers no complete witnesses either:
-    // witnesses are then re-extracted concrete minimal traces instead of
-    // an SA009 stub. Only a truncated configured run can need that rescue,
-    // so otherwise the symbolic run is count-only. (`peak_nodes > 0`
-    // distinguishes a completed symbolic run from the explicit fallback
-    // taken past the node budget or under the interpreter engine.)
+    // fixpoint engine. It feeds the `ldd` statistics block, and — because
+    // the diagram never truncates — rescues the diagnostics when the
+    // configured run stopped at the state bound and the symmetry
+    // counterpart offers no complete witnesses either: witnesses are then
+    // re-extracted concrete minimal traces instead of an SA009 stub.
+    // (`peak_nodes > 0` distinguishes a completed symbolic run from the
+    // explicit fallback taken past the node budget or under the
+    // interpreter engine.)
     let symbolic_options = ExploreOptions {
         backend: Backend::Symbolic,
         ..explore_options.clone()
     };
+    // The reduction counterpart fills in the other half of the shared POR
+    // statistics block at the same state bound and symmetry setting.
+    let por_options = ExploreOptions {
+        reduction: match options.reduction {
+            Reduction::Full => Reduction::AmpleSets,
+            Reduction::AmpleSets => Reduction::Full,
+        },
+        ..explore_options.clone()
+    };
+
+    // The count-only LDD and reduction counterparts read nothing of the
+    // other searches, so one worker runs them while this thread runs the
+    // configured search and the symmetry counterpart. The worker searches
+    // a clone of the explorer: every search holds its explorer's runtime
+    // for its whole length, so sharing one would serialize the two. Obs
+    // counters the worker records are folded into this thread's recorder
+    // after the join; counters add up, so the totals do not depend on the
+    // schedule.
+    let worker_explorer = explorer.clone();
+    let worker_recorder = svckit_obs::active().then(svckit_obs::Recorder::new);
+    let (report, sym_witness, sym_counterpart, (speculative_ldd, counterpart)) =
+        std::thread::scope(|scope| {
+            let worker = scope.spawn(|| {
+                let run = || {
+                    let ldd = (options.backend == Backend::Symbolic)
+                        .then(|| worker_explorer.explore_counts(&symbolic_options));
+                    (ldd, worker_explorer.explore_counts(&por_options))
+                };
+                match worker_recorder {
+                    Some(recorder) => {
+                        let (counts, recorder) = svckit_obs::with_recorder(recorder, run);
+                        (counts, Some(recorder))
+                    }
+                    None => (run(), None),
+                }
+            });
+            let report = explorer.explore(&explore_options);
+            let sym_witness = (options.symmetry == Symmetry::On && has_defect(&report))
+                .then(|| explorer.explore(&sym_options));
+            let sym_counterpart = match &sym_witness {
+                Some(full) => full.counts(),
+                None => explorer.explore_counts(&sym_options),
+            };
+            let (counts, recorder) = worker
+                .join()
+                .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+            if let Some(recorder) = &recorder {
+                svckit_obs::absorb_into_current(recorder);
+            }
+            (report, sym_witness, sym_counterpart, counts)
+        });
+
+    // Only a truncated configured run can need the symbolic rescue, so
+    // only then does the symbolic search run in full, here after the
+    // join; the worker's count-only result is then discarded.
     let symbolic_witness = (options.backend == Backend::Symbolic && report.truncated)
         .then(|| explorer.explore(&symbolic_options));
     let symbolic = match &symbolic_witness {
         Some(full) => Some(full.counts()),
-        None if options.backend == Backend::Symbolic => {
-            Some(explorer.explore_counts(&symbolic_options))
-        }
-        None => None,
+        None => speculative_ldd,
     };
     let mut diag_report = match &sym_witness {
         Some(full) if !full.truncated => full,
@@ -240,18 +293,7 @@ pub fn analyze_service(
         }
     }
 
-    // A count-only exploration under the counterpart reduction fills in
-    // the other half of the shared POR statistics block. Diagnostics
-    // always come from the runs above; the extra run only feeds the
-    // report, and shares the same state bound and symmetry setting.
     let configured = report.counts();
-    let counterpart = explorer.explore_counts(&ExploreOptions {
-        reduction: match options.reduction {
-            Reduction::Full => Reduction::AmpleSets,
-            Reduction::AmpleSets => Reduction::Full,
-        },
-        ..explore_options
-    });
     let (full, reduced) = match options.reduction {
         Reduction::Full => (&configured, &counterpart),
         Reduction::AmpleSets => (&counterpart, &configured),
@@ -535,6 +577,27 @@ mod tests {
                 analysis.diagnostics
             );
         }
+    }
+
+    /// The reduction counterpart runs on the worker thread; its obs
+    /// counters still reach the caller's recorder. Under the explicit
+    /// backend every search counts its states into `lts.states`, so with
+    /// the sites compiled in (`--features svckit-lts/obs`) the counter is
+    /// the sum of the three searches' states.
+    #[test]
+    fn worker_counters_reach_the_callers_recorder() {
+        let (analysis, recorder) = svckit_obs::with_recorder(svckit_obs::Recorder::new(), || {
+            analyze_service(
+                &floor_control_service(),
+                floor_event_universe(2, 2),
+                &ServicePassOptions::default(),
+            )
+        });
+        let searched = analysis.states as u64 + analysis.sym.full_states + analysis.por.full_states;
+        assert_eq!(
+            recorder.counter("lts.states"),
+            searched * u64::from(svckit_obs::sites_enabled())
+        );
     }
 
     #[test]

@@ -152,13 +152,14 @@ pub fn solution_targets() -> Vec<Target> {
 /// definition; the milestone log is attached as report context.
 pub fn platform_targets() -> Vec<Target> {
     let mut targets = Vec::new();
+    let platforms = all_platforms();
     for pim in [floor_control_pim(), chat_pim()] {
-        for platform in all_platforms() {
-            let trajectory = Trajectory::start(pim.service().clone())
-                .with_design(pim.clone())
-                .expect("catalogued PIMs implement their own service");
+        let trajectory = Trajectory::start(pim.service().clone())
+            .with_design(pim.clone())
+            .expect("catalogued PIMs implement their own service");
+        for platform in &platforms {
             let outcome = trajectory
-                .realize(&platform, TransformPolicy::RecursiveServiceDesign)
+                .realize(platform, TransformPolicy::RecursiveServiceDesign)
                 .expect("every catalogued platform can realize the catalogued PIMs");
             let notes = outcome
                 .records()

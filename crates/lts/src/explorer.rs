@@ -21,7 +21,6 @@
 //! `svckit-model` reports unanswered obligations on finite executions
 //! instead.
 
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::str::FromStr;
@@ -29,6 +28,7 @@ use std::sync::{Arc, Mutex};
 
 use svckit_dfa::{Binder, Compiled, Engine};
 use svckit_ldd::Backend;
+use svckit_model::hash::FastMap;
 use svckit_model::{Sap, ServiceDefinition, Value};
 
 use crate::symmetry::Symmetry;
@@ -180,7 +180,7 @@ pub struct ServiceExplorer<'a> {
     /// to it. Every current constraint kind mentions exactly two primitive
     /// names and leaves its state untouched on any other event, so a step
     /// only has to run the constraints listed here.
-    relevance: HashMap<String, Vec<usize>>,
+    relevance: FastMap<String, Vec<usize>>,
 }
 
 impl Clone for ServiceExplorer<'_> {
@@ -229,7 +229,7 @@ impl<'a> ServiceExplorer<'a> {
         max_outstanding: u32,
         engine: Engine,
     ) -> Self {
-        let mut relevance: HashMap<String, Vec<usize>> = HashMap::new();
+        let mut relevance: FastMap<String, Vec<usize>> = FastMap::default();
         for (i, constraint) in service.constraints().iter().enumerate() {
             for name in constraint_primitives(constraint.kind()) {
                 let entry = relevance.entry(name.to_owned()).or_default();
@@ -494,7 +494,8 @@ impl ExploreReport {
 /// [`Backend::Symbolic`] `states`, `transitions`, `truncated` and
 /// `ldd_nodes` are equal; `ample_hist` is empty (the histogram is not
 /// refined), and `peak_nodes`/`cache_hits` describe the smaller store of a
-/// search that builds no witness relations. That smaller store can fit
+/// search that chains event images to the fixpoint instead of building
+/// BFS plies, and builds no witness relations. That smaller store can fit
 /// [`ExploreOptions::ldd_node_limit`] where the full search overruns it
 /// and falls back to the explicit engine; the counts then describe the
 /// completed fixpoint instead of the fallback.
@@ -529,8 +530,8 @@ pub(crate) enum Detail {
     /// Deadlock and livelock witnesses and the never-enabled census too.
     Findings,
     /// Counts only: no search tree, edge list, quiescence marks or
-    /// witness replay (explicit), no histogram, inverse relations or
-    /// livelock fixpoint (symbolic).
+    /// witness replay (explicit), no BFS plies, histogram, inverse
+    /// relations or livelock fixpoint (symbolic).
     Counts,
 }
 

@@ -3,7 +3,7 @@
 //! interpreter's interning [`ProductEngine`], the compiled engine's slot
 //! binder, and the [`StepEngine`] interface over both.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::{Arc, MutexGuard};
 
 use svckit_dfa::{Binder, Edge};
@@ -251,7 +251,7 @@ pub(super) struct ConstraintTable {
     /// Interned per-constraint states, id → state.
     pub(super) states: Vec<Arc<CState>>,
     /// Content-based reverse index of `states`.
-    ids: HashMap<Arc<CState>, u32>,
+    ids: FastMap<Arc<CState>, u32>,
     /// Whether `states[i]` is quiescent for this constraint.
     quiescent: Vec<bool>,
     /// Memoized `(state id, event id) → step result`.
@@ -299,7 +299,7 @@ pub(super) struct ProductEngine {
     /// Interned events: the universe first (so `universe_ids` is fixed at
     /// construction), then whatever else is stepped — during verification,
     /// the implementation's alphabet.
-    event_ids: HashMap<AbstractEvent, u32>,
+    event_ids: FastMap<AbstractEvent, u32>,
     /// The event id of each universe event.
     universe_ids: Vec<u32>,
     pub(super) tables: Vec<ConstraintTable>,
@@ -313,7 +313,7 @@ impl ProductEngine {
             .map(|c| {
                 let mut table = ConstraintTable {
                     states: Vec::new(),
-                    ids: HashMap::new(),
+                    ids: FastMap::default(),
                     quiescent: Vec::new(),
                     trans: FastMap::default(),
                 };
@@ -328,7 +328,7 @@ impl ProductEngine {
             })
             .collect();
         let mut engine = ProductEngine {
-            event_ids: HashMap::new(),
+            event_ids: FastMap::default(),
             universe_ids: Vec::new(),
             tables,
         };

@@ -11,7 +11,9 @@
 //! explorer has no such layout (its per-constraint levels mix every
 //! user's instances into one value), so it explores explicitly.
 //!
-//! The search is a breadth-first fixpoint over per-ply frontiers. Every
+//! The search is a breadth-first fixpoint over per-ply frontiers (a
+//! count-only search chains event images into one reached set instead,
+//! see [`ServiceExplorer::explore_symbolic`]). Every
 //! event's step relation factorizes into independent deterministic
 //! partial maps per level (the explicit engine's `step_into` touches only
 //! the event's relevant levels), so the relational product is applied as
@@ -179,9 +181,12 @@ impl<'a> ServiceExplorer<'a> {
     /// *byte-identical* lexicographically-minimal deadlock witnesses, the
     /// never-enabled census, livelock existence, the expansion
     /// histogram), plus the LDD statistics. Under [`Detail::Counts`] the
-    /// search stops after the forward fixpoint and the per-event enabled
-    /// sets: states, transitions and the LDD statistics are reported,
-    /// the findings and the histogram stay empty.
+    /// forward fixpoint chains event images instead of building BFS
+    /// plies, and the search stops after it and the per-event enabled
+    /// sets: states, transitions and `ldd_nodes` equal the full search's
+    /// (the reached set is canonical), `peak_nodes` and `cache_hits`
+    /// describe the chained run's store, and the findings and the
+    /// histogram stay empty.
     pub(super) fn explore_symbolic(
         &self,
         options: &ExploreOptions,
@@ -215,29 +220,52 @@ impl<'a> ServiceExplorer<'a> {
         let width = u32::try_from(init_key.len()).expect("product width fits u32");
         let n = self.universe.len();
 
-        // Forward fixpoint, one diagram per BFS ply (`layers[d]` = states
-        // first reached in exactly `d` steps — the backbone of minimal
-        // witness re-extraction).
+        // Forward fixpoint. With findings wanted it runs breadth-first,
+        // one diagram per ply (`layers[d]` = states first reached in
+        // exactly `d` steps — the backbone of minimal witness
+        // re-extraction). Counts only need the reached set, which is
+        // canonical whatever order reaches it, so that search chains
+        // instead: each event's image is folded into `reached` as soon as
+        // it exists, so later events in the round already step from it.
+        // That reaches the fixpoint in fewer, larger steps and interns far
+        // fewer intermediate diagrams than per-ply frontiers.
         let init = store.singleton(&init_key);
         let mut layers: Vec<Ldd> = vec![init];
         let mut reached = init;
-        let mut frontier = init;
-        while frontier != EMPTY {
-            let mut next = EMPTY;
-            for (rel, &eid) in rels.iter().zip(&event_ids) {
-                let img = image(&mut store, binder, rel, eid, frontier);
-                next = store.union(next, img);
+        match detail {
+            Detail::Findings => {
+                let mut frontier = init;
+                while frontier != EMPTY {
+                    let mut next = EMPTY;
+                    for (rel, &eid) in rels.iter().zip(&event_ids) {
+                        let img = image(&mut store, binder, rel, eid, frontier);
+                        next = store.union(next, img);
+                    }
+                    let fresh = store.minus(next, reached);
+                    if store.over_limit() {
+                        return Err(over_budget());
+                    }
+                    if fresh == EMPTY {
+                        break;
+                    }
+                    reached = store.union(reached, fresh);
+                    layers.push(fresh);
+                    frontier = fresh;
+                }
             }
-            let fresh = store.minus(next, reached);
-            if store.over_limit() {
-                return Err(over_budget());
-            }
-            if fresh == EMPTY {
-                break;
-            }
-            reached = store.union(reached, fresh);
-            layers.push(fresh);
-            frontier = fresh;
+            Detail::Counts => loop {
+                let before = reached;
+                for (rel, &eid) in rels.iter().zip(&event_ids) {
+                    let img = image(&mut store, binder, rel, eid, reached);
+                    reached = store.union(reached, img);
+                }
+                if store.over_limit() {
+                    return Err(over_budget());
+                }
+                if reached == before {
+                    break;
+                }
+            },
         }
 
         // Per-event enabled sets over the whole reached set: the census

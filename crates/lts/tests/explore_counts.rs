@@ -12,7 +12,8 @@
 //! The count-only search (`ServiceExplorer::explore_counts`) is locked
 //! against the full search here too: over the 2–4-user floor universes,
 //! complete and truncated, it must report exactly the full report's
-//! counts.
+//! counts. Its symbolic fixpoint is pinned exactly on the 4 × 2
+//! universe as well.
 
 use svckit_lts::explorer::{AbstractEvent, ExploreOptions, Reduction, ServiceExplorer};
 use svckit_lts::{Backend, Engine, Symmetry};
@@ -328,4 +329,26 @@ fn count_only_search_matches_the_full_search_under_the_dfa_engine() {
 #[test]
 fn count_only_search_matches_the_full_search_under_the_interpreter() {
     check_count_only(Engine::Interp);
+}
+
+/// The count-only symbolic search on the 4 × 2 floor universe, pinned
+/// exactly. States and `ldd_nodes` describe the reached set, which is
+/// canonical; `peak_nodes` and `cache_hits` describe how the fixpoint got
+/// there (one reached set folded event by event), so a change of the
+/// fixpoint's order shows up here as a count change.
+#[test]
+fn floor_control_4x2_symbolic_counts_are_pinned() {
+    let service = floor_control();
+    let explorer = ServiceExplorer::with_engine(&service, universe(4, 2), 2, Engine::Dfa);
+    let options = ExploreOptions {
+        backend: Backend::Symbolic,
+        ..ExploreOptions::default()
+    };
+    let counts = explorer.explore_counts(&options);
+    assert!(!counts.truncated);
+    assert_eq!(counts.states, EXPECTED[3].states, "states");
+    assert_eq!(counts.transitions, EXPECTED[3].transitions, "transitions");
+    assert_eq!(counts.ldd_nodes, 467, "ldd_nodes");
+    assert_eq!(counts.peak_nodes, 15_392, "peak_nodes");
+    assert_eq!(counts.cache_hits, 9_218, "cache_hits");
 }

@@ -302,8 +302,12 @@ const GOLDEN_PROTO_CALLBACK_SEED7: u64 = 16_702_283_514_672_870_395;
 // explorer now answers a symbolic request with the explicit search, so
 // each service target's `ldd` block holds the configured search's
 // `states`/`transitions` and zero `ldd_nodes`/`peak_nodes`/`cache_hits`.
-// Nothing else in the report moved (the diag digest is unchanged).
+// Nothing else in the report moved (the diag digest is unchanged). The
+// DFA symbolic digest was re-captured in 0.22.0, when the count-only LDD
+// search began to chain event images instead of building BFS plies: only
+// the `ldd` blocks' `peak_nodes` and `cache_hits` moved, and the diag
+// digest did not.
 const GOLDEN_ANALYZE_DIAG: u64 = 2_698_182_463_670_502_418;
 const GOLDEN_ANALYZE_FULL_EXPLICIT: u64 = 5_519_753_541_190_147_950;
-const GOLDEN_ANALYZE_FULL_SYMBOLIC_DFA: u64 = 11_185_152_493_822_541_798;
+const GOLDEN_ANALYZE_FULL_SYMBOLIC_DFA: u64 = 7_792_356_294_717_392_782;
 const GOLDEN_ANALYZE_FULL_SYMBOLIC_INTERP: u64 = 6_871_264_713_137_135_742;
