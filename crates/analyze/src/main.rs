@@ -25,15 +25,15 @@
 //! `cmp`'d in CI.
 //!
 //! `--filter` narrows the run to targets whose name contains the given
-//! substring (mirroring `sweep`'s `--filter`; `--target` is accepted as a
-//! legacy alias).
+//! substring (mirroring `sweep`'s `--filter`).
 //!
 //! Exit status is 1 when any error-severity diagnostic is reported, or when
-//! warnings are reported under `--deny warnings`. A malformed flag value,
-//! a `--filter` that matches no target, an unwritable `--out`/`--diag-out`
-//! path (checked before the analysis runs) and a failed write to stdout (a
-//! full device, a closed pipe) each print one `error:` line and also exit
-//! with 1.
+//! warnings are reported under `--deny warnings`. An unknown flag, a flag
+//! without its value, a malformed flag value (`--deny` takes only
+//! `warnings`), a `--filter` that matches no target, an unwritable
+//! `--out`/`--diag-out` path (checked before the analysis runs) and a
+//! failed write to stdout (a full device, a closed pipe) each print one
+//! `error:` line and also exit with 1.
 
 use std::io::Write;
 use std::process::ExitCode;
@@ -43,7 +43,21 @@ use svckit_analyze::{
     all_targets, fixtures, scale_floor_targets, AnalysisReport, Reduction, ServicePassOptions,
     Symmetry,
 };
-use svckit_sweep::{ensure_writable, flag_value};
+use svckit_sweep::{check_flags, ensure_writable, flag_value};
+
+/// The flags the analyzer reads, each taking one value.
+const FLAGS: &[&str] = &[
+    "por",
+    "symmetry",
+    "engine",
+    "backend",
+    "deny",
+    "filter",
+    "users",
+    "max-states",
+    "out",
+    "diag-out",
+];
 
 /// Parses `--<name> N` as a positive integer (`default` when absent).
 fn positive_flag(args: &[String], name: &str, default: usize) -> Result<usize, String> {
@@ -93,12 +107,17 @@ fn main() -> ExitCode {
     }
 }
 
-/// Runs the analysis the flags select. Every failure — a malformed flag,
-/// a `--filter` that matches nothing, an unwritable output path (probed
-/// before the analysis runs) or a failed write to stdout — comes back as
-/// the one message `main` prints.
+/// Runs the analysis the flags select. Every failure — an unknown or
+/// malformed flag, a `--filter` that matches nothing, an unwritable
+/// output path (probed before the analysis runs) or a failed write to
+/// stdout — comes back as the one message `main` prints.
 fn run(args: &[String]) -> Result<ExitCode, String> {
-    let deny_warnings = flag_value(args, "deny").is_some_and(|v| v == "warnings");
+    check_flags(args, FLAGS, &["--fixtures"])?;
+    let deny_warnings = match flag_value(args, "deny").as_deref() {
+        None => false,
+        Some("warnings") => true,
+        Some(other) => return Err(format!("--deny expects `warnings`, got {other:?}")),
+    };
     let (options, users) = parse_options(args)?;
     let out = flag_value(args, "out");
     let diag_out = flag_value(args, "diag-out");
@@ -113,7 +132,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     if users != 3 {
         scale_floor_targets(&mut targets, users as u64);
     }
-    if let Some(filter) = flag_value(args, "filter").or_else(|| flag_value(args, "target")) {
+    if let Some(filter) = flag_value(args, "filter") {
         targets.retain(|t| t.name.contains(&filter));
         if targets.is_empty() {
             return Err(format!("--filter {filter:?} matches no target"));

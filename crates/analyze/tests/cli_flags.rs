@@ -1,6 +1,6 @@
-//! The analyzer binary rejects malformed flags with a one-line
-//! `error:` and exit code 1 — no panic, no backtrace, and no silent run
-//! over an empty universe. So does a bad environment: a `--filter` that
+//! The analyzer binary rejects unknown flags, flags without a value and
+//! malformed flag values with a one-line `error:` and exit code 1 — no
+//! panic, no backtrace, and no silent run over an empty universe. So does a bad environment: a `--filter` that
 //! matches nothing, an unwritable `--out`/`--diag-out` (caught before the
 //! analysis runs), a full stdout device and a closed stdout pipe.
 
@@ -73,6 +73,30 @@ fn unknown_por_and_symmetry_settings_carry_the_error_prefix() {
     assert_rejected(
         &["--symmetry", "maybe"],
         "error: --symmetry: unknown symmetry setting `maybe` (on|off)",
+    );
+}
+
+#[test]
+fn unknown_flags_and_flags_without_a_value_are_errors() {
+    assert_rejected(
+        &["--bogus", "1", "--filter", "mw-callback"],
+        "error: unexpected argument `--bogus`",
+    );
+    assert_rejected(
+        &["--target", "mw-callback"],
+        "error: unexpected argument `--target`",
+    );
+    assert_rejected(
+        &["--filter", "mw-callback", "--out"],
+        "error: --out needs a value",
+    );
+}
+
+#[test]
+fn deny_takes_only_warnings() {
+    assert_rejected(
+        &["--deny", "errors", "--filter", "mw-callback"],
+        r#"error: --deny expects `warnings`, got "errors""#,
     );
 }
 

@@ -6,8 +6,10 @@
 //! binaries use are re-exported here so existing imports keep working.
 //! That includes the shared obs/verbosity CLI helpers: every binary
 //! parses `--obs-out <path>`, `--obs-format {jsonl,chrome}`, `--quiet`
-//! and `-v` the same way. Build with `--features obs` to turn the
-//! workspace's instrumentation sites live.
+//! and `-v` the same way. `--obs-format chrome` writes the one Chrome
+//! form, each timeline in canonical order (the sweep binaries'
+//! `--trace-out` writes the same). Build with `--features obs` to turn
+//! the workspace's instrumentation sites live.
 
 pub mod scale;
 

@@ -1,7 +1,7 @@
-//! Every bench binary fails cleanly in a bad environment. A bad flag, an
-//! output path that cannot be written and a closed stdout each end the
-//! run with exactly one `error:` line on stderr and exit code 1 — never a
-//! panic.
+//! Every bench binary fails cleanly in a bad environment. A bad flag, a
+//! flag without its value, an output path that cannot be written and a
+//! closed stdout each end the run with exactly one `error:` line on
+//! stderr and exit code 1 — never a panic.
 
 use std::process::{Command, Stdio};
 
@@ -136,9 +136,13 @@ fn every_bench_binary_fails_with_one_error_line() {
     // Every binary lists the flags it reads: an unknown one (with a
     // value, as a mistyped flag usually has) fails before any work.
     let unknown = args(&["--no-such-flag", "1"]);
+    // A known flag with no value fails too, instead of running on its
+    // default.
+    let trailing = args(&["--out"]);
     for bin in &bins {
         assert_fails_cleanly(bin, &bin.bad, false, "bad flag");
         assert_fails_cleanly(bin, &unknown, false, "unknown flag");
+        assert_fails_cleanly(bin, &trailing, false, "trailing --out");
         let out = vec!["--out".to_owned(), unwritable.to_owned()];
         assert_fails_cleanly(bin, &out, false, "unwritable --out");
         assert_fails_cleanly(bin, &bin.quiet, true, "closed stdout");

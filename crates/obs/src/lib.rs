@@ -2,9 +2,10 @@
 //!
 //! The observability layer of the workspace: counters, fixed-bucket
 //! histograms, per-link transport statistics, and timeline events/spans
-//! stamped with **virtual (simulated) time**, exported through pluggable
-//! sinks — an in-memory [`Recorder`], JSONL, and Chrome trace-event JSON
-//! loadable in Perfetto.
+//! stamped with **virtual (simulated) time**, exported through one writer
+//! per format — an in-memory [`Recorder`], JSONL ([`Recorder::jsonl`]),
+//! Chrome trace-event JSON loadable in Perfetto ([`chrome_trace`]), and
+//! the span trees behind the critical-path summary ([`trace_trees`]).
 //!
 //! ## The two-gear design
 //!
@@ -26,7 +27,9 @@
 //! recording-order `Vec`s, and are installed per worker thread — one per
 //! sweep cell — then merged in spec order. Every sink is therefore
 //! byte-identical across `--threads` values and across repeated runs of
-//! the same seed (golden-tested in `svckit-sweep`, `cmp`'d in CI).
+//! the same seed (golden-tested in `svckit-sweep`, `cmp`'d in CI). The
+//! Chrome writer and the tree walker also sort each timeline
+//! canonically, so they are identical across `--shards` values too.
 //!
 //! ```
 //! use svckit_obs::{with_recorder, Recorder};
@@ -50,11 +53,10 @@ pub mod trace;
 
 pub use ctx::{absorb_into_current, active, sites_enabled, with_recorder};
 pub use json::{parse_flat_numbers, JsonWriter};
-pub use recorder::{chrome_trace, chrome_trace_canonical, Event, Hist, LinkStat, Recorder};
+pub use recorder::{chrome_trace, Event, Hist, LinkStat, Recorder};
 pub use stats::{LddStats, PorStats, SymStats};
 pub use trace::{
-    mint_id, percentile_us, sample_keep, trace_trees, RequestBreakdown, SpanNode, TraceCtx,
-    TraceTree,
+    mint_id, percentile_us, trace_trees, RequestBreakdown, SpanNode, TraceCtx, TraceTree,
 };
 
 /// Adds 1 (or `n`) to a named counter on the installed recorder.

@@ -1,5 +1,5 @@
 //! The per-run recorder: counters, fixed-bucket histograms, per-link
-//! transport statistics, and a bounded ring of timeline events.
+//! transport statistics, and a bounded timeline of events.
 //!
 //! One [`Recorder`] captures one unit of work — a sweep cell, a soak
 //! cell, one hotpath benchmark iteration group. Recorders are plain data
@@ -166,17 +166,21 @@ pub struct Event {
 pub const DEFAULT_EVENT_CAPACITY: usize = 65_536;
 
 /// Captures one unit of work's observations. See the module docs.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Recorder {
     counters: BTreeMap<&'static str, u64>,
     hists: BTreeMap<&'static str, Hist>,
     links: BTreeMap<(u64, u64), LinkStat>,
     events: Vec<Event>,
-    events_seen: u64,
-    events_sampled_out: u64,
     events_dropped: u64,
-    sample_every: u64,
     capacity: usize,
+}
+
+impl Default for Recorder {
+    /// [`Recorder::new`]: the default timeline capacity, not zero.
+    fn default() -> Self {
+        Recorder::new()
+    }
 }
 
 impl Recorder {
@@ -190,28 +194,13 @@ impl Recorder {
     /// affected by the bound.
     pub fn with_capacity(capacity: usize) -> Self {
         Recorder {
+            counters: BTreeMap::new(),
+            hists: BTreeMap::new(),
+            links: BTreeMap::new(),
+            events: Vec::new(),
+            events_dropped: 0,
             capacity,
-            ..Recorder::default()
         }
-    }
-
-    /// Switches the timeline to 1-in-`every` sampling. `0` and `1` both
-    /// mean "keep everything" (the default); sampled-out events are
-    /// counted in [`Recorder::events_sampled_out`]. Counters,
-    /// histograms, and link statistics are never sampled.
-    ///
-    /// Untraced events are thinned by their virtual-order index (of
-    /// every `every` consecutive calls, the first is kept), so the
-    /// timeline stays a uniform sample of the whole run. *Traced*
-    /// events (`trace_id != 0`) are instead kept or dropped **per
-    /// trace** by [`crate::trace::sample_keep`]: a request tree is
-    /// either fully present or fully absent, never split — index
-    /// thinning would orphan child spans from their parents and break
-    /// every consumer of the tree.
-    #[must_use]
-    pub fn with_sampling(mut self, every: u64) -> Self {
-        self.sample_every = every;
-        self
     }
 
     /// Adds `n` to counter `name`.
@@ -245,10 +234,8 @@ impl Recorder {
         self.event_traced(name, cat, tid, 0, ts_us, dur_us, 0, 0, 0);
     }
 
-    /// Appends a timeline event carrying causal-trace identity. Traced
-    /// events sample per `trace_id` (whole request trees kept or
-    /// dropped together); untraced events (`trace_id == 0`) thin by
-    /// index as before.
+    /// Appends a timeline event carrying causal-trace identity (bounded
+    /// like [`Recorder::event`]).
     #[allow(clippy::too_many_arguments)]
     pub fn event_traced(
         &mut self,
@@ -262,17 +249,7 @@ impl Recorder {
         span_id: u64,
         parent_id: u64,
     ) {
-        self.events_seen += 1;
-        let kept = if self.sample_every < 2 {
-            true
-        } else if trace_id != 0 {
-            crate::trace::sample_keep(trace_id, self.sample_every)
-        } else {
-            (self.events_seen - 1).is_multiple_of(self.sample_every)
-        };
-        if !kept {
-            self.events_sampled_out += 1;
-        } else if self.events.len() < self.capacity {
+        if self.events.len() < self.capacity {
             self.events.push(Event {
                 name,
                 cat,
@@ -319,16 +296,6 @@ impl Recorder {
         self.events_dropped
     }
 
-    /// Total [`Recorder::event`] calls, kept or not.
-    pub fn events_seen(&self) -> u64 {
-        self.events_seen
-    }
-
-    /// Timeline events thinned out by [`Recorder::with_sampling`].
-    pub fn events_sampled_out(&self) -> u64 {
-        self.events_sampled_out
-    }
-
     /// True when nothing at all was recorded.
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty()
@@ -336,7 +303,6 @@ impl Recorder {
             && self.links.is_empty()
             && self.events.is_empty()
             && self.events_dropped == 0
-            && self.events_sampled_out == 0
     }
 
     /// Merges `other` into `self`: counters/histograms/links add up,
@@ -354,8 +320,6 @@ impl Recorder {
             mine.bytes += stat.bytes;
             mine.latency.absorb(&stat.latency);
         }
-        // Absorbed events were already sampled at the source; only the
-        // capacity bound applies here.
         for event in &other.events {
             if self.events.len() < self.capacity {
                 self.events.push(event.clone());
@@ -363,43 +327,7 @@ impl Recorder {
                 self.events_dropped += 1;
             }
         }
-        self.events_seen += other.events_seen;
-        self.events_sampled_out += other.events_sampled_out;
         self.events_dropped += other.events_dropped;
-    }
-
-    /// Writes the aggregate metric block (no timeline) as one JSON
-    /// object: counters, histograms, per-link stats, event accounting.
-    /// Deterministic: `BTreeMap` ordering plus fixed-decimal floats.
-    pub fn write_block(&self, w: &mut JsonWriter) {
-        w.begin_object();
-        w.key("counters").begin_object();
-        for (name, n) in &self.counters {
-            w.key(name).uint(*n);
-        }
-        w.end_object();
-        w.key("histograms").begin_object();
-        for (name, hist) in &self.hists {
-            w.key(name);
-            hist.write(w);
-        }
-        w.end_object();
-        w.key("links").begin_array();
-        for ((src, dst), stat) in &self.links {
-            w.begin_object();
-            w.key("src").uint(*src);
-            w.key("dst").uint(*dst);
-            w.key("messages").uint(stat.messages);
-            w.key("bytes").uint(stat.bytes);
-            w.key("latency_us");
-            stat.latency.write(w);
-            w.end_object();
-        }
-        w.end_array();
-        w.key("events").uint(self.events.len() as u64);
-        w.key("events_sampled_out").uint(self.events_sampled_out);
-        w.key("events_dropped").uint(self.events_dropped);
-        w.end_object();
     }
 
     /// Renders the recorder as JSONL: one compact JSON object per line —
@@ -463,16 +391,6 @@ impl Recorder {
             w.end_object();
             out.push_str(&w.finish());
         }
-        if self.events_sampled_out > 0 {
-            let mut w = JsonWriter::compact();
-            w.begin_object();
-            w.key("type").string("sampled");
-            w.key("scope").string(scope);
-            w.key("every").uint(self.sample_every);
-            w.key("events").uint(self.events_sampled_out);
-            w.end_object();
-            out.push_str(&w.finish());
-        }
         if self.events_dropped > 0 {
             let mut w = JsonWriter::compact();
             w.begin_object();
@@ -499,19 +417,14 @@ impl Recorder {
     /// the span id) so Perfetto draws the causal arrows between nodes.
     /// Name and category strings both pass through [`JsonWriter::string`]
     /// escaping, like every other string this sink writes.
+    ///
+    /// The timeline is written in canonical `(ts, tid, trace, span, …)`
+    /// order, not recording order. The sharded engine absorbs per-shard
+    /// recorders in *shard* order, so the raw interleaving differs
+    /// between `--shards` values even when the event multiset is
+    /// identical; sorting erases exactly that, which is what makes the
+    /// Chrome goldens byte-identical across shard counts.
     pub fn write_chrome_events(&self, w: &mut JsonWriter, pid: u64, process_name: &str) {
-        let order: Vec<&Event> = self.events.iter().collect();
-        self.write_chrome_events_in(w, pid, process_name, &order);
-    }
-
-    /// [`Recorder::write_chrome_events`] with the timeline sorted into
-    /// canonical `(ts, tid, trace, span, …)` order first. The sharded
-    /// engine absorbs per-shard recorders in *shard* order, so the raw
-    /// timeline interleaving differs between `--shards` values even
-    /// when the event multiset is identical; sorting erases exactly
-    /// that, which is what makes the trace-output goldens byte-
-    /// identical across shard counts.
-    pub fn write_chrome_events_canonical(&self, w: &mut JsonWriter, pid: u64, process_name: &str) {
         let mut order: Vec<&Event> = self.events.iter().collect();
         order.sort_by_key(|e| {
             (
@@ -526,16 +439,6 @@ impl Recorder {
                 e.tid2,
             )
         });
-        self.write_chrome_events_in(w, pid, process_name, &order);
-    }
-
-    fn write_chrome_events_in(
-        &self,
-        w: &mut JsonWriter,
-        pid: u64,
-        process_name: &str,
-        order: &[&Event],
-    ) {
         w.begin_object();
         w.key("name").string("process_name");
         w.key("ph").string("M");
@@ -546,7 +449,7 @@ impl Recorder {
         w.end_object();
         w.end_object();
         let mut end_ts = 0u64;
-        for e in order {
+        for e in &order {
             end_ts = end_ts.max(e.ts_us + e.dur_us);
             w.begin_object();
             w.key("name").string(e.name);
@@ -612,6 +515,10 @@ impl Recorder {
 
 /// Writes a full Chrome trace document from `(pid, process_name,
 /// recorder)` triples — the shape Perfetto's JSON importer expects.
+/// Each timeline is in canonical order (see
+/// [`Recorder::write_chrome_events`]), so the document depends on the
+/// event multiset only: byte-identical across `--threads` *and*
+/// `--shards`.
 pub fn chrome_trace<'a>(parts: impl IntoIterator<Item = (u64, &'a str, &'a Recorder)>) -> String {
     let mut w = JsonWriter::pretty();
     w.begin_object();
@@ -619,24 +526,6 @@ pub fn chrome_trace<'a>(parts: impl IntoIterator<Item = (u64, &'a str, &'a Recor
     w.key("traceEvents").begin_array();
     for (pid, name, recorder) in parts {
         recorder.write_chrome_events(&mut w, pid, name);
-    }
-    w.end_array();
-    w.end_object();
-    w.finish()
-}
-
-/// [`chrome_trace`] with every recorder's timeline in canonical order
-/// (see [`Recorder::write_chrome_events_canonical`]): the `--trace-out`
-/// sink, byte-identical across `--threads` *and* `--shards`.
-pub fn chrome_trace_canonical<'a>(
-    parts: impl IntoIterator<Item = (u64, &'a str, &'a Recorder)>,
-) -> String {
-    let mut w = JsonWriter::pretty();
-    w.begin_object();
-    w.key("displayTimeUnit").string("ms");
-    w.key("traceEvents").begin_array();
-    for (pid, name, recorder) in parts {
-        recorder.write_chrome_events_canonical(&mut w, pid, name);
     }
     w.end_array();
     w.end_object();
@@ -697,69 +586,6 @@ mod tests {
     }
 
     #[test]
-    fn sampling_thins_the_timeline_uniformly() {
-        let mut r = Recorder::new().with_sampling(3);
-        for i in 0..10 {
-            r.event("e", "net", 0, i, 0);
-        }
-        // Kept: event indices 0, 3, 6, 9.
-        assert_eq!(r.events().len(), 4);
-        assert_eq!(r.events()[1].ts_us, 3);
-        assert_eq!(r.events_seen(), 10);
-        assert_eq!(r.events_sampled_out(), 6);
-        assert_eq!(r.events_dropped(), 0);
-        let text = r.jsonl("s");
-        assert!(text.contains("\"type\":\"sampled\""));
-        assert!(text.contains("\"every\":3"));
-        assert!(!r.is_empty());
-    }
-
-    #[test]
-    fn sampling_never_splits_a_trace_tree() {
-        // Regression: index-based thinning used to apply to traced
-        // events too, orphaning children from parents. Per-trace
-        // sampling keeps or drops whole requests.
-        let every = 3u64;
-        let traces: Vec<u64> = (1..=64u64).map(|n| crate::trace::mint_id(n, 1)).collect();
-        let mut r = Recorder::new().with_sampling(every);
-        for &t in &traces {
-            // Three events per trace, interleaved would-be-thinned.
-            r.event_traced("trace.begin", "trace", 1, 0, 10, 0, t, t ^ 2, 0);
-            r.event_traced("net.transit", "net", 2, 1, 10, 5, t, t ^ 4, t ^ 2);
-            r.event_traced("trace.end", "trace", 1, 0, 15, 0, t, t ^ 2, 0);
-        }
-        let kept: Vec<u64> = traces
-            .iter()
-            .copied()
-            .filter(|&t| crate::trace::sample_keep(t, every))
-            .collect();
-        assert!(!kept.is_empty() && kept.len() < traces.len());
-        // Every surviving trace is complete (3 events), every sampled
-        // trace is fully gone, and the accounting adds up.
-        for &t in &traces {
-            let n = r.events().iter().filter(|e| e.trace_id == t).count();
-            assert_eq!(n, if kept.contains(&t) { 3 } else { 0 });
-        }
-        assert_eq!(r.events_seen(), traces.len() as u64 * 3);
-        assert_eq!(
-            r.events_sampled_out(),
-            (traces.len() - kept.len()) as u64 * 3
-        );
-        assert_eq!(r.events_dropped(), 0);
-    }
-
-    #[test]
-    fn untraced_sampling_still_thins_by_index() {
-        // The pre-trace behaviour must survive for flat timelines.
-        let mut r = Recorder::new().with_sampling(4);
-        for i in 0..8 {
-            r.event("e", "net", 0, i, 0);
-        }
-        assert_eq!(r.events().len(), 2);
-        assert_eq!(r.events()[1].ts_us, 4);
-    }
-
-    #[test]
     fn chrome_sink_escapes_malformed_names_and_categories() {
         // Round-trip: a hostile name/category/scope must come out fully
         // escaped in both sinks — no raw quote, backslash, or control
@@ -809,22 +635,23 @@ mod tests {
     }
 
     #[test]
-    fn canonical_chrome_is_order_independent() {
+    fn chrome_trace_is_order_independent() {
         let mut a = Recorder::new();
         a.event_traced("net.transit", "net", 2, 1, 100, 50, 7, 11, 10);
         a.event_traced("net.transit", "net", 3, 1, 90, 50, 7, 12, 10);
         let mut b = Recorder::new();
         b.event_traced("net.transit", "net", 3, 1, 90, 50, 7, 12, 10);
         b.event_traced("net.transit", "net", 2, 1, 100, 50, 7, 11, 10);
-        assert_ne!(
-            chrome_trace([(1, "c", &a)]),
-            chrome_trace([(1, "c", &b)]),
-            "raw order differs by construction"
-        );
-        assert_eq!(
-            chrome_trace_canonical([(1, "c", &a)]),
-            chrome_trace_canonical([(1, "c", &b)])
-        );
+        assert_ne!(a.events(), b.events(), "raw order differs by construction");
+        assert_eq!(chrome_trace([(1, "c", &a)]), chrome_trace([(1, "c", &b)]));
+    }
+
+    #[test]
+    fn default_recorder_keeps_events() {
+        let mut r = Recorder::default();
+        r.event("e", "net", 0, 1, 0);
+        assert_eq!(r.events().len(), 1);
+        assert_eq!(r.events_dropped(), 0);
     }
 
     #[test]
@@ -835,21 +662,6 @@ mod tests {
         }
         assert_eq!(r.events().len(), 2);
         assert_eq!(r.events_dropped(), 3);
-    }
-
-    #[test]
-    fn block_is_deterministic_json() {
-        let mut r = Recorder::new();
-        r.count("b", 1);
-        r.count("a", 2);
-        r.record("h", 7);
-        let mut w = JsonWriter::compact();
-        r.write_block(&mut w);
-        let text = w.finish();
-        // BTreeMap ordering: "a" before "b" regardless of insertion order.
-        assert!(text.find("\"a\":2").unwrap() < text.find("\"b\":1").unwrap());
-        assert!(text.contains("\"le_8\":1"));
-        assert!(text.contains("\"events\":0"));
     }
 
     #[test]

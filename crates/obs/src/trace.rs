@@ -101,20 +101,6 @@ pub fn mint_id(node: u64, seq: u64) -> u64 {
     (z ^ (z >> 31)) | 1
 }
 
-/// Whole-request sampling decision: `true` when a trace survives 1-in-
-/// `every` sampling. Hash-based on the trace id alone, so every event
-/// of a trace — across nodes, shards, and retransmissions — gets the
-/// same verdict and a sampled timeline never contains half a tree.
-pub fn sample_keep(trace_id: u64, every: u64) -> bool {
-    if every <= 1 {
-        return true;
-    }
-    let mut z = trace_id ^ 0xD6E8_FEB8_6659_FD93;
-    z = (z ^ (z >> 32)).wrapping_mul(0xD6E8_FEB8_6659_FD93);
-    z ^= z >> 32;
-    z.is_multiple_of(every)
-}
-
 /// One reconstructed span-tree node (a copy of the fields the walker
 /// needs from a traced [`Event`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -473,18 +459,6 @@ mod tests {
         assert_ne!(b, c);
         assert_eq!(a, mint_id(1, 1), "minting is a pure function");
         assert_eq!(a & 1, 1);
-    }
-
-    #[test]
-    fn sample_keep_is_per_trace_and_roughly_uniform() {
-        assert!(sample_keep(42, 0));
-        assert!(sample_keep(42, 1));
-        let kept = (0..10_000u64)
-            .map(|node| mint_id(node, 1))
-            .filter(|&t| sample_keep(t, 10))
-            .count();
-        // 1-in-10 hashing: allow a generous band around 1000.
-        assert!((600..1400).contains(&kept), "kept {kept} of 10000");
     }
 
     #[test]

@@ -248,7 +248,11 @@ impl SweepReport {
     }
 
     /// The Chrome trace form of the whole sweep: cell index = pid, node
-    /// id = tid, virtual microseconds on the timeline.
+    /// id = tid, virtual microseconds on the timeline, every cell's
+    /// timeline in canonical order ([`svckit_obs::chrome_trace`]), so the
+    /// bytes are identical across `--threads` *and* (on deterministic
+    /// links) `--shards` values. Both `--obs-format chrome` and
+    /// `--trace-out` write it.
     pub fn obs_chrome(&self) -> String {
         let scopes: Vec<String> = self.results.iter().map(cell_scope).collect();
         svckit_obs::chrome_trace(
@@ -258,29 +262,6 @@ impl SweepReport {
                 .enumerate()
                 .map(|(i, (r, s))| (i as u64, s.as_str(), &r.obs)),
         )
-    }
-
-    /// The canonical per-cell metric blocks (no timeline): one JSON
-    /// object per cell with its aggregate counters/histograms/links, in
-    /// spec order. The golden tests pin this byte-identical across
-    /// worker counts.
-    pub fn obs_blocks_json(&self) -> String {
-        let mut w = ObsJsonWriter::pretty();
-        w.begin_object();
-        w.key("sweep").string(&self.name);
-        w.key("obs_sites_enabled")
-            .boolean(svckit_obs::sites_enabled());
-        w.key("cells").begin_array();
-        for r in &self.results {
-            w.begin_object();
-            w.key("scope").string(&cell_scope(r));
-            w.key("obs");
-            r.obs.write_block(&mut w);
-            w.end_object();
-        }
-        w.end_array();
-        w.end_object();
-        w.finish()
     }
 
     /// All cell recorders merged into one, in spec order.
@@ -310,8 +291,8 @@ impl SweepReport {
 /// (`--trace-out` / `--trace-summary`); see [`trace_flags`].
 #[derive(Debug, Clone)]
 pub struct TraceFlags {
-    /// `--trace-out <path>`: the canonically ordered Chrome trace with
-    /// cross-node flow events (Perfetto-loadable).
+    /// `--trace-out <path>`: the Chrome trace with cross-node flow
+    /// events ([`SweepReport::obs_chrome`], Perfetto-loadable).
     pub out: Option<String>,
     /// `--trace-summary <path>`: the critical-path latency report
     /// (`TRACE_summary.json`).
@@ -360,27 +341,12 @@ fn write_trace_block(w: &mut ObsJsonWriter, complete: &[RequestBreakdown], incom
 }
 
 impl SweepReport {
-    /// The causal-trace Chrome form: like [`SweepReport::obs_chrome`]
-    /// but with every cell's timeline in canonical order, so the bytes
-    /// are identical across `--threads` *and* (on deterministic links)
-    /// `--shards` values. This is the `--trace-out` sink.
-    pub fn trace_chrome(&self) -> String {
-        let scopes: Vec<String> = self.results.iter().map(cell_scope).collect();
-        svckit_obs::chrome_trace_canonical(
-            self.results
-                .iter()
-                .zip(&scopes)
-                .enumerate()
-                .map(|(i, (r, s))| (i as u64, s.as_str(), &r.obs)),
-        )
-    }
-
     /// The critical-path report (`TRACE_summary.json`): per cell and per
     /// `target/variation/campaign` group, the completed-request count,
     /// nearest-rank latency percentiles, and the handler/queue/link/
     /// retransmit attribution totals from walking every request's span
     /// tree. Deterministic for the same reasons as
-    /// [`SweepReport::trace_chrome`].
+    /// [`SweepReport::obs_chrome`].
     pub fn trace_summary_json(&self) -> String {
         type Group = (String, String, String, Vec<RequestBreakdown>, u64);
         let mut groups: Vec<Group> = Vec::new();
@@ -445,7 +411,7 @@ impl SweepReport {
     /// `cannot write <path>: <reason>` when a file cannot be written.
     pub fn write_trace(&self, flags: &TraceFlags) -> Result<(), String> {
         if let Some(path) = &flags.out {
-            write_file(path, self.trace_chrome())?;
+            write_file(path, self.obs_chrome())?;
             outln!("wrote {path} (chrome trace, canonical order)");
         }
         if let Some(path) = &flags.summary {
@@ -581,7 +547,8 @@ pub fn flag_usize(args: &[String], name: &str, default: usize) -> Result<usize, 
 /// # Errors
 ///
 /// `unexpected argument <arg>` for the first argument that is not a
-/// known flag, its value or a known switch.
+/// known flag, its value or a known switch; `--<name> needs a value` for
+/// a known flag that ends the argument list.
 pub fn check_flags(args: &[String], known: &[&str], switches: &[&str]) -> Result<(), String> {
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
@@ -590,7 +557,9 @@ pub fn check_flags(args: &[String], known: &[&str], switches: &[&str]) -> Result
         }
         match arg.strip_prefix("--") {
             Some(name) if known.contains(&name) => {
-                iter.next();
+                if iter.next().is_none() {
+                    return Err(format!("--{name} needs a value"));
+                }
             }
             _ => return Err(format!("unexpected argument `{arg}`")),
         }
@@ -705,6 +674,18 @@ mod tests {
         // A switch takes no value; a flag's value is never read as one.
         assert_eq!(check_flags(&switched, &["out"], VERBOSITY_SWITCHES), Ok(()));
         assert!(check_flags(&switched, &["out"], &[]).is_err());
+        let trailing: Vec<String> = ["--threads", "1", "--out"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        assert_eq!(
+            check_flags(&trailing, &["out", "threads"], &[]),
+            Err("--out needs a value".to_owned())
+        );
+        assert_eq!(
+            check_flags(&trailing[..1], &["out", "threads"], &[]),
+            Err("--threads needs a value".to_owned())
+        );
     }
 
     #[test]

@@ -156,10 +156,6 @@ fn obs_output_is_byte_identical_across_thread_counts() {
         serial.obs_chrome().as_bytes(),
         parallel.obs_chrome().as_bytes()
     );
-    assert_eq!(
-        serial.obs_blocks_json().as_bytes(),
-        parallel.obs_blocks_json().as_bytes()
-    );
 }
 
 /// A grid for the causal-trace goldens. Deterministic links only: the
@@ -192,13 +188,13 @@ fn trace_output_is_byte_identical_across_threads_and_shards() {
     // on four workers, or inside the sharded simulator. This is the
     // end-to-end form of the property CI `cmp`s on the fig4_trace spec.
     let base = run_sweep(&trace_spec(1), 1);
-    let chrome = base.trace_chrome();
+    let chrome = base.obs_chrome();
     let summary = base.trace_summary_json();
     let threads4 = run_sweep(&trace_spec(1), 4);
-    assert_eq!(chrome.as_bytes(), threads4.trace_chrome().as_bytes());
+    assert_eq!(chrome.as_bytes(), threads4.obs_chrome().as_bytes());
     assert_eq!(summary.as_bytes(), threads4.trace_summary_json().as_bytes());
     let shards4 = run_sweep(&trace_spec(4), 2);
-    assert_eq!(chrome.as_bytes(), shards4.trace_chrome().as_bytes());
+    assert_eq!(chrome.as_bytes(), shards4.obs_chrome().as_bytes());
     assert_eq!(summary.as_bytes(), shards4.trace_summary_json().as_bytes());
 }
 
