@@ -66,6 +66,11 @@ impl Dfa {
         self.table[state as usize * self.nclasses as usize + class as usize]
     }
 
+    /// The row-major transition table (`nstates * nclasses` entries).
+    pub(crate) fn table(&self) -> &[u16] {
+        &self.table
+    }
+
     /// Number of states.
     pub fn nstates(&self) -> u16 {
         self.nstates

@@ -12,6 +12,15 @@
 //! 2. for each edge, one dense-table load: `DEAD` vetoes the event,
 //!    anything else is the slot's next state.
 //!
+//! The tables live in one row array: every constraint's current table,
+//! concatenated, with each slot holding its table's offset, row stride
+//! (class count) and state count inline. A step reads the slot's entry
+//! and one `u16` of the array, with no pointer to chase. Slots of one
+//! constraint share its table, and structurally identical tables are
+//! stored once; when a mutex alphabet regrows, the array is laid out
+//! again and every slot re-pointed at its constraint's new table. The
+//! `allowed`, dense and wide steps all read it through one lookup.
+//!
 //! There are two steps. Run-time checkers (the admission gate, the
 //! conformance monitor) keep one *dense* `u16` vector with a state per
 //! interned slot and step it in place (`Binder::step_dense`). Searches
@@ -68,10 +77,18 @@ pub struct Rejection {
     pub state: u16,
 }
 
-#[derive(Debug, Clone)]
+/// A slot's constraint and where its constraint's current table sits in
+/// [`Binder::rows`].
+#[derive(Debug, Clone, Copy)]
 struct SlotInfo {
-    ci: usize,
-    dfa: Arc<Dfa>,
+    ci: u32,
+    /// Offset of the table's state 0, class 0 entry.
+    base: u32,
+    /// Classes per row.
+    stride: u16,
+    /// States in the table; a state at or past it rejects (see
+    /// [`Dfa::next`]).
+    nstates: u16,
 }
 
 /// The end of a fingerprint chain.
@@ -187,8 +204,14 @@ pub struct Binder {
     slot_info: Vec<SlotInfo>,
     /// Per-constraint mutex runtime (empty holder set for other shapes).
     mutex: Vec<MutexRt>,
-    /// Per-constraint *current* DFA (mutex tables regrow with holders).
+    /// Per-constraint *current* DFA (mutex tables regrow with holders):
+    /// the source of the row array and of per-state metadata.
     current_dfa: Vec<Arc<Dfa>>,
+    /// Every distinct current table, row-major, concatenated; what the
+    /// steps read.
+    rows: Vec<u16>,
+    /// Per constraint, the offset of its current table in `rows`.
+    table_base: Vec<u32>,
     /// Occurrence fingerprint → the newest resolution id with it; older
     /// ones chain through [`OccKey::next`]. Steady-state resolution is
     /// one hash of the caller's borrowed values, one probe and one
@@ -211,7 +234,7 @@ impl Binder {
             .iter()
             .map(|cc| Arc::clone(&cc.dfa))
             .collect();
-        Binder {
+        let mut binder = Binder {
             compiled,
             saps: Interner::new(),
             primitives: Interner::new(),
@@ -220,10 +243,74 @@ impl Binder {
             slot_info: Vec::new(),
             mutex,
             current_dfa,
+            rows: Vec::new(),
+            table_base: Vec::new(),
             occ_index: FastMap::default(),
             occ_keys: Vec::new(),
             edge_lists: Vec::new(),
+        };
+        binder.lay_out_rows();
+        binder
+    }
+
+    /// Rebuilds the row array from the current tables (storing each
+    /// distinct table once) and re-points every slot at its constraint's
+    /// table.
+    fn lay_out_rows(&mut self) {
+        self.rows.clear();
+        self.table_base.clear();
+        for (ci, dfa) in self.current_dfa.iter().enumerate() {
+            let shared = self.current_dfa[..ci]
+                .iter()
+                .position(|earlier| Arc::ptr_eq(earlier, dfa));
+            let base = match shared {
+                Some(earlier) => self.table_base[earlier],
+                None => {
+                    let base = u32::try_from(self.rows.len()).expect("row array fits u32");
+                    self.rows.extend_from_slice(dfa.table());
+                    base
+                }
+            };
+            self.table_base.push(base);
         }
+        for slot in 0..self.slot_info.len() {
+            let ci = self.slot_info[slot].ci;
+            self.slot_info[slot] = self.slot_row(ci);
+        }
+    }
+
+    /// The row-array entry of a slot of constraint `ci`.
+    fn slot_row(&self, ci: u32) -> SlotInfo {
+        let dfa = &self.current_dfa[ci as usize];
+        SlotInfo {
+            ci,
+            base: self.table_base[ci as usize],
+            stride: dfa.nclasses(),
+            nstates: dfa.nstates(),
+        }
+    }
+
+    /// Slot `slot`'s successor of `state` on `class`, or [`DEAD`] — the
+    /// one table lookup every step makes.
+    #[inline]
+    fn next(&self, slot: u32, state: u16, class: u16) -> u16 {
+        let info = self.slot_info[slot as usize];
+        debug_assert!(
+            class < info.stride,
+            "an edge's class is in its slot's alphabet"
+        );
+        if state >= info.nstates {
+            return DEAD;
+        }
+        self.rows[info.base as usize
+            + usize::from(state) * usize::from(info.stride)
+            + usize::from(class)]
+    }
+
+    /// The current table of slot `slot`'s constraint (for per-state
+    /// metadata; steps read [`Binder::next`]).
+    fn slot_dfa(&self, slot: usize) -> &Dfa {
+        &self.current_dfa[self.slot_info[slot].ci as usize]
     }
 
     /// The compiled constraint set this binder instantiates.
@@ -240,20 +327,20 @@ impl Binder {
     /// per-level domain size. Only meaningful once every universe event
     /// has been interned (interning can regrow mutex tables).
     pub fn slot_nstates(&self, slot: u32) -> u16 {
-        self.slot_info[slot as usize].dfa.nstates()
+        self.slot_info[slot as usize].nstates
     }
 
     /// Slot `slot`'s raw transition on occurrence class `class`
     /// ([`DEAD`] when rejected). Exposes the per-slot step function so a
     /// symbolic backend can tabulate each level's partial map directly.
     pub fn slot_next(&self, slot: u32, state: u16, class: u16) -> u16 {
-        self.slot_info[slot as usize].dfa.next(state, class)
+        self.next(slot, state, class)
     }
 
     /// Whether slot `slot` in state `state` counts as quiescent (the
     /// per-slot conjunct of [`Binder::is_quiescent_wide`]).
     pub fn slot_state_quiescent(&self, slot: u32, state: u16) -> bool {
-        state == 0 || self.slot_info[slot as usize].dfa.meta(state).quiescent
+        state == 0 || self.slot_dfa(slot as usize).meta(state).quiescent
     }
 
     /// The display form of constraint `ci` (what violations name).
@@ -276,7 +363,7 @@ impl Binder {
         let mut slot = newest;
         while slot != NONE {
             let held = &self.slot_keys[slot as usize];
-            if self.slot_info[slot as usize].ci == ci
+            if self.slot_info[slot as usize].ci as usize == ci
                 && held.sap == sap
                 && held.keyvals.len() == key.len()
                 && key
@@ -295,29 +382,22 @@ impl Binder {
             next: newest,
         });
         self.slot_index.insert(fp, fresh);
-        self.slot_info.push(SlotInfo {
-            ci,
-            dfa: Arc::clone(&self.current_dfa[ci]),
-        });
+        let ci = u32::try_from(ci).expect("constraint count fits u32");
+        self.slot_info.push(self.slot_row(ci));
         fresh
     }
 
     /// Interns `sap` as a holder of mutex constraint `ci`, regrowing the
-    /// constraint's table (and every slot already bound to it) when the
-    /// holder is new.
+    /// constraint's table (and re-pointing every slot already bound to it)
+    /// when the holder is new.
     fn holder_index(&mut self, ci: usize, sap: &Sap) -> u16 {
         if let Some(i) = self.mutex[ci].holders.iter().position(|h| h == sap) {
             return u16::try_from(i).expect("holder count fits u16");
         }
         self.mutex[ci].holders.push(sap.clone());
         let holders = u16::try_from(self.mutex[ci].holders.len()).expect("holder count fits u16");
-        let regrown = self.compiled.mutex_table(holders);
-        self.current_dfa[ci] = Arc::clone(&regrown);
-        for info in &mut self.slot_info {
-            if info.ci == ci {
-                info.dfa = Arc::clone(&regrown);
-            }
-        }
+        self.current_dfa[ci] = self.compiled.mutex_table(holders);
+        self.lay_out_rows();
         holders - 1
     }
 
@@ -422,7 +502,7 @@ impl Binder {
             .zip(&self.slot_keys)
             .map(|(info, key)| {
                 let sap = (key.sap != NONE).then(|| self.saps.items[key.sap as usize].clone());
-                (info.ci, (sap, key.keyvals.clone()))
+                (info.ci as usize, (sap, key.keyvals.clone()))
             })
             .collect()
     }
@@ -463,7 +543,18 @@ impl Binder {
     pub fn allowed(&self, key: &[u32], edges: &[Edge]) -> bool {
         edges.iter().all(|e| {
             let state = key.get(e.slot as usize).map_or(0, |&s| wide_state(s));
-            self.slot_info[e.slot as usize].dfa.next(state, e.class) != DEAD
+            self.next(e.slot, state, e.class) != DEAD
+        })
+    }
+
+    /// Whether the occurrence behind `edges` is allowed in product key
+    /// `key` and steps it to itself: every edge maps its slot state to
+    /// that same state. Reads the key without copying it.
+    #[inline]
+    pub fn is_self_loop(&self, key: &[u32], edges: &[Edge]) -> bool {
+        edges.iter().all(|e| {
+            let state = key.get(e.slot as usize).map_or(0, |&s| wide_state(s));
+            self.next(e.slot, state, e.class) == state
         })
     }
 
@@ -479,7 +570,7 @@ impl Binder {
         state.resize(self.slot_info.len(), 0);
         for (i, e) in edges.iter().enumerate() {
             let from = state[e.slot as usize];
-            if self.slot_info[e.slot as usize].dfa.next(from, e.class) == DEAD {
+            if self.next(e.slot, from, e.class) == DEAD {
                 return Err(Rejection {
                     edge: i,
                     state: from,
@@ -487,8 +578,7 @@ impl Binder {
             }
         }
         for e in edges {
-            let slot = &mut state[e.slot as usize];
-            *slot = self.slot_info[e.slot as usize].dfa.next(*slot, e.class);
+            state[e.slot as usize] = self.next(e.slot, state[e.slot as usize], e.class);
         }
         Ok(())
     }
@@ -532,7 +622,7 @@ impl Binder {
         );
         for (i, e) in edges.iter().enumerate() {
             let state = key.get(e.slot as usize).map_or(0, |&s| wide_state(s));
-            if self.slot_info[e.slot as usize].dfa.next(state, e.class) == DEAD {
+            if self.next(e.slot, state, e.class) == DEAD {
                 return Err(Rejection { edge: i, state });
             }
         }
@@ -540,11 +630,8 @@ impl Binder {
         head.copy_from_slice(key);
         tail.fill(0);
         for e in edges {
-            let slot = &mut out[e.slot as usize];
-            let successor = self.slot_info[e.slot as usize]
-                .dfa
-                .next(wide_state(*slot), e.class);
-            *slot = u32::from(successor);
+            let successor = self.next(e.slot, wide_state(out[e.slot as usize]), e.class);
+            out[e.slot as usize] = u32::from(successor);
         }
         Ok(())
     }
@@ -555,7 +642,7 @@ impl Binder {
     pub fn is_quiescent_wide(&self, key: &[u32]) -> bool {
         key.iter()
             .enumerate()
-            .all(|(i, &s)| s == 0 || self.slot_info[i].dfa.meta(wide_state(s)).quiescent)
+            .all(|(i, &s)| s == 0 || self.slot_dfa(i).meta(wide_state(s)).quiescent)
     }
 
     /// Total outstanding `EventuallyFollows` obligations in the dense
@@ -565,7 +652,7 @@ impl Binder {
         key.iter()
             .enumerate()
             .filter(|&(_, &s)| s != 0)
-            .map(|(i, &s)| self.slot_info[i].dfa.meta(s).weight)
+            .map(|(i, &s)| self.slot_dfa(i).meta(s).weight)
             .sum()
     }
 
@@ -595,8 +682,8 @@ impl Binder {
             },
             Shape::After { enable, check, .. } => format!("`{check}` before any `{enable}`"),
             Shape::Mutex { acquire, release } => {
-                let holder = self.slot_info[edge.slot as usize]
-                    .dfa
+                let holder = self
+                    .slot_dfa(edge.slot as usize)
                     .meta(state)
                     .holder
                     .map(|h| self.mutex[ci].holders[h as usize].clone());
@@ -757,6 +844,118 @@ mod tests {
         let rel1 = b.resolve(&sap(1), "b", &[]);
         b.step_dense(&mut held, &rel1).unwrap();
         assert_eq!(held, vec![0]);
+    }
+
+    /// Asserts that the row array answers every (slot, state, class)
+    /// exactly like the slot's current table — including one state past
+    /// the table, which rejects — and that `allowed`, `is_self_loop`,
+    /// `step_wide_into` and `step_dense` agree with stepping each edge
+    /// through [`Dfa::next`] in turn, from every combination of states of
+    /// the slots each occurrence drives.
+    fn assert_rows_match_tables(b: &Binder, occurrences: &[Vec<Edge>]) {
+        for slot in 0..b.slot_count() {
+            let dfa = b.slot_dfa(slot);
+            let slot = slot as u32;
+            assert_eq!(b.slot_nstates(slot), dfa.nstates(), "slot {slot}");
+            for state in 0..=dfa.nstates() {
+                for class in 0..dfa.nclasses() {
+                    assert_eq!(
+                        b.slot_next(slot, state, class),
+                        dfa.next(state, class),
+                        "slot {slot}, state {state}, class {class}"
+                    );
+                }
+            }
+        }
+        let width = b.slot_count();
+        for edges in occurrences {
+            // Every combination of states (one past each table included)
+            // of the slots the occurrence drives; other slots stay at 0.
+            let mut keys = vec![vec![0u32; width]];
+            for e in edges {
+                let states = u32::from(b.slot_dfa(e.slot as usize).nstates());
+                keys = keys
+                    .into_iter()
+                    .flat_map(|key| {
+                        (0..=states).map(move |s| {
+                            let mut key = key.clone();
+                            key[e.slot as usize] = s;
+                            key
+                        })
+                    })
+                    .collect();
+            }
+            for key in keys {
+                let reference = edges.iter().try_fold(key.clone(), |mut next, e| {
+                    let dfa = b.slot_dfa(e.slot as usize);
+                    let to = dfa.next(next[e.slot as usize] as u16, e.class);
+                    (to != DEAD).then(|| {
+                        next[e.slot as usize] = u32::from(to);
+                        next
+                    })
+                });
+                let what = format!("edges {edges:?}, key {key:?}");
+                assert_eq!(b.allowed(&key, edges), reference.is_some(), "{what}");
+                assert_eq!(
+                    b.is_self_loop(&key, edges),
+                    reference.as_ref() == Some(&key),
+                    "{what}"
+                );
+                let mut out = vec![7u32; width];
+                let wide = b.step_wide_into(&key, edges, &mut out);
+                assert_eq!(wide.is_ok(), reference.is_some(), "{what}");
+                let dense_key: Vec<u16> = key.iter().map(|&s| s as u16).collect();
+                let mut dense = dense_key.clone();
+                let stepped = b.step_dense(&mut dense, edges);
+                assert_eq!(stepped.is_ok(), reference.is_some(), "{what}");
+                match &reference {
+                    Some(next) => {
+                        assert_eq!(&out, next, "{what}");
+                        let wide_dense: Vec<u32> = dense.iter().map(|&s| u32::from(s)).collect();
+                        assert_eq!(&wide_dense, next, "{what}");
+                    }
+                    None => {
+                        assert_eq!(out, vec![7; width], "{what}");
+                        assert_eq!(dense, dense_key, "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_array_agrees_with_the_tables_across_regrowth() {
+        let mut b = binder(
+            vec![
+                Constraint::precedes("a", "b", ConstraintScope::SameSap).keyed(&[0]),
+                Constraint::eventually_follows("a", "b", ConstraintScope::Global),
+                Constraint::after("a", "b", ConstraintScope::SameSap),
+                Constraint::mutual_exclusion("a", "b").keyed(&[0]),
+            ],
+            2,
+        );
+        let mut occurrences = Vec::new();
+        let acquire = b.resolve(&sap(1), "a", &[Value::Id(1)]);
+        let mut held = Vec::new();
+        b.step_dense(&mut held, &acquire).unwrap();
+        occurrences.push(acquire);
+        occurrences.push(b.resolve(&sap(1), "b", &[Value::Id(1)]));
+        assert_rows_match_tables(&b, &occurrences);
+        // New holders regrow the mutex table after "held by 1" was
+        // reached; a new key interns a slot under the regrown table.
+        for k in 2..=4 {
+            occurrences.push(b.resolve(&sap(k), "a", &[Value::Id(1)]));
+            occurrences.push(b.resolve(&sap(k), "b", &[Value::Id(2)]));
+            assert_rows_match_tables(&b, &occurrences);
+        }
+        // The state reached before the regrowth still means "held by 1".
+        let release = b.resolve(&sap(1), "b", &[Value::Id(1)]);
+        assert!(
+            b.step_dense(&mut held, &occurrences[4]).is_err(),
+            "held by 1"
+        );
+        b.step_dense(&mut held, &release).unwrap();
+        assert_eq!(held[release[3].slot as usize], 0, "released");
     }
 
     #[test]

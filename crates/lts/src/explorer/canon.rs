@@ -11,37 +11,38 @@ use svckit_model::{Sap, Value};
 use crate::symmetry::{orbit_factor, SymmetryGroups};
 
 use super::engine::{CState, Runtime, StepEngine};
+use super::store::StateStore;
 use super::ServiceExplorer;
 
 /// One constraint-instance entry owned by a symmetric-group member — the
-/// atom of a member's *state fragment*. A product state over a symmetric
-/// group decomposes into one fragment per member plus a renaming-invariant
-/// residue (global counters, non-member entries), so permuting members
-/// permutes fragments and canonicalization is "sort the fragments".
+/// atom of a member's *state fragment* under the interpreter. A product
+/// state over a symmetric group decomposes into one fragment per member
+/// plus a renaming-invariant residue (global counters, non-member
+/// entries), so permuting members permutes fragments and canonicalization
+/// is "sort the fragments".
 ///
-/// The interpreter and DFA variants carry different payloads, but their
-/// equality relations coincide (slot states and interned constraint states
-/// have the same distinguishing power — the dual-engine equivalence tests
-/// pin this), and fragment *ids* are assigned in first-encounter order
-/// along identical searches, so both engines sort members identically and
-/// pick identical orbit representatives.
+/// The DFA engine writes the same fragment as a fixed-width word vector
+/// (see [`Fragments::Dfa`]). Within a group the two forms have the same
+/// equality relation (slot states and interned constraint states have the
+/// same distinguishing power — the dual-engine equivalence tests pin
+/// this), and fragment *ids* are assigned in first-encounter order along
+/// identical searches, so on one-group universes both engines sort
+/// members identically and pick identical orbit representatives. Ids are
+/// shared across groups, where the forms differ: the interpreter's atoms
+/// name a `(constraint, key)` pair, the DFA words a family position, so
+/// two groups whose families differ can share an id under one engine
+/// only (`explore_counts` pins both engines' counts on such a universe).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum FragAtom {
-    /// Interpreter: the member's counter for `(constraint, key)` is at
-    /// `count` (zero counters are dropped, so absence means zero).
+    /// The member's counter for `(constraint, key)` is at `count` (zero
+    /// counters are dropped, so absence means zero).
     Count {
         ci: u32,
         key: Vec<Value>,
         count: u32,
     },
-    /// Interpreter: the member holds mutex `ci`'s instance `key`.
+    /// The member holds mutex `ci`'s instance `key`.
     Held { ci: u32, key: Vec<Value> },
-    /// DFA: slot family `family` of the member's group (families sorted by
-    /// `(constraint, key)`) is at `state` (state 0 entries are dropped,
-    /// mirroring the interpreter's dropped zero counters).
-    Slot { family: u32, state: u16 },
-    /// DFA: the member holds the mutex instance behind `slot`.
-    HeldSlot { slot: u32 },
 }
 
 /// DFA only: one mutex slot's holder states tabulated against group
@@ -55,6 +56,123 @@ struct MutexSlot {
     /// `state_of[g][j]` = the slot state "held by group `g`'s member `j`",
     /// `None` when that member never interned as a holder.
     state_of: Vec<Vec<Option<u16>>>,
+}
+
+/// Each engine's fragment form, its id interner and its scratch buffer.
+/// Ids are dense from 0 in first-encounter order; sorting members by
+/// them is the canonical form.
+enum Fragments {
+    /// Interpreter: a fragment is its atom list, interned through a map.
+    Interp {
+        ids: FastMap<Vec<FragAtom>, u32>,
+        frag: Vec<FragAtom>,
+    },
+    /// DFA: a fragment is one word per slot family — the member's slot
+    /// state, 0 in the positions past its group's families — then one
+    /// held-flag word per mutex slot, interned in a [`StateStore`].
+    Dfa {
+        /// `families[g][f][j]` = the slot of group `g`'s member `j` in
+        /// family `f` (one family per non-mutex `(constraint, key)`
+        /// instance bound to a member, sorted by that pair).
+        families: Vec<Vec<Vec<u32>>>,
+        /// Every mutex slot, ascending.
+        mutex: Vec<MutexSlot>,
+        /// The widest group's family count: where the held flags start.
+        held_at: usize,
+        ids: StateStore,
+        frag: Vec<u32>,
+    },
+}
+
+impl Fragments {
+    /// Writes the fragment of group `g`'s member `j` in `key` into the
+    /// scratch buffer. Deterministic within each engine (constraint
+    /// order, then `BTreeMap` / family order), so equal fragments produce
+    /// equal buffers.
+    fn write(
+        &mut self,
+        engine: &StepEngine<'_, '_>,
+        groups: &[Vec<Sap>],
+        g: usize,
+        j: usize,
+        key: &[u32],
+    ) {
+        match (self, &*engine.rt) {
+            (Fragments::Interp { frag, .. }, Runtime::Interp(product)) => {
+                frag.clear();
+                let sap = &groups[g][j];
+                for (ci, &sid) in key.iter().enumerate() {
+                    match product.tables[ci].states[sid as usize].as_ref() {
+                        CState::Counters(map) => {
+                            for ((owner, k), &count) in map {
+                                if owner.as_ref() == Some(sap) {
+                                    frag.push(FragAtom::Count {
+                                        ci: ci as u32,
+                                        key: k.clone(),
+                                        count,
+                                    });
+                                }
+                            }
+                        }
+                        CState::Holders(held) => {
+                            for (k, holder) in held {
+                                if holder == sap {
+                                    frag.push(FragAtom::Held {
+                                        ci: ci as u32,
+                                        key: k.clone(),
+                                    });
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            (
+                Fragments::Dfa {
+                    families,
+                    mutex,
+                    held_at,
+                    frag,
+                    ..
+                },
+                Runtime::Dfa(_),
+            ) => {
+                frag.fill(0);
+                for (word, family) in frag.iter_mut().zip(&families[g]) {
+                    *word = key[family[j] as usize];
+                }
+                for (word, mutex) in frag[*held_at..].iter_mut().zip(mutex.iter()) {
+                    let state = key[mutex.slot as usize] as usize;
+                    *word = u32::from(mutex.holder.get(state).copied().flatten() == Some((g, j)));
+                }
+            }
+            _ => unreachable!("fragments from a different engine"),
+        }
+    }
+
+    /// The id of the fragment in the scratch buffer, if interned.
+    fn find(&self) -> Option<u32> {
+        match self {
+            Fragments::Interp { ids, frag } => ids.get(frag.as_slice()).copied(),
+            Fragments::Dfa { ids, frag, .. } => ids.find(frag),
+        }
+    }
+
+    /// The id of the fragment in the scratch buffer, interning it on
+    /// first sight.
+    fn intern(&mut self) -> u32 {
+        match self {
+            Fragments::Interp { ids, frag } => {
+                if let Some(&id) = ids.get(frag.as_slice()) {
+                    return id;
+                }
+                let id = u32::try_from(ids.len()).expect("fewer than 2^32 fragments");
+                ids.insert(frag.clone(), id);
+                id
+            }
+            Fragments::Dfa { ids, frag, .. } => ids.intern(frag),
+        }
+    }
 }
 
 /// The canonicalizer behind
@@ -73,26 +191,17 @@ pub(super) struct SymCanon {
     /// `parent[g][j]` = the fragment id of group `g`'s member `j` in the
     /// state last passed to [`SymCanon::expand_from`].
     parent: Vec<Vec<u32>>,
-    /// Fragment → dense id, assigned in first-encounter order. Sorting
-    /// members by these ids is the canonical form; discovery order makes
-    /// it engine-independent (see [`FragAtom`]).
-    frag_ids: FastMap<Vec<FragAtom>, u32>,
-    /// DFA only: `dfa_families[g][f][j]` = the slot of group `g`'s member
-    /// `j` in family `f` (one family per non-mutex `(constraint, key)`
-    /// instance bound to a member, sorted by that pair).
-    dfa_families: Vec<Vec<Vec<u32>>>,
-    /// DFA only: every mutex slot, ascending.
-    dfa_mutex: Vec<MutexSlot>,
+    /// Fragment → dense id, assigned in first-encounter order (see
+    /// [`FragAtom`]), with the engine's fragment form.
+    fragments: Fragments,
     /// Non-identity canonicalizations performed so far.
     pub(super) canon_hits: u64,
     /// The per-group member orders the last [`SymCanon::canonical`] call
     /// applied: canonical position `p` took the fragment of member
     /// `orders[g][p]`.
     pub(super) orders: Vec<Vec<usize>>,
-    /// Scratch: the fragment being built, the current group's fragment
-    /// ids, those ids in canonical order, and a copy of the key being
-    /// permuted.
-    frag: Vec<FragAtom>,
+    /// Scratch: the current group's fragment ids, those ids in canonical
+    /// order, and a copy of the key being permuted.
     frags: Vec<u32>,
     sorted: Vec<u32>,
     source: Vec<u32>,
@@ -118,7 +227,7 @@ impl SymCanon {
                 member_index.insert(sap.clone(), (g, j));
             }
         }
-        let (dfa_families, dfa_mutex) = match &*engine.rt {
+        let fragments = match &*engine.rt {
             Runtime::Dfa(rt) => {
                 // Per group: (constraint, key) family → the member-indexed
                 // slots, `None` until that member's slot interns.
@@ -178,9 +287,20 @@ impl SymCanon {
                             .collect()
                     })
                     .collect();
-                (families, mutexes)
+                let held_at = families.iter().map(Vec::len).max().unwrap_or(0);
+                let width = held_at + mutexes.len();
+                Fragments::Dfa {
+                    families,
+                    mutex: mutexes,
+                    held_at,
+                    ids: StateStore::new(width),
+                    frag: vec![0; width],
+                }
             }
-            Runtime::Interp(_) => (Vec::new(), Vec::new()),
+            Runtime::Interp(_) => Fragments::Interp {
+                ids: FastMap::default(),
+                frag: Vec::new(),
+            },
         };
         let event_member = explorer
             .universe
@@ -197,12 +317,9 @@ impl SymCanon {
             member_index,
             event_member,
             parent,
-            frag_ids: FastMap::default(),
-            dfa_families,
-            dfa_mutex,
+            fragments,
             canon_hits: 0,
             orders,
-            frag: Vec::new(),
             frags: Vec::new(),
             sorted: Vec::new(),
             source: Vec::new(),
@@ -215,9 +332,9 @@ impl SymCanon {
     pub(super) fn expand_from(&mut self, engine: &StepEngine<'_, '_>, key: &[u32]) {
         for g in 0..self.groups.len() {
             for j in 0..self.groups[g].len() {
-                self.fragment(engine, g, j, key);
-                debug_assert!(self.frag_ids.contains_key(self.frag.as_slice()));
-                self.parent[g][j] = self.intern();
+                self.fragments.write(engine, &self.groups, g, j, key);
+                debug_assert!(self.fragments.find().is_some());
+                self.parent[g][j] = self.fragments.intern();
             }
         }
     }
@@ -262,18 +379,18 @@ impl SymCanon {
                     Some(moved) if moved != Some((g, j)) => {
                         let id = self.parent[g][j];
                         if cfg!(debug_assertions) {
-                            self.fragment(engine, g, j, key);
+                            self.fragments.write(engine, &self.groups, g, j, key);
                             assert_eq!(
-                                self.frag_ids.get(self.frag.as_slice()),
-                                Some(&id),
+                                self.fragments.find(),
+                                Some(id),
                                 "an event moved the fragment of a member at another access point"
                             );
                         }
                         id
                     }
                     _ => {
-                        self.fragment(engine, g, j, key);
-                        self.intern()
+                        self.fragments.write(engine, &self.groups, g, j, key);
+                        self.fragments.intern()
                     }
                 };
                 self.frags.push(id);
@@ -293,114 +410,25 @@ impl SymCanon {
         }
         self.canon_hits += 1;
         let explorer = engine.explorer;
-        match &mut *engine.rt {
-            Runtime::Interp(product) => {
+        match (&mut *engine.rt, &self.fragments) {
+            (Runtime::Interp(product), _) => {
                 product.rename_key(explorer, key, &self.groups, &self.orders);
             }
-            Runtime::Dfa(_) => {
+            (
+                Runtime::Dfa(_),
+                Fragments::Dfa {
+                    families, mutex, ..
+                },
+            ) => {
                 self.source.clear();
                 self.source.extend_from_slice(key);
-                permute_slots(
-                    &self.dfa_families,
-                    &self.dfa_mutex,
-                    &self.orders,
-                    &self.source,
-                    key,
-                );
+                permute_slots(families, mutex, &self.orders, &self.source, key);
+            }
+            (Runtime::Dfa(_), Fragments::Interp { .. }) => {
+                unreachable!("fragments from a different engine")
             }
         }
         (orbit, true)
-    }
-
-    /// Writes the fragment of group `g`'s member `j` in `key` into the
-    /// `frag` scratch buffer.
-    fn fragment(&mut self, engine: &StepEngine<'_, '_>, g: usize, j: usize, key: &[u32]) {
-        member_frag(
-            engine,
-            &self.groups,
-            &self.dfa_families,
-            &self.dfa_mutex,
-            g,
-            j,
-            key,
-            &mut self.frag,
-        );
-    }
-
-    /// The id of the fragment in the `frag` scratch buffer, interning it
-    /// on first sight.
-    fn intern(&mut self) -> u32 {
-        if let Some(&id) = self.frag_ids.get(self.frag.as_slice()) {
-            return id;
-        }
-        let id = u32::try_from(self.frag_ids.len()).expect("fewer than 2^32 fragments");
-        self.frag_ids.insert(self.frag.clone(), id);
-        id
-    }
-}
-
-/// Writes the state fragment of group `g`'s member `j` in product state
-/// `key` into `frag`. Deterministic within each engine (constraint order,
-/// then `BTreeMap` / family order), so equal fragments produce equal
-/// vectors.
-#[allow(clippy::too_many_arguments)]
-fn member_frag(
-    engine: &StepEngine<'_, '_>,
-    groups: &[Vec<Sap>],
-    dfa_families: &[Vec<Vec<u32>>],
-    dfa_mutex: &[MutexSlot],
-    g: usize,
-    j: usize,
-    key: &[u32],
-    frag: &mut Vec<FragAtom>,
-) {
-    frag.clear();
-    match &*engine.rt {
-        Runtime::Interp(product) => {
-            let sap = &groups[g][j];
-            for (ci, &sid) in key.iter().enumerate() {
-                match product.tables[ci].states[sid as usize].as_ref() {
-                    CState::Counters(map) => {
-                        for ((owner, k), &count) in map {
-                            if owner.as_ref() == Some(sap) {
-                                frag.push(FragAtom::Count {
-                                    ci: ci as u32,
-                                    key: k.clone(),
-                                    count,
-                                });
-                            }
-                        }
-                    }
-                    CState::Holders(held) => {
-                        for (k, holder) in held {
-                            if holder == sap {
-                                frag.push(FragAtom::Held {
-                                    ci: ci as u32,
-                                    key: k.clone(),
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        Runtime::Dfa(_) => {
-            for (f, family) in dfa_families[g].iter().enumerate() {
-                let state = key[family[j] as usize];
-                if state != 0 {
-                    frag.push(FragAtom::Slot {
-                        family: f as u32,
-                        state: state as u16,
-                    });
-                }
-            }
-            for mutex in dfa_mutex {
-                let state = key[mutex.slot as usize] as usize;
-                if mutex.holder.get(state).copied().flatten() == Some((g, j)) {
-                    frag.push(FragAtom::HeldSlot { slot: mutex.slot });
-                }
-            }
-        }
     }
 }
 

@@ -395,6 +395,17 @@ impl ProductEngine {
         })
     }
 
+    /// Whether universe event `ui`, allowed in `key`, steps every
+    /// constraint to the state it is in: the successor is `key` itself.
+    fn is_self_loop(&mut self, explorer: &ServiceExplorer<'_>, key: &[u32], ui: usize) -> bool {
+        let event = &explorer.universe[ui];
+        let eid = self.universe_ids[ui];
+        explorer.relevant(&event.primitive).iter().all(|&ci| {
+            let sid = key.get(ci).copied().unwrap_or(0);
+            self.level_step(explorer, ci, sid, event, eid) == Some(sid)
+        })
+    }
+
     /// Steps a product key by one event into `out`, which may be wider
     /// than `key` (components past `key` start at 0) and must cover every
     /// constraint relevant to the event. `Err((constraint index, state
@@ -546,19 +557,38 @@ impl<'x, 'a> StepEngine<'x, 'a> {
 
     /// The universe events allowed in `key` (possibly trimmed).
     pub(super) fn allowed(&mut self, key: &[u32]) -> Vec<&'x AbstractEvent> {
+        let mut enabled = Vec::new();
+        self.enabled_into(key, &mut enabled);
+        let universe = &self.explorer.universe;
+        enabled.into_iter().map(|ui| &universe[ui]).collect()
+    }
+
+    /// Appends the universe indices of the events allowed in `key`
+    /// (possibly trimmed) to `enabled`, ascending. Reads the key without
+    /// copying it.
+    pub(super) fn enabled_into(&mut self, key: &[u32], enabled: &mut Vec<usize>) {
         let explorer = self.explorer;
-        let universe = explorer.universe.iter();
         match &mut *self.rt {
-            Runtime::Interp(engine) => universe
-                .enumerate()
-                .filter(|&(ui, _)| engine.allows(explorer, key, ui))
-                .map(|(_, event)| event)
-                .collect(),
-            Runtime::Dfa(rt) => universe
-                .zip(&rt.universe_edges)
-                .filter(|(_, edges)| rt.binder.allowed(key, edges))
-                .map(|(event, _)| event)
-                .collect(),
+            Runtime::Interp(engine) => enabled.extend(
+                (0..explorer.universe.len()).filter(|&ui| engine.allows(explorer, key, ui)),
+            ),
+            Runtime::Dfa(rt) => enabled.extend(
+                rt.universe_edges
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, edges)| rt.binder.allowed(key, edges))
+                    .map(|(ui, _)| ui),
+            ),
+        }
+    }
+
+    /// Whether universe event `ui`, allowed in `key`, steps `key` to
+    /// itself — the ample-set guard's self-loop test, made without
+    /// building the successor.
+    pub(super) fn is_self_loop(&mut self, key: &[u32], ui: usize) -> bool {
+        match &mut *self.rt {
+            Runtime::Interp(engine) => engine.is_self_loop(self.explorer, key, ui),
+            Runtime::Dfa(rt) => rt.binder.is_self_loop(key, &rt.universe_edges[ui]),
         }
     }
 

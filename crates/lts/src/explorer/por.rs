@@ -1,150 +1,118 @@
 //! Ample-set partial-order reduction for
 //! [`Reduction::AmpleSets`](super::Reduction::AmpleSets): the static
-//! dependence closures over constraint instances and the per-state
+//! dependence classes over constraint instances and the per-state
 //! ample-set choice.
 
+use svckit_model::hash::FastMap;
 use svckit_model::{ConstraintKind, ConstraintScope};
 
 use super::engine::{instance, Instance};
 use super::ServiceExplorer;
 
 impl<'a> ServiceExplorer<'a> {
-    /// Per-universe-event dependence closures, as bitsets over universe
-    /// indices.
+    /// Per universe event, its dependence class: the lowest universe index
+    /// in the class.
     ///
     /// Two events are *dependent* when some constraint is relevant to both
     /// **at the same constraint instance** (same scope-SAP and key values):
     /// every current constraint kind reads and writes only the map entry of
     /// the event's own instance, so events touching disjoint instances
-    /// commute and cannot affect each other's enabledness. The returned
-    /// sets are transitive closures of that relation, so for any event `e`
-    /// the set contains every event that can (transitively) interact with
-    /// it — which makes `closure(e) ∩ enabled` a stubborn set: enabled
-    /// members have all their dependents inside, and disabled members can
-    /// only be enabled from inside.
-    pub(super) fn dependence_closures(&self) -> Vec<Vec<u64>> {
+    /// commute and cannot affect each other's enabledness. The classes are
+    /// the transitive closure of that (reflexive, symmetric) relation, so
+    /// the class of any event `e` contains every event that can
+    /// (transitively) interact with it — which makes `class(e) ∩ enabled`
+    /// a stubborn set: enabled members have all their dependents inside,
+    /// and disabled members can only be enabled from inside.
+    pub(super) fn dependence_classes(&self) -> Vec<usize> {
         let constraints = self.service.constraints();
-        let n = self.universe.len();
-        // Footprint of each event: the (constraint, instance) entries it
-        // reads/writes.
-        let footprints: Vec<Vec<(usize, Instance)>> = self
-            .universe
-            .iter()
-            .map(|event| {
-                self.relevant(&event.primitive)
-                    .iter()
-                    .map(|&ci| {
-                        let constraint = &constraints[ci];
-                        let scope = match constraint.kind() {
-                            ConstraintKind::Precedes { scope, .. }
-                            | ConstraintKind::After { scope, .. }
-                            | ConstraintKind::EventuallyFollows { scope, .. }
-                            | ConstraintKind::AtMostOutstanding { scope, .. } => *scope,
-                            // Mutual exclusion keeps one global holder map.
-                            ConstraintKind::MutualExclusion { .. } => ConstraintScope::Global,
-                        };
-                        (ci, instance(scope, event, constraint.key()))
-                    })
-                    .collect()
-            })
-            .collect();
-        let words = n.div_ceil(64);
-        let mut dep = vec![vec![0u64; words]; n];
-        for i in 0..n {
-            dep[i][i / 64] |= 1 << (i % 64);
-            for j in i + 1..n {
-                let hit = footprints[i]
-                    .iter()
-                    .any(|a| footprints[j].iter().any(|b| a == b));
-                if hit {
-                    dep[i][j / 64] |= 1 << (j % 64);
-                    dep[j][i / 64] |= 1 << (i % 64);
-                }
+        // Union-find over universe indices; a root is the lowest index of
+        // its class.
+        let mut parent: Vec<usize> = (0..self.universe.len()).collect();
+        fn root(parent: &mut [usize], mut i: usize) -> usize {
+            while parent[i] != i {
+                parent[i] = parent[parent[i]];
+                i = parent[i];
+            }
+            i
+        }
+        // The first event seen reading/writing each (constraint, instance)
+        // entry; every later one joins its class.
+        let mut first: FastMap<(usize, Instance), usize> = FastMap::default();
+        for (i, event) in self.universe.iter().enumerate() {
+            for &ci in self.relevant(&event.primitive) {
+                let constraint = &constraints[ci];
+                let scope = match constraint.kind() {
+                    ConstraintKind::Precedes { scope, .. }
+                    | ConstraintKind::After { scope, .. }
+                    | ConstraintKind::EventuallyFollows { scope, .. }
+                    | ConstraintKind::AtMostOutstanding { scope, .. } => *scope,
+                    // Mutual exclusion keeps one global holder map.
+                    ConstraintKind::MutualExclusion { .. } => ConstraintScope::Global,
+                };
+                let j = *first
+                    .entry((ci, instance(scope, event, constraint.key())))
+                    .or_insert(i);
+                let (a, b) = (root(&mut parent, i), root(&mut parent, j));
+                parent[a.max(b)] = a.min(b);
             }
         }
-        // Transitive closure (the universe is small; O(n·n²/64) is fine).
-        let mut closures = dep.clone();
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for i in 0..n {
-                let mut acc = closures[i].clone();
-                for j in 0..n {
-                    if acc[j / 64] >> (j % 64) & 1 == 1 {
-                        for w in 0..words {
-                            acc[w] |= closures[j][w];
-                        }
-                    }
-                }
-                if acc != closures[i] {
-                    closures[i] = acc;
-                    changed = true;
-                }
-            }
-        }
-        closures
+        (0..parent.len()).map(|i| root(&mut parent, i)).collect()
     }
 }
 
 /// Ample-set selection for
 /// [`Reduction::AmpleSets`](super::Reduction::AmpleSets): the static
-/// dependence closures and the per-expansion scratch buffers.
+/// dependence classes and the per-expansion scratch buffers.
 pub(super) struct AmpleSets {
-    /// Per universe event, its dependence closure as a bitset
-    /// ([`ServiceExplorer::dependence_closures`]).
-    closures: Vec<Vec<u64>>,
-    /// Scratch: the enabled set as a bitset, and the chosen ample set.
-    enabled_bits: Vec<u64>,
+    /// Per universe event, its dependence class
+    /// ([`ServiceExplorer::dependence_classes`]).
+    class: Vec<usize>,
+    /// Scratch: enabled events per class, and the chosen ample set.
+    counts: Vec<usize>,
     ample: Vec<usize>,
 }
 
 impl AmpleSets {
-    pub(super) fn new(closures: Vec<Vec<u64>>) -> Self {
-        let n = closures.len();
+    pub(super) fn new(class: Vec<usize>) -> Self {
+        let n = class.len();
         AmpleSets {
-            closures,
-            enabled_bits: vec![0; n.div_ceil(64)],
+            class,
+            counts: vec![0; n],
             ample: Vec::with_capacity(n),
         }
     }
 
     /// The events to expand in a state whose enabled events are `enabled`
-    /// (ascending, non-empty): the smallest `closure ∩ enabled` over the
+    /// (ascending, non-empty): the smallest `class ∩ enabled` over the
     /// enabled events, or all of `enabled` when that set is no smaller or
     /// every one of its members is a self-loop (`self_loop(i)`).
     pub(super) fn expand<'s>(
         &'s mut self,
         enabled: &'s [usize],
-        self_loop: impl Fn(usize) -> bool,
+        mut self_loop: impl FnMut(usize) -> bool,
     ) -> &'s [usize] {
-        // Candidate minimising |closure ∩ enabled| (ties: lowest universe
-        // index, for determinism); only the winner's set is materialised.
-        self.enabled_bits.fill(0);
         for &i in enabled {
-            self.enabled_bits[i / 64] |= 1 << (i % 64);
+            self.counts[self.class[i]] = 0;
         }
+        for &i in enabled {
+            self.counts[self.class[i]] += 1;
+        }
+        // Candidate minimising |class ∩ enabled| (ties: lowest universe
+        // index, for determinism); only the winner's set is materialised.
         let (mut best, mut best_len) = (enabled[0], usize::MAX);
         for &i in enabled {
-            let len: u32 = self.closures[i]
-                .iter()
-                .zip(&self.enabled_bits)
-                .map(|(c, e)| (c & e).count_ones())
-                .sum();
-            if (len as usize) < best_len {
-                (best, best_len) = (i, len as usize);
+            let len = self.counts[self.class[i]];
+            if len < best_len {
+                (best, best_len) = (i, len);
             }
         }
         if best_len >= enabled.len() {
             return enabled;
         }
-        let closure = &self.closures[best];
+        let class = self.class[best];
         self.ample.clear();
-        self.ample.extend(
-            enabled
-                .iter()
-                .copied()
-                .filter(|&j| closure[j / 64] >> (j % 64) & 1 == 1),
-        );
+        self.ample
+            .extend(enabled.iter().copied().filter(|&j| self.class[j] == class));
         // Guard against trivial starvation: an ample set whose every
         // transition loops back to this very state would let the search
         // idle forever and ignore the rest of the enabled events

@@ -213,7 +213,7 @@ impl<'a> ServiceExplorer<'a> {
             Symmetry::Off => None,
         };
         let mut ample_sets = match options.reduction {
-            Reduction::AmpleSets => Some(AmpleSets::new(self.dependence_closures())),
+            Reduction::AmpleSets => Some(AmpleSets::new(self.dependence_classes())),
             Reduction::Full => None,
         };
         let n = self.universe.len();
@@ -258,32 +258,39 @@ impl<'a> ServiceExplorer<'a> {
             steps
         };
 
-        // Per-expansion buffers, reused across states: universe event `i`'s
-        // (canonical) successor lives at `succ[i * width..(i + 1) * width]`
-        // and its orbit size (1 without symmetry) at `orbits[i]`.
-        let mut succ = vec![0u32; n * width];
+        // Per-expansion buffers, reused across states. With symmetry every
+        // enabled successor is built and canonicalized (`canon_hits` counts
+        // them all): universe event `i`'s canonical successor lives at
+        // `succ[i * width..(i + 1) * width]` and its orbit size at
+        // `orbits[i]`. Without symmetry enabledness and the ample guard's
+        // self-loop test read the key in place, and only the events
+        // expanded are stepped, one at a time, into `succ[..width]`.
+        let symmetric = sym.is_some();
+        let mut succ = vec![0u32; if symmetric { n * width } else { width }];
         let mut orbits = vec![1u64; n];
         let mut enabled: Vec<usize> = Vec::with_capacity(n);
 
         while let Some(sid) = queue.pop_front() {
             key.copy_from_slice(store.get(sid));
-            if let Some(sym) = sym.as_mut() {
-                sym.expand_from(&engine, &key);
-            }
             enabled.clear();
-            for i in 0..n {
-                let next = &mut succ[i * width..(i + 1) * width];
-                if engine
-                    .step_into(&key, &self.universe[i], event_ids[i], next)
-                    .is_ok()
-                {
-                    enabled.push(i);
-                    enabled_ever[i] = true;
-                    orbits[i] = match sym.as_mut() {
-                        Some(sym) => sym.canonical(&mut engine, next, Some(i)).0,
-                        None => 1,
-                    };
+            match sym.as_mut() {
+                Some(sym) => {
+                    sym.expand_from(&engine, &key);
+                    for i in 0..n {
+                        let next = &mut succ[i * width..(i + 1) * width];
+                        if engine
+                            .step_into(&key, &self.universe[i], event_ids[i], next)
+                            .is_ok()
+                        {
+                            enabled.push(i);
+                            orbits[i] = sym.canonical(&mut engine, next, Some(i)).0;
+                        }
+                    }
                 }
+                None => engine.enabled_into(&key, &mut enabled),
+            }
+            for &i in &enabled {
+                enabled_ever[i] = true;
             }
             if enabled.is_empty() {
                 deadlock_states += 1;
@@ -292,9 +299,14 @@ impl<'a> ServiceExplorer<'a> {
                 }
                 continue;
             }
-            let successor = |i: usize| &succ[i * width..(i + 1) * width];
             let expand: &[usize] = match ample_sets.as_mut() {
-                Some(ample_sets) => ample_sets.expand(&enabled, |i| successor(i) == key.as_slice()),
+                Some(ample_sets) => ample_sets.expand(&enabled, |i| {
+                    if symmetric {
+                        succ[i * width..(i + 1) * width] == *key
+                    } else {
+                        engine.is_self_loop(&key, i)
+                    }
+                }),
                 None => &enabled,
             };
             if ample_hist.len() <= expand.len() {
@@ -304,7 +316,18 @@ impl<'a> ServiceExplorer<'a> {
             svckit_obs::obs_count!("lts.states_expanded");
             svckit_obs::obs_record!("lts.ample_size", expand.len());
             for &i in expand {
-                let next = successor(i);
+                let next = if symmetric {
+                    &succ[i * width..(i + 1) * width]
+                } else {
+                    let next = &mut succ[..width];
+                    if engine
+                        .step_into(&key, &self.universe[i], event_ids[i], next)
+                        .is_err()
+                    {
+                        unreachable!("enabled events step successfully");
+                    }
+                    next
+                };
                 let to = match store.find(next) {
                     Some(to) => to,
                     None => {

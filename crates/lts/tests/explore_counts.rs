@@ -352,3 +352,108 @@ fn floor_control_4x2_symbolic_counts_are_pinned() {
     assert_eq!(counts.peak_nodes, 15_392, "peak_nodes");
     assert_eq!(counts.cache_hits, 9_218, "cache_hits");
 }
+
+/// Two roles over the floor-control primitives: `client` and `agent`
+/// users may hold the same resources, so one mutex slot per resource
+/// names holders from either role.
+fn two_role_service() -> ServiceDefinition {
+    ServiceDefinition::builder("two-roles")
+        .role("client", 2, usize::MAX)
+        .role("agent", 2, usize::MAX)
+        .primitive(PrimitiveSpec::new("request", Direction::FromUser).param_id("resid"))
+        .primitive(PrimitiveSpec::new("granted", Direction::ToUser).param_id("resid"))
+        .primitive(PrimitiveSpec::new("free", Direction::FromUser).param_id("resid"))
+        .constraint(
+            Constraint::eventually_follows("request", "granted", ConstraintScope::SameSap)
+                .keyed(&[0]),
+        )
+        .constraint(Constraint::precedes("granted", "free", ConstraintScope::SameSap).keyed(&[0]))
+        .constraint(Constraint::mutual_exclusion("granted", "free").keyed(&[0]))
+        .build()
+        .expect("the two-role service is well-formed")
+}
+
+/// Three clients on resource 1 and two agents on resources 1 and 2: two
+/// symmetric groups, `agent` (four slot families per member) and
+/// `client` (two).
+fn two_role_universe() -> Vec<AbstractEvent> {
+    let mut events = Vec::new();
+    for (role, users, resources) in [("client", 3, &[1][..]), ("agent", 2, &[1, 2][..])] {
+        for s in 1..=users {
+            let sap = Sap::new(role, PartId::new(s));
+            for &r in resources {
+                for primitive in ["request", "granted", "free"] {
+                    events.push(AbstractEvent::new(
+                        sap.clone(),
+                        primitive,
+                        vec![Value::Id(r)],
+                    ));
+                }
+            }
+        }
+    }
+    events
+}
+
+/// The counts of every (reduction, symmetry) combination on the two-group
+/// universe. Fragment ids are shared across groups (one first-encounter
+/// numbering), and the engines key a fragment differently: the DFA
+/// engine by each group's family index, the interpreter by constraint
+/// and key. An agent's second family (constraint 0, resource 2) and a
+/// client's second family (constraint 1, resource 1) therefore share ids
+/// under the DFA engine only, which orders members differently in some
+/// states: the two engines reach the same orbits but canonicalize a
+/// different number of times under full expansion.
+fn check_two_groups(engine: Engine) {
+    let service = two_role_service();
+    let explorer = ServiceExplorer::with_engine(&service, two_role_universe(), 2, engine);
+    assert_eq!(explorer.engine(), engine, "the two-role service compiles");
+    let full_on_canon_hits = match engine {
+        Engine::Dfa => 12_320,
+        Engine::Interp => 12_350,
+    };
+    // (reduction, symmetry, states, transitions, canon_hits, sym_states_saved)
+    let expected = [
+        (Reduction::AmpleSets, Symmetry::On, 15, 41, 82, 12),
+        (Reduction::AmpleSets, Symmetry::Off, 27, 72, 0, 0),
+        (
+            Reduction::Full,
+            Symmetry::On,
+            5_958,
+            46_830,
+            full_on_canon_hits,
+            33_408,
+        ),
+        (Reduction::Full, Symmetry::Off, 39_366, 301_806, 0, 0),
+    ];
+    for (reduction, symmetry, states, transitions, canon_hits, saved) in expected {
+        let report = explorer.explore(&ExploreOptions {
+            max_states: 200_000,
+            reduction,
+            symmetry,
+            ..ExploreOptions::default()
+        });
+        let what = format!("{engine:?} engine, {reduction:?}, symmetry {symmetry}");
+        assert!(!report.truncated, "{what}: truncated");
+        assert_eq!(report.states, states, "{what}: states");
+        assert_eq!(report.transitions, transitions, "{what}: transitions");
+        assert_eq!(report.canon_hits, canon_hits, "{what}: canon_hits");
+        let orbit_count = match symmetry {
+            Symmetry::On => states,
+            Symmetry::Off => 0,
+        };
+        assert_eq!(report.orbit_count, orbit_count, "{what}: orbit_count");
+        assert_eq!(report.sym_states_saved, saved, "{what}: sym_states_saved");
+        assert_eq!(report.deadlock_states, 0, "{what}: deadlocks");
+    }
+}
+
+#[test]
+fn two_group_counts_are_pinned_under_the_dfa_engine() {
+    check_two_groups(Engine::Dfa);
+}
+
+#[test]
+fn two_group_counts_are_pinned_under_the_interpreter() {
+    check_two_groups(Engine::Interp);
+}
