@@ -8,12 +8,14 @@ use std::process::{Command, Stdio};
 /// The binaries, with the arguments of each run: `bad` holds a flag the
 /// binary refuses, and `quiet` makes a run that reaches its first line of
 /// stdout quickly. Binaries that take no flags (or no `--out`) refuse the
-/// `--out` run as an unexpected argument.
+/// `--out` run as an unexpected argument. `obs` marks the binaries that
+/// take `--obs-out` / `--obs-format`.
 struct Bin {
     name: &'static str,
     path: &'static str,
     bad: Vec<String>,
     quiet: Vec<String>,
+    obs: bool,
 }
 
 fn args(list: &[&str]) -> Vec<String> {
@@ -28,12 +30,14 @@ fn bins() -> Vec<Bin> {
         path,
         bad: args(&["--no-such-flag"]),
         quiet: Vec::new(),
+        obs: false,
     };
     let with_out = |name: &'static str, path| Bin {
         name,
         path,
         bad: args(&["--threads", "nope"]),
         quiet: vec!["--out".to_owned(), format!("{tmp}/closed_pipe_{name}.json")],
+        obs: true,
     };
     vec![
         no_flags(
@@ -78,12 +82,14 @@ fn bins() -> Vec<Bin> {
             path: env!("CARGO_BIN_EXE_perfgate"),
             bad: args(&["--fresh", baseline, "--tolerance", "nope"]),
             quiet: args(&["--baseline", baseline, "--fresh", baseline]),
+            obs: false,
         },
         Bin {
             name: "floorctl",
             path: env!("CARGO_BIN_EXE_floorctl"),
             bad: args(&["--no-such-flag"]),
             quiet: args(&["--help"]),
+            obs: false,
         },
     ]
 }
@@ -139,7 +145,12 @@ fn every_bench_binary_fails_with_one_error_line() {
     // A known flag with no value fails too, instead of running on its
     // default.
     let trailing = args(&["--out"]);
+    // An unknown obs format fails even when no `--obs-out` would use it.
+    let bad_format = args(&["--obs-format", "bogus"]);
     for bin in &bins {
+        if bin.obs {
+            assert_fails_cleanly(bin, &bad_format, false, "bad --obs-format");
+        }
         assert_fails_cleanly(bin, &bin.bad, false, "bad flag");
         assert_fails_cleanly(bin, &unknown, false, "unknown flag");
         assert_fails_cleanly(bin, &trailing, false, "trailing --out");

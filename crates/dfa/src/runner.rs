@@ -17,9 +17,10 @@
 //! (class count) and state count inline. A step reads the slot's entry
 //! and one `u16` of the array, with no pointer to chase. Slots of one
 //! constraint share its table, and structurally identical tables are
-//! stored once; when a mutex alphabet regrows, the array is laid out
-//! again and every slot re-pointed at its constraint's new table. The
-//! `allowed`, dense and wide steps all read it through one lookup.
+//! stored once. The fixed shapes' tables come first; when a mutex
+//! alphabet regrows, the mutex tables after them are laid out again and
+//! every mutex slot is re-pointed. The `allowed`, dense and wide steps
+//! all read the array through one lookup.
 //!
 //! There are two steps. Run-time checkers (the admission gate, the
 //! conformance monitor) keep one *dense* `u16` vector with a state per
@@ -208,10 +209,15 @@ pub struct Binder {
     /// the source of the row array and of per-state metadata.
     current_dfa: Vec<Arc<Dfa>>,
     /// Every distinct current table, row-major, concatenated; what the
-    /// steps read.
+    /// steps read. The tables of the fixed shapes (counters, latches)
+    /// come first and never move; the mutex tables follow from
+    /// `fixed_rows` on.
     rows: Vec<u16>,
+    fixed_rows: usize,
     /// Per constraint, the offset of its current table in `rows`.
     table_base: Vec<u32>,
+    /// The slots of mutex constraints: the ones a regrowth re-points.
+    mutex_slots: Vec<u32>,
     /// Occurrence fingerprint → the newest resolution id with it; older
     /// ones chain through [`OccKey::next`]. Steady-state resolution is
     /// one hash of the caller's borrowed values, one probe and one
@@ -224,11 +230,8 @@ pub struct Binder {
 impl Binder {
     /// Creates a binder over a compiled constraint set.
     pub fn new(compiled: Arc<Compiled>) -> Binder {
-        let mutex = compiled
-            .constraints
-            .iter()
-            .map(|_| MutexRt::default())
-            .collect();
+        let n = compiled.constraints.len();
+        let mutex = vec![MutexRt::default(); n];
         let current_dfa = compiled
             .constraints
             .iter()
@@ -244,26 +247,32 @@ impl Binder {
             mutex,
             current_dfa,
             rows: Vec::new(),
-            table_base: Vec::new(),
+            fixed_rows: 0,
+            table_base: vec![0; n],
+            mutex_slots: Vec::new(),
             occ_index: FastMap::default(),
             occ_keys: Vec::new(),
             edge_lists: Vec::new(),
         };
-        binder.lay_out_rows();
+        binder.lay_out_tables(false);
+        binder.fixed_rows = binder.rows.len();
+        binder.lay_out_tables(true);
         binder
     }
 
-    /// Rebuilds the row array from the current tables (storing each
-    /// distinct table once) and re-points every slot at its constraint's
-    /// table.
-    fn lay_out_rows(&mut self) {
-        self.rows.clear();
-        self.table_base.clear();
-        for (ci, dfa) in self.current_dfa.iter().enumerate() {
-            let shared = self.current_dfa[..ci]
-                .iter()
-                .position(|earlier| Arc::ptr_eq(earlier, dfa));
-            let base = match shared {
+    /// Appends the current tables of the mutex constraints (`mutex`) or
+    /// of every other constraint to the row array, each distinct table
+    /// once, and records where each constraint's table starts.
+    fn lay_out_tables(&mut self, mutex: bool) {
+        for ci in 0..self.current_dfa.len() {
+            if self.is_mutex(ci) != mutex {
+                continue;
+            }
+            let dfa = &self.current_dfa[ci];
+            let shared = (0..ci).find(|&earlier| {
+                self.is_mutex(earlier) == mutex && Arc::ptr_eq(&self.current_dfa[earlier], dfa)
+            });
+            self.table_base[ci] = match shared {
                 Some(earlier) => self.table_base[earlier],
                 None => {
                     let base = u32::try_from(self.rows.len()).expect("row array fits u32");
@@ -271,11 +280,6 @@ impl Binder {
                     base
                 }
             };
-            self.table_base.push(base);
-        }
-        for slot in 0..self.slot_info.len() {
-            let ci = self.slot_info[slot].ci;
-            self.slot_info[slot] = self.slot_row(ci);
         }
     }
 
@@ -382,14 +386,17 @@ impl Binder {
             next: newest,
         });
         self.slot_index.insert(fp, fresh);
+        if self.is_mutex(ci) {
+            self.mutex_slots.push(fresh);
+        }
         let ci = u32::try_from(ci).expect("constraint count fits u32");
         self.slot_info.push(self.slot_row(ci));
         fresh
     }
 
     /// Interns `sap` as a holder of mutex constraint `ci`, regrowing the
-    /// constraint's table (and re-pointing every slot already bound to it)
-    /// when the holder is new.
+    /// constraint's table when the holder is new: the row array's mutex
+    /// part is laid out again, and every mutex slot re-pointed.
     fn holder_index(&mut self, ci: usize, sap: &Sap) -> u16 {
         if let Some(i) = self.mutex[ci].holders.iter().position(|h| h == sap) {
             return u16::try_from(i).expect("holder count fits u16");
@@ -397,7 +404,12 @@ impl Binder {
         self.mutex[ci].holders.push(sap.clone());
         let holders = u16::try_from(self.mutex[ci].holders.len()).expect("holder count fits u16");
         self.current_dfa[ci] = self.compiled.mutex_table(holders);
-        self.lay_out_rows();
+        self.rows.truncate(self.fixed_rows);
+        self.lay_out_tables(true);
+        for &slot in &self.mutex_slots {
+            let row = self.slot_row(self.slot_info[slot as usize].ci);
+            self.slot_info[slot as usize] = row;
+        }
         holders - 1
     }
 

@@ -9,6 +9,10 @@
 //! change to the kernel that is not a pure speed-up shows up as a
 //! mismatch.
 //!
+//! A two-role universe (two symmetric groups with different slot
+//! families, sharing one mutex slot) pins the same counts where fragment
+//! ids are shared across groups.
+//!
 //! The count-only search (`ServiceExplorer::explore_counts`) is locked
 //! against the full search here too: over the 2–4-user floor universes,
 //! complete and truncated, it must report exactly the full report's

@@ -427,11 +427,8 @@ impl SweepReport {
 ///
 /// # Errors
 ///
-/// A usage message on an unknown format.
+/// A usage message on an unknown format, with or without `--obs-out`.
 pub fn obs_flags(args: &[String]) -> Result<Option<(String, ObsFormat)>, String> {
-    let Some(path) = flag_value(args, "obs-out") else {
-        return Ok(None);
-    };
     let format = match flag_value(args, "obs-format").as_deref() {
         None | Some("jsonl") => ObsFormat::Jsonl,
         Some("chrome") => ObsFormat::Chrome,
@@ -441,7 +438,7 @@ pub fn obs_flags(args: &[String]) -> Result<Option<(String, ObsFormat)>, String>
             ))
         }
     };
-    Ok(Some((path, format)))
+    Ok(flag_value(args, "obs-out").map(|path| (path, format)))
 }
 
 /// Stderr verbosity, shared by every experiment binary: `--quiet`
@@ -686,6 +683,21 @@ mod tests {
             check_flags(&trailing[..1], &["out", "threads"], &[]),
             Err("--threads needs a value".to_owned())
         );
+        let obs =
+            |list: &[&str]| obs_flags(&list.iter().map(|s| s.to_string()).collect::<Vec<_>>());
+        assert_eq!(obs(&[]), Ok(None));
+        assert_eq!(obs(&["--obs-format", "chrome"]), Ok(None));
+        assert_eq!(
+            obs(&["--obs-out", "o.json", "--obs-format", "chrome"]),
+            Ok(Some(("o.json".to_owned(), ObsFormat::Chrome)))
+        );
+        assert_eq!(
+            obs(&["--obs-out", "o.json"]),
+            Ok(Some(("o.json".to_owned(), ObsFormat::Jsonl)))
+        );
+        // A bad format is refused with or without a sink to write.
+        assert!(obs(&["--obs-format", "bogus"]).is_err());
+        assert!(obs(&["--obs-out", "o.json", "--obs-format", "bogus"]).is_err());
     }
 
     #[test]
