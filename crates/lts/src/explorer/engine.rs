@@ -557,28 +557,27 @@ impl<'x, 'a> StepEngine<'x, 'a> {
 
     /// The universe events allowed in `key` (possibly trimmed).
     pub(super) fn allowed(&mut self, key: &[u32]) -> Vec<&'x AbstractEvent> {
-        let mut enabled = Vec::new();
-        self.enabled_into(key, &mut enabled);
         let universe = &self.explorer.universe;
-        enabled.into_iter().map(|ui| &universe[ui]).collect()
+        let mut allowed = Vec::new();
+        self.for_each_enabled(key, |ui| allowed.push(&universe[ui]));
+        allowed
     }
 
-    /// Appends the universe indices of the events allowed in `key`
-    /// (possibly trimmed) to `enabled`, ascending. Reads the key without
-    /// copying it.
-    pub(super) fn enabled_into(&mut self, key: &[u32], enabled: &mut Vec<usize>) {
+    /// Calls `f` with the universe index of every event allowed in `key`
+    /// (possibly trimmed), ascending. Reads the key without copying it.
+    pub(super) fn for_each_enabled(&mut self, key: &[u32], mut f: impl FnMut(usize)) {
         let explorer = self.explorer;
         match &mut *self.rt {
-            Runtime::Interp(engine) => enabled.extend(
-                (0..explorer.universe.len()).filter(|&ui| engine.allows(explorer, key, ui)),
-            ),
-            Runtime::Dfa(rt) => enabled.extend(
-                rt.universe_edges
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, edges)| rt.binder.allowed(key, edges))
-                    .map(|(ui, _)| ui),
-            ),
+            Runtime::Interp(engine) => (0..explorer.universe.len())
+                .filter(|&ui| engine.allows(explorer, key, ui))
+                .for_each(f),
+            Runtime::Dfa(rt) => {
+                for (ui, edges) in rt.universe_edges.iter().enumerate() {
+                    if rt.binder.allowed(key, edges) {
+                        f(ui);
+                    }
+                }
+            }
         }
     }
 

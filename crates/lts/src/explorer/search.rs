@@ -287,7 +287,7 @@ impl<'a> ServiceExplorer<'a> {
                         }
                     }
                 }
-                None => engine.enabled_into(&key, &mut enabled),
+                None => engine.for_each_enabled(&key, |i| enabled.push(i)),
             }
             for &i in &enabled {
                 enabled_ever[i] = true;
