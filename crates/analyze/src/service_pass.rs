@@ -15,22 +15,26 @@
 //! trees, edge lists, livelock searches or (symbolic) witness relations.
 //! Two of them run in full when their findings can be reported: the
 //! unquotiented counterpart of a quotient run that found a defect, and
-//! the symbolic run when the configured search truncated.
+//! the symbolic run when the configured search truncated. The
+//! unquotiented counterpart of a clean quotient run does not run at all
+//! when the quotient certifies its orbit-weighted sums
+//! ([`ExploreReport::sym_exact`]); the sums fill the block instead, and
+//! debug builds run the real counterpart to compare.
 //!
-//! The searches are independent, so a pass runs them on two threads: a
-//! worker runs the count-only LDD fixpoint and the reduction counterpart
-//! on a clone of the explorer, while the calling thread runs the
-//! configured search and the symmetry counterpart. The symbolic rescue,
-//! when needed, runs on the calling thread after the join. Every search
-//! is deterministic and reads only its own explorer, so the report does
-//! not depend on the schedule.
+//! A pass runs on two threads. The calling thread runs the reduction
+//! counterpart, the longest single search, on a clone of the explorer.
+//! A worker runs, in order, the configured search, the symmetry
+//! counterpart (full, arithmetic or count-only) and, under the symbolic
+//! backend, the symbolic search (count-only, or full when the configured
+//! search truncated). Every search is deterministic and reads only its
+//! own explorer, so the report does not depend on the schedule.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use svckit_dfa::{check_product, Binder, Compiled, Edge, Engine, ProductCheck};
 use svckit_lts::explorer::{
-    AbstractEvent, ExploreOptions, ExploreReport, Reduction, ServiceExplorer,
+    AbstractEvent, ExploreCounts, ExploreOptions, ExploreReport, Reduction, ServiceExplorer,
 };
 use svckit_lts::{Backend, Symmetry};
 use svckit_model::{ConstraintKind, Sap, ServiceDefinition, Value};
@@ -107,8 +111,13 @@ pub struct ServiceAnalysis {
     /// Unquotiented-vs-quotient exploration statistics, in the schema the
     /// explorer benchmarks share (`BENCH_hotpath.stats.json`). Both halves
     /// run at the configured reduction setting, so the block is identical
-    /// whichever symmetry setting the caller picked. The counterpart half
-    /// comes from a count-only search unless it supplies the diagnostics.
+    /// whichever symmetry setting the caller picked. Under symmetry on,
+    /// the unquotiented half is the quotient's orbit-weighted sums
+    /// (`states + sym_states_saved`, `transitions +
+    /// sym_transitions_saved`, not truncated) when the quotient's
+    /// exactness certificate holds ([`ExploreReport::sym_exact`]);
+    /// otherwise it comes from a real search, count-only unless it
+    /// supplies the diagnostics. Both give the same numbers.
     pub sym: SymStats,
     /// Symbolic-backend statistics, filled only under
     /// [`Backend::Symbolic`] (all zeros otherwise — the explicit backend
@@ -178,8 +187,10 @@ pub fn analyze_service(
     // pick a different same-length witness than the concrete search; for
     // clean targets the quotient report is used directly, which is what
     // makes universes that only the quotient can finish analyzable at
-    // all.) Only that case needs the counterpart's findings; otherwise it
-    // runs count-only.
+    // all.) Only that case needs the counterpart's findings. Otherwise it
+    // runs count-only, or not at all when the quotient search certifies
+    // its orbit-weighted sums (`ExploreReport::sym_exact`): those are the
+    // unquotiented counts.
     let sym_options = ExploreOptions {
         symmetry: match options.symmetry {
             Symmetry::On => Symmetry::Off,
@@ -210,57 +221,53 @@ pub fn analyze_service(
         ..explore_options.clone()
     };
 
-    // The count-only LDD and reduction counterparts read nothing of the
-    // other searches, so one worker runs them while this thread runs the
-    // configured search and the symmetry counterpart. The worker searches
-    // a clone of the explorer: every search holds its explorer's runtime
-    // for its whole length, so sharing one would serialize the two. Obs
-    // counters the worker records are folded into this thread's recorder
-    // after the join; counters add up, so the totals do not depend on the
-    // schedule.
-    let worker_explorer = explorer.clone();
+    // The reduction counterpart reads nothing of the other searches and,
+    // once the symmetry counterpart is arithmetic, is the longest single
+    // search, so this thread runs it while one worker runs the configured
+    // search and what depends on it: the symmetry counterpart and the
+    // symbolic search. The two threads search
+    // separate explorers: every search holds its explorer's runtime for
+    // its whole length, so sharing one would serialize them. Obs counters
+    // the worker records are folded into this thread's recorder after the
+    // join; counters add up, so the totals do not depend on the schedule.
+    let por_explorer = explorer.clone();
     let worker_recorder = svckit_obs::active().then(svckit_obs::Recorder::new);
-    let (report, sym_witness, sym_counterpart, (speculative_ldd, counterpart)) =
-        std::thread::scope(|scope| {
-            let worker = scope.spawn(|| {
-                let run = || {
-                    let ldd = (options.backend == Backend::Symbolic)
-                        .then(|| worker_explorer.explore_counts(&symbolic_options));
-                    (ldd, worker_explorer.explore_counts(&por_options))
-                };
-                match worker_recorder {
-                    Some(recorder) => {
-                        let (counts, recorder) = svckit_obs::with_recorder(recorder, run);
-                        (counts, Some(recorder))
-                    }
-                    None => (run(), None),
-                }
-            });
-            let report = explorer.explore(&explore_options);
-            let sym_witness = (options.symmetry == Symmetry::On && has_defect(&report))
-                .then(|| explorer.explore(&sym_options));
-            let sym_counterpart = match &sym_witness {
-                Some(full) => full.counts(),
-                None => explorer.explore_counts(&sym_options),
+    let (searches, counterpart) = std::thread::scope(|scope| {
+        let worker = scope.spawn(|| {
+            let run = || {
+                configured_searches(
+                    &explorer,
+                    options,
+                    &explore_options,
+                    &sym_options,
+                    &symbolic_options,
+                )
             };
-            let (counts, recorder) = worker
-                .join()
-                .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-            if let Some(recorder) = &recorder {
-                svckit_obs::absorb_into_current(recorder);
+            match worker_recorder {
+                Some(recorder) => {
+                    let (searches, recorder) = svckit_obs::with_recorder(recorder, run);
+                    (searches, Some(recorder))
+                }
+                None => (run(), None),
             }
-            (report, sym_witness, sym_counterpart, counts)
         });
+        let counterpart = por_explorer.explore_counts(&por_options);
+        let (searches, recorder) = worker
+            .join()
+            .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+        if let Some(recorder) = &recorder {
+            svckit_obs::absorb_into_current(recorder);
+        }
+        (searches, counterpart)
+    });
+    let Configured {
+        report,
+        sym_witness,
+        sym_counterpart,
+        symbolic_witness,
+        symbolic,
+    } = searches;
 
-    // Only a truncated configured run can need the symbolic rescue, so
-    // only then does the symbolic search run in full, here after the
-    // join; the worker's count-only result is then discarded.
-    let symbolic_witness = (options.backend == Backend::Symbolic && report.truncated)
-        .then(|| explorer.explore(&symbolic_options));
-    let symbolic = match &symbolic_witness {
-        Some(full) => Some(full.counts()),
-        None => speculative_ldd,
-    };
     let mut diag_report = match &sym_witness {
         Some(full) if !full.truncated => full,
         _ => &report,
@@ -307,19 +314,47 @@ pub fn analyze_service(
     };
 
     let (sym_on, sym_off) = match options.symmetry {
-        Symmetry::On => (&configured, &sym_counterpart),
-        Symmetry::Off => (&sym_counterpart, &configured),
+        Symmetry::On => (&configured, sym_counterpart.as_ref()),
+        Symmetry::Off => (
+            sym_counterpart
+                .as_ref()
+                .expect("an unquotiented search certifies nothing"),
+            Some(&configured),
+        ),
+    };
+    // Without an unquotiented search, the quotient's certified
+    // orbit-weighted sums stand in for its counts.
+    let (full_states, full_transitions, full_truncated) = match sym_off {
+        Some(off) => (off.states as u64, off.transitions as u64, off.truncated),
+        None => (
+            sym_on.states as u64 + sym_on.sym_states_saved,
+            sym_on.transitions as u64 + sym_on.sym_transitions_saved,
+            false,
+        ),
     };
     let sym = SymStats {
-        full_states: sym_off.states as u64,
-        full_transitions: sym_off.transitions as u64,
-        full_truncated: sym_off.truncated,
+        full_states,
+        full_transitions,
+        full_truncated,
         quotient_states: sym_on.states as u64,
         quotient_transitions: sym_on.transitions as u64,
         orbit_count: sym_on.orbit_count as u64,
         canon_hits: sym_on.canon_hits,
         states_saved: sym_on.sym_states_saved,
     };
+    // Debug builds run the counterpart the certificate replaced and
+    // compare, under a recorder of its own so obs counts do not depend
+    // on the build.
+    if cfg!(debug_assertions) && sym_counterpart.is_none() {
+        let (real, _) = svckit_obs::with_recorder(svckit_obs::Recorder::new(), || {
+            explorer.explore_counts(&sym_options)
+        });
+        assert_eq!(
+            (real.states as u64, real.transitions as u64, real.truncated),
+            (sym.full_states, sym.full_transitions, sym.full_truncated),
+            "certified orbit-weighted counts disagree with the unquotiented search"
+        );
+    }
 
     let ldd = symbolic
         .as_ref()
@@ -339,6 +374,61 @@ pub fn analyze_service(
         por,
         sym,
         ldd,
+    }
+}
+
+/// What the worker's searches produced: the configured search, the
+/// symmetry counterpart and the symbolic search.
+struct Configured {
+    /// The configured search.
+    report: ExploreReport,
+    /// The unquotiented counterpart in full, when the quotient found a
+    /// defect: it supplies the diagnostics.
+    sym_witness: Option<ExploreReport>,
+    /// The flipped-symmetry counterpart's counts; `None` when the
+    /// configured quotient search certified its orbit-weighted sums
+    /// ([`ExploreReport::sym_exact`]), which then stand in for them.
+    sym_counterpart: Option<ExploreCounts>,
+    /// The symbolic search in full, when the configured search truncated:
+    /// it may rescue the diagnostics.
+    symbolic_witness: Option<ExploreReport>,
+    /// The symbolic search's counts, under [`Backend::Symbolic`].
+    symbolic: Option<ExploreCounts>,
+}
+
+/// The configured search, then the symmetry counterpart (the full
+/// witness search when the quotient found a defect, nothing when the
+/// quotient's certificate holds, the count-only search otherwise), then,
+/// under [`Backend::Symbolic`], the symbolic search (count-only when the
+/// configured search completed, full when it truncated).
+fn configured_searches(
+    explorer: &ServiceExplorer<'_>,
+    options: &ServicePassOptions,
+    explore_options: &ExploreOptions,
+    sym_options: &ExploreOptions,
+    symbolic_options: &ExploreOptions,
+) -> Configured {
+    let report = explorer.explore(explore_options);
+    let sym_witness = (options.symmetry == Symmetry::On && has_defect(&report))
+        .then(|| explorer.explore(sym_options));
+    let sym_counterpart = match &sym_witness {
+        Some(full) => Some(full.counts()),
+        None if report.sym_exact => None,
+        None => Some(explorer.explore_counts(sym_options)),
+    };
+    let symbolic_witness = (options.backend == Backend::Symbolic && report.truncated)
+        .then(|| explorer.explore(symbolic_options));
+    let symbolic = match &symbolic_witness {
+        Some(full) => Some(full.counts()),
+        None => (options.backend == Backend::Symbolic)
+            .then(|| explorer.explore_counts(symbolic_options)),
+    };
+    Configured {
+        report,
+        sym_witness,
+        sym_counterpart,
+        symbolic_witness,
+        symbolic,
     }
 }
 
@@ -579,21 +669,41 @@ mod tests {
         }
     }
 
-    /// The reduction counterpart runs on the worker thread; its obs
-    /// counters still reach the caller's recorder. Under the explicit
-    /// backend every search counts its states into `lts.states`, so with
-    /// the sites compiled in (`--features svckit-lts/obs`) the counter is
-    /// the sum of the three searches' states.
+    /// The configured search and the symmetry counterpart run on the
+    /// worker thread, the reduction counterpart on the caller's; the
+    /// worker's obs counters still reach the caller's recorder. Under the
+    /// explicit backend every search counts its states into `lts.states`,
+    /// so with the sites compiled in (`--features svckit-lts/obs`) the
+    /// counter is the configured search's states plus the reduction
+    /// counterpart's, plus the unquotiented counterpart's only when it
+    /// ran — when the quotient's certificate does not hold. (The debug
+    /// cross-check of a certified block records into a recorder of its
+    /// own.)
     #[test]
     fn worker_counters_reach_the_callers_recorder() {
+        let options = ServicePassOptions::default();
+        let service = floor_control_service();
+        let certified = ServiceExplorer::with_engine(
+            &service,
+            floor_event_universe(2, 2),
+            options.max_outstanding,
+            options.engine,
+        )
+        .explore_counts(&ExploreOptions {
+            max_states: options.max_states,
+            reduction: options.reduction,
+            progress: progress_primitives(&service),
+            symmetry: options.symmetry,
+            ..ExploreOptions::default()
+        })
+        .sym_exact;
         let (analysis, recorder) = svckit_obs::with_recorder(svckit_obs::Recorder::new(), || {
-            analyze_service(
-                &floor_control_service(),
-                floor_event_universe(2, 2),
-                &ServicePassOptions::default(),
-            )
+            analyze_service(&service, floor_event_universe(2, 2), &options)
         });
-        let searched = analysis.states as u64 + analysis.sym.full_states + analysis.por.full_states;
+        let mut searched = analysis.states as u64 + analysis.por.full_states;
+        if !certified {
+            searched += analysis.sym.full_states;
+        }
         assert_eq!(
             recorder.counter("lts.states"),
             searched * u64::from(svckit_obs::sites_enabled())

@@ -454,8 +454,41 @@ pub struct ExploreReport {
     /// stored: Σ (orbit size − 1) over stored states. Under
     /// [`Reduction::Full`], `states + sym_states_saved` equals the
     /// unquotiented reachable state count exactly (the detected groups are
-    /// full symmetric groups, so orbit sizes are `n!/∏ mᵢ!`).
+    /// full symmetric groups, so orbit sizes are `n!/∏ mᵢ!`); see
+    /// [`ExploreReport::sym_exact`] for when that holds in general.
     pub sym_states_saved: u64,
+    /// The transition analogue of [`ExploreReport::sym_states_saved`]:
+    /// Σ (orbit size − 1) × transitions taken from the state, over
+    /// expanded representatives. Every state of an orbit takes as many
+    /// transitions as its representative, so
+    /// `transitions + sym_transitions_saved` counts the unquotiented
+    /// search's transitions when [`ExploreReport::sym_exact`] holds.
+    pub sym_transitions_saved: u64,
+    /// The exactness certificate of the orbit-weighted counts: when
+    /// `true`, the same search with [`Symmetry::Off`] completes and
+    /// reports exactly `states + sym_states_saved` states and
+    /// `transitions + sym_transitions_saved` transitions. Always `false`
+    /// with symmetry off and from the symbolic fixpoint (which ignores
+    /// symmetry).
+    ///
+    /// It holds when the quotient search did not truncate, the
+    /// unquotiented count fits [`ExploreOptions::max_states`], and — under
+    /// [`Reduction::AmpleSets`] — the ample choice commutes with every
+    /// member permutation σ: (a) σ maps dependence classes onto
+    /// dependence classes (checked on each group's generators); (b) the
+    /// self-loop guard never fired at a representative because of an
+    /// orbit-internal move that is no real self-loop; (c) where two or
+    /// more classes tied for the smallest `|class ∩ enabled|`, the class
+    /// the lowest-index tie-break picks from σ(enabled) is the σ-image of
+    /// the one it picked, for every σ (every tied representative is
+    /// re-checked after the search, and only when every other condition
+    /// holds). Then the unquotiented search expands σ(A) at σ(r) wherever
+    /// the quotient expands A at representative r, so it reaches exactly
+    /// the orbits of the representatives and takes |A| transitions at each
+    /// of their states. When checking (c) would take more ample choices
+    /// than the unquotiented search takes steps, the certificate is
+    /// declined.
+    pub sym_exact: bool,
     /// Symbolic backend only: nodes in the final reached-set diagram
     /// (0 under the explicit backend).
     pub ldd_nodes: usize,
@@ -479,6 +512,8 @@ impl ExploreReport {
             orbit_count: self.orbit_count,
             canon_hits: self.canon_hits,
             sym_states_saved: self.sym_states_saved,
+            sym_transitions_saved: self.sym_transitions_saved,
+            sym_exact: self.sym_exact,
             ldd_nodes: self.ldd_nodes,
             peak_nodes: self.peak_nodes,
             cache_hits: self.cache_hits,
@@ -515,6 +550,10 @@ pub struct ExploreCounts {
     pub canon_hits: u64,
     /// See [`ExploreReport::sym_states_saved`].
     pub sym_states_saved: u64,
+    /// See [`ExploreReport::sym_transitions_saved`].
+    pub sym_transitions_saved: u64,
+    /// See [`ExploreReport::sym_exact`].
+    pub sym_exact: bool,
     /// See [`ExploreReport::ldd_nodes`].
     pub ldd_nodes: usize,
     /// See [`ExploreReport::peak_nodes`].

@@ -8,11 +8,11 @@ use std::collections::BTreeMap;
 use svckit_model::hash::FastMap;
 use svckit_model::{Sap, Value};
 
-use crate::symmetry::{orbit_factor, SymmetryGroups};
+use crate::symmetry::{factorial, orbit_factor, SymmetryGroups};
 
 use super::engine::{CState, Runtime, StepEngine};
 use super::store::StateStore;
-use super::ServiceExplorer;
+use super::{AbstractEvent, ServiceExplorer};
 
 /// One constraint-instance entry owned by a symmetric-group member — the
 /// atom of a member's *state fragment* under the interpreter. A product
@@ -25,13 +25,12 @@ use super::ServiceExplorer;
 /// (see [`Fragments::Dfa`]). Within a group the two forms have the same
 /// equality relation (slot states and interned constraint states have the
 /// same distinguishing power — the dual-engine equivalence tests pin
-/// this), and fragment *ids* are assigned in first-encounter order along
-/// identical searches, so on one-group universes both engines sort
-/// members identically and pick identical orbit representatives. Ids are
-/// shared across groups, where the forms differ: the interpreter's atoms
-/// name a `(constraint, key)` pair, the DFA words a family position, so
-/// two groups whose families differ can share an id under one engine
-/// only (`explore_counts` pins both engines' counts on such a universe).
+/// this), and fragment *ids* are assigned per group in first-encounter
+/// order along identical searches, so both engines sort members
+/// identically and pick identical orbit representatives. Across groups
+/// the forms differ (the interpreter's atoms name a `(constraint, key)`
+/// pair, the DFA words a family position), which is why each group
+/// numbers its fragments on its own.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum FragAtom {
     /// The member's counter for `(constraint, key)` is at `count` (zero
@@ -58,13 +57,13 @@ struct MutexSlot {
     state_of: Vec<Vec<Option<u16>>>,
 }
 
-/// Each engine's fragment form, its id interner and its scratch buffer.
-/// Ids are dense from 0 in first-encounter order; sorting members by
-/// them is the canonical form.
+/// Each engine's fragment form, its id interners (one per group) and its
+/// scratch buffer. Ids are dense from 0 in each group's first-encounter
+/// order; sorting a group's members by them is the canonical form.
 enum Fragments {
     /// Interpreter: a fragment is its atom list, interned through a map.
     Interp {
-        ids: FastMap<Vec<FragAtom>, u32>,
+        ids: Vec<FastMap<Vec<FragAtom>, u32>>,
         frag: Vec<FragAtom>,
     },
     /// DFA: a fragment is one word per slot family — the member's slot
@@ -79,7 +78,7 @@ enum Fragments {
         mutex: Vec<MutexSlot>,
         /// The widest group's family count: where the held flags start.
         held_at: usize,
-        ids: StateStore,
+        ids: Vec<StateStore>,
         frag: Vec<u32>,
     },
 }
@@ -150,19 +149,21 @@ impl Fragments {
         }
     }
 
-    /// The id of the fragment in the scratch buffer, if interned.
-    fn find(&self) -> Option<u32> {
+    /// The id of the fragment in the scratch buffer among group `g`'s
+    /// fragments, if interned.
+    fn find(&self, g: usize) -> Option<u32> {
         match self {
-            Fragments::Interp { ids, frag } => ids.get(frag.as_slice()).copied(),
-            Fragments::Dfa { ids, frag, .. } => ids.find(frag),
+            Fragments::Interp { ids, frag } => ids[g].get(frag.as_slice()).copied(),
+            Fragments::Dfa { ids, frag, .. } => ids[g].find(frag),
         }
     }
 
-    /// The id of the fragment in the scratch buffer, interning it on
-    /// first sight.
-    fn intern(&mut self) -> u32 {
+    /// The id of the fragment in the scratch buffer among group `g`'s
+    /// fragments, interning it on first sight.
+    fn intern(&mut self, g: usize) -> u32 {
         match self {
             Fragments::Interp { ids, frag } => {
+                let ids = &mut ids[g];
                 if let Some(&id) = ids.get(frag.as_slice()) {
                     return id;
                 }
@@ -170,7 +171,7 @@ impl Fragments {
                 ids.insert(frag.clone(), id);
                 id
             }
-            Fragments::Dfa { ids, frag, .. } => ids.intern(frag),
+            Fragments::Dfa { ids, frag, .. } => ids[g].intern(frag),
         }
     }
 }
@@ -191,8 +192,8 @@ pub(super) struct SymCanon {
     /// `parent[g][j]` = the fragment id of group `g`'s member `j` in the
     /// state last passed to [`SymCanon::expand_from`].
     parent: Vec<Vec<u32>>,
-    /// Fragment → dense id, assigned in first-encounter order (see
-    /// [`FragAtom`]), with the engine's fragment form.
+    /// Fragment → dense id per group, assigned in first-encounter order
+    /// (see [`FragAtom`]), with the engine's fragment form.
     fragments: Fragments,
     /// Non-identity canonicalizations performed so far.
     pub(super) canon_hits: u64,
@@ -293,12 +294,12 @@ impl SymCanon {
                     families,
                     mutex: mutexes,
                     held_at,
-                    ids: StateStore::new(width),
+                    ids: groups.iter().map(|_| StateStore::new(width)).collect(),
                     frag: vec![0; width],
                 }
             }
             Runtime::Interp(_) => Fragments::Interp {
-                ids: FastMap::default(),
+                ids: groups.iter().map(|_| FastMap::default()).collect(),
                 frag: Vec::new(),
             },
         };
@@ -333,8 +334,8 @@ impl SymCanon {
         for g in 0..self.groups.len() {
             for j in 0..self.groups[g].len() {
                 self.fragments.write(engine, &self.groups, g, j, key);
-                debug_assert!(self.fragments.find().is_some());
-                self.parent[g][j] = self.fragments.intern();
+                debug_assert!(self.fragments.find(g).is_some());
+                self.parent[g][j] = self.fragments.intern(g);
             }
         }
     }
@@ -381,7 +382,7 @@ impl SymCanon {
                         if cfg!(debug_assertions) {
                             self.fragments.write(engine, &self.groups, g, j, key);
                             assert_eq!(
-                                self.fragments.find(),
+                                self.fragments.find(g),
                                 Some(id),
                                 "an event moved the fragment of a member at another access point"
                             );
@@ -390,7 +391,7 @@ impl SymCanon {
                     }
                     _ => {
                         self.fragments.write(engine, &self.groups, g, j, key);
-                        self.fragments.intern()
+                        self.fragments.intern(g)
                     }
                 };
                 self.frags.push(id);
@@ -432,6 +433,128 @@ impl SymCanon {
     }
 }
 
+/// How a permutation of each group's members acts on universe indices:
+/// the event at group `g`'s member `j` maps to the event with the same
+/// primitive and arguments at the member `j` is sent to. Events outside
+/// every group stay put. A permutation is written `perm[g][j]` = the
+/// member group `g`'s member `j` is sent to.
+pub(super) struct EventAction {
+    /// Per universe event: its group, member, and rank among the
+    /// member's events in `(primitive, args)` order; `None` outside every
+    /// group.
+    at: Vec<Option<(usize, usize, usize)>>,
+    /// `index[g][j][rank]` = the universe index of group `g`'s member
+    /// `j`'s event of that rank.
+    index: Vec<Vec<Vec<usize>>>,
+}
+
+impl SymCanon {
+    /// The action of member permutations on `universe`, or `None` when
+    /// some member's events are not another's one for one (an event
+    /// listed twice at one member only).
+    pub(super) fn event_action(&self, universe: &[AbstractEvent]) -> Option<EventAction> {
+        let mut index: Vec<Vec<Vec<usize>>> = self
+            .groups
+            .iter()
+            .map(|members| vec![Vec::new(); members.len()])
+            .collect();
+        for (i, member) in self.event_member.iter().enumerate() {
+            if let Some((g, j)) = *member {
+                index[g][j].push(i);
+            }
+        }
+        let sig = |i: usize| (&universe[i].primitive, &universe[i].args);
+        for members in &mut index {
+            for events in members.iter_mut() {
+                events.sort_by(|&a, &b| sig(a).cmp(&sig(b)));
+            }
+            let (first, rest) = members.split_first().expect("groups are non-empty");
+            if rest.iter().any(|events| {
+                events.len() != first.len()
+                    || events.iter().zip(first).any(|(&a, &b)| sig(a) != sig(b))
+            }) {
+                return None;
+            }
+        }
+        let mut at = vec![None; universe.len()];
+        for (g, members) in index.iter().enumerate() {
+            for (j, events) in members.iter().enumerate() {
+                for (rank, &i) in events.iter().enumerate() {
+                    at[i] = Some((g, j, rank));
+                }
+            }
+        }
+        Some(EventAction { at, index })
+    }
+}
+
+impl EventAction {
+    /// The identity permutation of every group.
+    pub(super) fn identity(&self) -> Vec<Vec<usize>> {
+        self.index
+            .iter()
+            .map(|members| (0..members.len()).collect())
+            .collect()
+    }
+
+    /// The image of universe event `i` under `perm`.
+    pub(super) fn image(&self, perm: &[Vec<usize>], i: usize) -> usize {
+        match self.at[i] {
+            Some((g, j, rank)) => self.index[g][perm[g][j]][rank],
+            None => i,
+        }
+    }
+
+    /// The number of permutations [`EventAction::all_perms`] visits: the
+    /// product of the groups' factorials (saturating).
+    pub(super) fn order(&self) -> u64 {
+        self.index.iter().fold(1u64, |order, members| {
+            order.saturating_mul(factorial(members.len() as u64))
+        })
+    }
+
+    /// Calls `check` with every permutation in the product of the groups'
+    /// symmetric groups, the identity first, until one returns `false`.
+    /// Returns whether every call returned `true`.
+    pub(super) fn all_perms(&self, mut check: impl FnMut(&[Vec<usize>]) -> bool) -> bool {
+        let mut perm = self.identity();
+        loop {
+            if !check(&perm) {
+                return false;
+            }
+            // Odometer: advance the first group that has a next
+            // permutation; the groups before it wrapped to the identity.
+            let mut g = 0;
+            loop {
+                if g == perm.len() {
+                    return true;
+                }
+                if next_permutation(&mut perm[g]) {
+                    break;
+                }
+                g += 1;
+            }
+        }
+    }
+}
+
+/// Rearranges `p` into its lexicographic successor and returns `true`, or
+/// from the last permutation wraps to the first (ascending) and returns
+/// `false`.
+fn next_permutation(p: &mut [usize]) -> bool {
+    let Some(i) = (1..p.len()).rev().find(|&i| p[i - 1] < p[i]) else {
+        p.reverse();
+        return false;
+    };
+    let j = (i..p.len())
+        .rev()
+        .find(|&j| p[j] > p[i - 1])
+        .expect("p[i] exceeds p[i - 1]");
+    p.swap(i - 1, j);
+    p[i..].reverse();
+    true
+}
+
 /// DFA engine: writes `source` with the member permutation `orders`
 /// (canonical position `p` ← member `orders[g][p]`) applied into `key` —
 /// slot states move along each family, and held mutex slots are rewritten
@@ -465,5 +588,55 @@ fn permute_slots(
                 mutex.state_of[g][pos].expect("group members share the mutex holder alphabet");
             key[mutex.slot as usize] = u32::from(renamed);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn next_permutation_walks_every_order_then_wraps() {
+        let mut p = vec![0, 1, 2];
+        let mut seen = vec![p.clone()];
+        while next_permutation(&mut p) {
+            seen.push(p.clone());
+        }
+        assert_eq!(
+            seen,
+            [
+                [0, 1, 2],
+                [0, 2, 1],
+                [1, 0, 2],
+                [1, 2, 0],
+                [2, 0, 1],
+                [2, 1, 0]
+            ]
+        );
+        assert_eq!(p, [0, 1, 2], "wraps to the identity");
+    }
+
+    #[test]
+    fn all_perms_visits_the_product_of_the_groups_once_each() {
+        let action = EventAction {
+            at: Vec::new(),
+            index: vec![vec![Vec::new(); 3], vec![Vec::new(); 2]],
+        };
+        let mut seen = Vec::new();
+        assert!(action.all_perms(|perm| {
+            seen.push(perm.to_vec());
+            true
+        }));
+        assert_eq!(seen.len() as u64, action.order());
+        assert_eq!(seen[0], action.identity());
+        seen.sort();
+        seen.dedup();
+        assert_eq!(seen.len(), 12);
+        let mut calls = 0;
+        assert!(!action.all_perms(|_| {
+            calls += 1;
+            calls < 5
+        }));
+        assert_eq!(calls, 5, "stops at the first failed check");
     }
 }

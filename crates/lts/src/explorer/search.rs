@@ -231,6 +231,13 @@ impl<'a> ServiceExplorer<'a> {
         let mut truncated = false;
         let mut ample_hist: Vec<u64> = Vec::new();
         let mut states_saved = 0u64;
+        let mut transitions_saved = 0u64;
+        // The runtime inputs of the exactness certificate (see
+        // `ExploreReport::sym_exact`): representatives where the ample
+        // choice broke a tie between classes, and whether the self-loop
+        // guard ever fired on an orbit-internal move that is no self-loop.
+        let mut tied: Vec<u32> = Vec::new();
+        let mut guard_renamed = false;
 
         let mut key = engine.initial_key();
         let width = key.len();
@@ -241,6 +248,12 @@ impl<'a> ServiceExplorer<'a> {
         states_saved += init_orbit - 1;
         let mut store = StateStore::new(width);
         store.insert(&key);
+        // Per stored state, its orbit size (symmetry only).
+        let symmetric = sym.is_some();
+        let mut orbit_of: Vec<u64> = Vec::new();
+        if symmetric {
+            orbit_of.push(init_orbit);
+        }
         if findings {
             parents.push(None);
             quiescent.push(engine.is_quiescent(&key));
@@ -265,7 +278,6 @@ impl<'a> ServiceExplorer<'a> {
         // `orbits[i]`. Without symmetry enabledness and the ample guard's
         // self-loop test read the key in place, and only the events
         // expanded are stepped, one at a time, into `succ[..width]`.
-        let symmetric = sym.is_some();
         let mut succ = vec![0u32; if symmetric { n * width } else { width }];
         let mut orbits = vec![1u64; n];
         let mut enabled: Vec<usize> = Vec::with_capacity(n);
@@ -299,22 +311,37 @@ impl<'a> ServiceExplorer<'a> {
                 }
                 continue;
             }
-            let expand: &[usize] = match ample_sets.as_mut() {
-                Some(ample_sets) => ample_sets.expand(&enabled, |i| {
-                    if symmetric {
-                        succ[i * width..(i + 1) * width] == *key
-                    } else {
-                        engine.is_self_loop(&key, i)
-                    }
-                }),
-                None => &enabled,
+            // Under symmetry the guard sees orbit-internal moves as
+            // self-loops; `renamed` notes one that is not a real self-loop.
+            let mut renamed = false;
+            let (expand, choice) = match ample_sets.as_mut() {
+                Some(ample_sets) => {
+                    let (expand, choice) = ample_sets.expand(&enabled, |i| {
+                        if symmetric {
+                            let orbit_loop = succ[i * width..(i + 1) * width] == *key;
+                            renamed |= orbit_loop && !engine.is_self_loop(&key, i);
+                            orbit_loop
+                        } else {
+                            engine.is_self_loop(&key, i)
+                        }
+                    });
+                    (expand, Some(choice))
+                }
+                None => (&enabled[..], None),
             };
+            if let Some(choice) = choice.filter(|_| symmetric) {
+                if choice.tied {
+                    tied.push(sid);
+                }
+                guard_renamed |= choice.guarded && renamed;
+            }
             if ample_hist.len() <= expand.len() {
                 ample_hist.resize(expand.len() + 1, 0);
             }
             ample_hist[expand.len()] += 1;
             svckit_obs::obs_count!("lts.states_expanded");
             svckit_obs::obs_record!("lts.ample_size", expand.len());
+            let transitions_before = transitions;
             for &i in expand {
                 let next = if symmetric {
                     &succ[i * width..(i + 1) * width]
@@ -337,6 +364,9 @@ impl<'a> ServiceExplorer<'a> {
                         }
                         let to = store.insert(next);
                         states_saved += orbits[i] - 1;
+                        if symmetric {
+                            orbit_of.push(orbits[i]);
+                        }
                         if findings {
                             quiescent.push(engine.is_quiescent(next));
                             parents.push(Some((sid, i as u32)));
@@ -350,7 +380,36 @@ impl<'a> ServiceExplorer<'a> {
                     edges.push((sid, i as u32, to));
                 }
             }
+            if symmetric {
+                let taken = (transitions - transitions_before) as u64;
+                transitions_saved = transitions_saved
+                    .saturating_add((orbit_of[sid as usize] - 1).saturating_mul(taken));
+            }
         }
+
+        // The certificate's conditions, cheapest first; the tie-break
+        // check (the only one that walks states again) runs last. The
+        // sums also assume the initial state is its own orbit, which it
+        // is (every member starts from the same empty fragment).
+        let unquotiented = (store.len() as u64).saturating_add(states_saved);
+        let sym_exact = options.symmetry == Symmetry::On
+            && init_orbit == 1
+            && !truncated
+            && unquotiented <= options.max_states as u64
+            && match (&sym, ample_sets.as_mut()) {
+                (Some(sym), Some(ample_sets)) => {
+                    !guard_renamed
+                        && self.ample_choice_commutes(
+                            &mut engine,
+                            sym,
+                            ample_sets,
+                            &store,
+                            &tied,
+                            unquotiented.saturating_mul(n as u64),
+                        )
+                }
+                _ => true,
+            };
 
         // Snapshot the search's canonicalization count before witness
         // expansion replays paths (replays canonicalize too, but those
@@ -379,6 +438,8 @@ impl<'a> ServiceExplorer<'a> {
             orbit_count,
             canon_hits,
             sym_states_saved: states_saved,
+            sym_transitions_saved: transitions_saved,
+            sym_exact,
             ldd_nodes: 0,
             peak_nodes: 0,
             cache_hits: 0,
@@ -437,6 +498,41 @@ impl<'a> ServiceExplorer<'a> {
                 }
             });
         report
+    }
+
+    /// Whether the ample-set choice commutes with the symmetry groups on
+    /// this search: every group permutation maps dependence classes onto
+    /// dependence classes, and at every representative in `tied` (where
+    /// the lowest-index tie-break picked the class) the class picked from
+    /// the σ-image of the enabled events is the σ-image of the class
+    /// picked, for every permutation σ. Declines (returns `false`) when
+    /// checking every tied representative against every permutation
+    /// would take more than `budget` choices — the steps the unquotiented
+    /// search it replaces takes (its states times the universe size).
+    fn ample_choice_commutes(
+        &self,
+        engine: &mut StepEngine<'_, 'a>,
+        sym: &SymCanon,
+        ample_sets: &mut AmpleSets,
+        store: &StateStore,
+        tied: &[u32],
+        budget: u64,
+    ) -> bool {
+        let Some(action) = sym.event_action(&self.universe) else {
+            return false;
+        };
+        if !ample_sets.classes_are_symmetric(&action)
+            || (tied.len() as u64).saturating_mul(action.order()) > budget
+        {
+            return false;
+        }
+        let mut enabled = Vec::new();
+        let mut tied_events = Vec::new();
+        tied.iter().all(|&sid| {
+            enabled.clear();
+            engine.for_each_enabled(store.get(sid), |i| enabled.push(i));
+            ample_sets.tie_break_is_symmetric(&action, &enabled, &mut tied_events)
+        })
     }
 
     /// Materialises a path of universe indices recorded on the (possibly

@@ -295,6 +295,8 @@ impl<'a> ServiceExplorer<'a> {
             orbit_count: 0,
             canon_hits: 0,
             sym_states_saved: 0,
+            sym_transitions_saved: 0,
+            sym_exact: false,
             ldd_nodes: store.ldd_size(reached),
             peak_nodes: 0,
             cache_hits: 0,

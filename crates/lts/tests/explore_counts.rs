@@ -10,8 +10,13 @@
 //! mismatch.
 //!
 //! A two-role universe (two symmetric groups with different slot
-//! families, sharing one mutex slot) pins the same counts where fragment
-//! ids are shared across groups.
+//! families, sharing one mutex slot) pins the same counts, one value for
+//! both engines, where each group numbers its fragments on its own.
+//!
+//! The orbit-weighted sums (`sym_states_saved`, `sym_transitions_saved`)
+//! and their exactness certificate (`sym_exact`) are pinned on both
+//! universes, with one negative case the certificate must reject and a
+//! proptest that every certified sum equals a fresh unquotiented search.
 //!
 //! The count-only search (`ServiceExplorer::explore_counts`) is locked
 //! against the full search here too: over the 2–4-user floor universes,
@@ -19,6 +24,7 @@
 //! counts. Its symbolic fixpoint is pinned exactly on the 4 × 2
 //! universe as well.
 
+use proptest::prelude::*;
 use svckit_lts::explorer::{AbstractEvent, ExploreOptions, Reduction, ServiceExplorer};
 use svckit_lts::{Backend, Engine, Symmetry};
 use svckit_model::{
@@ -88,6 +94,8 @@ struct Expected {
     ample_hist: &'static [u64],
     canon_hits: u64,
     sym_states_saved: u64,
+    sym_transitions_saved: u64,
+    sym_exact: bool,
 }
 
 const EXPECTED: [Expected; 4] = [
@@ -99,6 +107,8 @@ const EXPECTED: [Expected; 4] = [
         ample_hist: &[0, 26, 146, 352, 586, 438, 69, 12, 1],
         canon_hits: 7650,
         sym_states_saved: 25504,
+        sym_transitions_saved: 99_062,
+        sym_exact: true,
     },
     Expected {
         reduction: Reduction::AmpleSets,
@@ -108,6 +118,8 @@ const EXPECTED: [Expected; 4] = [
         ample_hist: &[0, 280, 2240, 6720, 10085, 6720, 1008, 80, 1],
         canon_hits: 0,
         sym_states_saved: 0,
+        sym_transitions_saved: 0,
+        sym_exact: false,
     },
     Expected {
         reduction: Reduction::Full,
@@ -119,6 +131,8 @@ const EXPECTED: [Expected; 4] = [
         ],
         canon_hits: 29468,
         sym_states_saved: 155430,
+        sym_transitions_saved: 1_242_570,
+        sym_exact: true,
     },
     Expected {
         reduction: Reduction::Full,
@@ -131,6 +145,8 @@ const EXPECTED: [Expected; 4] = [
         ],
         canon_hits: 0,
         sym_states_saved: 0,
+        sym_transitions_saved: 0,
+        sym_exact: false,
     },
 ];
 
@@ -166,14 +182,22 @@ fn check_engine(engine: Engine) {
             report.sym_states_saved, expected.sym_states_saved,
             "{what}: sym_states_saved"
         );
+        assert_eq!(
+            report.sym_transitions_saved, expected.sym_transitions_saved,
+            "{what}: sym_transitions_saved"
+        );
+        assert_eq!(report.sym_exact, expected.sym_exact, "{what}: sym_exact");
         assert_eq!(report.deadlock_states, 0, "{what}: deadlocks");
     }
-    // The quotient is exact under full expansion: representatives plus
-    // the states they stand for are the unreduced state count.
-    assert_eq!(
-        EXPECTED[2].states as u64 + EXPECTED[2].sym_states_saved,
-        EXPECTED[3].states as u64
-    );
+    // Both quotients are certified: representatives plus the states and
+    // transitions they stand for are the unquotiented counts.
+    for (on, off) in [(&EXPECTED[0], &EXPECTED[1]), (&EXPECTED[2], &EXPECTED[3])] {
+        assert_eq!(on.states as u64 + on.sym_states_saved, off.states as u64);
+        assert_eq!(
+            on.transitions as u64 + on.sym_transitions_saved,
+            off.transitions as u64
+        );
+    }
 }
 
 #[test]
@@ -400,37 +424,46 @@ fn two_role_universe() -> Vec<AbstractEvent> {
 }
 
 /// The counts of every (reduction, symmetry) combination on the two-group
-/// universe. Fragment ids are shared across groups (one first-encounter
-/// numbering), and the engines key a fragment differently: the DFA
-/// engine by each group's family index, the interpreter by constraint
-/// and key. An agent's second family (constraint 0, resource 2) and a
-/// client's second family (constraint 1, resource 1) therefore share ids
-/// under the DFA engine only, which orders members differently in some
-/// states: the two engines reach the same orbits but canonicalize a
-/// different number of times under full expansion.
+/// universe, one value per count for both engines. The engines key a
+/// fragment differently (the DFA engine by each group's family index,
+/// the interpreter by constraint and key), but each group numbers its
+/// fragments on its own, so both order members alike. Both quotients are
+/// certified: their orbit-weighted sums are the unquotiented rows. (No
+/// AmpleSets representative ties here, so that certificate rests on
+/// the dependence classes mapping onto classes under both groups.)
 fn check_two_groups(engine: Engine) {
     let service = two_role_service();
     let explorer = ServiceExplorer::with_engine(&service, two_role_universe(), 2, engine);
     assert_eq!(explorer.engine(), engine, "the two-role service compiles");
-    let full_on_canon_hits = match engine {
-        Engine::Dfa => 12_320,
-        Engine::Interp => 12_350,
-    };
-    // (reduction, symmetry, states, transitions, canon_hits, sym_states_saved)
+    // (reduction, symmetry, states, transitions, canon_hits,
+    //  sym_states_saved, sym_transitions_saved, sym_exact)
     let expected = [
-        (Reduction::AmpleSets, Symmetry::On, 15, 41, 82, 12),
-        (Reduction::AmpleSets, Symmetry::Off, 27, 72, 0, 0),
+        (Reduction::AmpleSets, Symmetry::On, 15, 41, 82, 12, 31, true),
+        (Reduction::AmpleSets, Symmetry::Off, 27, 72, 0, 0, 0, false),
         (
             Reduction::Full,
             Symmetry::On,
             5_958,
             46_830,
-            full_on_canon_hits,
+            12_320,
             33_408,
+            254_976,
+            true,
         ),
-        (Reduction::Full, Symmetry::Off, 39_366, 301_806, 0, 0),
+        (
+            Reduction::Full,
+            Symmetry::Off,
+            39_366,
+            301_806,
+            0,
+            0,
+            0,
+            false,
+        ),
     ];
-    for (reduction, symmetry, states, transitions, canon_hits, saved) in expected {
+    for (reduction, symmetry, states, transitions, canon_hits, saved, transitions_saved, exact) in
+        expected
+    {
         let report = explorer.explore(&ExploreOptions {
             max_states: 200_000,
             reduction,
@@ -448,7 +481,16 @@ fn check_two_groups(engine: Engine) {
         };
         assert_eq!(report.orbit_count, orbit_count, "{what}: orbit_count");
         assert_eq!(report.sym_states_saved, saved, "{what}: sym_states_saved");
+        assert_eq!(
+            report.sym_transitions_saved, transitions_saved,
+            "{what}: sym_transitions_saved"
+        );
+        assert_eq!(report.sym_exact, exact, "{what}: sym_exact");
         assert_eq!(report.deadlock_states, 0, "{what}: deadlocks");
+    }
+    for (on, off) in [(expected[0], expected[1]), (expected[2], expected[3])] {
+        assert_eq!(on.2 as u64 + on.5, off.2 as u64, "states");
+        assert_eq!(on.3 as u64 + on.6, off.3 as u64, "transitions");
     }
 }
 
@@ -460,4 +502,146 @@ fn two_group_counts_are_pinned_under_the_dfa_engine() {
 #[test]
 fn two_group_counts_are_pinned_under_the_interpreter() {
     check_two_groups(Engine::Interp);
+}
+
+const NAMES: [&str; 3] = ["a", "b", "c"];
+
+/// The symmetry-oracle service shape: one role, three primitives with one
+/// key parameter each, and the given constraints.
+fn oracle_service(constraints: &[Constraint]) -> Option<ServiceDefinition> {
+    let mut builder = ServiceDefinition::builder("sym-oracle")
+        .role("user", 1, 8)
+        .primitive(PrimitiveSpec::new("a", Direction::FromUser).param_id("k"))
+        .primitive(PrimitiveSpec::new("b", Direction::FromUser).param_id("k"))
+        .primitive(PrimitiveSpec::new("c", Direction::ToUser).param_id("k"));
+    for constraint in constraints {
+        builder = builder.constraint(constraint.clone());
+    }
+    builder.build().ok()
+}
+
+/// Every primitive at every one of `users` access points for each of
+/// `keys` key values: one symmetric group of `users` members.
+fn oracle_universe(users: u64, keys: u64) -> Vec<AbstractEvent> {
+    let mut events = Vec::new();
+    for s in 1..=users {
+        let sap = Sap::new("user", PartId::new(s));
+        for k in 1..=keys {
+            for name in NAMES {
+                events.push(AbstractEvent::new(sap.clone(), name, vec![Value::Id(k)]));
+            }
+        }
+    }
+    events
+}
+
+/// A quotient the certificate must reject: with `c` preceding `a` per
+/// user and key, `a` and `c` of one user share a dependence class while
+/// `b` is alone in its own. At a representative where both users' `b`
+/// and one user's `a`–`c` class tie, the lowest index picks the first
+/// user's class, so the unquotiented search expands a different class
+/// at the renamed state than the renaming of the one the quotient
+/// expanded. The orbit-weighted transition sum then overcounts (39
+/// against the real 32), so the certificate must not hold.
+#[test]
+fn the_certificate_rejects_a_tie_break_that_does_not_commute() {
+    let service =
+        oracle_service(&[Constraint::precedes("c", "a", ConstraintScope::SameSap).keyed(&[0])])
+            .expect("the oracle service builds");
+    for engine in [Engine::Dfa, Engine::Interp] {
+        let explorer = ServiceExplorer::with_engine(&service, oracle_universe(2, 1), 2, engine);
+        let at = |symmetry| {
+            explorer.explore_counts(&ExploreOptions {
+                reduction: Reduction::AmpleSets,
+                symmetry,
+                ..ExploreOptions::default()
+            })
+        };
+        let (on, off) = (at(Symmetry::On), at(Symmetry::Off));
+        let what = format!("{engine:?} engine");
+        assert_eq!(
+            (off.states, off.transitions),
+            (9, 32),
+            "{what}: real search"
+        );
+        assert_eq!(
+            (
+                on.states as u64 + on.sym_states_saved,
+                on.transitions as u64 + on.sym_transitions_saved
+            ),
+            (9, 39),
+            "{what}: uncertified arithmetic"
+        );
+        assert!(!on.sym_exact, "{what}: the certificate holds");
+    }
+}
+
+fn arb_constraint() -> impl Strategy<Value = Constraint> {
+    (
+        0usize..5,
+        0usize..NAMES.len(),
+        0usize..NAMES.len(),
+        0usize..2,
+        1usize..3,
+        0usize..2,
+    )
+        .prop_map(|(kind, p1, p2, scope, limit, keyed)| {
+            let (x, y) = (NAMES[p1], NAMES[p2]);
+            let scope = [ConstraintScope::SameSap, ConstraintScope::Global][scope];
+            let constraint = match kind {
+                0 => Constraint::precedes(x, y, scope),
+                1 => Constraint::after(x, y, scope),
+                2 => Constraint::eventually_follows(x, y, scope),
+                3 => Constraint::at_most_outstanding(x, y, limit, scope),
+                _ => Constraint::mutual_exclusion(x, y),
+            };
+            match keyed {
+                0 => constraint,
+                _ => constraint.keyed(&[0]),
+            }
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Whenever the certificate holds, the orbit-weighted sums are the
+    /// counts of a fresh unquotiented search, under both engines and
+    /// both reductions, for random keyed and unkeyed constraint sets over
+    /// 2–4 users and 1–2 key values.
+    #[test]
+    fn certified_sums_equal_the_unquotiented_search(
+        constraints in proptest::collection::vec(arb_constraint(), 1..4),
+        users in 2u64..=4,
+        keys in 1u64..=2,
+    ) {
+        // A set that does not build has nothing to search.
+        if let Some(service) = oracle_service(&constraints) {
+            for engine in [Engine::Dfa, Engine::Interp] {
+                let explorer =
+                    ServiceExplorer::with_engine(&service, oracle_universe(users, keys), 2, engine);
+                for reduction in [Reduction::AmpleSets, Reduction::Full] {
+                    let at = |symmetry| {
+                        explorer.explore_counts(&ExploreOptions {
+                            max_states: 20_000,
+                            reduction,
+                            symmetry,
+                            ..ExploreOptions::default()
+                        })
+                    };
+                    let on = at(Symmetry::On);
+                    if !on.sym_exact {
+                        continue;
+                    }
+                    let off = at(Symmetry::Off);
+                    prop_assert!(!off.truncated);
+                    prop_assert_eq!(on.states as u64 + on.sym_states_saved, off.states as u64);
+                    prop_assert_eq!(
+                        on.transitions as u64 + on.sym_transitions_saved,
+                        off.transitions as u64
+                    );
+                }
+            }
+        }
+    }
 }
