@@ -37,7 +37,7 @@ use svckit_lts::explorer::{
     AbstractEvent, ExploreCounts, ExploreOptions, ExploreReport, Reduction, ServiceExplorer,
 };
 use svckit_lts::{Backend, Symmetry};
-use svckit_model::{ConstraintKind, Sap, ServiceDefinition, Value};
+use svckit_model::{Sap, ServiceDefinition, Value};
 use svckit_sweep::{LddStats, PorStats, SymStats};
 
 use crate::diag::Diagnostic;
@@ -136,9 +136,8 @@ pub struct ServiceAnalysis {
 }
 
 /// The progress-labelled primitives used by the livelock pass: every
-/// primitive that *discharges or consumes* constraint bookkeeping — an
-/// `EventuallyFollows`/`AtMostOutstanding` response, a `Precedes` later
-/// side, a `MutualExclusion` release.
+/// primitive that *discharges or consumes* constraint bookkeeping
+/// ([`ServiceDefinition::progress_primitives`]).
 ///
 /// Rationale: a cycle in the product graph must either contain such a
 /// consuming event (each cycle returns to its entry state, so whatever the
@@ -148,20 +147,7 @@ pub struct ServiceAnalysis {
 /// `SA004` precisely a "constraint-free events can spin while obligations
 /// pend" lint, with no false positives on constraint-complete services.
 pub fn progress_primitives(service: &ServiceDefinition) -> Vec<String> {
-    let mut progress: Vec<String> = Vec::new();
-    for constraint in service.constraints() {
-        let name = match constraint.kind() {
-            ConstraintKind::EventuallyFollows { response, .. }
-            | ConstraintKind::AtMostOutstanding { response, .. } => response,
-            ConstraintKind::Precedes { later, .. } => later,
-            ConstraintKind::MutualExclusion { release, .. } => release,
-            ConstraintKind::After { .. } => continue,
-        };
-        if !progress.iter().any(|p| p == name) {
-            progress.push(name.clone());
-        }
-    }
-    progress
+    service.progress_primitives()
 }
 
 /// Runs the exhaustive passes for `service` over `universe`.

@@ -197,7 +197,7 @@ pub fn all_targets() -> Vec<Target> {
 }
 
 /// Rescales every floor-control target to `users` subscribers (two
-/// resources, as in [`floor_universe`]). Fixtures keep their seeded
+/// resources, as in `floor_universe`). Fixtures keep their seeded
 /// universes — each one is tuned to trigger exactly one code.
 ///
 /// This is the analyzer CLI's `--users` knob: with the symmetry quotient

@@ -100,7 +100,7 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     let mut show_check = false;
     let mut verify = false;
     let mut explore = ExploreOptions {
-        progress: vec!["granted".to_owned(), "free".to_owned()],
+        progress: floor_control_service().progress_primitives(),
         symmetry: Symmetry::On,
         ..ExploreOptions::default()
     };

@@ -433,7 +433,7 @@ fn main() {
     let por_explorer = ServiceExplorer::new(&service, por_universe, 2);
     let por_options = ExploreOptions {
         reduction: Reduction::AmpleSets,
-        progress: vec!["granted".to_owned(), "free".to_owned()],
+        progress: service.progress_primitives(),
         ..ExploreOptions::default()
     };
     let por_report = por_explorer.explore(&por_options);
@@ -469,7 +469,7 @@ fn main() {
     let sym_explorer = ServiceExplorer::new(&service, floor_event_universe(3, 4), 2);
     let sym_options = ExploreOptions {
         reduction: Reduction::AmpleSets,
-        progress: vec!["granted".to_owned(), "free".to_owned()],
+        progress: service.progress_primitives(),
         symmetry: Symmetry::On,
         // Past the default bound so the unreduced side finishes (~101 k
         // states) and the perfgated reduction ratio is exact.
@@ -521,7 +521,7 @@ fn main() {
         backend: Backend::Symbolic,
         reduction: Reduction::Full,
         symmetry: Symmetry::Off,
-        progress: vec!["granted".to_owned(), "free".to_owned()],
+        progress: service.progress_primitives(),
         ..ExploreOptions::default()
     };
     let ldd_report = ldd_explorer.explore(&ldd_options);

@@ -17,19 +17,20 @@
 //! anything a conformant workload produces.
 //!
 //! Like the explorer, the gate carries an [`Engine`] knob: `dfa` validates
-//! through the compiled tables, `interp` through a direct map-based
-//! interpretation of the same shapes. Both make identical decisions (the
-//! oracle test in `tests/admission_oracle.rs` pins this), which is what
-//! lets CI `cmp` sweep outputs across engines.
+//! through the compiled tables, `interp` keeps one [`CState`] per
+//! constraint and steps every constraint relevant to the primitive
+//! through [`step_constraint`], the one definition of constraint semantics
+//! in `svckit-model`, committing only when all of them accept. Both make
+//! identical decisions (the oracle test in `tests/admission_oracle.rs`
+//! pins this), which is what lets CI `cmp` sweep outputs across engines.
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use svckit_model::{ConstraintScope, Sap, ServiceDefinition, Value};
+use svckit_model::{step_constraint, CState, Sap, ServiceDefinition, Value};
 
-use crate::compile::{Compiled, CounterFlavor, Shape};
+use crate::compile::Compiled;
 use crate::engine::Engine;
-use crate::runner::{Binder, Instance};
+use crate::runner::Binder;
 
 /// The obligation bound admission counters are compiled with. Far above
 /// any conformant workload's outstanding backlog; an occurrence is
@@ -45,125 +46,20 @@ pub struct AdmissionStats {
     pub rejected: u64,
 }
 
-/// Map-based reference validator: the same shapes, interpreted directly
-/// (the admission-path equivalent of the explorer's `interp` engine).
-#[derive(Debug, Default)]
-struct InterpGate {
-    counters: HashMap<(usize, Instance), u32>,
-    enabled: HashMap<(usize, Instance), ()>,
-    holders: HashMap<(usize, Vec<Value>), Sap>,
-}
-
-impl InterpGate {
-    /// Validates one occurrence; mutates state only when admitted.
-    fn admit(&mut self, compiled: &Compiled, sap: &Sap, primitive: &str, args: &[Value]) -> bool {
-        // First pass: veto without mutating (reject-and-continue must
-        // leave the state exactly as if the occurrence never happened).
-        for (ci, cc) in compiled.constraints.iter().enumerate() {
-            let keyvals: Vec<Value> = cc
-                .key
-                .iter()
-                .map(|&i| args.get(i).cloned().unwrap_or(Value::Unit))
-                .collect();
-            let scoped = |scope: ConstraintScope| match scope {
-                ConstraintScope::SameSap => (Some(sap.clone()), keyvals.clone()),
-                ConstraintScope::Global => (None, keyvals.clone()),
-            };
-            match &cc.shape {
-                Shape::Counter {
-                    up,
-                    down,
-                    scope,
-                    flavor,
-                    bound,
-                } => {
-                    let instance = (ci, scoped(*scope));
-                    let count = self.counters.get(&instance).copied().unwrap_or(0);
-                    if primitive == up {
-                        if count >= *bound {
-                            return false;
-                        }
-                    } else if primitive == down && *flavor == CounterFlavor::Precedes && count == 0
-                    {
-                        return false;
-                    }
-                }
-                Shape::After {
-                    enable,
-                    check,
-                    scope,
-                } => {
-                    if primitive == check
-                        && primitive != enable
-                        && !self.enabled.contains_key(&(ci, scoped(*scope)))
-                    {
-                        return false;
-                    }
-                }
-                Shape::Mutex { acquire, release } => {
-                    let holder = self.holders.get(&(ci, keyvals.clone()));
-                    if primitive == acquire {
-                        if holder.is_some() {
-                            return false;
-                        }
-                    } else if primitive == release && holder != Some(sap) {
-                        return false;
-                    }
-                }
-            }
-        }
-        // Second pass: commit.
-        for (ci, cc) in compiled.constraints.iter().enumerate() {
-            let keyvals: Vec<Value> = cc
-                .key
-                .iter()
-                .map(|&i| args.get(i).cloned().unwrap_or(Value::Unit))
-                .collect();
-            let scoped = |scope: ConstraintScope| match scope {
-                ConstraintScope::SameSap => (Some(sap.clone()), keyvals.clone()),
-                ConstraintScope::Global => (None, keyvals.clone()),
-            };
-            match &cc.shape {
-                Shape::Counter {
-                    up, down, scope, ..
-                } => {
-                    if primitive == up {
-                        *self.counters.entry((ci, scoped(*scope))).or_insert(0) += 1;
-                    } else if primitive == down {
-                        let instance = (ci, scoped(*scope));
-                        if let Some(count) = self.counters.get_mut(&instance) {
-                            *count = count.saturating_sub(1);
-                            if *count == 0 {
-                                self.counters.remove(&instance);
-                            }
-                        }
-                    }
-                }
-                Shape::After { enable, scope, .. } => {
-                    if primitive == enable {
-                        self.enabled.insert((ci, scoped(*scope)), ());
-                    }
-                }
-                Shape::Mutex { acquire, release } => {
-                    if primitive == acquire {
-                        self.holders.insert((ci, keyvals.clone()), sap.clone());
-                    } else if primitive == release {
-                        self.holders.remove(&(ci, keyvals.clone()));
-                    }
-                }
-            }
-        }
-        true
-    }
+/// What the gate steps, per engine.
+#[derive(Debug)]
+enum GateState {
+    /// Dense product state (one entry per interned slot), stepped in
+    /// place.
+    Dfa(Vec<u16>),
+    /// One state per constraint, in declaration order.
+    Interp(Vec<CState>),
 }
 
 #[derive(Debug)]
 struct GateInner {
     binder: Binder,
-    /// Dense product state (one entry per interned slot), stepped in
-    /// place; DFA engine only.
-    state: Vec<u16>,
-    interp: InterpGate,
+    state: GateState,
     stats: AdmissionStats,
 }
 
@@ -175,7 +71,6 @@ struct GateInner {
 /// this never affects simulation output.
 #[derive(Debug)]
 pub struct AdmissionGate {
-    engine: Engine,
     inner: Mutex<GateInner>,
 }
 
@@ -195,12 +90,21 @@ impl AdmissionGate {
     /// once and hand each gate a clone of the `Arc` instead of paying the
     /// table construction per deployment.
     pub fn with_compiled(compiled: Arc<Compiled>, engine: Engine) -> AdmissionGate {
+        let state = match engine {
+            Engine::Dfa => GateState::Dfa(Vec::new()),
+            Engine::Interp => GateState::Interp(
+                compiled
+                    .service()
+                    .constraints()
+                    .iter()
+                    .map(CState::initial)
+                    .collect(),
+            ),
+        };
         AdmissionGate {
-            engine,
             inner: Mutex::new(GateInner {
                 binder: Binder::new(compiled),
-                state: Vec::new(),
-                interp: InterpGate::default(),
+                state,
                 stats: AdmissionStats::default(),
             }),
         }
@@ -208,7 +112,10 @@ impl AdmissionGate {
 
     /// The engine driving validation.
     pub fn engine(&self) -> Engine {
-        self.engine
+        match self.lock().state {
+            GateState::Dfa(_) => Engine::Dfa,
+            GateState::Interp(_) => Engine::Interp,
+        }
     }
 
     /// The compiled tables the gate validates against.
@@ -231,16 +138,39 @@ impl AdmissionGate {
     pub fn admit(&self, sap: &Sap, primitive: &str, args: &[Value]) -> bool {
         let mut inner = self.lock();
         inner.stats.checked += 1;
-        let admitted = match self.engine {
-            Engine::Dfa => {
-                let id = inner.binder.resolve_cached(sap, primitive, args);
-                // Split-borrow dance: edges borrow the binder immutably.
-                let GateInner { binder, state, .. } = &mut *inner;
+        // The binder and the state are borrowed apart.
+        let GateInner { binder, state, .. } = &mut *inner;
+        let admitted = match state {
+            GateState::Dfa(state) => {
+                let id = binder.resolve_cached(sap, primitive, args);
                 binder.step_dense(state, binder.edges(id)).is_ok()
             }
-            Engine::Interp => {
-                let GateInner { binder, interp, .. } = &mut *inner;
-                interp.admit(binder.compiled(), sap, primitive, args)
+            GateState::Interp(states) => {
+                let compiled = binder.compiled();
+                let constraints = compiled.service().constraints();
+                let bound = compiled.max_outstanding;
+                let relevant = compiled
+                    .by_primitive
+                    .get(primitive)
+                    .map_or(&[][..], Vec::as_slice);
+                let next: Option<Vec<CState>> = relevant
+                    .iter()
+                    .map(|&ci| {
+                        step_constraint(&constraints[ci], &states[ci], sap, primitive, args, bound)
+                            .ok()
+                    })
+                    .collect();
+                // Commit only once every relevant constraint accepted, so a
+                // rejection leaves no residue.
+                match next {
+                    Some(next) => {
+                        for (&ci, cstate) in relevant.iter().zip(next) {
+                            states[ci] = cstate;
+                        }
+                        true
+                    }
+                    None => false,
+                }
             }
         };
         if !admitted {
@@ -258,7 +188,7 @@ impl AdmissionGate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use svckit_model::{Constraint, Direction, PartId, PrimitiveSpec};
+    use svckit_model::{Constraint, ConstraintScope, Direction, PartId, PrimitiveSpec};
 
     fn sap(k: u64) -> Sap {
         Sap::new("user", PartId::new(k))
@@ -314,10 +244,20 @@ mod tests {
             ))
             .build()
             .expect("well-formed");
-        let gate = AdmissionGate::new(&service, Engine::Dfa).expect("compiles");
-        for _ in 0..ADMISSION_BOUND {
-            assert!(gate.admit(&sap(1), "a", &[]));
+        for engine in [Engine::Dfa, Engine::Interp] {
+            let gate = AdmissionGate::new(&service, engine).expect("compiles");
+            for _ in 0..ADMISSION_BOUND {
+                assert!(gate.admit(&sap(1), "a", &[]), "{engine}");
+            }
+            assert!(!gate.admit(&sap(1), "a", &[]), "{engine}: bound reached");
+            // The rejection left the backlog at the bound: one discharge
+            // makes room for exactly one more trigger.
+            assert!(gate.admit(&sap(1), "b", &[]), "{engine}");
+            assert!(gate.admit(&sap(1), "a", &[]), "{engine}");
+            assert!(
+                !gate.admit(&sap(1), "a", &[]),
+                "{engine}: bound reached again"
+            );
         }
-        assert!(!gate.admit(&sap(1), "a", &[]), "bound reached");
     }
 }

@@ -143,15 +143,6 @@ impl Shape {
         Dfa::new(nclasses, table, meta)
     }
 
-    /// The two primitive names the shape relates.
-    fn names(&self) -> [&str; 2] {
-        match self {
-            Shape::Counter { up, down, .. } => [up, down],
-            Shape::After { enable, check, .. } => [enable, check],
-            Shape::Mutex { acquire, release } => [acquire, release],
-        }
-    }
-
     /// Builds and interns the shape's DFA (for mutexes: the zero-holder
     /// table, regrown by the binder as holders appear).
     pub(crate) fn build_dfa(&self, cache: &mut DfaCache) -> Arc<Dfa> {
@@ -188,12 +179,14 @@ pub(crate) struct CompiledConstraint {
 pub struct Compiled {
     pub(crate) constraints: Vec<CompiledConstraint>,
     /// Constraint indices that mention each primitive, ascending, deduped
-    /// (the interpreter's relevance map).
+    /// ([`ServiceDefinition::constraints_by_primitive`]).
     pub(crate) by_primitive: FastMap<String, Vec<usize>>,
     pub(crate) max_outstanding: u32,
     /// The service compiled, kept for its primitive and role schemas
     /// (what the conformance [`Monitor`](crate::Monitor) validates
-    /// occurrences against besides the constraints).
+    /// occurrences against besides the constraints) and for the
+    /// constraints an interpreter-engine
+    /// [`AdmissionGate`](crate::AdmissionGate) steps.
     service: ServiceDefinition,
     /// Lazily-built mutex tables keyed by holder count (the regrown table
     /// depends only on it). Shared by every binder over this compiled
@@ -227,18 +220,9 @@ impl Compiled {
                 dfa,
             });
         }
-        let mut by_primitive: FastMap<String, Vec<usize>> = FastMap::default();
-        for (ci, cc) in constraints.iter().enumerate() {
-            for name in cc.shape.names() {
-                let entry = by_primitive.entry(name.to_owned()).or_default();
-                if entry.last() != Some(&ci) {
-                    entry.push(ci);
-                }
-            }
-        }
         Some(Compiled {
             constraints,
-            by_primitive,
+            by_primitive: service.constraints_by_primitive(),
             max_outstanding,
             service: service.clone(),
             mutex_tables: std::sync::Mutex::new(std::collections::HashMap::new()),

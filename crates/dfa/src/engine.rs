@@ -17,8 +17,8 @@ use std::str::FromStr;
 /// oracle, the DFA tables are the fast path and the default.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Engine {
-    /// Interpreted per-constraint stepping with memoized verdict caches
-    /// (the 0.3.0 path, kept as the reference oracle).
+    /// Per-constraint stepping through [`svckit_model::step_constraint`]
+    /// (memoized by the explorer), kept as the reference oracle.
     Interp,
     /// Compiled, content-interned DFA transition tables (the default).
     #[default]

@@ -43,17 +43,12 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use svckit_model::hash::{FastMap, FxHasher};
-use svckit_model::{ConstraintScope, Sap, Value};
+use svckit_model::{ConstraintScope, Instance, Sap, Value};
 
 use crate::compile::{
     mutex_acquire, mutex_release, Compiled, CounterFlavor, Shape, CHECK, DOWN, ENABLE, UP,
 };
 use crate::dfa::{Dfa, DEAD};
-
-/// A scope instance: the SAP (for `SameSap` constraints) and the
-/// correlation-key values an automaton instance is bound to. Mirrors the
-/// interpreter's instance keys exactly.
-pub type Instance = (Option<Sap>, Vec<Value>);
 
 /// One resolved transition of an occurrence: which slot it drives, on
 /// which class, for which constraint index.
@@ -615,7 +610,7 @@ impl Binder {
     /// Every edge slot must be below `out.len()`. Every edge is checked
     /// against `key` before anything is copied, so a rejection costs no
     /// copy and leaves `out` untouched. An occurrence's edges drive
-    /// distinct slots (see [`Binder::step_dense`]), so the rejection is
+    /// distinct slots (one per constraint), so the rejection is
     /// the one stepping the edges in turn would report. Slot states always
     /// fit `u16` (they come from the tables); the wide layout is the
     /// caller's.

@@ -1,7 +1,8 @@
 //! Property-based oracle for the admission gate: for random services and
-//! random occurrence streams, the DFA-driven gate and the map-based
-//! interpreter gate must make identical admit/reject decisions (and hence
-//! report identical statistics).
+//! random occurrence streams, the DFA-driven gate and the interpreter
+//! gate (every relevant constraint stepped through
+//! `svckit_model::step_constraint`) must make identical admit/reject
+//! decisions (and hence report identical statistics).
 
 mod common;
 

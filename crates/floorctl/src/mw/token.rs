@@ -58,11 +58,6 @@ pub fn token_interface_with(style: PassStyle) -> InterfaceDef {
     )
 }
 
-/// The subscriber's token interface with the default (oneway) pass style.
-pub fn token_interface() -> InterfaceDef {
-    token_interface_with(PassStyle::default())
-}
-
 /// A subscriber component of the token ring.
 #[derive(Debug)]
 pub struct TokenSubscriber {

@@ -33,7 +33,7 @@ use svckit_model::{Sap, ServiceDefinition, Value};
 
 use crate::symmetry::Symmetry;
 
-use engine::{constraint_primitives, DfaRt, ProductEngine, Runtime, StepEngine};
+use engine::{DfaRt, ProductEngine, Runtime, StepEngine};
 
 mod canon;
 mod engine;
@@ -229,17 +229,7 @@ impl<'a> ServiceExplorer<'a> {
         max_outstanding: u32,
         engine: Engine,
     ) -> Self {
-        let mut relevance: FastMap<String, Vec<usize>> = FastMap::default();
-        for (i, constraint) in service.constraints().iter().enumerate() {
-            for name in constraint_primitives(constraint.kind()) {
-                let entry = relevance.entry(name.to_owned()).or_default();
-                // A constraint naming the same primitive twice must still
-                // be stepped once.
-                if entry.last() != Some(&i) {
-                    entry.push(i);
-                }
-            }
-        }
+        let relevance = service.constraints_by_primitive();
         let compiled = match engine {
             Engine::Dfa => Compiled::compile(service, max_outstanding),
             Engine::Interp => None,

@@ -6,11 +6,11 @@
 use std::collections::BTreeMap;
 
 use svckit_model::hash::FastMap;
-use svckit_model::{Sap, Value};
+use svckit_model::{CState, Sap, Value};
 
 use crate::symmetry::{factorial, orbit_factor, SymmetryGroups};
 
-use super::engine::{CState, Runtime, StepEngine};
+use super::engine::{Runtime, StepEngine};
 use super::store::StateStore;
 use super::{AbstractEvent, ServiceExplorer};
 

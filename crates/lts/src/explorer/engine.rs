@@ -1,225 +1,16 @@
 //! The step engines behind every [`ServiceExplorer`] query and search:
-//! the one definition of constraint semantics ([`step_constraint`]), the
-//! interpreter's interning [`ProductEngine`], the compiled engine's slot
-//! binder, and the [`StepEngine`] interface over both.
+//! the interpreter's interning [`ProductEngine`] over the one definition
+//! of constraint semantics ([`svckit_model::step_constraint`]), the
+//! compiled engine's slot binder, and the [`StepEngine`] interface over
+//! both.
 
-use std::collections::BTreeMap;
 use std::sync::{Arc, MutexGuard};
 
 use svckit_dfa::{Binder, Edge};
 use svckit_model::hash::FastMap;
-use svckit_model::{Constraint, ConstraintKind, ConstraintScope, Sap, ServiceDefinition, Value};
+use svckit_model::{step_constraint, CState, Constraint, Sap, ServiceDefinition};
 
 use super::{AbstractEvent, ServiceExplorer, StepViolation};
-
-pub(super) type Instance = (Option<Sap>, Vec<Value>);
-
-/// Per-constraint bookkeeping.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub(super) enum CState {
-    /// Balance counters per instance (Precedes, EventuallyFollows,
-    /// AtMostOutstanding).
-    Counters(BTreeMap<Instance, u32>),
-    /// Current holder per key (MutualExclusion).
-    Holders(BTreeMap<Vec<Value>, Sap>),
-}
-
-/// The two primitive names a constraint kind reacts to.
-pub(super) fn constraint_primitives(kind: &ConstraintKind) -> [&str; 2] {
-    match kind {
-        ConstraintKind::Precedes { earlier, later, .. } => [earlier, later],
-        ConstraintKind::After { enabler, then, .. } => [enabler, then],
-        ConstraintKind::EventuallyFollows {
-            trigger, response, ..
-        }
-        | ConstraintKind::AtMostOutstanding {
-            trigger, response, ..
-        } => [trigger, response],
-        ConstraintKind::MutualExclusion { acquire, release } => [acquire, release],
-    }
-}
-
-/// The constraint instance `event` touches under `scope` and `key`.
-pub(super) fn instance(scope: ConstraintScope, event: &AbstractEvent, key: &[usize]) -> Instance {
-    let sap = match scope {
-        ConstraintScope::SameSap => Some(event.sap.clone()),
-        ConstraintScope::Global => None,
-    };
-    let k = key
-        .iter()
-        .map(|&i| event.args.get(i).cloned().unwrap_or(Value::Unit))
-        .collect();
-    (sap, k)
-}
-
-/// Steps one constraint's state by one event — the one definition of
-/// constraint semantics, which the compiled tables reproduce. `bound` is
-/// the explorer's `max_outstanding`.
-fn step_constraint(
-    constraint: &Constraint,
-    cstate: &CState,
-    event: &AbstractEvent,
-    bound: u32,
-) -> Result<CState, StepViolation> {
-    let key = constraint.key();
-    let violation = |message: String| StepViolation {
-        constraint: constraint.to_string(),
-        message,
-    };
-    match (constraint.kind(), cstate) {
-        (
-            ConstraintKind::Precedes {
-                earlier,
-                later,
-                scope,
-            },
-            CState::Counters(map),
-        ) => {
-            let mut map = map.clone();
-            if event.primitive == *earlier {
-                let inst = instance(*scope, event, key);
-                let e = map.entry(inst).or_insert(0);
-                if *e >= bound {
-                    return Err(violation(format!(
-                        "more than {} unmatched `{earlier}` (state-space bound)",
-                        bound
-                    )));
-                }
-                *e += 1;
-            } else if event.primitive == *later {
-                let inst = instance(*scope, event, key);
-                match map.get_mut(&inst) {
-                    Some(e) if *e > 0 => {
-                        *e -= 1;
-                        if *e == 0 {
-                            map.remove(&inst);
-                        }
-                    }
-                    _ => {
-                        return Err(violation(format!(
-                            "`{later}` without a preceding unmatched `{earlier}`"
-                        )))
-                    }
-                }
-            }
-            Ok(CState::Counters(map))
-        }
-        (
-            ConstraintKind::After {
-                enabler,
-                then,
-                scope,
-            },
-            CState::Counters(map),
-        ) => {
-            let mut map = map.clone();
-            if event.primitive == *enabler {
-                // A saturated counter marks "enabled forever".
-                map.insert(instance(*scope, event, key), 1);
-            } else if event.primitive == *then && !map.contains_key(&instance(*scope, event, key)) {
-                return Err(violation(format!("`{then}` before any `{enabler}`")));
-            }
-            Ok(CState::Counters(map))
-        }
-        (
-            ConstraintKind::EventuallyFollows {
-                trigger,
-                response,
-                scope,
-            },
-            CState::Counters(map),
-        ) => {
-            let mut map = map.clone();
-            if event.primitive == *trigger {
-                let inst = instance(*scope, event, key);
-                let e = map.entry(inst).or_insert(0);
-                if *e >= bound {
-                    return Err(violation(format!(
-                        "more than {} outstanding `{trigger}` (state-space bound)",
-                        bound
-                    )));
-                }
-                *e += 1;
-            } else if event.primitive == *response {
-                let inst = instance(*scope, event, key);
-                if let Some(e) = map.get_mut(&inst) {
-                    *e = e.saturating_sub(1);
-                    if *e == 0 {
-                        map.remove(&inst);
-                    }
-                }
-            }
-            Ok(CState::Counters(map))
-        }
-        (
-            ConstraintKind::AtMostOutstanding {
-                trigger,
-                response,
-                limit,
-                scope,
-            },
-            CState::Counters(map),
-        ) => {
-            let mut map = map.clone();
-            if event.primitive == *trigger {
-                let inst = instance(*scope, event, key);
-                let e = map.entry(inst).or_insert(0);
-                if (*e as usize) >= *limit {
-                    return Err(violation(format!(
-                        "more than {limit} outstanding `{trigger}`"
-                    )));
-                }
-                *e += 1;
-            } else if event.primitive == *response {
-                let inst = instance(*scope, event, key);
-                if let Some(e) = map.get_mut(&inst) {
-                    *e = e.saturating_sub(1);
-                    if *e == 0 {
-                        map.remove(&inst);
-                    }
-                }
-            }
-            Ok(CState::Counters(map))
-        }
-        (ConstraintKind::MutualExclusion { acquire, release }, CState::Holders(map)) => {
-            let mut map = map.clone();
-            let k: Vec<Value> = key
-                .iter()
-                .map(|&i| event.args.get(i).cloned().unwrap_or(Value::Unit))
-                .collect();
-            if event.primitive == *acquire {
-                if let Some(holder) = map.get(&k) {
-                    return Err(violation(format!(
-                        "`{acquire}` at {} while held by {holder}",
-                        event.sap
-                    )));
-                }
-                map.insert(k, event.sap.clone());
-            } else if event.primitive == *release {
-                match map.get(&k) {
-                    Some(holder) if *holder == event.sap => {
-                        map.remove(&k);
-                    }
-                    Some(holder) => {
-                        return Err(violation(format!(
-                            "`{release}` at {} but holder is {holder}",
-                            event.sap
-                        )))
-                    }
-                    None => {
-                        return Err(violation(format!(
-                            "`{release}` at {} but nothing is held",
-                            event.sap
-                        )))
-                    }
-                }
-            }
-            Ok(CState::Holders(map))
-        }
-        // State shape always matches the constraint it was built for.
-        _ => unreachable!("constraint state shape mismatch"),
-    }
-}
 
 /// Mutable runtime of the DFA engine: the slot binder and the universe's
 /// pre-resolved edge lists (index-aligned with the universe).
@@ -265,22 +56,10 @@ impl ConstraintTable {
         }
         let id = u32::try_from(self.states.len()).expect("fewer than 2^32 constraint states");
         let state = Arc::new(state);
-        self.quiescent.push(cstate_quiescent(constraint, &state));
+        self.quiescent.push(state.is_quiescent(constraint));
         self.states.push(Arc::clone(&state));
         self.ids.insert(state, id);
         id
-    }
-}
-
-/// Whether `cs` is quiescent with respect to its constraint: no
-/// obligation outstanding and nothing held. Enablement markers of
-/// [`ConstraintKind::After`] constraints do not count.
-fn cstate_quiescent(constraint: &Constraint, cs: &CState) -> bool {
-    match cs {
-        CState::Counters(m) => {
-            matches!(constraint.kind(), ConstraintKind::After { .. }) || m.values().all(|v| *v == 0)
-        }
-        CState::Holders(h) => h.is_empty(),
     }
 }
 
@@ -317,13 +96,7 @@ impl ProductEngine {
                     quiescent: Vec::new(),
                     trans: FastMap::default(),
                 };
-                table.intern(
-                    c,
-                    match c.kind() {
-                        ConstraintKind::MutualExclusion { .. } => CState::Holders(BTreeMap::new()),
-                        _ => CState::Counters(BTreeMap::new()),
-                    },
-                );
+                table.intern(c, CState::initial(c));
                 table
             })
             .collect();
@@ -377,8 +150,19 @@ impl ProductEngine {
         }
         let constraint = &explorer.service.constraints()[ci];
         let current = Arc::clone(&self.tables[ci].states[sid as usize]);
-        let computed = step_constraint(constraint, &current, event, explorer.max_outstanding)
-            .map(|stepped| self.tables[ci].intern(constraint, stepped));
+        let computed = step_constraint(
+            constraint,
+            &current,
+            &event.sap,
+            &event.primitive,
+            &event.args,
+            explorer.max_outstanding,
+        )
+        .map(|stepped| self.tables[ci].intern(constraint, stepped))
+        .map_err(|message| StepViolation {
+            constraint: constraint.to_string(),
+            message,
+        });
         let next = computed.as_ref().ok().copied();
         self.tables[ci].trans.insert((sid, eid), computed);
         next

@@ -4,10 +4,9 @@
 //! ample-set choice.
 
 use svckit_model::hash::FastMap;
-use svckit_model::{ConstraintKind, ConstraintScope};
+use svckit_model::Instance;
 
 use super::canon::EventAction;
-use super::engine::{instance, Instance};
 use super::ServiceExplorer;
 
 impl<'a> ServiceExplorer<'a> {
@@ -41,17 +40,8 @@ impl<'a> ServiceExplorer<'a> {
         let mut first: FastMap<(usize, Instance), usize> = FastMap::default();
         for (i, event) in self.universe.iter().enumerate() {
             for &ci in self.relevant(&event.primitive) {
-                let constraint = &constraints[ci];
-                let scope = match constraint.kind() {
-                    ConstraintKind::Precedes { scope, .. }
-                    | ConstraintKind::After { scope, .. }
-                    | ConstraintKind::EventuallyFollows { scope, .. }
-                    | ConstraintKind::AtMostOutstanding { scope, .. } => *scope,
-                    // Mutual exclusion keeps one global holder map.
-                    ConstraintKind::MutualExclusion { .. } => ConstraintScope::Global,
-                };
                 let j = *first
-                    .entry((ci, instance(scope, event, constraint.key())))
+                    .entry((ci, constraints[ci].instance(&event.sap, &event.args)))
                     .or_insert(i);
                 let (a, b) = (root(&mut parent, i), root(&mut parent, j));
                 parent[a.max(b)] = a.min(b);

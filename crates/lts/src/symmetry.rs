@@ -125,15 +125,6 @@ impl SymmetryGroups {
     pub fn is_trivial(&self) -> bool {
         self.groups.is_empty()
     }
-
-    /// The order of the full permutation group: ∏ |gᵢ|! (saturating).
-    pub fn group_order(&self) -> u64 {
-        let mut order = 1u64;
-        for g in &self.groups {
-            order = order.saturating_mul(factorial(g.len() as u64));
-        }
-        order
-    }
 }
 
 /// `n!`, saturating at `u64::MAX`.
@@ -186,7 +177,6 @@ mod tests {
         let groups = SymmetryGroups::detect(&universe);
         assert_eq!(groups.groups().len(), 1);
         assert_eq!(groups.groups()[0].len(), 3);
-        assert_eq!(groups.group_order(), 6);
     }
 
     #[test]

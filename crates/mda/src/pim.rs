@@ -49,11 +49,6 @@ impl LogicComponent {
     pub fn implements_role(&self) -> Option<&str> {
         self.implements_role.as_deref()
     }
-
-    /// Whether the component is instantiated once per access point.
-    pub fn is_replicated(&self) -> bool {
-        self.replicated
-    }
 }
 
 /// An interaction between two service components, expressed as an abstract

@@ -238,11 +238,6 @@ impl MwSystem {
         total
     }
 
-    /// The node hosting a component.
-    pub fn part_of(&self, name: &str) -> Option<PartId> {
-        self.plan.component(name).map(|e| e.part())
-    }
-
     /// Partitions two nodes (messages dropped both ways) until
     /// [`MwSystem::heal`]. Call between run slices to inject failures.
     pub fn partition(&mut self, a: PartId, b: PartId) {

@@ -11,10 +11,10 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::constraint::{Constraint, ConstraintKind, ConstraintScope};
+use crate::constraint::{Constraint, ConstraintKind, Instance};
 use crate::sap::Sap;
 use crate::service::ServiceDefinition;
-use crate::trace::{PrimitiveEvent, Trace};
+use crate::trace::Trace;
 use crate::value::Value;
 
 /// Options controlling a conformance check.
@@ -122,17 +122,6 @@ impl fmt::Display for ConformanceReport {
     }
 }
 
-/// Scope instance: the partition cell within which occurrences are related.
-type Instance = (Option<Sap>, Vec<Value>);
-
-fn instance(scope: ConstraintScope, event: &PrimitiveEvent, key: &[usize]) -> Instance {
-    let sap = match scope {
-        ConstraintScope::SameSap => Some(event.sap().clone()),
-        ConstraintScope::Global => None,
-    };
-    (sap, event.key(key))
-}
-
 /// Checks `trace` against `service`: every event against its primitive
 /// schema (known primitive, declared role, arity and types), then every
 /// constraint.
@@ -203,19 +192,16 @@ fn check_constraint(
     options: &CheckOptions,
     report: &mut ConformanceReport,
 ) {
-    let key = constraint.key();
     match constraint.kind() {
-        ConstraintKind::Precedes {
-            earlier,
-            later,
-            scope,
-        } => {
+        ConstraintKind::Precedes { earlier, later, .. } => {
             let mut balance: BTreeMap<Instance, usize> = BTreeMap::new();
             for (i, event) in trace.iter().enumerate() {
                 if event.primitive() == earlier {
-                    *balance.entry(instance(*scope, event, key)).or_insert(0) += 1;
+                    *balance
+                        .entry(constraint.instance(event.sap(), event.args()))
+                        .or_insert(0) += 1;
                 } else if event.primitive() == later {
-                    let inst = instance(*scope, event, key);
+                    let inst = constraint.instance(event.sap(), event.args());
                     let entry = balance.entry(inst).or_insert(0);
                     if *entry == 0 {
                         report.violations.push(Violation {
@@ -231,17 +217,13 @@ fn check_constraint(
                 }
             }
         }
-        ConstraintKind::After {
-            enabler,
-            then,
-            scope,
-        } => {
+        ConstraintKind::After { enabler, then, .. } => {
             let mut enabled: BTreeMap<Instance, ()> = BTreeMap::new();
             for (i, event) in trace.iter().enumerate() {
                 if event.primitive() == enabler {
-                    enabled.insert(instance(*scope, event, key), ());
+                    enabled.insert(constraint.instance(event.sap(), event.args()), ());
                 } else if event.primitive() == then
-                    && !enabled.contains_key(&instance(*scope, event, key))
+                    && !enabled.contains_key(&constraint.instance(event.sap(), event.args()))
                 {
                     report.violations.push(Violation {
                         constraint: Some(constraint.to_string()),
@@ -252,20 +234,20 @@ fn check_constraint(
             }
         }
         ConstraintKind::EventuallyFollows {
-            trigger,
-            response,
-            scope,
+            trigger, response, ..
         } => {
             // Outstanding trigger event indices, FIFO per instance.
             let mut outstanding: BTreeMap<Instance, Vec<usize>> = BTreeMap::new();
             for (i, event) in trace.iter().enumerate() {
                 if event.primitive() == trigger {
                     outstanding
-                        .entry(instance(*scope, event, key))
+                        .entry(constraint.instance(event.sap(), event.args()))
                         .or_default()
                         .push(i);
                 } else if event.primitive() == response {
-                    if let Some(queue) = outstanding.get_mut(&instance(*scope, event, key)) {
+                    if let Some(queue) =
+                        outstanding.get_mut(&constraint.instance(event.sap(), event.args()))
+                    {
                         if !queue.is_empty() {
                             queue.remove(0);
                         }
@@ -292,7 +274,7 @@ fn check_constraint(
         ConstraintKind::MutualExclusion { acquire, release } => {
             let mut holder: BTreeMap<Vec<Value>, (Sap, usize)> = BTreeMap::new();
             for (i, event) in trace.iter().enumerate() {
-                let k = event.key(key);
+                let k = event.key(constraint.key());
                 if event.primitive() == acquire {
                     if let Some((held_by, since)) = holder.get(&k) {
                         report.violations.push(Violation {
@@ -342,12 +324,14 @@ fn check_constraint(
             trigger,
             response,
             limit,
-            scope,
+            ..
         } => {
             let mut outstanding: BTreeMap<Instance, usize> = BTreeMap::new();
             for (i, event) in trace.iter().enumerate() {
                 if event.primitive() == trigger {
-                    let entry = outstanding.entry(instance(*scope, event, key)).or_insert(0);
+                    let entry = outstanding
+                        .entry(constraint.instance(event.sap(), event.args()))
+                        .or_insert(0);
                     *entry += 1;
                     if *entry > *limit {
                         report.violations.push(Violation {
@@ -359,7 +343,9 @@ fn check_constraint(
                         });
                     }
                 } else if event.primitive() == response {
-                    let entry = outstanding.entry(instance(*scope, event, key)).or_insert(0);
+                    let entry = outstanding
+                        .entry(constraint.instance(event.sap(), event.args()))
+                        .or_insert(0);
                     *entry = entry.saturating_sub(1);
                 }
             }
@@ -370,9 +356,11 @@ fn check_constraint(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::constraint::ConstraintScope;
     use crate::id::PartId;
     use crate::primitive::{Direction, PrimitiveSpec};
     use crate::time::Instant;
+    use crate::trace::PrimitiveEvent;
 
     fn floor_control() -> ServiceDefinition {
         ServiceDefinition::builder("floor-control")

@@ -13,8 +13,18 @@
 //! The "(for a given resource identification)" part is captured by a
 //! *correlation key*: a list of argument positions whose values must match
 //! for two occurrences to be related.
+//!
+//! [`step_constraint`] is the one state-machine meaning of every kind: it
+//! steps a [`CState`] by one occurrence. The explorer's interpreter, the
+//! admission gate's reference engine and the compiled DFA tables of
+//! `svckit-dfa` all reproduce it; the trace checker in
+//! [`crate::conformance`] stays a separate oracle.
 
+use std::collections::BTreeMap;
 use std::fmt;
+
+use crate::sap::Sap;
+use crate::value::Value;
 
 /// Whether a constraint relates occurrences at one access point or across
 /// all of them.
@@ -122,6 +132,22 @@ impl ConstraintKind {
             | ConstraintKind::Precedes { scope, .. }
             | ConstraintKind::AtMostOutstanding { scope, .. } => *scope,
             ConstraintKind::MutualExclusion { .. } => ConstraintScope::Global,
+        }
+    }
+
+    /// The primitive that discharges or consumes this constraint's
+    /// bookkeeping — a `Precedes` later side, an `EventuallyFollows` or
+    /// `AtMostOutstanding` response, a `MutualExclusion` release — or
+    /// `None` for `After`, whose enablement is never consumed. A cycle
+    /// that returns to its entry state consumes whatever it produces, so
+    /// it makes progress exactly when it takes such a primitive.
+    pub fn progress_primitive(&self) -> Option<&str> {
+        match self {
+            ConstraintKind::Precedes { later, .. } => Some(later),
+            ConstraintKind::EventuallyFollows { response, .. }
+            | ConstraintKind::AtMostOutstanding { response, .. } => Some(response),
+            ConstraintKind::MutualExclusion { release, .. } => Some(release),
+            ConstraintKind::After { .. } => None,
         }
     }
 }
@@ -261,6 +287,205 @@ impl Constraint {
     pub fn key(&self) -> &[usize] {
         &self.key
     }
+
+    /// The instance an occurrence at `sap` with `args` touches: the access
+    /// point under a `SameSap` scope (`None` under `Global`, which every
+    /// mutual exclusion has) and the correlation-key values.
+    pub fn instance(&self, sap: &Sap, args: &[Value]) -> Instance {
+        let sap = match self.kind.scope() {
+            ConstraintScope::SameSap => Some(sap.clone()),
+            ConstraintScope::Global => None,
+        };
+        (sap, key_values(args, &self.key))
+    }
+}
+
+/// The values of `args` at the positions in `key`. A missing position
+/// reads as [`Value::Unit`], so a malformed occurrence still has a stable
+/// key and is reported by schema validation instead of panicking here.
+pub(crate) fn key_values(args: &[Value], key: &[usize]) -> Vec<Value> {
+    key.iter()
+        .map(|&i| args.get(i).cloned().unwrap_or(Value::Unit))
+        .collect()
+}
+
+/// A constraint instance: the partition cell within which occurrences are
+/// related — the access point (for a `SameSap` scope) and the
+/// correlation-key values ([`Constraint::instance`]).
+pub type Instance = (Option<Sap>, Vec<Value>);
+
+/// One constraint's bookkeeping, stepped by [`step_constraint`].
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum CState {
+    /// Balance counters per instance (`Precedes`, `EventuallyFollows`,
+    /// `AtMostOutstanding`); `After` marks an enabled instance with 1. A
+    /// counter that returns to zero is removed.
+    Counters(BTreeMap<Instance, u32>),
+    /// Current holder per key (`MutualExclusion`).
+    Holders(BTreeMap<Vec<Value>, Sap>),
+}
+
+impl CState {
+    /// The state of `constraint` before any occurrence.
+    pub fn initial(constraint: &Constraint) -> CState {
+        match constraint.kind() {
+            ConstraintKind::MutualExclusion { .. } => CState::Holders(BTreeMap::new()),
+            _ => CState::Counters(BTreeMap::new()),
+        }
+    }
+
+    /// Whether this state of `constraint` is quiescent: no obligation
+    /// outstanding and nothing held. Enablement markers of
+    /// [`ConstraintKind::After`] constraints do not count.
+    pub fn is_quiescent(&self, constraint: &Constraint) -> bool {
+        match self {
+            CState::Counters(m) => {
+                matches!(constraint.kind(), ConstraintKind::After { .. })
+                    || m.values().all(|v| *v == 0)
+            }
+            CState::Holders(h) => h.is_empty(),
+        }
+    }
+}
+
+/// Steps one constraint's state by the occurrence of `primitive` with
+/// `args` at `sap` — the one definition of constraint semantics. `bound`
+/// caps unmatched `Precedes` and outstanding `EventuallyFollows`
+/// obligations per instance (`AtMostOutstanding` uses its own `limit`).
+///
+/// Returns the successor, or the violation message when the constraint
+/// rejects the occurrence. The step is functional: a rejection leaves
+/// `state` as it was, so a caller that steps several constraints commits
+/// only once all of them accept.
+///
+/// # Panics
+///
+/// If `state` is not a state of `constraint` (its shape comes from
+/// [`CState::initial`]).
+pub fn step_constraint(
+    constraint: &Constraint,
+    state: &CState,
+    sap: &Sap,
+    primitive: &str,
+    args: &[Value],
+    bound: u32,
+) -> Result<CState, String> {
+    let inst = || constraint.instance(sap, args);
+    match (constraint.kind(), state) {
+        (ConstraintKind::Precedes { earlier, later, .. }, CState::Counters(map)) => {
+            let mut map = map.clone();
+            if primitive == earlier {
+                let e = map.entry(inst()).or_insert(0);
+                if *e >= bound {
+                    return Err(format!(
+                        "more than {bound} unmatched `{earlier}` (state-space bound)"
+                    ));
+                }
+                *e += 1;
+            } else if primitive == later {
+                let inst = inst();
+                match map.get_mut(&inst) {
+                    Some(e) if *e > 0 => {
+                        *e -= 1;
+                        if *e == 0 {
+                            map.remove(&inst);
+                        }
+                    }
+                    _ => {
+                        return Err(format!(
+                            "`{later}` without a preceding unmatched `{earlier}`"
+                        ))
+                    }
+                }
+            }
+            Ok(CState::Counters(map))
+        }
+        (ConstraintKind::After { enabler, then, .. }, CState::Counters(map)) => {
+            let mut map = map.clone();
+            if primitive == enabler {
+                // A saturated counter marks "enabled forever".
+                map.insert(inst(), 1);
+            } else if primitive == then && !map.contains_key(&inst()) {
+                return Err(format!("`{then}` before any `{enabler}`"));
+            }
+            Ok(CState::Counters(map))
+        }
+        (
+            ConstraintKind::EventuallyFollows {
+                trigger, response, ..
+            },
+            CState::Counters(map),
+        ) => {
+            let mut map = map.clone();
+            if primitive == trigger {
+                let e = map.entry(inst()).or_insert(0);
+                if *e >= bound {
+                    return Err(format!(
+                        "more than {bound} outstanding `{trigger}` (state-space bound)"
+                    ));
+                }
+                *e += 1;
+            } else if primitive == response {
+                discharge(&mut map, inst());
+            }
+            Ok(CState::Counters(map))
+        }
+        (
+            ConstraintKind::AtMostOutstanding {
+                trigger,
+                response,
+                limit,
+                ..
+            },
+            CState::Counters(map),
+        ) => {
+            let mut map = map.clone();
+            if primitive == trigger {
+                let e = map.entry(inst()).or_insert(0);
+                if (*e as usize) >= *limit {
+                    return Err(format!("more than {limit} outstanding `{trigger}`"));
+                }
+                *e += 1;
+            } else if primitive == response {
+                discharge(&mut map, inst());
+            }
+            Ok(CState::Counters(map))
+        }
+        (ConstraintKind::MutualExclusion { acquire, release }, CState::Holders(map)) => {
+            let mut map = map.clone();
+            let (_, k) = inst();
+            if primitive == acquire {
+                if let Some(holder) = map.get(&k) {
+                    return Err(format!("`{acquire}` at {sap} while held by {holder}"));
+                }
+                map.insert(k, sap.clone());
+            } else if primitive == release {
+                match map.get(&k) {
+                    Some(holder) if holder == sap => {
+                        map.remove(&k);
+                    }
+                    Some(holder) => {
+                        return Err(format!("`{release}` at {sap} but holder is {holder}"))
+                    }
+                    None => return Err(format!("`{release}` at {sap} but nothing is held")),
+                }
+            }
+            Ok(CState::Holders(map))
+        }
+        // The state shape always matches the constraint it was built for.
+        _ => unreachable!("constraint state shape mismatch"),
+    }
+}
+
+/// Discharges one obligation of `inst`; discharging none is not a
+/// violation (the counter saturates at zero and is then removed).
+fn discharge(map: &mut BTreeMap<Instance, u32>, inst: Instance) {
+    if let Some(e) = map.get_mut(&inst) {
+        *e = e.saturating_sub(1);
+        if *e == 0 {
+            map.remove(&inst);
+        }
+    }
 }
 
 impl fmt::Display for Constraint {
@@ -297,6 +522,67 @@ mod tests {
         let s = c.to_string();
         assert!(s.contains("local"), "{s}");
         assert!(s.contains("keyed on args [0]"), "{s}");
+    }
+
+    #[test]
+    fn progress_primitives_are_the_consuming_side() {
+        let kinds = [
+            Constraint::precedes("a", "b", ConstraintScope::SameSap),
+            Constraint::eventually_follows("a", "b", ConstraintScope::SameSap),
+            Constraint::at_most_outstanding("a", "b", 1, ConstraintScope::Global),
+            Constraint::mutual_exclusion("a", "b"),
+        ];
+        for c in &kinds {
+            assert_eq!(c.kind().progress_primitive(), Some("b"), "{c}");
+        }
+        let after = Constraint::after("a", "b", ConstraintScope::SameSap);
+        assert_eq!(after.kind().progress_primitive(), None);
+    }
+
+    #[test]
+    fn instances_follow_the_effective_scope() {
+        let sap = Sap::new("user", crate::PartId::new(1));
+        let args = [Value::Id(7)];
+        let local = Constraint::precedes("a", "b", ConstraintScope::SameSap).keyed(&[0, 3]);
+        assert_eq!(
+            local.instance(&sap, &args),
+            (Some(sap.clone()), vec![Value::Id(7), Value::Unit])
+        );
+        let mutex = Constraint::mutual_exclusion("a", "b").keyed(&[0]);
+        assert_eq!(mutex.instance(&sap, &args), (None, vec![Value::Id(7)]));
+    }
+
+    #[test]
+    fn a_rejected_step_reports_the_message_and_keeps_the_state() {
+        let mutex = Constraint::mutual_exclusion("acquire", "release");
+        let (one, two) = (
+            Sap::new("user", crate::PartId::new(1)),
+            Sap::new("user", crate::PartId::new(2)),
+        );
+        let free = CState::initial(&mutex);
+        let held = step_constraint(&mutex, &free, &one, "acquire", &[], 2).expect("free");
+        assert!(!held.is_quiescent(&mutex));
+        assert_eq!(
+            step_constraint(&mutex, &held, &two, "acquire", &[], 2),
+            Err("`acquire` at user@part-2 while held by user@part-1".to_owned())
+        );
+        assert_eq!(
+            step_constraint(&mutex, &held, &one, "release", &[], 2),
+            Ok(free.clone())
+        );
+        assert!(free.is_quiescent(&mutex));
+
+        let precedes = Constraint::precedes("a", "b", ConstraintScope::SameSap);
+        let start = CState::initial(&precedes);
+        let once = step_constraint(&precedes, &start, &one, "a", &[], 1).expect("under the bound");
+        assert_eq!(
+            step_constraint(&precedes, &once, &one, "a", &[], 1),
+            Err("more than 1 unmatched `a` (state-space bound)".to_owned())
+        );
+        assert_eq!(
+            step_constraint(&precedes, &start, &one, "b", &[], 1),
+            Err("`b` without a preceding unmatched `a`".to_owned())
+        );
     }
 
     #[test]

@@ -72,7 +72,9 @@ mod time;
 mod trace;
 mod value;
 
-pub use constraint::{Constraint, ConstraintKind, ConstraintScope};
+pub use constraint::{
+    step_constraint, CState, Constraint, ConstraintKind, ConstraintScope, Instance,
+};
 pub use error::ModelError;
 pub use id::{PartId, ResourceId, SubscriberId};
 pub use interface::{InteractionPattern, InterfaceDef, OperationSig};

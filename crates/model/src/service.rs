@@ -12,6 +12,7 @@ use std::collections::BTreeMap;
 
 use crate::constraint::Constraint;
 use crate::error::ModelError;
+use crate::hash::FastMap;
 use crate::primitive::PrimitiveSpec;
 use crate::sap::RoleSpec;
 
@@ -67,6 +68,42 @@ impl ServiceDefinition {
     /// Looks up a role by name.
     pub fn role(&self, name: &str) -> Option<&RoleSpec> {
         self.roles.iter().find(|r| r.name() == name)
+    }
+
+    /// Per primitive name, the ascending indices of the constraints that
+    /// react to it, read from
+    /// [`ConstraintKind::referenced_primitives`](crate::ConstraintKind::referenced_primitives).
+    /// A constraint naming one primitive twice is listed once, so stepping
+    /// the list steps it once.
+    pub fn constraints_by_primitive(&self) -> FastMap<String, Vec<usize>> {
+        let mut relevance: FastMap<String, Vec<usize>> = FastMap::default();
+        for (ci, constraint) in self.constraints.iter().enumerate() {
+            for name in constraint.kind().referenced_primitives() {
+                let entry = relevance.entry(name.to_owned()).or_default();
+                if entry.last() != Some(&ci) {
+                    entry.push(ci);
+                }
+            }
+        }
+        relevance
+    }
+
+    /// The progress-labelled primitives, in first-mention order: each
+    /// constraint's
+    /// [`ConstraintKind::progress_primitive`](crate::ConstraintKind::progress_primitive),
+    /// deduplicated.
+    pub fn progress_primitives(&self) -> Vec<String> {
+        let mut progress: Vec<String> = Vec::new();
+        for name in self
+            .constraints
+            .iter()
+            .filter_map(|c| c.kind().progress_primitive())
+        {
+            if !progress.iter().any(|p| p == name) {
+                progress.push(name.to_owned());
+            }
+        }
+        progress
     }
 }
 
@@ -210,6 +247,28 @@ mod tests {
         assert!(svc.primitive("request").is_some());
         assert!(svc.primitive("nope").is_none());
         assert!(svc.role("user").is_some());
+    }
+
+    #[test]
+    fn relevance_and_progress_list_each_constraint_once() {
+        let svc = base()
+            .constraint(Constraint::precedes(
+                "request",
+                "request",
+                ConstraintScope::SameSap,
+            ))
+            .constraint(Constraint::mutual_exclusion("granted", "request"))
+            .constraint(Constraint::after(
+                "request",
+                "granted",
+                ConstraintScope::Global,
+            ))
+            .build()
+            .unwrap();
+        let relevance = svc.constraints_by_primitive();
+        assert_eq!(relevance["request"], vec![0, 1, 2]);
+        assert_eq!(relevance["granted"], vec![1, 2]);
+        assert_eq!(svc.progress_primitives(), vec!["request".to_owned()]);
     }
 
     #[test]

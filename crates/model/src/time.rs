@@ -68,11 +68,6 @@ impl Duration {
         self.0 / 1_000
     }
 
-    /// Length in fractional milliseconds, for reporting.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
-    }
-
     /// Saturating multiplication by an integer factor.
     pub fn saturating_mul(self, factor: u64) -> Duration {
         Duration(self.0.saturating_mul(factor))
@@ -161,7 +156,6 @@ mod tests {
     fn conversions_between_units() {
         assert_eq!(Duration::from_millis(2).as_micros(), 2_000);
         assert_eq!(Duration::from_secs(1).as_millis(), 1_000);
-        assert!((Duration::from_micros(1500).as_millis_f64() - 1.5).abs() < 1e-9);
     }
 
     #[test]

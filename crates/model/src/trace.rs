@@ -59,10 +59,7 @@ impl PrimitiveEvent {
     /// events still produce a stable key and get reported by schema
     /// validation instead of panicking here.
     pub fn key(&self, indices: &[usize]) -> Vec<Value> {
-        indices
-            .iter()
-            .map(|&i| self.args.get(i).cloned().unwrap_or(Value::Unit))
-            .collect()
+        crate::constraint::key_values(&self.args, indices)
     }
 }
 
@@ -129,18 +126,6 @@ impl Trace {
     pub fn merge(&mut self, other: Trace) {
         self.events.extend(other.events);
         self.sort_by_time();
-    }
-
-    /// Returns the sub-trace of events at `sap`, preserving order.
-    pub fn at_sap(&self, sap: &Sap) -> Trace {
-        Trace {
-            events: self
-                .events
-                .iter()
-                .filter(|e| e.sap() == sap)
-                .cloned()
-                .collect(),
-        }
     }
 
     /// Returns the sequence of primitive names, useful as an abstract trace
@@ -222,16 +207,6 @@ mod tests {
         let b: Trace = [ev(2, 2, "request", 1)].into_iter().collect();
         a.merge(b);
         assert_eq!(a.primitive_names(), vec!["request", "request", "free"]);
-    }
-
-    #[test]
-    fn at_sap_filters() {
-        let t: Trace = [ev(1, 1, "request", 1), ev(2, 2, "request", 2)]
-            .into_iter()
-            .collect();
-        let s1 = t.at_sap(&Sap::new("subscriber", PartId::new(1)));
-        assert_eq!(s1.len(), 1);
-        assert_eq!(s1.events()[0].args()[0], Value::Id(1));
     }
 
     #[test]

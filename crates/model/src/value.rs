@@ -106,18 +106,6 @@ impl Value {
         })
     }
 
-    /// Like [`Value::as_int`], but a typed error instead of `None`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::ValueKindMismatch`] for any other variant.
-    pub fn try_int(&self) -> Result<i64, ModelError> {
-        self.as_int().ok_or(ModelError::ValueKindMismatch {
-            expected: "int",
-            actual: self.type_name(),
-        })
-    }
-
     /// Like [`Value::as_id`], but a typed error instead of `None`.
     ///
     /// # Errors
@@ -130,18 +118,6 @@ impl Value {
         })
     }
 
-    /// Like [`Value::as_text`], but a typed error instead of `None`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::ValueKindMismatch`] for any other variant.
-    pub fn try_text(&self) -> Result<&str, ModelError> {
-        self.as_text().ok_or(ModelError::ValueKindMismatch {
-            expected: "text",
-            actual: self.type_name(),
-        })
-    }
-
     /// Like [`Value::as_set`], but a typed error instead of `None`.
     ///
     /// # Errors
@@ -150,18 +126,6 @@ impl Value {
     pub fn try_set(&self) -> Result<&BTreeSet<Value>, ModelError> {
         self.as_set().ok_or(ModelError::ValueKindMismatch {
             expected: "set",
-            actual: self.type_name(),
-        })
-    }
-
-    /// Like [`Value::as_list`], but a typed error instead of `None`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::ValueKindMismatch`] for any other variant.
-    pub fn try_list(&self) -> Result<&[Value], ModelError> {
-        self.as_list().ok_or(ModelError::ValueKindMismatch {
-            expected: "list",
             actual: self.type_name(),
         })
     }
@@ -278,8 +242,6 @@ mod tests {
     fn typed_accessors_carry_both_variant_names() {
         assert_eq!(Value::Id(9).try_id(), Ok(9));
         assert_eq!(Value::Bool(true).try_bool(), Ok(true));
-        assert_eq!(Value::Int(-2).try_int(), Ok(-2));
-        assert_eq!(Value::from("hi").try_text(), Ok("hi"));
         assert_eq!(
             Value::id_set([1]).try_set(),
             Ok(Value::id_set([1]).as_set().unwrap())
@@ -296,7 +258,6 @@ mod tests {
             err.to_string(),
             "value kind mismatch: expected id, got bool"
         );
-        assert!(Value::Unit.try_list().is_err());
     }
 
     #[test]

@@ -53,12 +53,6 @@ impl DeterministicRng {
             self.next_f64() < p
         }
     }
-
-    /// Derives an independent generator (e.g. one per link) such that
-    /// streams do not overlap in practice.
-    pub fn fork(&mut self) -> DeterministicRng {
-        DeterministicRng::new(self.next_u64() ^ 0xA5A5_A5A5_A5A5_A5A5)
-    }
 }
 
 #[cfg(test)]
@@ -118,12 +112,5 @@ mod tests {
         let hits = (0..100_000).filter(|_| rng.coin(0.3)).count();
         let freq = hits as f64 / 100_000.0;
         assert!((freq - 0.3).abs() < 0.01, "frequency {freq}");
-    }
-
-    #[test]
-    fn fork_produces_distinct_stream() {
-        let mut a = DeterministicRng::new(13);
-        let mut b = a.fork();
-        assert_ne!(a.next_u64(), b.next_u64());
     }
 }
