@@ -19,15 +19,26 @@
 //! unquotiented counterpart of a clean quotient run does not run at all
 //! when the quotient certifies its orbit-weighted sums
 //! ([`ExploreReport::sym_exact`]); the sums fill the block instead, and
-//! debug builds run the real counterpart to compare.
+//! debug builds run the real counterpart to compare. Under the default
+//! ample-set reduction the reduction counterpart is not searched either
+//! where the count-only LDD fixpoint can give its counts
+//! ([`ServiceExplorer::symbolic_counts`]): the states, or under symmetry
+//! the orbits read off the reached set by a walk, and their enabled
+//! events. That needs the DFA engine and fits the state bound; elsewhere
+//! the explicit count-only search runs, and debug builds run it anyway
+//! to compare.
 //!
-//! A pass runs on two threads. The calling thread runs the reduction
-//! counterpart, the longest single search, on a clone of the explorer.
-//! A worker runs, in order, the configured search, the symmetry
-//! counterpart (full, arithmetic or count-only) and, under the symbolic
-//! backend, the symbolic search (count-only, or full when the configured
-//! search truncated). Every search is deterministic and reads only its
-//! own explorer, so the report does not depend on the schedule.
+//! A pass runs on two threads. The calling thread runs, on a clone of the
+//! explorer, the count-only fixpoint and its walk (under the ample-set
+//! reduction and the DFA engine), then the explicit reduction
+//! counterpart only where they gave no counts; under the symbolic
+//! backend the same fixpoint fills the `ldd` block. A worker runs, in
+//! order, the configured search, the symmetry counterpart (full,
+//! arithmetic or count-only) and, under the symbolic backend, the
+//! symbolic rescue in full when the configured search truncated (or the
+//! count-only symbolic search where no fixpoint runs on the calling
+//! thread). Every search is deterministic and reads only its own
+//! explorer, so the report does not depend on the schedule.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -35,6 +46,7 @@ use std::sync::Arc;
 use svckit_dfa::{check_product, Binder, Compiled, Edge, Engine, ProductCheck};
 use svckit_lts::explorer::{
     AbstractEvent, ExploreCounts, ExploreOptions, ExploreReport, Reduction, ServiceExplorer,
+    SymbolicCounts,
 };
 use svckit_lts::{Backend, Symmetry};
 use svckit_model::{Sap, ServiceDefinition, Value};
@@ -104,9 +116,15 @@ pub struct ServiceAnalysis {
     /// Transitions taken (reduction- and symmetry-dependent).
     pub transitions: usize,
     /// Full-vs-reduced exploration statistics, in the schema the explorer
-    /// benchmarks share (`BENCH_hotpath.stats.json`). Both halves run at the
-    /// configured symmetry setting; the counterpart half comes from a
-    /// count-only search, equal in every field to a full one.
+    /// benchmarks share (`BENCH_hotpath.stats.json`). Both halves are
+    /// counted at the configured symmetry setting and state bound. Under
+    /// the ample-set reduction and the DFA engine the unreduced half is
+    /// read off the count-only LDD fixpoint's reached set
+    /// ([`ServiceExplorer::symbolic_counts`]: its states, or under
+    /// symmetry the one key per orbit whose member fragments are sorted,
+    /// and their enabled events) whenever those fit the bound; otherwise
+    /// the counterpart half comes from a count-only explicit search. Both
+    /// give the same numbers.
     pub por: PorStats,
     /// Unquotiented-vs-quotient exploration statistics, in the schema the
     /// explorer benchmarks share (`BENCH_hotpath.stats.json`). Both halves
@@ -126,7 +144,8 @@ pub struct ServiceAnalysis {
     /// the store of the count-only search that fills the block, which
     /// chains event images into one reached set instead of building BFS
     /// plies and builds no witness relations (15 392 nodes on the 4-user
-    /// floor, against 91 636 for the full search) — except when the
+    /// floor, against 91 636 for the full search; the walk that reads the
+    /// `por` block off the same reached set interns none) — except when the
     /// configured search truncated, where the full (rescue) search fills
     /// it. Under [`Engine::Interp`] the symbolic
     /// backend falls back to the explicit search (diagrams run on the DFA
@@ -206,19 +225,27 @@ pub fn analyze_service(
         },
         ..explore_options.clone()
     };
+    // Under the ample-set reduction that counterpart is the unreduced
+    // search, whose counts the count-only LDD fixpoint reads off its
+    // reached set (`ServiceExplorer::symbolic_counts`: the states, or
+    // under symmetry the orbits, and their enabled events). The same
+    // fixpoint fills the `ldd` block under the symbolic backend. Only the
+    // DFA engine has the slot layout the diagram needs.
+    let from_fixpoint =
+        options.reduction == Reduction::AmpleSets && explorer.engine() == Engine::Dfa;
 
-    // The reduction counterpart reads nothing of the other searches and,
-    // once the symmetry counterpart is arithmetic, is the longest single
-    // search, so this thread runs it while one worker runs the configured
-    // search and what depends on it: the symmetry counterpart and the
-    // symbolic search. The two threads search
+    // This thread runs the fixpoint, and the explicit reduction
+    // counterpart where the fixpoint cannot give its counts; one worker
+    // runs the configured search and what depends on it: the symmetry
+    // counterpart and the symbolic rescue (or, where no fixpoint runs
+    // here, the symbolic count-only search). The two threads search
     // separate explorers: every search holds its explorer's runtime for
     // its whole length, so sharing one would serialize them. Obs counters
     // the worker records are folded into this thread's recorder after the
     // join; counters add up, so the totals do not depend on the schedule.
     let por_explorer = explorer.clone();
     let worker_recorder = svckit_obs::active().then(svckit_obs::Recorder::new);
-    let (searches, counterpart) = std::thread::scope(|scope| {
+    let (searches, (fixpoint, walked, counterpart)) = std::thread::scope(|scope| {
         let worker = scope.spawn(|| {
             let run = || {
                 configured_searches(
@@ -226,7 +253,8 @@ pub fn analyze_service(
                     options,
                     &explore_options,
                     &sym_options,
-                    &symbolic_options,
+                    (options.backend == Backend::Symbolic).then_some(&symbolic_options),
+                    !from_fixpoint,
                 )
             };
             match worker_recorder {
@@ -237,14 +265,25 @@ pub fn analyze_service(
                 None => (run(), None),
             }
         });
-        let counterpart = por_explorer.explore_counts(&por_options);
+        let fixpoint = from_fixpoint.then(|| por_explorer.symbolic_counts(&explore_options));
+        let walked = fixpoint
+            .as_ref()
+            .and_then(|counts| counts.as_ref().ok()?.full);
+        let counterpart = match walked {
+            Some(full) => PorHalf {
+                states: full.states,
+                transitions: full.transitions,
+                ample_hist: Vec::new(),
+            },
+            None => PorHalf::from(por_explorer.explore_counts(&por_options)),
+        };
         let (searches, recorder) = worker
             .join()
             .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
         if let Some(recorder) = &recorder {
             svckit_obs::absorb_into_current(recorder);
         }
-        (searches, counterpart)
+        (searches, (fixpoint, walked, counterpart))
     });
     let Configured {
         report,
@@ -286,10 +325,24 @@ pub fn analyze_service(
         }
     }
 
+    // Debug builds run the explicit counterpart the fixpoint replaced and
+    // compare, under a recorder of its own so obs counts do not depend on
+    // the build.
+    if cfg!(debug_assertions) && walked.is_some() {
+        let (real, _) = svckit_obs::with_recorder(svckit_obs::Recorder::new(), || {
+            explorer.explore_counts(&por_options)
+        });
+        assert_eq!(
+            (real.states, real.transitions, real.truncated),
+            (counterpart.states, counterpart.transitions, false),
+            "the fixpoint's counts disagree with the unreduced search"
+        );
+    }
     let configured = report.counts();
+    let configured_half = PorHalf::from(configured.clone());
     let (full, reduced) = match options.reduction {
-        Reduction::Full => (&configured, &counterpart),
-        Reduction::AmpleSets => (&counterpart, &configured),
+        Reduction::Full => (&configured_half, &counterpart),
+        Reduction::AmpleSets => (&counterpart, &configured_half),
     };
     let por = PorStats {
         full_states: full.states as u64,
@@ -342,8 +395,27 @@ pub fn analyze_service(
         );
     }
 
-    let ldd = symbolic
-        .as_ref()
+    // The `ldd` block: the symbolic rescue when the configured search
+    // truncated, else the count-only fixpoint — this thread's, or the
+    // worker's where none ran here. A fixpoint past the node budget falls
+    // back to the explicit engine, whose search is the configured one.
+    let ldd_counts = match (options.backend, symbolic, fixpoint) {
+        (Backend::Explicit, ..) => None,
+        (Backend::Symbolic, Some(counts), _)
+        | (
+            Backend::Symbolic,
+            None,
+            Some(Ok(SymbolicCounts {
+                fixpoint: counts, ..
+            })),
+        ) => Some(counts),
+        (Backend::Symbolic, None, Some(Err(reason))) => {
+            eprintln!("svckit-lts: {reason}; falling back to the explicit engine");
+            Some(configured)
+        }
+        (Backend::Symbolic, None, None) => unreachable!("the worker counts without a fixpoint"),
+    };
+    let ldd = ldd_counts
         .map(|r| LddStats {
             states: r.states as u64,
             transitions: r.transitions as u64,
@@ -378,21 +450,23 @@ struct Configured {
     /// The symbolic search in full, when the configured search truncated:
     /// it may rescue the diagnostics.
     symbolic_witness: Option<ExploreReport>,
-    /// The symbolic search's counts, under [`Backend::Symbolic`].
+    /// The symbolic search's counts, when the worker ran one.
     symbolic: Option<ExploreCounts>,
 }
 
 /// The configured search, then the symmetry counterpart (the full
 /// witness search when the quotient found a defect, nothing when the
 /// quotient's certificate holds, the count-only search otherwise), then,
-/// under [`Backend::Symbolic`], the symbolic search (count-only when the
-/// configured search completed, full when it truncated).
+/// given `symbolic_options`, the symbolic search: in full when the
+/// configured search truncated, count-only when `count_symbolic` asks
+/// for it (no fixpoint runs on the calling thread), else none.
 fn configured_searches(
     explorer: &ServiceExplorer<'_>,
     options: &ServicePassOptions,
     explore_options: &ExploreOptions,
     sym_options: &ExploreOptions,
-    symbolic_options: &ExploreOptions,
+    symbolic_options: Option<&ExploreOptions>,
+    count_symbolic: bool,
 ) -> Configured {
     let report = explorer.explore(explore_options);
     let sym_witness = (options.symmetry == Symmetry::On && has_defect(&report))
@@ -402,12 +476,13 @@ fn configured_searches(
         None if report.sym_exact => None,
         None => Some(explorer.explore_counts(sym_options)),
     };
-    let symbolic_witness = (options.backend == Backend::Symbolic && report.truncated)
-        .then(|| explorer.explore(symbolic_options));
-    let symbolic = match &symbolic_witness {
-        Some(full) => Some(full.counts()),
-        None => (options.backend == Backend::Symbolic)
-            .then(|| explorer.explore_counts(symbolic_options)),
+    let symbolic_witness = symbolic_options
+        .filter(|_| report.truncated)
+        .map(|symbolic| explorer.explore(symbolic));
+    let symbolic = match (&symbolic_witness, symbolic_options) {
+        (Some(full), _) => Some(full.counts()),
+        (None, Some(symbolic)) if count_symbolic => Some(explorer.explore_counts(symbolic)),
+        _ => None,
     };
     Configured {
         report,
@@ -415,6 +490,27 @@ fn configured_searches(
         sym_counterpart,
         symbolic_witness,
         symbolic,
+    }
+}
+
+/// One half of the `por` block: the configured search's, or the
+/// reduction counterpart's.
+struct PorHalf {
+    states: usize,
+    transitions: usize,
+    /// The ample-set histogram of an explicit search; empty when the
+    /// counts come from the fixpoint (the unreduced half carries no
+    /// histogram).
+    ample_hist: Vec<u64>,
+}
+
+impl From<ExploreCounts> for PorHalf {
+    fn from(counts: ExploreCounts) -> Self {
+        PorHalf {
+            states: counts.states,
+            transitions: counts.transitions,
+            ample_hist: counts.ample_hist,
+        }
     }
 }
 
@@ -656,44 +752,66 @@ mod tests {
     }
 
     /// The configured search and the symmetry counterpart run on the
-    /// worker thread, the reduction counterpart on the caller's; the
-    /// worker's obs counters still reach the caller's recorder. Under the
-    /// explicit backend every search counts its states into `lts.states`,
-    /// so with the sites compiled in (`--features svckit-lts/obs`) the
-    /// counter is the configured search's states plus the reduction
-    /// counterpart's, plus the unquotiented counterpart's only when it
-    /// ran — when the quotient's certificate does not hold. (The debug
-    /// cross-check of a certified block records into a recorder of its
-    /// own.)
+    /// worker thread, the fixpoint and the reduction counterpart on the
+    /// caller's; the worker's obs counters still reach the caller's
+    /// recorder. Every explicit search counts its states into
+    /// `lts.states` (the fixpoint and its walk count none), so with the
+    /// sites compiled in (`--features svckit-lts/obs`) the counter is the
+    /// configured search's states, plus the unreduced counterpart's only
+    /// where the walk could not give its counts, plus the unquotiented
+    /// counterpart's only where the quotient's certificate does not hold.
+    /// (The debug cross-checks of a certified or walked block record into
+    /// recorders of their own.) Three passes pin the set of explicit
+    /// searches: the walk and the certificate both answer on the default
+    /// pass; under the interpreter there is no slot layout to walk; and
+    /// under a bound below the quotient's orbit count the walk declines,
+    /// the configured search truncates, and every counterpart searches.
     #[test]
     fn worker_counters_reach_the_callers_recorder() {
-        let options = ServicePassOptions::default();
         let service = floor_control_service();
-        let certified = ServiceExplorer::with_engine(
-            &service,
-            floor_event_universe(2, 2),
-            options.max_outstanding,
-            options.engine,
-        )
-        .explore_counts(&ExploreOptions {
-            max_states: options.max_states,
-            reduction: options.reduction,
-            progress: progress_primitives(&service),
-            symmetry: options.symmetry,
-            ..ExploreOptions::default()
-        })
-        .sym_exact;
-        let (analysis, recorder) = svckit_obs::with_recorder(svckit_obs::Recorder::new(), || {
-            analyze_service(&service, floor_event_universe(2, 2), &options)
-        });
-        let mut searched = analysis.states as u64 + analysis.por.full_states;
-        if !certified {
-            searched += analysis.sym.full_states;
+        let cases = [
+            (ServicePassOptions::default(), false, false),
+            (
+                ServicePassOptions {
+                    engine: Engine::Interp,
+                    ..ServicePassOptions::default()
+                },
+                true,
+                false,
+            ),
+            (
+                ServicePassOptions {
+                    max_states: 20,
+                    ..ServicePassOptions::default()
+                },
+                true,
+                true,
+            ),
+        ];
+        for (options, por_searched, sym_searched) in cases {
+            let (analysis, recorder) =
+                svckit_obs::with_recorder(svckit_obs::Recorder::new(), || {
+                    analyze_service(&service, floor_event_universe(2, 2), &options)
+                });
+            let what = format!("{:?} engine, bound {}", options.engine, options.max_states);
+            assert_eq!(
+                analysis.states == options.max_states,
+                sym_searched,
+                "{what}: only the small bound truncates"
+            );
+            let mut searched = analysis.states as u64;
+            if por_searched {
+                searched += analysis.por.full_states;
+            }
+            if sym_searched {
+                searched += analysis.sym.full_states;
+            }
+            assert_eq!(
+                recorder.counter("lts.states"),
+                searched * u64::from(svckit_obs::sites_enabled()),
+                "{what}"
+            );
         }
-        assert_eq!(
-            recorder.counter("lts.states"),
-            searched * u64::from(svckit_obs::sites_enabled())
-        );
     }
 
     #[test]

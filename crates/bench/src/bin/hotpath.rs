@@ -23,8 +23,10 @@
 //! as three blocks nested the way `ANALYZE_report.json` nests them per
 //! target: `"por"` (full-vs-reduced, the shared [`PorStats`] schema),
 //! `"sym"` (the symmetry quotient, [`SymStats`]) and `"ldd"` (the
-//! symbolic backend, [`LddStats`]). It carries counts only, no timings,
-//! so it is byte-identical on every host.
+//! symbolic backend, [`LddStats`]), plus a `"walk"` block: the 4 × 2
+//! floor's orbits and transitions read off its symbolic reached set, and
+//! the key prefixes that walk visited and kept. It carries counts only,
+//! no timings, so it is byte-identical on every host.
 //! `--threads` sets the worker count of the sweep-harness bench entry
 //! (default: all cores). Every output path is checked for writability
 //! before the first bench runs: an unwritable one prints `error: …` and
@@ -551,6 +553,30 @@ fn main() {
         }),
     );
 
+    // The walk over a symbolic reached set: the 4 × 2 floor's orbits and
+    // their enabled events, read off the count-only fixpoint the way the
+    // analyzer reads its unreduced counterpart. The sidecar pins the
+    // walk's exact work next to its counts.
+    let walk_explorer = ServiceExplorer::new(&service, floor_event_universe(4, 2), 2);
+    let walk = walk_explorer
+        .symbolic_counts(&ExploreOptions {
+            max_states: 200_000,
+            reduction: Reduction::Full,
+            symmetry: Symmetry::On,
+            progress: service.progress_primitives(),
+            ..ExploreOptions::default()
+        })
+        .expect("the 4 x 2 fixpoint fits the default node budget")
+        .full
+        .expect("the 4 x 2 orbits fit the bound");
+    outln!(
+        "    (walk: {} orbits / {} transitions, {} prefixes visited, {} kept)",
+        walk.states,
+        walk.transitions,
+        walk.prefixes_visited,
+        walk.prefixes_kept,
+    );
+
     // --- Netsim hot paths. ----------------------------------------------
     // pingpong and timer_churn also run on the reference heap backend:
     // the `_heap` keys document the wheel's win on the same workload and
@@ -834,6 +860,15 @@ fn main() {
     sym_stats.write(&mut stats_json);
     stats_json.key("ldd");
     ldd_stats.write(&mut stats_json);
+    stats_json.key("walk");
+    stats_json.begin_object();
+    stats_json.key("orbits").uint(walk.states as u64);
+    stats_json.key("transitions").uint(walk.transitions as u64);
+    stats_json
+        .key("prefixes_visited")
+        .uint(walk.prefixes_visited);
+    stats_json.key("prefixes_kept").uint(walk.prefixes_kept);
+    stats_json.end_object();
     stats_json.end_object();
     write_file(&stats_path, stats_json.finish()).unwrap_or_else(|e| fail(&e));
     outln!("wrote {stats_path}");

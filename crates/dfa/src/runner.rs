@@ -43,7 +43,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use svckit_model::hash::{FastMap, FxHasher};
-use svckit_model::{ConstraintScope, Instance, Sap, Value};
+use svckit_model::{ConstraintScope, Instance, Sap, Value, Violation};
 
 use crate::compile::{
     mutex_acquire, mutex_release, Compiled, CounterFlavor, Shape, CHECK, DOWN, ENABLE, UP,
@@ -663,51 +663,66 @@ impl Binder {
             .sum()
     }
 
-    /// Renders the violation message for a rejection, byte-identical to
-    /// the interpreter's.
+    /// Renders the violation message for a rejection through the
+    /// interpreter's own [`Violation`] texts.
     pub fn violation_message(&self, edge: &Edge, state: u16, sap: &Sap) -> String {
         let ci = edge.ci as usize;
         let cc = &self.compiled.constraints[ci];
-        match &cc.shape {
+        let violation = match &cc.shape {
             Shape::Counter {
                 up,
                 down,
                 flavor,
                 bound,
                 ..
-            } => match (*flavor, edge.class) {
-                (CounterFlavor::Precedes, UP) => {
-                    format!("more than {bound} unmatched `{up}` (state-space bound)")
+            } => {
+                let bound = u64::from(*bound);
+                match (*flavor, edge.class) {
+                    (CounterFlavor::Precedes, UP) => {
+                        Violation::UnmatchedBound { earlier: up, bound }
+                    }
+                    (CounterFlavor::Precedes, _) => Violation::Unpreceded {
+                        earlier: up,
+                        later: down,
+                    },
+                    (CounterFlavor::Eventually, _) => {
+                        Violation::OutstandingBound { trigger: up, bound }
+                    }
+                    (CounterFlavor::AtMost, _) => Violation::OverLimit {
+                        trigger: up,
+                        limit: bound,
+                    },
                 }
-                (CounterFlavor::Precedes, _) => {
-                    format!("`{down}` without a preceding unmatched `{up}`")
-                }
-                (CounterFlavor::Eventually, _) => {
-                    format!("more than {bound} outstanding `{up}` (state-space bound)")
-                }
-                (CounterFlavor::AtMost, _) => format!("more than {bound} outstanding `{up}`"),
+            }
+            Shape::After { enable, check, .. } => Violation::NotEnabled {
+                enabler: enable,
+                then: check,
             },
-            Shape::After { enable, check, .. } => format!("`{check}` before any `{enable}`"),
             Shape::Mutex { acquire, release } => {
                 let holder = self
                     .slot_dfa(edge.slot as usize)
                     .meta(state)
                     .holder
-                    .map(|h| self.mutex[ci].holders[h as usize].clone());
+                    .map(|h| &self.mutex[ci].holders[h as usize]);
                 let acquiring = edge.class % 2 == 1;
                 match (acquiring, holder) {
-                    (true, Some(holder)) => {
-                        format!("`{acquire}` at {sap} while held by {holder}")
-                    }
-                    (false, Some(holder)) => {
-                        format!("`{release}` at {sap} but holder is {holder}")
-                    }
-                    (false, None) => format!("`{release}` at {sap} but nothing is held"),
+                    (true, Some(holder)) => Violation::Held {
+                        acquire,
+                        sap,
+                        holder,
+                    },
+                    (false, Some(holder)) => Violation::NotHolder {
+                        release,
+                        sap,
+                        holder,
+                    },
+                    (false, None) => Violation::NothingHeld { release, sap },
                     // An acquire can only be rejected while held.
                     (true, None) => unreachable!("acquire rejected in a holder-free state"),
                 }
             }
-        }
+        };
+        violation.to_string()
     }
 }
 

@@ -67,6 +67,30 @@ pub enum LevelStep {
     Blocked,
 }
 
+/// What a [`LddStore::walk`] visitor answers for one prefix.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Walk {
+    /// Keep the prefix: descend below it (for a complete vector, the
+    /// visitor has counted it).
+    Keep,
+    /// Skip every vector that extends the prefix.
+    Prune,
+    /// End the walk here.
+    Stop,
+}
+
+/// What one [`LddStore::walk`] did: exact work counts, independent of the
+/// host.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WalkStats {
+    /// Prefixes the visitor was asked about, complete vectors included.
+    pub visited: u64,
+    /// Of those, the ones it answered [`Walk::Keep`].
+    pub kept: u64,
+    /// Whether the visitor ended the walk with [`Walk::Stop`].
+    pub stopped: bool,
+}
+
 /// How one event treats one `(level, target value)` pair during a backward
 /// walk ([`LddStore::preimage`]): either untouched, or the (possibly
 /// empty) list of source values that map onto the target.
@@ -278,6 +302,64 @@ impl LddStore {
             self.enumerate_into(n.down, prefix, out);
             prefix.pop();
             x = n.right;
+        }
+    }
+
+    /// Walks the vectors of `a` depth-first in ascending lexicographic
+    /// order, reading the diagram only: no node is interned and no cache
+    /// is touched. `visit(prefix, complete)` is asked about every prefix
+    /// the walk reaches — the components read so far, `complete` when they
+    /// form a whole vector of `a` — and answers whether to go below it,
+    /// skip what extends it, or end the walk. A diagram holding only the
+    /// empty vector ([`UNIT`]) is visited as the one empty prefix.
+    pub fn walk<F>(&self, a: Ldd, mut visit: F) -> WalkStats
+    where
+        F: FnMut(&[u32], bool) -> Walk,
+    {
+        let mut stats = WalkStats::default();
+        let mut answer = |prefix: &[u32], complete: bool, stats: &mut WalkStats| {
+            stats.visited += 1;
+            let answer = visit(prefix, complete);
+            match answer {
+                Walk::Keep => stats.kept += 1,
+                Walk::Stop => stats.stopped = true,
+                Walk::Prune => {}
+            }
+            answer
+        };
+        if a == EMPTY {
+            return stats;
+        }
+        if a == UNIT {
+            answer(&[], true, &mut stats);
+            return stats;
+        }
+        // `prefix[d]` is the value read at level `d`; `rights[d]` is where
+        // level `d`'s chain resumes once the walk climbs back to it.
+        let mut prefix: Vec<u32> = Vec::new();
+        let mut rights: Vec<Ldd> = Vec::new();
+        let mut x = a;
+        loop {
+            let n = self.node(x);
+            prefix.push(n.value);
+            match answer(&prefix, n.down == UNIT, &mut stats) {
+                Walk::Stop => return stats,
+                Walk::Keep if n.down != UNIT => {
+                    rights.push(n.right);
+                    x = n.down;
+                    continue;
+                }
+                Walk::Keep | Walk::Prune => {}
+            }
+            prefix.pop();
+            x = n.right;
+            while x == EMPTY {
+                let Some(right) = rights.pop() else {
+                    return stats;
+                };
+                prefix.pop();
+                x = right;
+            }
         }
     }
 
@@ -681,6 +763,66 @@ mod tests {
             vec![vec![0, 3], vec![1, 9], vec![2, 0], vec![2, 1]],
             "vectors come out in ascending lexicographic order"
         );
+    }
+
+    #[test]
+    fn the_walk_prunes_and_stops_without_interning() {
+        let mut store = LddStore::new();
+        let mut a = EMPTY;
+        for v in [[0u32, 0, 1], [0, 2, 0], [1, 1, 1], [2, 0, 0], [2, 2, 2]] {
+            let s = store.singleton(&v);
+            a = store.union(a, s);
+        }
+        let nodes = store.inner_nodes();
+        let hits = store.cache_hits();
+        let mut seen = Vec::new();
+        let all = store.walk(a, |prefix, complete| {
+            if complete {
+                seen.push(prefix.to_vec());
+            }
+            Walk::Keep
+        });
+        assert_eq!(seen, store.enumerate(a), "every vector, in ascending order");
+        assert_eq!(
+            (all.kept, all.visited, all.stopped),
+            (all.visited, 13, false)
+        );
+        // Non-decreasing vectors only: a prefix that decreases is pruned
+        // without visiting what extends it.
+        seen.clear();
+        let sorted = store.walk(a, |prefix, complete| {
+            if prefix.windows(2).any(|w| w[0] > w[1]) {
+                return Walk::Prune;
+            }
+            if complete {
+                seen.push(prefix.to_vec());
+            }
+            Walk::Keep
+        });
+        assert_eq!(seen, [[0, 0, 1], [1, 1, 1], [2, 2, 2]].map(Vec::from));
+        assert_eq!((sorted.visited, sorted.kept), (12, 10));
+        assert_eq!(store.inner_nodes(), nodes, "the walk interns nothing");
+        assert_eq!(store.cache_hits(), hits, "the walk reads no cache");
+        // Stopping at the second complete vector ends the walk there.
+        let mut complete_seen = 0;
+        let stopped = store.walk(a, |_, complete| {
+            complete_seen += u32::from(complete);
+            if complete_seen == 2 {
+                Walk::Stop
+            } else {
+                Walk::Keep
+            }
+        });
+        assert!(stopped.stopped);
+        assert_eq!(complete_seen, 2);
+        assert_eq!(store.walk(EMPTY, |_, _| Walk::Keep), WalkStats::default());
+        let mut unit = Vec::new();
+        let stats = store.walk(UNIT, |prefix, complete| {
+            unit.push((prefix.to_vec(), complete));
+            Walk::Keep
+        });
+        assert_eq!(unit, [(Vec::new(), true)], "the empty vector, once");
+        assert_eq!((stats.visited, stats.kept), (1, 1));
     }
 
     #[test]

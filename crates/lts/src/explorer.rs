@@ -42,6 +42,8 @@ mod search;
 mod store;
 mod symbolic;
 
+pub use symbolic::{FullCounts, SymbolicCounts};
+
 /// An abstract event of the universe: a primitive with concrete arguments at
 /// a concrete access point (time-abstracted).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]

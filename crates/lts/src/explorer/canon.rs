@@ -433,6 +433,169 @@ impl SymCanon {
     }
 }
 
+/// DFA only: where one fragment word of a member lives in a key.
+#[derive(Debug, Clone, Copy)]
+enum WordRead {
+    /// The slot state at this level.
+    Slot(u32),
+    /// 1 when the mutex slot at this level holds the member, else 0.
+    Held {
+        slot: u32,
+        mutex: usize,
+        member: (usize, usize),
+    },
+}
+
+/// One word two adjacent group members' fragments are compared on.
+#[derive(Debug, Clone, Copy)]
+struct WordPair {
+    /// The deepest level the two words read: a prefix this long fixes
+    /// both.
+    known_at: u32,
+    left: WordRead,
+    right: WordRead,
+}
+
+/// DFA only: whether a key's member fragments are non-decreasing within
+/// every group ([`SymCanon::sorted_fragments`]), decided level by level
+/// so that a depth-first walk over keys can drop a prefix as soon as two
+/// adjacent members are out of order.
+///
+/// Fragments compare lexicographically over their words, taken in one
+/// fixed order per group: any fixed order is a total order on fragments.
+/// Each orbit then holds exactly one such key: permuting members permutes
+/// their fragments, the key outside the fragments stays put, and equal
+/// fragments are interchangeable. Counting sorted keys therefore counts
+/// orbits, whatever order the explicit search's fragment ids give.
+pub(super) struct SortedFragments<'c> {
+    /// Per adjacent member pair `(j, j + 1)` of a group, the words their
+    /// fragments are compared on — the family slot states and the mutex
+    /// held flags (padding words are equal and left out) — in the
+    /// group's order.
+    pairs: Vec<Vec<WordPair>>,
+    /// Level → the pairs with a word that level fixes.
+    at_level: Vec<Vec<usize>>,
+    mutex: &'c [MutexSlot],
+}
+
+/// A pair's progress: the index of the next word to compare, or
+/// `DECIDED` once a word ordered the pair strictly or every word matched.
+const DECIDED: u32 = u32::MAX;
+
+impl SortedFragments<'_> {
+    /// Number of adjacent member pairs: the length of a status vector.
+    pub(super) fn pair_count(&self) -> usize {
+        self.pairs.len()
+    }
+
+    fn read(&self, word: WordRead, prefix: &[u32]) -> u32 {
+        match word {
+            WordRead::Slot(slot) => prefix[slot as usize],
+            WordRead::Held {
+                slot,
+                mutex,
+                member,
+            } => {
+                let state = prefix[slot as usize] as usize;
+                u32::from(self.mutex[mutex].holder.get(state).copied().flatten() == Some(member))
+            }
+        }
+    }
+
+    /// Advances `status` — every pair's progress on `prefix` without its
+    /// last level, all zero for the empty prefix — by the last level of
+    /// `prefix`. Returns `false` when that level puts some pair out of
+    /// order; `status` is then unspecified.
+    pub(super) fn admit(&self, prefix: &[u32], status: &mut [u32]) -> bool {
+        let level = prefix.len() - 1;
+        for &p in &self.at_level[level] {
+            let words = &self.pairs[p];
+            let mut next = status[p];
+            while next != DECIDED {
+                let Some(word) = words.get(next as usize) else {
+                    next = DECIDED;
+                    break;
+                };
+                if word.known_at as usize > level {
+                    break;
+                }
+                let (left, right) = (self.read(word.left, prefix), self.read(word.right, prefix));
+                if left > right {
+                    return false;
+                }
+                next = if left < right { DECIDED } else { next + 1 };
+            }
+            status[p] = next;
+        }
+        true
+    }
+}
+
+impl SymCanon {
+    /// The sorted-fragment test over DFA keys of `width` slots.
+    ///
+    /// # Panics
+    ///
+    /// Under the interpreter, whose fragments are not key words.
+    pub(super) fn sorted_fragments(&self, width: usize) -> SortedFragments<'_> {
+        let Fragments::Dfa {
+            families, mutex, ..
+        } = &self.fragments
+        else {
+            unreachable!("sorted fragments read DFA keys");
+        };
+        let words_of = |g: usize, j: usize| -> Vec<(u32, WordRead)> {
+            let slots = families[g]
+                .iter()
+                .map(|family| (family[j], WordRead::Slot(family[j])));
+            let held = mutex.iter().enumerate().map(|(m, slot)| {
+                let read = WordRead::Held {
+                    slot: slot.slot,
+                    mutex: m,
+                    member: (g, j),
+                };
+                (slot.slot, read)
+            });
+            slots.chain(held).collect()
+        };
+        let mut pairs = Vec::new();
+        let mut at_level = vec![Vec::new(); width];
+        for (g, members) in self.groups.iter().enumerate() {
+            // One word order per group, by the levels that fix the second
+            // member's words: members' slots intern in universe order, so
+            // this compares every pair's words about as early as a walk
+            // fixes them.
+            let levels = words_of(g, 1);
+            let mut order: Vec<usize> = (0..levels.len()).collect();
+            order.sort_by_key(|&w| levels[w].0);
+            for j in 1..members.len() {
+                let (left, right) = (words_of(g, j - 1), words_of(g, j));
+                let words: Vec<WordPair> = order
+                    .iter()
+                    .map(|&w| WordPair {
+                        known_at: left[w].0.max(right[w].0),
+                        left: left[w].1,
+                        right: right[w].1,
+                    })
+                    .collect();
+                let p = pairs.len();
+                let mut levels: Vec<u32> = words.iter().map(|w| w.known_at).collect();
+                levels.sort_unstable();
+                levels.dedup();
+                for level in levels {
+                    at_level[level as usize].push(p);
+                }
+                pairs.push(words);
+            }
+        }
+        SortedFragments {
+            pairs,
+            at_level,
+            mutex,
+        }
+    }
+}
+
 /// How a permutation of each group's members acts on universe indices:
 /// the event at group `g`'s member `j` maps to the event with the same
 /// primitive and arguments at the member `j` is sent to. Events outside

@@ -37,11 +37,14 @@
 //! `ldd_oracle` proptests and the backend-matrix goldens.
 
 use svckit_dfa::{Binder, DEAD};
-use svckit_ldd::{Ldd, LddStore, LevelStep, PreStep, EMPTY};
+use svckit_ldd::{Ldd, LddStore, LevelStep, PreStep, Walk, EMPTY};
 use svckit_model::hash::FastMap;
 
+use crate::symmetry::Symmetry;
+
+use super::canon::{SortedFragments, SymCanon};
 use super::{
-    AbstractEvent, Detail, ExploreOptions, ExploreReport, LivelockWitness, Runtime,
+    AbstractEvent, Detail, ExploreCounts, ExploreOptions, ExploreReport, LivelockWitness, Runtime,
     ServiceExplorer, StepEngine, MAX_DEADLOCK_WITNESSES,
 };
 
@@ -167,6 +170,319 @@ fn quiescent_subset(store: &mut LddStore, binder: &Binder, width: u32, set: Ldd)
     })
 }
 
+fn over_budget(options: &ExploreOptions) -> String {
+    format!(
+        "symbolic backend exceeded the LDD node budget ({} nodes)",
+        options.ldd_node_limit
+    )
+}
+
+/// The forward fixpoint and the per-event enabled census every symbolic
+/// search starts with, and the counts read off them.
+struct Fixpoint {
+    store: LddStore,
+    rels: Vec<EventRel>,
+    /// `layers[d]` = states first reached in exactly `d` steps (only the
+    /// initial state under [`Detail::Counts`]).
+    layers: Vec<Ldd>,
+    reached: Ldd,
+    /// Per universe event, the reached states where it is enabled.
+    enb: Vec<Ldd>,
+    /// States, transitions and `ldd_nodes`; under [`Detail::Counts`] also
+    /// `peak_nodes` and `cache_hits`.
+    report: ExploreReport,
+}
+
+/// Runs the forward fixpoint over `binder`'s slot layout, the universe
+/// resolved to `event_ids`.
+fn fixpoint(
+    binder: &Binder,
+    event_ids: &[u32],
+    options: &ExploreOptions,
+    detail: Detail,
+) -> Result<Fixpoint, String> {
+    let mut store = LddStore::with_node_limit(options.ldd_node_limit);
+    let rels = build_rels(binder, event_ids);
+    let init_key = vec![0; binder.slot_count()];
+
+    // Forward fixpoint. With findings wanted it runs breadth-first, one
+    // diagram per ply (`layers[d]` = states first reached in exactly `d`
+    // steps — the backbone of minimal witness re-extraction). Counts only
+    // need the reached set, which is canonical whatever order reaches it,
+    // so that search chains instead: each event's image is folded into
+    // `reached` as soon as it exists, so later events in the round
+    // already step from it. That reaches the fixpoint in fewer, larger
+    // steps and interns far fewer intermediate diagrams than per-ply
+    // frontiers.
+    let init = store.singleton(&init_key);
+    let mut layers: Vec<Ldd> = vec![init];
+    let mut reached = init;
+    match detail {
+        Detail::Findings => {
+            let mut frontier = init;
+            while frontier != EMPTY {
+                let mut next = EMPTY;
+                for (rel, &eid) in rels.iter().zip(event_ids) {
+                    let img = image(&mut store, binder, rel, eid, frontier);
+                    next = store.union(next, img);
+                }
+                let fresh = store.minus(next, reached);
+                if store.over_limit() {
+                    return Err(over_budget(options));
+                }
+                if fresh == EMPTY {
+                    break;
+                }
+                reached = store.union(reached, fresh);
+                layers.push(fresh);
+                frontier = fresh;
+            }
+        }
+        Detail::Counts => loop {
+            let before = reached;
+            for (rel, &eid) in rels.iter().zip(event_ids) {
+                let img = image(&mut store, binder, rel, eid, reached);
+                reached = store.union(reached, img);
+            }
+            if store.over_limit() {
+                return Err(over_budget(options));
+            }
+            if reached == before {
+                break;
+            }
+        },
+    }
+
+    // Per-event enabled sets over the whole reached set: the census
+    // behind transitions, never-enabled events and deadlocks.
+    let enb: Vec<Ldd> = rels
+        .iter()
+        .zip(event_ids)
+        .map(|(rel, &eid)| enabled(&mut store, binder, rel, eid, reached))
+        .collect();
+    if store.over_limit() {
+        return Err(over_budget(options));
+    }
+    let states = usize::try_from(store.satcount(reached)).expect("state count fits usize");
+    let transitions = enb
+        .iter()
+        .map(|&e| usize::try_from(store.satcount(e)).expect("transition count fits usize"))
+        .sum();
+    let mut report = ExploreReport {
+        states,
+        transitions,
+        truncated: false,
+        deadlock_states: 0,
+        deadlocks: Vec::new(),
+        never_enabled: Vec::new(),
+        livelock: None,
+        ample_hist: Vec::new(),
+        orbit_count: 0,
+        canon_hits: 0,
+        sym_states_saved: 0,
+        sym_transitions_saved: 0,
+        sym_exact: false,
+        ldd_nodes: store.ldd_size(reached),
+        peak_nodes: 0,
+        cache_hits: 0,
+    };
+    if detail == Detail::Counts {
+        report.peak_nodes = store.inner_nodes();
+        report.cache_hits = store.cache_hits();
+    }
+    Ok(Fixpoint {
+        store,
+        rels,
+        layers,
+        reached,
+        enb,
+        report,
+    })
+}
+
+/// What [`ServiceExplorer::symbolic_counts`] found.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SymbolicCounts {
+    /// The count-only fixpoint's counts: what
+    /// [`ServiceExplorer::explore_counts`] reports under
+    /// [`svckit_ldd::Backend::Symbolic`] when the fixpoint completes.
+    pub fixpoint: ExploreCounts,
+    /// The counts of an explicit [`super::Reduction::Full`] search with the
+    /// options' symmetry setting and state bound, read off the same
+    /// reached set; `None` when that search would truncate (more states
+    /// or orbits than [`ExploreOptions::max_states`]) or when a group's
+    /// members do not offer their events one for one.
+    pub full: Option<FullCounts>,
+}
+
+/// The states and transitions of an untruncated explicit
+/// [`super::Reduction::Full`] search, read off a symbolic reached set
+/// ([`SymbolicCounts::full`]), and the work of the walk that read them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FullCounts {
+    /// Reached states, or orbits under [`Symmetry::On`].
+    pub states: usize,
+    /// Enabled events summed over those states (over one state per orbit
+    /// under [`Symmetry::On`]).
+    pub transitions: usize,
+    /// Key prefixes the walk over the reached set visited (0 when no walk
+    /// was needed: symmetry off, or trivial groups).
+    pub prefixes_visited: u64,
+    /// Of those, the prefixes whose fragments were still in order.
+    pub prefixes_kept: u64,
+}
+
+impl<'a> ServiceExplorer<'a> {
+    /// Resolves every universe event on the DFA slot layout, or says why
+    /// the symbolic backend cannot run. Resolving freezes the slot set
+    /// and the mutex holder alphabets, fixing the diagram's width and
+    /// per-level domains for the whole search.
+    fn resolve_universe(&self, engine: &mut StepEngine<'_, 'a>) -> Result<Vec<u32>, String> {
+        let Runtime::Dfa(rt) = &mut *engine.rt else {
+            return Err("symbolic backend needs the DFA engine's slot layout \
+                        (this explorer interprets its constraints)"
+                .to_owned());
+        };
+        Ok(self
+            .universe
+            .iter()
+            .map(|e| rt.binder.resolve_cached(&e.sap, &e.primitive, &e.args))
+            .collect())
+    }
+
+    /// The count-only symbolic fixpoint ([`ServiceExplorer::explore_counts`]
+    /// under [`svckit_ldd::Backend::Symbolic`]) together with the counts
+    /// an explicit [`super::Reduction::Full`] search reports at the options'
+    /// symmetry setting, both from the one reached set. Reads
+    /// [`ExploreOptions::symmetry`], [`ExploreOptions::max_states`] and
+    /// [`ExploreOptions::ldd_node_limit`]; the backend and reduction
+    /// settings are ignored. Returns why the fixpoint cannot run — under
+    /// the interpreter, or past the node budget — as
+    /// [`ServiceExplorer::explore`] would before falling back.
+    ///
+    /// Without symmetry (or with trivial groups) the full search's counts
+    /// are the fixpoint's. With it they are the quotient's: one state per
+    /// orbit, and the events enabled there. Each orbit holds exactly one
+    /// reached key whose member fragments — the words the canonicalizer
+    /// builds for the DFA layout, family slot states and mutex held flags,
+    /// compared in one fixed order per group — are non-decreasing within
+    /// every group, so a pruned depth-first walk
+    /// over the reached diagram ([`LddStore::walk`], which interns
+    /// nothing) counts those keys and sums their enabled events. Member
+    /// permutations map enabled events one for one, so every state of an
+    /// orbit enables as many events as the representative the explicit
+    /// search stores. The walk stops past `max_states` orbits, and is
+    /// skipped when the reached states divided by the group order already
+    /// exceed it.
+    pub fn symbolic_counts(&self, options: &ExploreOptions) -> Result<SymbolicCounts, String> {
+        let mut engine = StepEngine::new(self);
+        let event_ids = self.resolve_universe(&mut engine)?;
+        let canon = match options.symmetry {
+            Symmetry::On => SymCanon::build(self, &engine),
+            Symmetry::Off => None,
+        };
+        let Runtime::Dfa(rt) = &*engine.rt else {
+            unreachable!("the universe resolved on the slot layout");
+        };
+        let binder = &rt.binder;
+        let Fixpoint {
+            store,
+            reached,
+            report,
+            ..
+        } = fixpoint(binder, &event_ids, options, Detail::Counts)?;
+        let fixpoint = report.counts();
+        let full = match &canon {
+            Some(canon) => canon
+                .event_action(&self.universe)
+                .map(|action| action.order())
+                .filter(|&order| {
+                    fixpoint.states as u64 <= (options.max_states as u64).saturating_mul(order)
+                })
+                .and_then(|_| {
+                    let sorted = canon.sorted_fragments(binder.slot_count());
+                    walk_orbits(&store, reached, binder, &event_ids, &sorted, options)
+                }),
+            None => (fixpoint.states <= options.max_states).then_some(FullCounts {
+                states: fixpoint.states,
+                transitions: fixpoint.transitions,
+                prefixes_visited: 0,
+                prefixes_kept: 0,
+            }),
+        };
+        Ok(SymbolicCounts { fixpoint, full })
+    }
+}
+
+/// Counts the keys of `reached` whose member fragments are sorted and
+/// sums the events enabled at each: the quotient's states and
+/// transitions ([`ServiceExplorer::symbolic_counts`]). `None` past
+/// `options.max_states` such keys, where the explicit search truncates.
+fn walk_orbits(
+    store: &LddStore,
+    reached: Ldd,
+    binder: &Binder,
+    event_ids: &[u32],
+    sorted: &SortedFragments<'_>,
+    options: &ExploreOptions,
+) -> Option<FullCounts> {
+    let width = binder.slot_count();
+    // `blocks[level][state]`: the universe events that slot state blocks,
+    // as a bitset of `words` words. A prefix's blocked set is its
+    // parent's plus its last level's, so each visit costs one table row.
+    let n = event_ids.len();
+    let words = n.div_ceil(64);
+    let mut blocks: Vec<Vec<u64>> = (0..width)
+        .map(|level| vec![0; usize::from(binder.slot_nstates(level as u32)) * words])
+        .collect();
+    for (i, &eid) in event_ids.iter().enumerate() {
+        for edge in binder.edges(eid) {
+            for state in 0..binder.slot_nstates(edge.slot) {
+                if binder.slot_next(edge.slot, state, edge.class) == DEAD {
+                    blocks[edge.slot as usize][usize::from(state) * words + i / 64] |=
+                        1 << (i % 64);
+                }
+            }
+        }
+    }
+    let pairs = sorted.pair_count();
+    // Per prefix length: the events blocked so far, and every adjacent
+    // pair's comparison progress.
+    let mut blocked = vec![0u64; (width + 1) * words];
+    let mut status = vec![0u32; (width + 1) * pairs];
+    let (mut states, mut transitions) = (0usize, 0usize);
+    let stats = store.walk(reached, |prefix, complete| {
+        let level = prefix.len() - 1;
+        let (before, after) = status.split_at_mut((level + 1) * pairs);
+        let after = &mut after[..pairs];
+        after.copy_from_slice(&before[level * pairs..]);
+        if !sorted.admit(prefix, after) {
+            return Walk::Prune;
+        }
+        let row = prefix[level] as usize * words;
+        let row = &blocks[level][row..row + words];
+        let (before, after) = blocked.split_at_mut((level + 1) * words);
+        for ((word, &parent), &block) in after.iter_mut().zip(&before[level * words..]).zip(row) {
+            *word = parent | block;
+        }
+        if complete {
+            let blocked: u32 = after[..words].iter().map(|w| w.count_ones()).sum();
+            states += 1;
+            transitions += n - blocked as usize;
+            if states > options.max_states {
+                return Walk::Stop;
+            }
+        }
+        Walk::Keep
+    });
+    (!stats.stopped).then_some(FullCounts {
+        states,
+        transitions,
+        prefixes_visited: stats.visited,
+        prefixes_kept: stats.kept,
+    })
+}
+
 impl<'a> ServiceExplorer<'a> {
     /// The symbolic counterpart of the explicit breadth-first search in
     /// [`ServiceExplorer::explore`]. Returns why it cannot report — the
@@ -193,119 +509,25 @@ impl<'a> ServiceExplorer<'a> {
         detail: Detail,
     ) -> Result<ExploreReport, String> {
         let mut engine = StepEngine::new(self);
-        let Runtime::Dfa(rt) = &mut *engine.rt else {
-            return Err("symbolic backend needs the DFA engine's slot layout \
-                        (this explorer interprets its constraints)"
-                .to_owned());
+        let event_ids = self.resolve_universe(&mut engine)?;
+        let Runtime::Dfa(rt) = &*engine.rt else {
+            unreachable!("the universe resolved on the slot layout");
         };
-        let binder = &mut rt.binder;
-        let over_budget = || {
-            format!(
-                "symbolic backend exceeded the LDD node budget ({} nodes)",
-                options.ldd_node_limit
-            )
-        };
-        let mut store = LddStore::with_node_limit(options.ldd_node_limit);
-        // Intern every universe event up front: this freezes the slot set
-        // and mutex holder alphabets, fixing the diagram's width and
-        // per-level domains for the whole search.
-        let event_ids: Vec<u32> = self
-            .universe
-            .iter()
-            .map(|e| binder.resolve_cached(&e.sap, &e.primitive, &e.args))
-            .collect();
-        let binder: &Binder = binder;
-        let rels = build_rels(binder, &event_ids);
+        let binder = &rt.binder;
+        let Fixpoint {
+            mut store,
+            rels,
+            layers,
+            reached,
+            enb,
+            mut report,
+        } = fixpoint(binder, &event_ids, options, detail)?;
+        if detail == Detail::Counts {
+            return Ok(report);
+        }
         let init_key = vec![0; binder.slot_count()];
         let width = u32::try_from(init_key.len()).expect("product width fits u32");
         let n = self.universe.len();
-
-        // Forward fixpoint. With findings wanted it runs breadth-first,
-        // one diagram per ply (`layers[d]` = states first reached in
-        // exactly `d` steps — the backbone of minimal witness
-        // re-extraction). Counts only need the reached set, which is
-        // canonical whatever order reaches it, so that search chains
-        // instead: each event's image is folded into `reached` as soon as
-        // it exists, so later events in the round already step from it.
-        // That reaches the fixpoint in fewer, larger steps and interns far
-        // fewer intermediate diagrams than per-ply frontiers.
-        let init = store.singleton(&init_key);
-        let mut layers: Vec<Ldd> = vec![init];
-        let mut reached = init;
-        match detail {
-            Detail::Findings => {
-                let mut frontier = init;
-                while frontier != EMPTY {
-                    let mut next = EMPTY;
-                    for (rel, &eid) in rels.iter().zip(&event_ids) {
-                        let img = image(&mut store, binder, rel, eid, frontier);
-                        next = store.union(next, img);
-                    }
-                    let fresh = store.minus(next, reached);
-                    if store.over_limit() {
-                        return Err(over_budget());
-                    }
-                    if fresh == EMPTY {
-                        break;
-                    }
-                    reached = store.union(reached, fresh);
-                    layers.push(fresh);
-                    frontier = fresh;
-                }
-            }
-            Detail::Counts => loop {
-                let before = reached;
-                for (rel, &eid) in rels.iter().zip(&event_ids) {
-                    let img = image(&mut store, binder, rel, eid, reached);
-                    reached = store.union(reached, img);
-                }
-                if store.over_limit() {
-                    return Err(over_budget());
-                }
-                if reached == before {
-                    break;
-                }
-            },
-        }
-
-        // Per-event enabled sets over the whole reached set: the census
-        // behind transitions, never-enabled events and deadlocks.
-        let enb: Vec<Ldd> = rels
-            .iter()
-            .zip(&event_ids)
-            .map(|(rel, &eid)| enabled(&mut store, binder, rel, eid, reached))
-            .collect();
-        if store.over_limit() {
-            return Err(over_budget());
-        }
-        let states = usize::try_from(store.satcount(reached)).expect("state count fits usize");
-        let transitions = enb
-            .iter()
-            .map(|&e| usize::try_from(store.satcount(e)).expect("transition count fits usize"))
-            .sum();
-        let mut report = ExploreReport {
-            states,
-            transitions,
-            truncated: false,
-            deadlock_states: 0,
-            deadlocks: Vec::new(),
-            never_enabled: Vec::new(),
-            livelock: None,
-            ample_hist: Vec::new(),
-            orbit_count: 0,
-            canon_hits: 0,
-            sym_states_saved: 0,
-            sym_transitions_saved: 0,
-            sym_exact: false,
-            ldd_nodes: store.ldd_size(reached),
-            peak_nodes: 0,
-            cache_hits: 0,
-        };
-        if detail == Detail::Counts {
-            report.peak_nodes = store.inner_nodes();
-            report.cache_hits = store.cache_hits();
-            return Ok(report);
-        }
 
         let mut any_enabled = EMPTY;
         for &e in &enb {
@@ -404,7 +626,7 @@ impl<'a> ServiceExplorer<'a> {
             core = refined;
         }
         if store.over_limit() {
-            return Err(over_budget());
+            return Err(over_budget(options));
         }
         report.livelock = (core != EMPTY).then(|| {
             let (d, entry_set) = layers
@@ -455,7 +677,7 @@ impl<'a> ServiceExplorer<'a> {
             LivelockWitness { prefix, cycle }
         });
         if store.over_limit() {
-            return Err(over_budget());
+            return Err(over_budget(options));
         }
         report.peak_nodes = store.inner_nodes();
         report.cache_hits = store.cache_hits();

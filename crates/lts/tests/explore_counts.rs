@@ -23,6 +23,12 @@
 //! complete and truncated, it must report exactly the full report's
 //! counts. Its symbolic fixpoint is pinned exactly on the 4 × 2
 //! universe as well.
+//!
+//! The walk over that fixpoint's reached set
+//! (`ServiceExplorer::symbolic_counts`) is pinned on the 4 × 2, 6 × 2
+//! and two-role universes against the explicit `Reduction::Full`
+//! quotient, with its own work on the 4 × 2 floor and the state bound
+//! past which it must decline; `walk_oracle.rs` holds its proptest.
 
 use proptest::prelude::*;
 use svckit_lts::explorer::{AbstractEvent, ExploreOptions, Reduction, ServiceExplorer};
@@ -644,4 +650,100 @@ proptest! {
             }
         }
     }
+}
+
+/// The symbolic walk's quotient counts (`ServiceExplorer::symbolic_counts`)
+/// on the pinned universes: the orbits of the 4 × 2 and 6 × 2 floors and
+/// of the two-role universe, with the events enabled at one state per
+/// orbit, equal the explicit `Reduction::Full` quotient's `states` and
+/// `transitions`. On the 4 × 2 floor the walk's own work is pinned too.
+#[test]
+fn walk_counts_are_pinned() {
+    let options = ExploreOptions {
+        max_states: 200_000,
+        reduction: Reduction::Full,
+        symmetry: Symmetry::On,
+        ..ExploreOptions::default()
+    };
+    let service = floor_control();
+    let explorer = ServiceExplorer::with_engine(&service, universe(4, 2), 2, Engine::Dfa);
+    let counts = explorer
+        .symbolic_counts(&options)
+        .expect("the fixpoint fits the node budget");
+    assert_eq!(
+        counts.fixpoint.states, EXPECTED[3].states,
+        "fixpoint states"
+    );
+    assert_eq!(counts.fixpoint.transitions, EXPECTED[3].transitions);
+    let full = counts.full.expect("8 595 orbits fit the bound");
+    assert_eq!((full.states, full.transitions), (8_595, 69_630), "4 x 2");
+    assert_eq!(
+        (full.prefixes_visited, full.prefixes_kept),
+        (54_555, 53_493),
+        "4 x 2 walk"
+    );
+
+    let two_roles = two_role_service();
+    let explorer = ServiceExplorer::with_engine(&two_roles, two_role_universe(), 2, Engine::Dfa);
+    let full = explorer
+        .symbolic_counts(&options)
+        .expect("the fixpoint fits the node budget")
+        .full
+        .expect("the orbits fit the bound");
+    assert_eq!(
+        (full.states, full.transitions),
+        (5_958, 46_830),
+        "two roles"
+    );
+
+    let explorer = ServiceExplorer::with_engine(&service, universe(6, 2), 2, Engine::Dfa);
+    let full = explorer
+        .symbolic_counts(&options)
+        .expect("the fixpoint fits the node budget")
+        .full
+        .expect("the orbits fit the bound");
+    assert_eq!((full.states, full.transitions), (77_847, 865_986), "6 x 2");
+}
+
+/// Past the state bound the walk gives up exactly where the explicit
+/// search starts to truncate: at 8 594 states the 4 × 2 floor's 8 595
+/// orbits do not fit, so the counts must come from the explicit search,
+/// which reports its truncated prefix. Without symmetry the fixpoint's
+/// own counts obey the same bound.
+#[test]
+fn the_walk_falls_back_past_the_state_bound() {
+    let service = floor_control();
+    let explorer = ServiceExplorer::with_engine(&service, universe(4, 2), 2, Engine::Dfa);
+    for (symmetry, states, transitions) in [
+        (Symmetry::On, 8_595, 69_630),
+        (Symmetry::Off, 164_025, 1_312_200),
+    ] {
+        let at = |max_states| ExploreOptions {
+            max_states,
+            reduction: Reduction::Full,
+            symmetry,
+            ..ExploreOptions::default()
+        };
+        let fits = explorer
+            .symbolic_counts(&at(states))
+            .expect("the fixpoint fits the node budget");
+        let full = fits
+            .full
+            .expect("exactly at the bound the search completes");
+        assert_eq!((full.states, full.transitions), (states, transitions));
+        let past = explorer
+            .symbolic_counts(&at(states - 1))
+            .expect("the fixpoint fits the node budget");
+        assert_eq!(past.full, None, "symmetry {symmetry}: one state too many");
+        assert_eq!(
+            past.fixpoint, fits.fixpoint,
+            "the bound leaves the fixpoint alone"
+        );
+        let explicit = explorer.explore_counts(&at(states - 1));
+        assert!(explicit.truncated, "symmetry {symmetry}");
+        assert_eq!(explicit.states, states - 1, "symmetry {symmetry}");
+    }
+    // The interpreter has no slot layout to walk.
+    let interp = ServiceExplorer::with_engine(&service, universe(2, 1), 2, Engine::Interp);
+    assert!(interp.symbolic_counts(&ExploreOptions::default()).is_err());
 }

@@ -348,6 +348,115 @@ impl CState {
     }
 }
 
+/// Why a constraint rejects an occurrence. Its [`fmt::Display`] is the
+/// one rendering of every violation text: [`step_constraint`] and the
+/// compiled engine's violation messages both format through it, so the
+/// two engines report the same bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Violation<'a> {
+    /// `Precedes`: an `earlier` past the bound on unmatched occurrences
+    /// (the state-space bound).
+    UnmatchedBound {
+        /// The obligation-creating primitive.
+        earlier: &'a str,
+        /// The bound it would pass.
+        bound: u64,
+    },
+    /// `Precedes`: a `later` with no unmatched `earlier` before it.
+    Unpreceded {
+        /// The primitive that must come first.
+        earlier: &'a str,
+        /// The primitive that occurred.
+        later: &'a str,
+    },
+    /// `After`: a `then` before any `enabler`.
+    NotEnabled {
+        /// The enabling primitive.
+        enabler: &'a str,
+        /// The primitive that occurred.
+        then: &'a str,
+    },
+    /// `EventuallyFollows`: a `trigger` past the bound on outstanding
+    /// obligations (the state-space bound).
+    OutstandingBound {
+        /// The obligation-creating primitive.
+        trigger: &'a str,
+        /// The bound it would pass.
+        bound: u64,
+    },
+    /// `AtMostOutstanding`: a `trigger` past the constraint's own limit.
+    OverLimit {
+        /// The obligation-creating primitive.
+        trigger: &'a str,
+        /// The limit it would pass.
+        limit: u64,
+    },
+    /// `MutualExclusion`: an `acquire` while another holds the key.
+    Held {
+        /// The acquiring primitive.
+        acquire: &'a str,
+        /// Where it occurred.
+        sap: &'a Sap,
+        /// Who holds the key.
+        holder: &'a Sap,
+    },
+    /// `MutualExclusion`: a `release` while another holds the key.
+    NotHolder {
+        /// The releasing primitive.
+        release: &'a str,
+        /// Where it occurred.
+        sap: &'a Sap,
+        /// Who holds the key.
+        holder: &'a Sap,
+    },
+    /// `MutualExclusion`: a `release` while nothing is held.
+    NothingHeld {
+        /// The releasing primitive.
+        release: &'a str,
+        /// Where it occurred.
+        sap: &'a Sap,
+    },
+}
+
+impl fmt::Display for Violation<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Violation::UnmatchedBound { earlier, bound } => {
+                write!(
+                    f,
+                    "more than {bound} unmatched `{earlier}` (state-space bound)"
+                )
+            }
+            Violation::Unpreceded { earlier, later } => {
+                write!(f, "`{later}` without a preceding unmatched `{earlier}`")
+            }
+            Violation::NotEnabled { enabler, then } => write!(f, "`{then}` before any `{enabler}`"),
+            Violation::OutstandingBound { trigger, bound } => {
+                write!(
+                    f,
+                    "more than {bound} outstanding `{trigger}` (state-space bound)"
+                )
+            }
+            Violation::OverLimit { trigger, limit } => {
+                write!(f, "more than {limit} outstanding `{trigger}`")
+            }
+            Violation::Held {
+                acquire,
+                sap,
+                holder,
+            } => write!(f, "`{acquire}` at {sap} while held by {holder}"),
+            Violation::NotHolder {
+                release,
+                sap,
+                holder,
+            } => write!(f, "`{release}` at {sap} but holder is {holder}"),
+            Violation::NothingHeld { release, sap } => {
+                write!(f, "`{release}` at {sap} but nothing is held")
+            }
+        }
+    }
+}
+
 /// Steps one constraint's state by the occurrence of `primitive` with
 /// `args` at `sap` — the one definition of constraint semantics. `bound`
 /// caps unmatched `Precedes` and outstanding `EventuallyFollows`
@@ -377,9 +486,11 @@ pub fn step_constraint(
             if primitive == earlier {
                 let e = map.entry(inst()).or_insert(0);
                 if *e >= bound {
-                    return Err(format!(
-                        "more than {bound} unmatched `{earlier}` (state-space bound)"
-                    ));
+                    return Err(Violation::UnmatchedBound {
+                        earlier,
+                        bound: u64::from(bound),
+                    }
+                    .to_string());
                 }
                 *e += 1;
             } else if primitive == later {
@@ -391,11 +502,7 @@ pub fn step_constraint(
                             map.remove(&inst);
                         }
                     }
-                    _ => {
-                        return Err(format!(
-                            "`{later}` without a preceding unmatched `{earlier}`"
-                        ))
-                    }
+                    _ => return Err(Violation::Unpreceded { earlier, later }.to_string()),
                 }
             }
             Ok(CState::Counters(map))
@@ -406,7 +513,7 @@ pub fn step_constraint(
                 // A saturated counter marks "enabled forever".
                 map.insert(inst(), 1);
             } else if primitive == then && !map.contains_key(&inst()) {
-                return Err(format!("`{then}` before any `{enabler}`"));
+                return Err(Violation::NotEnabled { enabler, then }.to_string());
             }
             Ok(CState::Counters(map))
         }
@@ -420,9 +527,11 @@ pub fn step_constraint(
             if primitive == trigger {
                 let e = map.entry(inst()).or_insert(0);
                 if *e >= bound {
-                    return Err(format!(
-                        "more than {bound} outstanding `{trigger}` (state-space bound)"
-                    ));
+                    return Err(Violation::OutstandingBound {
+                        trigger,
+                        bound: u64::from(bound),
+                    }
+                    .to_string());
                 }
                 *e += 1;
             } else if primitive == response {
@@ -443,7 +552,11 @@ pub fn step_constraint(
             if primitive == trigger {
                 let e = map.entry(inst()).or_insert(0);
                 if (*e as usize) >= *limit {
-                    return Err(format!("more than {limit} outstanding `{trigger}`"));
+                    return Err(Violation::OverLimit {
+                        trigger,
+                        limit: *limit as u64,
+                    }
+                    .to_string());
                 }
                 *e += 1;
             } else if primitive == response {
@@ -456,7 +569,12 @@ pub fn step_constraint(
             let (_, k) = inst();
             if primitive == acquire {
                 if let Some(holder) = map.get(&k) {
-                    return Err(format!("`{acquire}` at {sap} while held by {holder}"));
+                    return Err(Violation::Held {
+                        acquire,
+                        sap,
+                        holder,
+                    }
+                    .to_string());
                 }
                 map.insert(k, sap.clone());
             } else if primitive == release {
@@ -465,9 +583,14 @@ pub fn step_constraint(
                         map.remove(&k);
                     }
                     Some(holder) => {
-                        return Err(format!("`{release}` at {sap} but holder is {holder}"))
+                        return Err(Violation::NotHolder {
+                            release,
+                            sap,
+                            holder,
+                        }
+                        .to_string())
                     }
-                    None => return Err(format!("`{release}` at {sap} but nothing is held")),
+                    None => return Err(Violation::NothingHeld { release, sap }.to_string()),
                 }
             }
             Ok(CState::Holders(map))
@@ -550,6 +673,78 @@ mod tests {
         );
         let mutex = Constraint::mutual_exclusion("a", "b").keyed(&[0]);
         assert_eq!(mutex.instance(&sap, &args), (None, vec![Value::Id(7)]));
+    }
+
+    /// Every violation text, as both engines render it.
+    #[test]
+    fn violation_texts_are_pinned() {
+        let (one, two) = (
+            Sap::new("user", crate::PartId::new(1)),
+            Sap::new("user", crate::PartId::new(2)),
+        );
+        let texts = [
+            (
+                Violation::UnmatchedBound {
+                    earlier: "a",
+                    bound: 2,
+                },
+                "more than 2 unmatched `a` (state-space bound)",
+            ),
+            (
+                Violation::Unpreceded {
+                    earlier: "a",
+                    later: "b",
+                },
+                "`b` without a preceding unmatched `a`",
+            ),
+            (
+                Violation::NotEnabled {
+                    enabler: "a",
+                    then: "b",
+                },
+                "`b` before any `a`",
+            ),
+            (
+                Violation::OutstandingBound {
+                    trigger: "a",
+                    bound: 2,
+                },
+                "more than 2 outstanding `a` (state-space bound)",
+            ),
+            (
+                Violation::OverLimit {
+                    trigger: "a",
+                    limit: 1,
+                },
+                "more than 1 outstanding `a`",
+            ),
+            (
+                Violation::Held {
+                    acquire: "a",
+                    sap: &two,
+                    holder: &one,
+                },
+                "`a` at user@part-2 while held by user@part-1",
+            ),
+            (
+                Violation::NotHolder {
+                    release: "b",
+                    sap: &two,
+                    holder: &one,
+                },
+                "`b` at user@part-2 but holder is user@part-1",
+            ),
+            (
+                Violation::NothingHeld {
+                    release: "b",
+                    sap: &two,
+                },
+                "`b` at user@part-2 but nothing is held",
+            ),
+        ];
+        for (violation, text) in texts {
+            assert_eq!(violation.to_string(), text);
+        }
     }
 
     #[test]

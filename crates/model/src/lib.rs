@@ -73,7 +73,7 @@ mod trace;
 mod value;
 
 pub use constraint::{
-    step_constraint, CState, Constraint, ConstraintKind, ConstraintScope, Instance,
+    step_constraint, CState, Constraint, ConstraintKind, ConstraintScope, Instance, Violation,
 };
 pub use error::ModelError;
 pub use id::{PartId, ResourceId, SubscriberId};
